@@ -440,7 +440,7 @@ func BenchmarkHillClimbPass(b *testing.B) {
 		b.StopTimer()
 		p := partition.RandomBalanced(g.NumNodes(), 8, rng)
 		b.StartTimer()
-		kl.HillClimb(g, p, partition.TotalCut, 1)
+		kl.HillClimbEval(g, p, partition.TotalCut, 1, nil)
 	}
 }
 
@@ -474,17 +474,5 @@ func BenchmarkCoarsen(b *testing.B) {
 func BenchmarkMeshGeneration(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		gen.Mesh(309, int64(i))
-	}
-}
-
-func BenchmarkKLBisect(b *testing.B) {
-	g := gen.PaperGraph(167)
-	rng := rand.New(rand.NewSource(5))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		p := partition.RandomBalanced(g.NumNodes(), 2, rng)
-		b.StartTimer()
-		kl.Bisect(g, p)
 	}
 }

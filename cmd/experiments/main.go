@@ -68,7 +68,6 @@ func main() {
 		repeat    = flag.Int("repeat", 1, "timing repetitions per (case, algorithm) pair")
 		objective = flag.String("objective", "cut", "comma-separated objectives to benchmark: cut | maxcut | commvol (algorithms lacking one produce error rows)")
 		mlWorkers = flag.Int("workers", 0, "parallel V-cycle goroutines: coarsening, contraction, projection, and colored refinement (0 = auto; results are identical for any value)")
-		fmparThr  = flag.Int("fmpar-threshold", 0, "multilevel: node count at which a level's FM switches to the deterministic-parallel colored schedule (0 = default 50k; negative = always serial FM)")
 		lanczos   = flag.Int("lanczos", 0, "rsb: Lanczos iteration budget per Fiedler solve (0 = default 40)")
 		cpuProf   = flag.String("cpuprofile", "", "bench mode: write a CPU profile covering the measured runs to this file")
 		memProf   = flag.String("memprofile", "", "bench mode: write a heap profile (after a forced GC) to this file when the suite finishes")
@@ -91,7 +90,6 @@ func main() {
 			objCSV:   *objective,
 			evalW:    *workers,
 			workers:  *mlWorkers,
-			fmparThr: *fmparThr,
 			lanczos:  *lanczos,
 			cpuProf:  *cpuProf,
 			memProf:  *memProf,
@@ -178,7 +176,6 @@ type benchRun struct {
 	objCSV   string // comma-separated objectives; "" = cut only
 	evalW    int    // GA fitness-evaluation width
 	workers  int    // multilevel pipeline width
-	fmparThr int    // multilevel parallel-FM threshold (0 = default)
 	lanczos  int    // rsb Lanczos iteration budget
 	cpuProf  string // write a CPU profile of the measured runs here
 	memProf  string // write a post-GC heap profile here after the suite
@@ -264,7 +261,7 @@ func runBench(cfg benchRun) {
 			objectives = append(objectives, o)
 		}
 	}
-	opt := algo.Options{Seed: gen.SuiteSeed, EvalWorkers: cfg.evalW, Workers: cfg.workers, FMParThreshold: cfg.fmparThr, LanczosIter: cfg.lanczos}
+	opt := algo.Options{Seed: gen.SuiteSeed, EvalWorkers: cfg.evalW, Workers: cfg.workers, LanczosIter: cfg.lanczos}
 	// Profiles cover only the measured algo.Run loops, not suite generation:
 	// graph construction would otherwise dominate the CPU profile at the 1M+
 	// tier and hide the V-cycle phases the profile exists to expose.

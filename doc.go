@@ -17,7 +17,7 @@
 //   - internal/spectral    recursive spectral bisection (RSB baseline)
 //   - internal/linalg      Jacobi, Lanczos, tridiagonal QL eigensolvers
 //   - internal/ibp         index-based partitioning (appendix algorithm)
-//   - internal/kl          Kernighan–Lin and boundary hill climbing
+//   - internal/kl          boundary hill climbing (serial and colored), rebalancing
 //   - internal/fm          Fiduccia–Mattheyses k-way refinement
 //   - internal/anneal      simulated-annealing partitioner
 //   - internal/rcb         coordinate / graph recursive bisection baselines

@@ -46,21 +46,6 @@ type Options struct {
 	// Refinement family (kl, fm, multilevel-*).
 	RefinePasses int // 0 = algorithm default (unlimited for kl, 4 per level for multilevel)
 	CoarsestSize int // multilevel: stop coarsening at this many nodes; 0 = 64
-	// LPThreshold switches multilevel uncoarsening levels with at least
-	// this many nodes to the label-propagation refiner (package lp), whose
-	// cost is O(boundary·deg) instead of the KL/FM gain machinery's
-	// Theta(n·parts). 0 = the multilevel default (250k nodes); negative
-	// disables label propagation so every level uses the configured
-	// refiner.
-	LPThreshold int
-	// FMParThreshold switches multilevel uncoarsening levels with at least
-	// this many nodes from the serial FM heap pass to the
-	// deterministic-parallel colored schedule (fm.RefineEvalPar), which fans
-	// the gain evaluation out over Workers without giving up the Workers
-	// bit-identity contract. 0 = the multilevel default (50k nodes);
-	// negative pins every level to the serial pass. Result-affecting: the
-	// two passes are distinct deterministic algorithms.
-	FMParThreshold int
 	// Workers bounds the goroutines the parallel phases may use: the
 	// multilevel pipeline's coarsening/contraction AND its uncoarsening
 	// (projection, boundary rebuilds, colored refinement), plus the flat

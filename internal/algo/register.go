@@ -78,7 +78,7 @@ func init() {
 		if err != nil {
 			return nil, err
 		}
-		kl.RefineEvalParStop(g, p, nil, opt.Objective, opt.RefinePasses, opt.Workers, opt.stop())
+		kl.Refine(g, p, nil, kl.Config{Objective: opt.Objective, MaxPasses: opt.RefinePasses, Workers: opt.Workers, Stop: opt.stop()})
 		return p, nil
 	}))
 
@@ -91,7 +91,7 @@ func init() {
 		if err != nil {
 			return nil, err
 		}
-		fm.Refine(g, p, fm.Config{MaxPasses: opt.RefinePasses, Workers: opt.Workers, Objective: opt.Objective, Stop: opt.stop()})
+		fm.Refine(g, p, nil, fm.Config{MaxPasses: opt.RefinePasses, Workers: opt.Workers, Objective: opt.Objective, Stop: opt.stop()})
 		return p, nil
 	}))
 
@@ -194,17 +194,15 @@ func registerMultilevel(name, innerName string, refiner multilevel.Refiner, info
 			return Run(cg, innerName, io)
 		}
 		return multilevel.Partition(g, multilevel.Config{
-			Parts:          opt.Parts,
-			CoarsestSize:   opt.CoarsestSize,
-			RefinePasses:   opt.RefinePasses,
-			Refiner:        refiner,
-			LPThreshold:    opt.LPThreshold,
-			FMParThreshold: opt.FMParThreshold,
-			Workers:        opt.Workers,
-			Objective:      opt.Objective,
-			Seed:           opt.Seed,
-			Stats:          opt.MultilevelStats,
-			Stop:           opt.stop(),
+			Parts:        opt.Parts,
+			CoarsestSize: opt.CoarsestSize,
+			RefinePasses: opt.RefinePasses,
+			Refiner:      refiner,
+			Workers:      opt.Workers,
+			Objective:    opt.Objective,
+			Seed:         opt.Seed,
+			Stats:        opt.MultilevelStats,
+			Stop:         opt.stop(),
 		}, inner)
 	}))
 }

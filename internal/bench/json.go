@@ -192,9 +192,10 @@ func Scale1MSuite() []Case {
 
 // FMParSuite is the parallel-FM measurement pair: the scale100k and scale1M
 // RGG cases (same generators and seeds, so cuts are comparable across
-// artifacts), both above DefaultFMParThreshold so multilevel-fm refines
-// through the deterministic-parallel colored schedule on every uncoarsened
-// level that matters. The committed BENCH_fmpar.json runs it width-labeled
+// artifacts), both above the multilevel pipeline's 50k-node colored-FM
+// switch, so multilevel-fm refines through the deterministic-parallel
+// colored schedule (fm.RefineColored) on every uncoarsened level that
+// matters. The committed BENCH_fmpar.json runs it width-labeled
 // (RunJSONWidths, Workers 1 vs 4): the @w1/@w4 rows pin cross-width cut
 // identity and record the refine_fm_ns breakdown the speedup claim reads.
 func FMParSuite() []Case {

@@ -5,7 +5,7 @@
 // best prefix of the move sequence — so it can climb out of local optima
 // that pure steepest-descent cannot.
 //
-// The paper's GA uses boundary hill climbing (kl.HillClimb); FM is the
+// The paper's GA uses boundary hill climbing (kl.HillClimbEval); FM is the
 // stronger refinement used by the multilevel pipeline (the paper's "prior
 // graph contraction" outlook) and by the ablation benchmarks.
 package fm
@@ -19,28 +19,16 @@ import (
 	"repro/internal/partition"
 )
 
-// seedBuffers resizes the per-pass seeding scratch.
-func seedBuffers(to []int32, gain []float64, n int) ([]int32, []float64) {
-	if cap(to) < n {
-		return make([]int32, n), make([]float64, n)
-	}
-	return to[:n], gain[:n]
-}
-
 // Config bounds a refinement run.
 type Config struct {
 	// MaxPasses caps the number of full FM passes; 0 means until no pass
 	// improves (at most 16, a safety bound).
 	MaxPasses int
-	// BalanceSlack is the allowed deviation of any part's node count from
-	// the ideal n/parts, in nodes. 0 selects ceil(2% of ideal)+1.
-	BalanceSlack int
-	// Workers bounds the goroutines each pass's heap seeding — the
-	// connectivity-row materialization and best-candidate scan over the
-	// whole boundary — may use (<= 0 selects GOMAXPROCS). A pure speed knob:
-	// candidates are pushed serially in ascending node order afterwards, so
-	// the heap, the move sequence, and the result are bit-identical to the
-	// serial pass at every width.
+	// Workers bounds the goroutines of each pass's data-parallel half (<= 0
+	// selects GOMAXPROCS): Refine's heap seeding — the connectivity-row
+	// materialization and best-candidate scan over the whole boundary — and
+	// RefineColored's per-class gain evaluation and row updates. A pure
+	// speed knob: both schedules are bit-identical at every width.
 	Workers int
 	// Objective selects which cost the best-prefix selection minimizes. The
 	// zero value (TotalCut) is the historical FM, byte for byte: moves pop in
@@ -52,12 +40,13 @@ type Config struct {
 	// connectivity rows go stale on locked neighbors, which the cut deltas
 	// tolerate but distinct-part counting does not — the registry's declared
 	// objective constraints route commvol to the KL refiners instead, and
-	// RefineEval panics if handed it anyway.
+	// both refiners panic if handed it anyway.
 	Objective partition.Objective
-	// Stop, when non-nil, is polled before each pass; a refinement whose
-	// Stop reports true returns early with the gain applied so far. Pass
-	// boundaries are consistent states (every kept move went through ev),
-	// so early return yields a valid, just less refined, partition.
+	// Stop, when non-nil, is polled before each pass (RefineColored also
+	// polls it between color rounds); a refinement whose Stop reports true
+	// returns early with the gain applied so far. Every exit applies the
+	// kept moves through ev, so early return yields a valid, just less
+	// refined, partition.
 	Stop func() bool
 	// Scratch, when non-nil, supplies the refinement's working memory —
 	// the Theta(n*parts) connectivity table, the gain heap, the move log —
@@ -70,7 +59,7 @@ type Config struct {
 	Scratch *Scratch
 }
 
-// Scratch owns RefineEval's working state across calls. The zero value is
+// Scratch owns a refinement's working state across calls. The zero value is
 // ready to use; see Config.Scratch.
 type Scratch struct {
 	s scratch
@@ -86,31 +75,45 @@ func (s *Scratch) Reserve(n, parts int) {
 	s.s.grow(n, parts)
 }
 
-// Refine improves p in place, minimizing the edge cut subject to the
-// balance constraint, and returns the total cut reduction.
-func Refine(g *graph.Graph, p *partition.Partition, cfg Config) float64 {
-	return RefineEval(g, p, nil, cfg)
+// Refine improves p in place with serial-heap FM passes, minimizing the
+// objective subject to the balance constraint, and returns the total
+// improvement. Every move kept by a pass is applied through ev, so ev stays
+// exactly in sync with p at O(deg) per kept move and never needs a rescan;
+// the multilevel pipeline relies on this to carry one Eval across FM
+// refinement at every uncoarsening level. A nil ev is built from p.
+//
+// Each pass seeds its gain heap from the Eval's tracked boundary set, and
+// per-node connectivity rows are materialized lazily as the pass spreads
+// outward from the boundary — the expensive work (connectivity scans, heap
+// traffic) scales with the boundary region a pass actually touches, leaving
+// only two O(n) housekeeping scans (the working-assignment copy and the
+// part-size count) per pass, with the Theta(n*parts) connectivity storage
+// allocated once per refinement and reset lazily between passes.
+func Refine(g *graph.Graph, p *partition.Partition, ev *partition.Eval, cfg Config) float64 {
+	return refine(g, p, ev, cfg, (*refinement).heapPass)
 }
 
-// RefineEval is Refine for callers that track the partition's cached
-// aggregates: every move kept by a pass is applied through ev, so ev stays
-// exactly in sync with p at O(deg) per kept move and never needs a rescan.
-// The multilevel pipeline relies on this to carry one Eval across FM
-// refinement at every uncoarsening level. A nil ev is rebuilt from p with
-// boundary tracking enabled.
-//
-// When ev tracks the boundary set, each pass seeds its gain heap from that
-// set instead of scanning all n nodes, and per-node connectivity rows are
-// materialized lazily as the pass spreads outward from the boundary — the
-// expensive work (connectivity scans, heap traffic) scales with the
-// boundary region a pass actually touches, leaving only two O(n)
-// housekeeping scans (the working-assignment copy and the part-size count)
-// per pass, with the Theta(n*parts) connectivity storage allocated once per
-// refinement and reset lazily between passes. The move sequence (and
-// therefore the result) is bit-identical to the historical full-scan pass,
-// because non-boundary nodes never produced heap candidates in the first
-// place.
-func RefineEval(g *graph.Graph, p *partition.Partition, ev *partition.Eval, cfg Config) float64 {
+// refinement is the setup one Refine or RefineColored call shares across its
+// passes.
+type refinement struct {
+	g       *graph.Graph
+	p       *partition.Partition
+	ev      *partition.Eval
+	s       *scratch
+	o       partition.Objective
+	workers int
+	stop    func() bool
+	minSize int // node-count balance bounds every kept move respects
+	maxSize int
+}
+
+// refine is the pass loop both schedules share. It rejects CommVolume,
+// applies the MaxPasses default, makes ev a boundary-tracking Eval in sync
+// with p (built by the sharded scan when nil), derives the balance bounds —
+// every part's node count within ceil(2% of ideal)+1 nodes of the ideal
+// n/parts — checks out the scratch, and runs pass until one gains nothing,
+// Stop fires, or MaxPasses is reached.
+func refine(g *graph.Graph, p *partition.Partition, ev *partition.Eval, cfg Config, pass func(*refinement) (gain float64, stopped bool)) float64 {
 	if cfg.Objective == partition.CommVolume {
 		panic("fm: CommVolume objective is not supported (use the kl refiners)")
 	}
@@ -123,34 +126,35 @@ func RefineEval(g *graph.Graph, p *partition.Partition, ev *partition.Eval, cfg 
 		return 0
 	}
 	if ev == nil {
-		ev = partition.NewEvalBoundary(g, p)
+		ev = partition.NewEvalBoundaryPar(g, p, cfg.Workers)
+	} else if !ev.TracksBoundary() {
+		ev.ResetBoundaryPar(g, p, cfg.Workers)
 	}
 	ideal := float64(n) / float64(p.Parts)
-	slack := cfg.BalanceSlack
-	if slack <= 0 {
-		slack = int(math.Ceil(ideal/50)) + 1
+	slack := int(math.Ceil(ideal/50)) + 1
+	r := &refinement{
+		g:       g,
+		p:       p,
+		ev:      ev,
+		o:       cfg.Objective,
+		workers: par.Workers(cfg.Workers),
+		stop:    cfg.Stop,
+		minSize: max(int(math.Floor(ideal))-slack, 0),
+		maxSize: int(math.Ceil(ideal)) + slack,
 	}
-	minSize := int(math.Floor(ideal)) - slack
-	if minSize < 0 {
-		minSize = 0
-	}
-	maxSize := int(math.Ceil(ideal)) + slack
-
-	var s *scratch
+	r.s = new(scratch)
 	if cfg.Scratch != nil {
-		s = &cfg.Scratch.s
-		s.grow(n, p.Parts)
-	} else {
-		s = newScratch(n, p.Parts)
+		r.s = &cfg.Scratch.s
 	}
+	r.s.grow(n, p.Parts)
 	var total float64
-	for pass := 0; pass < maxPasses; pass++ {
+	for i := 0; i < maxPasses; i++ {
 		if cfg.Stop != nil && cfg.Stop() {
 			break
 		}
-		gain := onePass(g, p, ev, minSize, maxSize, s, cfg.Workers, cfg.Objective)
+		gain, stopped := pass(r)
 		total += gain
-		if gain <= 0 {
+		if stopped || gain <= 0 {
 			break
 		}
 	}
@@ -178,7 +182,7 @@ type scratch struct {
 	seeds     []int     // boundary snapshot buffer, one per pass
 	cuts      []float64 // WorstCut: tentative per-part cuts along the pass's move sequence
 
-	// Parallel-pass (RefineEvalPar) state, grown by growPar only when the
+	// Colored-pass (RefineColored) state, grown by growPar only when the
 	// parallel refiner runs; see fmpar.go. The generation counters are
 	// monotonic for the same reason pass is: stale marks — even ones
 	// uncovered by regrowth — can never equal a future generation.
@@ -197,17 +201,6 @@ type scratch struct {
 	affMark   []int32 // affMark[v] == affGen: already in affected
 	affGen    int32
 	sizes     []int // live part sizes along the parallel pass
-}
-
-func newScratch(n, parts int) *scratch {
-	return &scratch{
-		conn:      make([]float64, n*parts),
-		connPass:  make([]int32, n),
-		lockPass:  make([]int32, n),
-		stamp:     make([]int, n),
-		stampPass: make([]int32, n),
-		work:      partition.New(n, parts),
-	}
 }
 
 // grow resizes the scratch for an (n, parts) refinement, reusing capacity.
@@ -396,28 +389,26 @@ func (h *candHeap) pop() cand {
 	return top
 }
 
-// onePass runs one FM pass and returns the cut improvement kept; the kept
-// moves are applied through ev so it tracks p.
+// heapPass runs one FM pass and returns the improvement kept; the kept
+// moves are applied through ev so it tracks p. It never stops mid-pass.
 //
 // conn[v*parts+q] — the total weight of v's edges into part q, against the
 // pass's working assignment — is materialized lazily: a node's row is
 // computed (and its stale contents zeroed) on first touch in a pass and
-// updated incrementally afterwards. When ev tracks the boundary, the heap
-// is seeded from that set and the pass's connectivity work never reaches
-// the interior at all; a node whose neighbors all share its part has no
-// candidate move, so the lazily-seeded heap holds exactly the candidates
-// the historical full scan produced, in the same order.
+// updated incrementally afterwards. The heap is seeded from the tracked
+// boundary, so the pass's connectivity work never reaches the interior at
+// all: a node whose neighbors all share its part has no candidate move.
 //
 // Seeding is the pass's data-parallel half: each seed node's connectivity
 // row and best candidate are a pure function of the pass-start working
 // assignment and every node owns its own row, so they are computed over
-// `workers` goroutines; the candidates are then pushed serially in
-// ascending node order — the exact heap the serial seed loop builds. The
-// pop/commit loop that follows stays serial (each move reorders the heap
-// the next pop reads), which is why the multilevel pipeline pairs FM with
-// the colored KL climb rather than relying on FM alone for parallel work.
-func onePass(g *graph.Graph, p *partition.Partition, ev *partition.Eval, minSize, maxSize int, s *scratch, workers int, o partition.Objective) float64 {
-	n := g.NumNodes()
+// the workers; the candidates are then pushed serially in ascending node
+// order — the exact heap a serial seed loop builds. The pop/commit loop
+// that follows stays serial (each move reorders the heap the next pop
+// reads); RefineColored is the schedule that parallelizes it.
+func (r *refinement) heapPass() (float64, bool) {
+	g, p, ev, s, o := r.g, r.p, r.ev, r.s, r.o
+	minSize, maxSize := r.minSize, r.maxSize
 	parts := p.Parts
 
 	s.pass++
@@ -448,38 +439,23 @@ func onePass(g *graph.Graph, p *partition.Partition, ev *partition.Eval, minSize
 			h.push(cand{v: v, to: int(to), gain: gain, stamp: stampOf(v)})
 		}
 	}
-	// seedBest is pushBest's scan without the push, for the parallel
-	// seeding phase: ensureConn and bestOf touch only v-owned state, so
-	// concurrent calls on distinct nodes are safe.
-	seedBest := func(v int) (int32, float64) {
-		ensureConn(v)
-		return s.bestOf(work, parts, v)
+	s.seeds = ev.AppendBoundary(s.seeds)
+	seeds := s.seeds
+	if cap(s.seedTo) < len(seeds) {
+		s.seedTo, s.seedGain = make([]int32, len(seeds)), make([]float64, len(seeds))
 	}
-	if ev.TracksBoundary() {
-		s.seeds = ev.AppendBoundary(s.seeds)
-		seeds := s.seeds
-		s.seedTo, s.seedGain = seedBuffers(s.seedTo, s.seedGain, len(seeds))
-		par.For(workers, len(seeds), func(_, lo, hi int) {
-			for i := lo; i < hi; i++ {
-				s.seedTo[i], s.seedGain[i] = seedBest(seeds[i])
-			}
-		})
-		for i, v := range seeds {
-			if s.seedTo[i] >= 0 {
-				h.push(cand{v: v, to: int(s.seedTo[i]), gain: s.seedGain[i], stamp: stampOf(v)})
-			}
+	s.seedTo, s.seedGain = s.seedTo[:len(seeds)], s.seedGain[:len(seeds)]
+	// ensureConn and bestOf touch only v-owned state, so concurrent calls on
+	// distinct seeds are safe.
+	par.For(r.workers, len(seeds), func(_, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			ensureConn(seeds[i])
+			s.seedTo[i], s.seedGain[i] = s.bestOf(work, parts, seeds[i])
 		}
-	} else {
-		s.seedTo, s.seedGain = seedBuffers(s.seedTo, s.seedGain, n)
-		par.For(workers, n, func(_, lo, hi int) {
-			for v := lo; v < hi; v++ {
-				s.seedTo[v], s.seedGain[v] = seedBest(v)
-			}
-		})
-		for v := 0; v < n; v++ {
-			if s.seedTo[v] >= 0 {
-				h.push(cand{v: v, to: int(s.seedTo[v]), gain: s.seedGain[v], stamp: stampOf(v)})
-			}
+	})
+	for i, v := range seeds {
+		if s.seedTo[i] >= 0 {
+			h.push(cand{v: v, to: int(s.seedTo[i]), gain: s.seedGain[i], stamp: stampOf(v)})
 		}
 	}
 
@@ -570,12 +546,12 @@ func onePass(g *graph.Graph, p *partition.Partition, ev *partition.Eval, minSize
 	}
 	s.log = log
 	if bestK == 0 {
-		return 0
+		return 0, false
 	}
 	// Keep the best prefix. Moves are replayed in pass order, so each node's
 	// current part matches the logged `from` when its move applies.
 	for _, m := range log[:bestK] {
 		ev.Move(g, p, m.v, m.to)
 	}
-	return bestCum
+	return bestCum, false
 }

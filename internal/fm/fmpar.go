@@ -43,11 +43,10 @@
 // width-independent by construction, so any Workers value reproduces the
 // Workers=1 result bit for bit — the repository-wide contract — while the
 // result may differ from serial FM's heap order (the two are distinct
-// deterministic algorithms, like kl.HillClimbEval vs kl.HillClimbColored).
+// deterministic algorithms, like kl.HillClimbEval vs kl.Climb).
 package fm
 
 import (
-	"math"
 	"sort"
 
 	"repro/internal/graph"
@@ -73,7 +72,7 @@ func lessCand(a, b parCand) bool {
 	return a.v < b.v
 }
 
-// growPar sizes the parallel-pass scratch; grow(n, parts) must have run.
+// growPar sizes the colored-pass scratch; grow(n, parts) must have run.
 // Like grow, it reuses capacity and never resets the generation counters.
 func (s *scratch) growPar(n, parts int) {
 	if cap(s.nextMark) < n {
@@ -96,82 +95,30 @@ func (s *scratch) growPar(n, parts int) {
 	}
 }
 
-// RefinePar is Refine on the parallel (round, color, gain-order) schedule.
-func RefinePar(g *graph.Graph, p *partition.Partition, cfg Config) float64 {
-	return RefineEvalPar(g, p, nil, cfg)
-}
-
-// RefineEvalPar is the deterministic-parallel counterpart of RefineEval: the
-// same pass structure (balance slack, one move per node per pass, plateau
+// RefineColored is the deterministic-parallel counterpart of Refine: the
+// same pass structure (balance bounds, one move per node per pass, plateau
 // moves with best-prefix keep, applied through ev), but scheduled by the
-// colored rounds described in the package comment above, so the per-move
-// gain evaluation — the pass's dominant cost — runs over cfg.Workers
-// goroutines. Results are bit-identical for every Workers value; they are
-// NOT bit-identical to RefineEval (a different deterministic schedule, with
-// cuts of the same character). Above Config.FMParThreshold the multilevel
-// pipeline refines with this instead of RefineEval.
+// colored rounds described in the file comment above, so the per-move gain
+// evaluation — the pass's dominant cost — runs over cfg.Workers goroutines.
+// Results are bit-identical for every Workers value; they are NOT
+// bit-identical to Refine (a different deterministic schedule, with cuts of
+// the same character). The multilevel pipeline refines its large levels
+// with this instead of Refine.
 //
 // Stop is polled before each pass and additionally between color rounds
 // inside a pass; a mid-pass stop still applies the best prefix found so far
-// through ev, so the early return leaves p and ev exactly in sync. Like
-// RefineEval, it panics on the CommVolume objective (the registry routes
-// commvol to the kl refiners) and rebuilds a nil or untracked ev with
-// boundary tracking.
-func RefineEvalPar(g *graph.Graph, p *partition.Partition, ev *partition.Eval, cfg Config) float64 {
-	if cfg.Objective == partition.CommVolume {
-		panic("fm: CommVolume objective is not supported (use the kl refiners)")
-	}
-	maxPasses := cfg.MaxPasses
-	if maxPasses <= 0 {
-		maxPasses = 16
-	}
-	n := g.NumNodes()
-	if n == 0 || p.Parts < 2 {
-		return 0
-	}
-	if ev == nil {
-		ev = partition.NewEvalBoundaryPar(g, p, cfg.Workers)
-	} else if !ev.TracksBoundary() {
-		ev.ResetBoundaryPar(g, p, cfg.Workers)
-	}
-	ideal := float64(n) / float64(p.Parts)
-	slack := cfg.BalanceSlack
-	if slack <= 0 {
-		slack = int(math.Ceil(ideal/50)) + 1
-	}
-	minSize := int(math.Floor(ideal)) - slack
-	if minSize < 0 {
-		minSize = 0
-	}
-	maxSize := int(math.Ceil(ideal)) + slack
-
-	var s *scratch
-	if cfg.Scratch != nil {
-		s = &cfg.Scratch.s
-		s.grow(n, p.Parts)
-	} else {
-		s = newScratch(n, p.Parts)
-	}
-	s.growPar(n, p.Parts)
-	workers := par.Workers(cfg.Workers)
-	var total float64
-	for pass := 0; pass < maxPasses; pass++ {
-		if cfg.Stop != nil && cfg.Stop() {
-			break
-		}
-		gain, stopped := onePassPar(g, p, ev, minSize, maxSize, s, workers, cfg.Objective, cfg.Stop)
-		total += gain
-		if stopped || gain <= 0 {
-			break
-		}
-	}
-	return total
+// through ev, so the early return leaves p and ev exactly in sync.
+func RefineColored(g *graph.Graph, p *partition.Partition, ev *partition.Eval, cfg Config) float64 {
+	return refine(g, p, ev, cfg, (*refinement).coloredPass)
 }
 
-// onePassPar runs one colored-schedule FM pass and returns the improvement
+// coloredPass runs one colored-schedule FM pass and returns the improvement
 // kept plus whether Stop cut the pass short; kept moves are applied through
 // ev either way, so pass exits are always consistent states.
-func onePassPar(g *graph.Graph, p *partition.Partition, ev *partition.Eval, minSize, maxSize int, s *scratch, workers int, o partition.Objective, stop func() bool) (float64, bool) {
+func (r *refinement) coloredPass() (float64, bool) {
+	g, p, ev, s, o, workers, stop := r.g, r.p, r.ev, r.s, r.o, r.workers, r.stop
+	minSize, maxSize := r.minSize, r.maxSize
+	s.growPar(g.NumNodes(), p.Parts)
 	parts := p.Parts
 	s.pass++
 	work := s.work

@@ -22,49 +22,16 @@ func pairContract(g *graph.Graph) *graph.Graph {
 	return graph.Contract(g, coarseOf, (n+1)/2, 1)
 }
 
-// The tentpole contract: the colored (round, color, gain-order) schedule is
-// a pure function of the input, so every Workers value must reproduce the
-// Workers=1 partition bit for bit — across graph families (mesh, skew
-// weights, a contracted coarse level) and both supported objectives, with
-// the scratch arena shared across runs the way the multilevel pipeline
-// shares it.
+// RefineColored's (round, color, gain-order) schedule is a pure function of
+// the input, so every Workers value must reproduce the Workers=1 partition
+// bit for bit under both supported objectives.
 func TestRefineEvalParWorkersBitIdentical(t *testing.T) {
-	graphs := []struct {
-		name string
-		g    *graph.Graph
-	}{
-		{"mesh", gen.Mesh(600, 31)},
-		{"weighted", gen.SkewWeights(gen.Mesh(500, 32), 7, 40)},
-		{"contracted", pairContract(gen.Mesh(900, 33))},
-	}
-	var scratch Scratch
-	for _, tc := range graphs {
-		for _, obj := range []partition.Objective{partition.TotalCut, partition.WorstCut} {
-			rng := rand.New(rand.NewSource(int64(len(tc.name))*100 + int64(obj)))
-			start := partition.RandomBalanced(tc.g.NumNodes(), 8, rng)
-			run := func(workers int) (*partition.Partition, float64) {
-				p := start.Clone()
-				gain := RefineEvalPar(tc.g, p, nil, Config{Workers: workers, Objective: obj, Scratch: &scratch})
-				return p, gain
-			}
-			refP, refGain := run(1)
-			for _, workers := range []int{2, 4, 8, 0} {
-				p, gain := run(workers)
-				if gain != refGain {
-					t.Fatalf("%s obj=%v workers=%d: gain %v != %v", tc.name, obj, workers, gain, refGain)
-				}
-				for v := range p.Assign {
-					if p.Assign[v] != refP.Assign[v] {
-						t.Fatalf("%s obj=%v workers=%d: node %d in part %d, reference %d",
-							tc.name, obj, workers, v, p.Assign[v], refP.Assign[v])
-					}
-				}
-			}
-		}
+	for _, obj := range []partition.Objective{partition.TotalCut, partition.WorstCut} {
+		requireWorkersBitIdentical(t, RefineColored, obj)
 	}
 }
 
-// The parallel pass must honor the serial pass's semantic guarantees: the
+// The colored pass must honor the heap pass's semantic guarantees: the
 // reported gain is the realized objective improvement, the cut never
 // worsens, validity holds, and sizes respect the slack.
 func TestRefineEvalParInvariants(t *testing.T) {
@@ -75,7 +42,7 @@ func TestRefineEvalParInvariants(t *testing.T) {
 		parts := 2 + rng.Intn(7)
 		p := partition.RandomBalanced(n, parts, rng)
 		before := p.CutSize(g)
-		gain := RefineEvalPar(g, p, nil, Config{Workers: 4})
+		gain := RefineColored(g, p, nil, Config{Workers: 4})
 		after := p.CutSize(g)
 		if err := p.Validate(g); err != nil {
 			t.Fatalf("seed %d: invalid partition: %v", seed, err)
@@ -96,8 +63,8 @@ func TestRefineEvalParInvariants(t *testing.T) {
 	}
 }
 
-// Parallel FM should find cuts of the same character as the serial heap
-// pass — a different deterministic schedule, not a weaker refiner.
+// Colored FM should find cuts of the same character as the heap pass — a
+// different deterministic schedule, not a weaker refiner.
 func TestRefineEvalParQualityComparable(t *testing.T) {
 	g := gen.Mesh(1200, 41)
 	var parSum, serSum float64
@@ -105,8 +72,8 @@ func TestRefineEvalParQualityComparable(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		p1 := partition.RandomBalanced(g.NumNodes(), 8, rng)
 		p2 := p1.Clone()
-		RefineEvalPar(g, p1, nil, Config{Workers: 4})
-		RefineEval(g, p2, nil, Config{})
+		RefineColored(g, p1, nil, Config{Workers: 4})
+		Refine(g, p2, nil, Config{})
 		parSum += p1.CutSize(g)
 		serSum += p2.CutSize(g)
 	}
@@ -134,7 +101,7 @@ func TestRefineEvalParStopMidPass(t *testing.T) {
 			calls++
 			return calls >= polls
 		}
-		gain := RefineEvalPar(g, p, ev, Config{Workers: 4, Stop: stop})
+		gain := RefineColored(g, p, ev, Config{Workers: 4, Stop: stop})
 		if err := p.Validate(g); err != nil {
 			t.Fatalf("polls=%d: invalid partition after stop: %v", polls, err)
 		}
@@ -165,24 +132,24 @@ func TestRefineEvalParStopMidPass(t *testing.T) {
 	}
 }
 
-// Like the serial pass, the parallel refiner rejects CommVolume loudly: the
+// Like the heap pass, the colored refiner rejects CommVolume loudly: the
 // registry routes that objective to the kl climbers.
 func TestRefineEvalParPanicsOnCommVolume(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Fatal("RefineEvalPar(CommVolume) did not panic")
+			t.Fatal("RefineColored(CommVolume) did not panic")
 		}
 	}()
 	g := gen.Mesh(50, 3)
 	p := partition.RandomBalanced(50, 2, rand.New(rand.NewSource(1)))
-	RefineEvalPar(g, p, nil, Config{Objective: partition.CommVolume})
+	RefineColored(g, p, nil, Config{Objective: partition.CommVolume})
 }
 
 // The incremental worst-part maximum must track a full re-scan through any
 // sequence of cut updates, including ties appearing and the unique maximum
-// dropping (the rescan path). This pins satellite work on onePass's WorstCut
-// scoring: the running max replaced two O(parts) scans per move, and the
-// kept prefix must be what a scan would have produced.
+// dropping (the rescan path). Both passes score WorstCut moves with it in
+// place of two O(parts) scans per move, so the kept prefix must be what a
+// scan would have produced.
 func TestRunningMaxMatchesScanOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
 	for trial := 0; trial < 50; trial++ {

@@ -18,7 +18,7 @@ func TestRefineMaxcutReducesWorstPart(t *testing.T) {
 	for _, parts := range []int{2, 4, 8} {
 		p := partition.RandomBalanced(g.NumNodes(), parts, rng)
 		before := p.MaxPartCut(g)
-		gain := Refine(g, p, Config{Objective: partition.WorstCut})
+		gain := Refine(g, p, nil, Config{Objective: partition.WorstCut})
 		after := p.MaxPartCut(g)
 		if after > before {
 			t.Errorf("parts=%d: max part cut worsened %v -> %v", parts, before, after)
@@ -39,8 +39,8 @@ func TestRefineMaxcutBeatsCutObjectiveSomewhere(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		p := partition.RandomBalanced(g.NumNodes(), 4, rng)
 		q := p.Clone()
-		Refine(g, p, Config{})
-		Refine(g, q, Config{Objective: partition.WorstCut})
+		Refine(g, p, nil, Config{})
+		Refine(g, q, nil, Config{Objective: partition.WorstCut})
 		if q.MaxPartCut(g) < p.MaxPartCut(g) {
 			improved = true
 			break
@@ -53,24 +53,7 @@ func TestRefineMaxcutBeatsCutObjectiveSomewhere(t *testing.T) {
 
 // The Workers knob stays a pure speed knob under the maxcut objective.
 func TestRefineMaxcutWorkersBitIdentical(t *testing.T) {
-	g := gen.Mesh(900, 21)
-	rng := rand.New(rand.NewSource(22))
-	start := partition.RandomBalanced(g.NumNodes(), 8, rng)
-
-	ref := start.Clone()
-	refGain := Refine(g, ref, Config{Objective: partition.WorstCut, Workers: 1})
-	for _, w := range []int{2, 4, 8, 0} {
-		p := start.Clone()
-		gain := Refine(g, p, Config{Objective: partition.WorstCut, Workers: w})
-		if gain != refGain {
-			t.Fatalf("workers=%d: gain %v != serial %v", w, gain, refGain)
-		}
-		for v := range ref.Assign {
-			if ref.Assign[v] != p.Assign[v] {
-				t.Fatalf("workers=%d: node %d in part %d, serial %d", w, v, p.Assign[v], ref.Assign[v])
-			}
-		}
-	}
+	requireWorkersBitIdentical(t, Refine, partition.WorstCut)
 }
 
 // FM cannot run the comm-volume objective (its lazily-materialized
@@ -81,8 +64,8 @@ func TestRefineCommVolPanics(t *testing.T) {
 	p := partition.RandomBalanced(g.NumNodes(), 2, rand.New(rand.NewSource(1)))
 	defer func() {
 		if recover() == nil {
-			t.Error("RefineEval accepted the CommVolume objective")
+			t.Error("Refine accepted the CommVolume objective")
 		}
 	}()
-	Refine(g, p, Config{Objective: partition.CommVolume})
+	Refine(g, p, nil, Config{Objective: partition.CommVolume})
 }

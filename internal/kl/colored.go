@@ -42,58 +42,28 @@ import (
 	"repro/internal/partition"
 )
 
-// HillClimbColored performs boundary hill climbing with the colored parallel
-// sweep described above, spreading gain evaluation over `workers` goroutines
-// (<= 0 selects GOMAXPROCS; every width yields bit-identical results). Like
-// HillClimbEval it climbs until no move improves the objective o or maxPasses
-// passes complete (<= 0 means unlimited), keeps ev exactly in sync, and
-// returns the number of moves made. A nil ev is rebuilt from p; boundary
-// tracking is enabled on ev if it is not already.
+// Climb performs boundary hill climbing with the colored parallel sweep
+// described above, spreading gain evaluation over cfg.Workers goroutines.
+// Like HillClimbEval it climbs until no move improves cfg.Objective or
+// cfg.MaxPasses passes complete, keeps ev (built from p when nil) exactly in
+// sync, and returns the number of moves made; cfg.Stop is polled before each
+// pass.
 //
 // The visit order within a pass is (tile, color class, descending
 // provisional gain) rather than the serial climb's pure ascending order, so
-// the two climbers
-// are distinct (deterministic) algorithms that converge to local optima of
-// equal character but not necessarily bit-equal partitions. The GA's
-// offspring climbing keeps the serial sweep; the multilevel uncoarsening
-// phase and the flat kl/fm registry algorithms use this one.
-func HillClimbColored(g *graph.Graph, p *partition.Partition, o partition.Objective, maxPasses, workers int, ev *partition.Eval) int {
-	return hillClimbColored(g, p, o, maxPasses, workers, ev, nil)
-}
-
-// HillClimbColoredStop is HillClimbColored with cooperative cancellation: a
-// non-nil stop is polled before each pass, and the climb returns its move
-// count so far once it reports true. Pass boundaries are consistent states
-// (ev stays exactly in sync with p), so an early return is a valid — just
-// less refined — partition.
-func HillClimbColoredStop(g *graph.Graph, p *partition.Partition, o partition.Objective, maxPasses, workers int, ev *partition.Eval, stop func() bool) int {
-	return hillClimbColored(g, p, o, maxPasses, workers, ev, stop)
-}
-
-// climberPool recycles colorClimber scratch across climbs: the multilevel
-// uncoarsening phase runs two climbs per level, and the O(n) bIndex plus the
-// tile/class buffers otherwise reallocate at every one. Pooled state never
-// changes results: every buffer is either fully rewritten before it is read
-// (members, cands, off, ...), restored to its zero invariant by the previous
-// climb (bIndex), or explicitly reset on checkout (the class stamps).
-var climberPool = sync.Pool{New: func() any { return new(colorClimber) }}
-
-func hillClimbColored(g *graph.Graph, p *partition.Partition, o partition.Objective, maxPasses, workers int, ev *partition.Eval, stop func() bool) int {
-	if ev == nil {
-		ev = partition.NewEvalBoundaryPar(g, p, workers)
-	} else if !ev.TracksBoundary() {
-		ev.ResetBoundaryPar(g, p, workers)
-	}
-	if o == partition.CommVolume && !ev.TracksCommVol() {
-		ev.ResetCommVolPar(g, p, workers)
-	}
+// the two climbers are distinct (deterministic) algorithms that converge to
+// local optima of equal character but not necessarily bit-equal partitions.
+// The GA's offspring climbing keeps the serial sweep; the multilevel
+// uncoarsening phase and the flat kl registry algorithm use this one.
+func Climb(g *graph.Graph, p *partition.Partition, ev *partition.Eval, cfg Config) int {
+	ev = tracked(g, p, ev, cfg)
 	c := climberPool.Get().(*colorClimber)
 	c.g = g
 	c.p = p
-	c.o = o
+	c.o = cfg.Objective
 	c.ev = ev
 	c.avg = g.TotalNodeWeight() / float64(p.Parts)
-	c.workers = par.Workers(workers)
+	c.workers = par.Workers(cfg.Workers)
 	// Pooled class scratch carries stamps from earlier climbs; restart them
 	// so a long-lived process can never wrap a stamp into a stale seen entry
 	// (and so a scratch sized for fewer parts is rebuilt).
@@ -109,8 +79,8 @@ func hillClimbColored(g *graph.Graph, p *partition.Partition, o partition.Object
 		c.scratch = nil
 	}
 	moves := 0
-	for pass := 0; maxPasses <= 0 || pass < maxPasses; pass++ {
-		if stop != nil && stop() {
+	for pass := 0; cfg.MaxPasses <= 0 || pass < cfg.MaxPasses; pass++ {
+		if cfg.Stop != nil && cfg.Stop() {
 			break
 		}
 		m := c.pass()
@@ -123,6 +93,14 @@ func hillClimbColored(g *graph.Graph, p *partition.Partition, o partition.Object
 	climberPool.Put(c)
 	return moves
 }
+
+// climberPool recycles colorClimber scratch across climbs: the multilevel
+// uncoarsening phase runs two climbs per level, and the O(n) bIndex plus the
+// tile/class buffers otherwise reallocate at every one. Pooled state never
+// changes results: every buffer is either fully rewritten before it is read
+// (members, cands, off, ...), restored to its zero invariant by the previous
+// climb (bIndex), or explicitly reset on checkout (the class stamps).
+var climberPool = sync.Pool{New: func() any { return new(colorClimber) }}
 
 // moveCand is one candidate destination of a class member: the target part
 // and the total weight of the member's edges into it, accumulated in
@@ -179,8 +157,8 @@ const tileSize = 512
 // pass snapshots the boundary and sweeps it in ascending index order, one
 // tile at a time: each tile's induced subgraph is colored, each color
 // class's candidate moves are gain-evaluated in parallel, and commits
-// replay in ascending node order within the class. It returns the number of
-// moves.
+// replay within the class in descending provisional-gain order (ascending
+// node id on ties). It returns the number of moves.
 func (c *colorClimber) pass() int {
 	c.bsnap = c.ev.AppendBoundary(c.bsnap)
 	b := c.bsnap // ascending snapshot

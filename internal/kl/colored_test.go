@@ -91,9 +91,37 @@ func requireSameResult(t *testing.T, label string, g *graph.Graph, refP, p *part
 	}
 }
 
-// The tentpole contract: the colored climb, the full RefineEvalPar chain, and
-// RebalancePar are pure functions of their inputs — every worker width yields
-// the identical partition AND identical Eval state.
+type refiner func(*graph.Graph, *partition.Partition, *partition.Eval, Config)
+
+func climb(g *graph.Graph, p *partition.Partition, ev *partition.Eval, cfg Config) {
+	Climb(g, p, ev, cfg)
+}
+
+// requireWidthBitIdentical checks that r, run under objective o from start,
+// is a pure function of its inputs: every worker width yields the identical
+// partition AND identical Eval state (weights, cuts, boundary, and under
+// commvol a tracked volume that lands exactly on a rescan).
+func requireWidthBitIdentical(t *testing.T, label string, g *graph.Graph, start *partition.Partition, o partition.Objective, r refiner) {
+	t.Helper()
+	refP := start.Clone()
+	refEv := partition.NewEvalBoundary(g, refP)
+	r(g, refP, refEv, Config{Objective: o, Workers: 1})
+	for _, w := range widths[1:] {
+		p := start.Clone()
+		ev := partition.NewEvalBoundaryPar(g, p, w)
+		r(g, p, ev, Config{Objective: o, Workers: w})
+		requireSameResult(t, label, g, refP, p, refEv, ev)
+		if o == partition.CommVolume {
+			if got, want := ev.CommVol(), p.CommVolume(g); got != want {
+				t.Fatalf("%s: width %d tracked CommVol %v, rescan %v", label, w, got, want)
+			}
+		}
+	}
+}
+
+// The Workers contract: the colored climb and the full Refine chain are pure
+// functions of their inputs — every worker width yields the identical
+// partition AND identical Eval state.
 func TestColoredRefinersWidthBitIdentical(t *testing.T) {
 	graphs := map[string]*graph.Graph{
 		"mesh":       gen.Mesh(600, 31),
@@ -102,51 +130,25 @@ func TestColoredRefinersWidthBitIdentical(t *testing.T) {
 	}
 	for name, g := range graphs {
 		for _, parts := range []int{2, 5} {
-			rng := rand.New(rand.NewSource(34))
-			start := partition.RandomBalanced(g.NumNodes(), parts, rng)
-
-			refP := start.Clone()
-			refEv := partition.NewEvalBoundary(g, refP)
-			HillClimbColored(g, refP, partition.TotalCut, 0, 1, refEv)
-			for _, w := range widths[1:] {
-				p := start.Clone()
-				ev := partition.NewEvalBoundaryPar(g, p, w)
-				HillClimbColored(g, p, partition.TotalCut, 0, w, ev)
-				requireSameResult(t, name+"/climb", g, refP, p, refEv, ev)
-			}
-
-			refP = start.Clone()
-			refEv = nil
-			{
-				refEv = partition.NewEvalBoundary(g, refP)
-				RefineEvalPar(g, refP, refEv, partition.TotalCut, 0, 1)
-			}
-			for _, w := range widths[1:] {
-				p := start.Clone()
-				ev := partition.NewEvalBoundaryPar(g, p, w)
-				RefineEvalPar(g, p, ev, partition.TotalCut, 0, w)
-				requireSameResult(t, name+"/refine", g, refP, p, refEv, ev)
-			}
+			start := partition.RandomBalanced(g.NumNodes(), parts, rand.New(rand.NewSource(34)))
+			requireWidthBitIdentical(t, name+"/climb", g, start, partition.TotalCut, climb)
+			requireWidthBitIdentical(t, name+"/refine", g, start, partition.TotalCut, Refine)
 		}
 	}
 }
 
+// Rebalance is width-independent too: from a grossly imbalanced start
+// (everything in part 0 except a few nodes), every width makes the same
+// moves under every objective.
 func TestRebalanceParMatchesSerial(t *testing.T) {
 	g := weightedRandomGraph(700, 41)
 	rng := rand.New(rand.NewSource(42))
-	// Grossly imbalanced start: everything in part 0 except a few nodes.
-	p := partition.New(g.NumNodes(), 4)
+	start := partition.New(g.NumNodes(), 4)
 	for i := 0; i < 30; i++ {
-		p.Assign[rng.Intn(g.NumNodes())] = uint16(1 + rng.Intn(3))
+		start.Assign[rng.Intn(g.NumNodes())] = uint16(1 + rng.Intn(3))
 	}
-	refP := p.Clone()
-	refEv := partition.NewEvalBoundary(g, refP)
-	Rebalance(g, refP, refEv, partition.TotalCut)
-	for _, w := range widths[1:] {
-		q := p.Clone()
-		ev := partition.NewEvalBoundary(g, q)
-		RebalancePar(g, q, ev, partition.TotalCut, w)
-		requireSameResult(t, "rebalance", g, refP, q, refEv, ev)
+	for _, o := range partition.Objectives() {
+		requireWidthBitIdentical(t, "rebalance/"+o.FlagName(), g, start, o, Rebalance)
 	}
 }
 
@@ -161,7 +163,7 @@ func TestColoredClimbMonotoneAndConverges(t *testing.T) {
 			prev := p.Fitness(g, o)
 			ev := partition.NewEvalBoundary(g, p)
 			for pass := 0; pass < 50; pass++ {
-				moved := HillClimbColored(g, p, o, 1, 4, ev)
+				moved := Climb(g, p, ev, Config{Objective: o, MaxPasses: 1, Workers: 4})
 				fit := p.Fitness(g, o)
 				if fit < prev-1e-9 {
 					t.Fatalf("seed %d %v: pass %d worsened fitness %v -> %v", seed, o, pass, prev, fit)

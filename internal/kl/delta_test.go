@@ -7,8 +7,21 @@ import (
 	"testing/quick"
 
 	"repro/internal/gen"
+	"repro/internal/graph"
 	"repro/internal/partition"
 )
+
+// newClimber returns a climber over p with a freshly built Eval, for probing
+// move deltas directly.
+func newClimber(g *graph.Graph, p *partition.Partition, o partition.Objective) *climber {
+	return &climber{
+		g:   g,
+		p:   p,
+		o:   o,
+		ev:  partition.NewEval(g, p),
+		avg: g.TotalNodeWeight() / float64(p.Parts),
+	}
+}
 
 // TestMoveDeltaMatchesFullEvaluation cross-checks the incremental fitness
 // delta against a full re-evaluation for both objectives, over many random
@@ -57,7 +70,7 @@ func TestMoveDeltaMatchesFullEvaluation(t *testing.T) {
 	}
 }
 
-// Property: after HillClimb converges, no single boundary move improves
+// Property: after HillClimbEval converges, no single boundary move improves
 // fitness (verified by full evaluation, independent of the incremental
 // machinery).
 func TestQuickHillClimbTrueLocalOptimum(t *testing.T) {
@@ -68,7 +81,7 @@ func TestQuickHillClimbTrueLocalOptimum(t *testing.T) {
 		parts := 2 + rng.Intn(4)
 		o := []partition.Objective{partition.TotalCut, partition.WorstCut}[rng.Intn(2)]
 		p := partition.RandomBalanced(n, parts, rng)
-		HillClimb(g, p, o, 0)
+		HillClimbEval(g, p, o, 0, nil)
 		base := p.Fitness(g, o)
 		for v := 0; v < n; v++ {
 			from := p.Assign[v]
@@ -76,7 +89,7 @@ func TestQuickHillClimbTrueLocalOptimum(t *testing.T) {
 				if q == int(from) {
 					continue
 				}
-				// Only neighbor parts are candidate moves in HillClimb.
+				// Only neighbor parts are candidate moves in HillClimbEval.
 				isNbr := false
 				for _, u := range g.Neighbors(v) {
 					if int(p.Assign[u]) == q {

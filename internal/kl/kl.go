@@ -1,7 +1,10 @@
-// Package kl provides local refinement of partitions: classic Kernighan–Lin
-// pairwise-swap bisection improvement, and the boundary hill climbing of the
-// paper's §3.6 ("only the boundary points of each part are examined to see if
-// migrating them to the appropriate neighboring part improves fitness").
+// Package kl provides the boundary hill climbing of the paper's §3.6 ("only
+// the boundary points of each part are examined to see if migrating them to
+// the appropriate neighboring part improves fitness") in two schedules — the
+// serial climb the GA applies to every offspring (HillClimbEval) and the
+// colored, width-deterministic climb of the multilevel uncoarsening phase
+// (Climb, Refine) — plus the weight-balance restorer every refiner ends with
+// (Rebalance).
 package kl
 
 import (
@@ -12,25 +15,55 @@ import (
 	"repro/internal/partition"
 )
 
-// HillClimb performs steepest-descent boundary migration on p in place until
-// no single-node move improves the fitness o, or maxPasses passes complete
-// (maxPasses <= 0 means unlimited). It returns the number of moves made.
-//
-// Each pass scans the boundary nodes; for each, it evaluates moving the node
-// to every neighboring part and takes the best strictly-improving move. This
-// is exactly the paper's hill-climbing step: offspring are driven to the
-// nearest local optimum of the fitness function. Move deltas are computed
-// incrementally in O(deg(v) + parts), not by re-evaluating the fitness, so
-// the GA can afford hill climbing on every offspring.
-func HillClimb(g *graph.Graph, p *partition.Partition, o partition.Objective, maxPasses int) int {
-	return HillClimbEval(g, p, o, maxPasses, partition.NewEval(g, p))
+// Config parameterizes the colored refiners Climb, Refine, and Rebalance,
+// mirroring fm.Config.
+type Config struct {
+	// Objective selects the fitness the climb's gains target, and the
+	// node-cost model Rebalance scores its candidates by.
+	Objective partition.Objective
+	// MaxPasses caps the climbing passes; <= 0 climbs until no move improves.
+	MaxPasses int
+	// Workers bounds the goroutines of the gain evaluation, the Eval
+	// rebuilds, and the rebalance argmax (<= 0 selects GOMAXPROCS). A pure
+	// speed knob: results are bit-identical at every width.
+	Workers int
+	// Stop, when non-nil, is polled before each climbing pass. Pass
+	// boundaries are consistent states (every move goes through the Eval), so
+	// an early return yields a valid, just less refined, partition. Rebalance
+	// does not poll it.
+	Stop func() bool
 }
 
-// HillClimbEval is HillClimb for callers that already hold the partition's
-// cached aggregates (the GA engine keeps one Eval per individual): it skips
-// the O(V+E) setup scan and keeps ev in sync with every move it makes, so
-// the caller can read the final fitness straight from ev. A nil ev is
-// rebuilt from p (equivalent to HillClimb).
+// tracked returns the Eval the colored refiners work through: ev itself when
+// non-nil, a fresh sharded build from p otherwise, with boundary tracking —
+// and, under CommVolume, volume tracking — enabled if it is not already.
+// Every entry point starts here, so no refiner needs an untracked fallback.
+func tracked(g *graph.Graph, p *partition.Partition, ev *partition.Eval, cfg Config) *partition.Eval {
+	if ev == nil {
+		ev = partition.NewEvalBoundaryPar(g, p, cfg.Workers)
+	} else if !ev.TracksBoundary() {
+		ev.ResetBoundaryPar(g, p, cfg.Workers)
+	}
+	if cfg.Objective == partition.CommVolume && !ev.TracksCommVol() {
+		ev.ResetCommVolPar(g, p, cfg.Workers)
+	}
+	return ev
+}
+
+// HillClimbEval performs steepest-descent boundary migration on p in place
+// until no single-node move improves the fitness o, or maxPasses passes
+// complete (maxPasses <= 0 means unlimited). It returns the number of moves
+// made.
+//
+// Each pass scans the boundary nodes in ascending order; for each, it
+// evaluates moving the node to every neighboring part and takes the best
+// strictly-improving move. This is exactly the paper's hill-climbing step:
+// offspring are driven to the nearest local optimum of the fitness function.
+// Move deltas are computed incrementally in O(deg(v) + parts) from ev, the
+// partition's cached aggregates (the GA engine keeps one Eval per
+// individual), which every move keeps in sync, so the GA can afford hill
+// climbing on every offspring and read the final fitness straight from ev. A
+// nil ev is rebuilt from p.
 func HillClimbEval(g *graph.Graph, p *partition.Partition, o partition.Objective, maxPasses int, ev *partition.Eval) int {
 	if ev == nil {
 		ev = partition.NewEval(g, p)
@@ -46,16 +79,6 @@ func HillClimbEval(g *graph.Graph, p *partition.Partition, o partition.Objective
 		avg: g.TotalNodeWeight() / float64(p.Parts),
 	}
 	return c.climb(maxPasses)
-}
-
-func newClimber(g *graph.Graph, p *partition.Partition, o partition.Objective) *climber {
-	return &climber{
-		g:   g,
-		p:   p,
-		o:   o,
-		ev:  partition.NewEval(g, p),
-		avg: g.TotalNodeWeight() / float64(p.Parts),
-	}
 }
 
 func (c *climber) climb(maxPasses int) int {
@@ -138,177 +161,45 @@ scan:
 	return true
 }
 
-// Bisect improves a 2-way partition with the classic Kernighan–Lin pass
-// structure: compute gains, greedily swap the best unlocked pair, lock both,
-// repeat to exhaustion, then keep the prefix of swaps with the best
-// cumulative gain. Repeats passes until one yields no improvement. The
-// partition must have exactly 2 parts; part sizes are preserved exactly
-// (KL swaps, never moves). Returns the total cut reduction achieved.
-func Bisect(g *graph.Graph, p *partition.Partition) float64 {
-	if p.Parts != 2 {
-		panic("kl: Bisect requires a 2-way partition")
-	}
-	n := g.NumNodes()
-	total := 0.0
-	for {
-		// D[v] = external - internal cost of v.
-		d := make([]float64, n)
-		for v := 0; v < n; v++ {
-			ws := g.EdgeWeights(v)
-			for i, u := range g.Neighbors(v) {
-				if p.Assign[u] == p.Assign[v] {
-					d[v] -= ws[i]
-				} else {
-					d[v] += ws[i]
-				}
-			}
-		}
-		locked := make([]bool, n)
-		type swap struct {
-			a, b int
-			gain float64
-		}
-		var seq []swap
-		work := p.Clone()
-		for {
-			// Find best unlocked cross pair. O(n²) per level: fine for the
-			// paper's graph sizes; the GA uses HillClimb, not this, in its
-			// inner loop.
-			bestA, bestB, bestGain := -1, -1, math.Inf(-1)
-			for a := 0; a < n; a++ {
-				if locked[a] || work.Assign[a] != 0 {
-					continue
-				}
-				for b := 0; b < n; b++ {
-					if locked[b] || work.Assign[b] != 1 {
-						continue
-					}
-					gain := d[a] + d[b] - 2*g.EdgeWeightBetween(a, b)
-					if gain > bestGain {
-						bestA, bestB, bestGain = a, b, gain
-					}
-				}
-			}
-			if bestA < 0 {
-				break
-			}
-			seq = append(seq, swap{bestA, bestB, bestGain})
-			locked[bestA], locked[bestB] = true, true
-			work.Assign[bestA], work.Assign[bestB] = 1, 0
-			// Update D values of unlocked nodes.
-			for _, x := range []int{bestA, bestB} {
-				ws := g.EdgeWeights(x)
-				for i, u := range g.Neighbors(x) {
-					if locked[u] {
-						continue
-					}
-					// After x switched sides: edges to u flip internal/external.
-					if work.Assign[u] == work.Assign[x] {
-						d[u] -= 2 * ws[i]
-					} else {
-						d[u] += 2 * ws[i]
-					}
-				}
-			}
-		}
-		// Best prefix.
-		bestK, bestSum, sum := 0, 0.0, 0.0
-		for i, s := range seq {
-			sum += s.gain
-			if sum > bestSum {
-				bestK, bestSum = i+1, sum
-			}
-		}
-		if bestK == 0 {
-			return total
-		}
-		for i := 0; i < bestK; i++ {
-			p.Assign[seq[i].a], p.Assign[seq[i].b] = p.Assign[seq[i].b], p.Assign[seq[i].a]
-		}
-		total += bestSum
-	}
-}
-
-// Refine improves a k-way partition by running the colored boundary climb
-// with the TotalCut objective, then rebalancing if hill climbing skewed part
-// weights: while some part exceeds the ideal weight by more than the
-// heaviest node, its boundary node whose move costs least is shifted to the
-// lightest part.
-func Refine(g *graph.Graph, p *partition.Partition, maxPasses int) {
-	RefineEvalPar(g, p, nil, partition.TotalCut, maxPasses, 1)
-}
-
-// RefineEval is RefineEvalPar at width 1, kept for callers without a worker
-// knob; the result is identical at every width.
-func RefineEval(g *graph.Graph, p *partition.Partition, ev *partition.Eval, o partition.Objective, maxPasses int) {
-	RefineEvalPar(g, p, ev, o, maxPasses, 1)
-}
-
-// RefineEvalPar is Refine for callers that already hold the partition's
-// cached aggregates, select the objective o the climb's gains target, and
-// want the gain evaluation spread over `workers` goroutines (<= 0 selects
-// GOMAXPROCS; results are bit-identical for every width). It skips the
-// O(V+E) Eval setup scan and keeps ev exactly in sync with every move it
-// makes (including rebalancing moves), so a caller can chain refinements —
-// the multilevel pipeline projects one Eval down its whole uncoarsening
-// hierarchy this way, because projection changes neither part weights nor
-// part cuts. A nil ev is rebuilt from p (by the sharded parallel scan) with
-// boundary tracking enabled, so even the flat path pays the full-graph scan
-// once instead of once per pass.
-func RefineEvalPar(g *graph.Graph, p *partition.Partition, ev *partition.Eval, o partition.Objective, maxPasses, workers int) {
-	RefineEvalParStop(g, p, ev, o, maxPasses, workers, nil)
-}
-
-// RefineEvalParStop is RefineEvalPar with cooperative cancellation: a non-nil
-// stop is polled between climbing passes, and a refinement that stops early
-// skips the final rebalance too — the caller asked for "soonest consistent
-// state", and every pass boundary is one (the climb only ever applies
-// complete, eval-synced moves). A nil stop is exactly RefineEvalPar.
-func RefineEvalParStop(g *graph.Graph, p *partition.Partition, ev *partition.Eval, o partition.Objective, maxPasses, workers int, stop func() bool) {
-	if ev == nil {
-		ev = partition.NewEvalBoundaryPar(g, p, workers)
-	}
-	hillClimbColored(g, p, o, maxPasses, workers, ev, stop)
-	if stop != nil && stop() {
+// Refine improves a k-way partition in place: the colored boundary climb
+// (Climb) under cfg, then — unless cfg.Stop cut the climb short, in which
+// case the caller asked for the soonest consistent state — a Rebalance to
+// undo any weight skew the climb introduced. ev, when non-nil, must be in
+// sync with p; it stays exactly in sync with every move (rebalancing moves
+// included), so a caller can chain refinements — the multilevel pipeline
+// projects one Eval down its whole uncoarsening hierarchy this way, because
+// projection changes neither part weights nor part cuts. A nil ev is built
+// from p by the sharded parallel scan.
+func Refine(g *graph.Graph, p *partition.Partition, ev *partition.Eval, cfg Config) {
+	ev = tracked(g, p, ev, cfg)
+	Climb(g, p, ev, cfg)
+	if cfg.Stop != nil && cfg.Stop() {
 		return
 	}
-	rebalance(g, p, ev, o, workers)
+	Rebalance(g, p, ev, cfg)
 }
 
-// Rebalance enforces the node-weight balance invariant on p without any
-// cut-improving ambition: it exists so refiners that tolerate transient
-// imbalance (FM's slack, projections from weighted coarse graphs) can
-// restore the contract afterwards. ev, when non-nil, is kept in sync. The
-// objective selects how the cheapest node to move is scored.
-func Rebalance(g *graph.Graph, p *partition.Partition, ev *partition.Eval, o partition.Objective) {
-	rebalance(g, p, ev, o, 1)
-}
-
-// RebalancePar is Rebalance with each iteration's cheapest-node argmax
-// spread over `workers` goroutines. The scan's total order (score
-// descending, node id ascending) makes the winner independent of visit
-// order, so the parallel reduction picks exactly the node the serial scan
-// picks — bit-identical results at every width.
-func RebalancePar(g *graph.Graph, p *partition.Partition, ev *partition.Eval, o partition.Objective, workers int) {
-	rebalance(g, p, ev, o, workers)
-}
-
-// rebalance enforces near-perfect weight balance by moving cheapest boundary
+// Rebalance enforces near-perfect weight balance on p without any
+// cut-improving ambition, so refiners that tolerate transient imbalance (the
+// climb, FM's slack, label propagation, projections from weighted coarse
+// levels) can restore the contract afterwards. It moves cheapest boundary
 // nodes out of overweight parts until no part exceeds the ideal weight W/k
 // by more than the heaviest single node — the resolution limit of
-// single-node moves, and exactly the old "ideal count + 1" rule on unit
-// weights. Balancing weight rather than node count is what makes the coarse
-// levels of the multilevel pipeline (where node weights are member counts)
-// and weighted workloads come out right. When ev is non-nil its aggregates
-// supply the part weights and are kept in sync with every move; a tracked
-// boundary set additionally replaces the per-move O(V+E) boundary rescans,
-// and its argmax is reduced over `workers` goroutines (par.Reduce's fixed
-// chunk grid plus the scan's total order keep the winner width-independent).
-// The objective selects the node-cost model: the cut objectives score a
+// single-node moves, and exactly the "ideal count + 1" rule on unit weights.
+// Balancing weight rather than node count is what makes the coarse levels of
+// the multilevel pipeline (where node weights are member counts) and
+// weighted workloads come out right. ev (built from p when nil) is kept in
+// sync with every move.
+//
+// cfg.Objective selects the node-cost model: the cut objectives score a
 // candidate by edge weight (edges gained into the destination minus edges
-// left behind), CommVolume by the negated volume delta of the move when the
-// Eval tracks per-(node, part) counts.
-func rebalance(g *graph.Graph, p *partition.Partition, ev *partition.Eval, o partition.Objective, workers int) {
+// left behind), CommVolume by the negated volume delta of the move. Each
+// iteration's argmax is reduced over cfg.Workers goroutines; par.Reduce's
+// fixed chunk grid plus the scan's total order (score descending, node id
+// ascending) make the winner independent of visit order and width, so every
+// width picks exactly the same nodes.
+func Rebalance(g *graph.Graph, p *partition.Partition, ev *partition.Eval, cfg Config) {
+	ev = tracked(g, p, ev, cfg)
 	n := g.NumNodes()
 	ideal := g.TotalNodeWeight() / float64(p.Parts)
 	var maxNodeW float64
@@ -317,12 +208,7 @@ func rebalance(g *graph.Graph, p *partition.Partition, ev *partition.Eval, o par
 			maxNodeW = w
 		}
 	}
-	var weights []float64
-	if ev != nil {
-		weights = ev.Weights
-	} else {
-		weights = p.PartWeights(g)
-	}
+	weights := ev.Weights
 	for iter := 0; iter < n; iter++ {
 		over, under := -1, -1
 		for q, w := range weights {
@@ -345,7 +231,7 @@ func rebalance(g *graph.Graph, p *partition.Partition, ev *partition.Eval, o par
 			if int(p.Assign[v]) != over {
 				return 0, false
 			}
-			if o == partition.CommVolume && ev != nil && ev.TracksCommVol() {
+			if cfg.Objective == partition.CommVolume {
 				return -ev.CommVolDelta(g, p, v, under), true
 			}
 			var s float64
@@ -360,24 +246,15 @@ func rebalance(g *graph.Graph, p *partition.Partition, ev *partition.Eval, o par
 			}
 			return s, true
 		}
-		best := rebalCand{v: -1, score: math.Inf(-1)}
-		if ev != nil && ev.TracksBoundary() {
-			best = par.Reduce(workers, ev.BoundaryLen(), best,
-				func(acc rebalCand, i int) rebalCand {
-					v := ev.BoundaryNode(i)
-					s, ok := score(v)
-					if !ok {
-						return acc
-					}
-					return betterRebal(acc, rebalCand{v: v, score: s})
-				}, betterRebal)
-		} else {
-			for _, v := range p.BoundaryNodes(g) {
-				if s, ok := score(v); ok {
-					best = betterRebal(best, rebalCand{v: v, score: s})
+		best := par.Reduce(cfg.Workers, ev.BoundaryLen(), rebalCand{v: -1, score: math.Inf(-1)},
+			func(acc rebalCand, i int) rebalCand {
+				v := ev.BoundaryNode(i)
+				s, ok := score(v)
+				if !ok {
+					return acc
 				}
-			}
-		}
+				return betterRebal(acc, rebalCand{v: v, score: s})
+			}, betterRebal)
 		bestV := best.v
 		if bestV < 0 {
 			// No boundary node in the overweight part touches anything:
@@ -396,13 +273,6 @@ func rebalance(g *graph.Graph, p *partition.Partition, ev *partition.Eval, o par
 		// oscillate: over only triggers when W(over) > ideal + maxNodeW,
 		// under never exceeds the ideal (the minimum is at most the mean),
 		// and the moved node weighs at most maxNodeW.
-		if ev != nil {
-			ev.Move(g, p, bestV, under)
-		} else {
-			wv := g.NodeWeight(bestV)
-			weights[over] -= wv
-			weights[under] += wv
-			p.Assign[bestV] = uint16(under)
-		}
+		ev.Move(g, p, bestV, under)
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"testing/quick"
 
 	"repro/internal/gen"
-	"repro/internal/graph"
 	"repro/internal/partition"
 )
 
@@ -16,7 +15,7 @@ func TestHillClimbNeverWorsensFitness(t *testing.T) {
 	for _, o := range []partition.Objective{partition.TotalCut, partition.WorstCut} {
 		p := partition.RandomBalanced(g.NumNodes(), 4, rng)
 		before := p.Fitness(g, o)
-		HillClimb(g, p, o, 0)
+		HillClimbEval(g, p, o, 0, nil)
 		after := p.Fitness(g, o)
 		if after < before {
 			t.Errorf("%v: fitness worsened %v -> %v", o, before, after)
@@ -28,9 +27,9 @@ func TestHillClimbReachesLocalOptimum(t *testing.T) {
 	g := gen.Mesh(60, 2)
 	rng := rand.New(rand.NewSource(3))
 	p := partition.RandomBalanced(60, 2, rng)
-	HillClimb(g, p, partition.TotalCut, 0)
+	HillClimbEval(g, p, partition.TotalCut, 0, nil)
 	// At a local optimum no single move improves: one more pass moves nothing.
-	if moves := HillClimb(g, p, partition.TotalCut, 1); moves != 0 {
+	if moves := HillClimbEval(g, p, partition.TotalCut, 1, nil); moves != 0 {
 		t.Errorf("second HillClimb made %d moves", moves)
 	}
 }
@@ -40,7 +39,7 @@ func TestHillClimbImprovesRandomPartition(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	p := partition.RandomBalanced(g.NumNodes(), 8, rng)
 	before := p.CutSize(g)
-	HillClimb(g, p, partition.TotalCut, 0)
+	HillClimbEval(g, p, partition.TotalCut, 0, nil)
 	after := p.CutSize(g)
 	if after >= before {
 		t.Errorf("hill climbing did not reduce cut: %v -> %v", before, after)
@@ -52,66 +51,10 @@ func TestHillClimbMaxPasses(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	p := partition.RandomBalanced(80, 4, rng)
 	q := p.Clone()
-	m1 := HillClimb(g, p, partition.TotalCut, 1)
-	mAll := HillClimb(g, q, partition.TotalCut, 0)
+	m1 := HillClimbEval(g, p, partition.TotalCut, 1, nil)
+	mAll := HillClimbEval(g, q, partition.TotalCut, 0, nil)
 	if m1 > mAll {
 		t.Errorf("1 pass made %d moves, unlimited made %d", m1, mAll)
-	}
-}
-
-func TestBisectPanicsOnKWay(t *testing.T) {
-	g := gen.Mesh(20, 1)
-	p := partition.New(20, 4)
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic for 4-way Bisect")
-		}
-	}()
-	Bisect(g, p)
-}
-
-func TestBisectPreservesSizesAndImprovesCut(t *testing.T) {
-	g := gen.PaperGraph(144)
-	rng := rand.New(rand.NewSource(11))
-	p := partition.RandomBalanced(g.NumNodes(), 2, rng)
-	sizesBefore := p.PartSizes()
-	cutBefore := p.CutSize(g)
-	gain := Bisect(g, p)
-	sizesAfter := p.PartSizes()
-	cutAfter := p.CutSize(g)
-	if sizesBefore[0] != sizesAfter[0] || sizesBefore[1] != sizesAfter[1] {
-		t.Errorf("KL changed part sizes: %v -> %v", sizesBefore, sizesAfter)
-	}
-	if cutAfter > cutBefore {
-		t.Errorf("KL worsened cut: %v -> %v", cutBefore, cutAfter)
-	}
-	if gain < 0 {
-		t.Errorf("negative total gain %v", gain)
-	}
-	// Gain must equal the actual cut reduction.
-	if diff := (cutBefore - cutAfter) - gain; diff > 1e-9 || diff < -1e-9 {
-		t.Errorf("reported gain %v != cut reduction %v", gain, cutBefore-cutAfter)
-	}
-}
-
-func TestBisectOnKnownGraph(t *testing.T) {
-	// Two K4 cliques joined by one edge: optimal bisection separates the
-	// cliques, cut = 1. Start from the worst split (2 nodes of each clique
-	// on each side).
-	b := graph.NewBuilder(8)
-	for i := 0; i < 4; i++ {
-		for j := i + 1; j < 4; j++ {
-			b.AddEdge(i, j, 1)
-			b.AddEdge(i+4, j+4, 1)
-		}
-	}
-	b.AddEdge(0, 4, 1)
-	g := b.Build()
-	p := partition.New(8, 2)
-	p.Assign = []uint16{0, 0, 1, 1, 0, 0, 1, 1}
-	Bisect(g, p)
-	if cut := p.CutSize(g); cut != 1 {
-		t.Errorf("KL cut = %v, want 1 (sides %v)", cut, p.Assign)
 	}
 }
 
@@ -126,7 +69,7 @@ func TestRefineRestoresBalance(t *testing.T) {
 		}
 	}
 	_ = rng
-	Refine(g, p, 0)
+	Refine(g, p, nil, Config{})
 	sizes := p.PartSizes()
 	ideal := float64(g.NumNodes()) / 4
 	for q, s := range sizes {
@@ -136,7 +79,7 @@ func TestRefineRestoresBalance(t *testing.T) {
 	}
 }
 
-// Property: HillClimb is monotone in fitness for arbitrary meshes, parts,
+// Property: HillClimbEval is monotone in fitness for arbitrary meshes, parts,
 // objectives, and starting partitions.
 func TestQuickHillClimbMonotone(t *testing.T) {
 	f := func(seed int64) bool {
@@ -147,26 +90,8 @@ func TestQuickHillClimbMonotone(t *testing.T) {
 		o := []partition.Objective{partition.TotalCut, partition.WorstCut}[rng.Intn(2)]
 		p := partition.Random(n, parts, rng)
 		before := p.Fitness(g, o)
-		HillClimb(g, p, o, 3)
+		HillClimbEval(g, p, o, 3, nil)
 		return p.Fitness(g, o) >= before && p.Validate(g) == nil
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: KL Bisect never increases the cut and never changes part sizes.
-func TestQuickKLInvariants(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 8 + rng.Intn(40)
-		g := gen.Mesh(n, seed)
-		p := partition.RandomBalanced(n, 2, rng)
-		s0 := p.PartSizes()
-		c0 := p.CutSize(g)
-		Bisect(g, p)
-		s1 := p.PartSizes()
-		return s0[0] == s1[0] && s0[1] == s1[1] && p.CutSize(g) <= c0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Error(err)

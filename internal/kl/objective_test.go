@@ -105,40 +105,15 @@ func TestMoveDeltaMatchesFullEvaluationAllObjectives(t *testing.T) {
 }
 
 // The Workers contract extends to every objective: the colored climb and the
-// full RefineEvalPar chain under maxcut and commvol are pure functions of
-// their inputs — identical partition and identical Eval state at every width.
+// full Refine chain under maxcut and commvol are pure functions of their
+// inputs — identical partition and identical Eval state at every width.
 func TestColoredRefinersWidthBitIdenticalObjectives(t *testing.T) {
 	for name, g := range objectiveTestGraphs() {
 		for _, o := range []partition.Objective{partition.WorstCut, partition.CommVolume} {
 			label := name + "/" + o.FlagName()
-			rng := rand.New(rand.NewSource(81))
-			start := partition.RandomBalanced(g.NumNodes(), 4, rng)
-
-			refP := start.Clone()
-			refEv := partition.NewEvalBoundary(g, refP)
-			HillClimbColored(g, refP, o, 0, 1, refEv)
-			for _, w := range widths[1:] {
-				p := start.Clone()
-				ev := partition.NewEvalBoundaryPar(g, p, w)
-				HillClimbColored(g, p, o, 0, w, ev)
-				requireSameResult(t, label+"/climb", g, refP, p, refEv, ev)
-			}
-
-			refP = start.Clone()
-			refEv = partition.NewEvalBoundary(g, refP)
-			RefineEvalPar(g, refP, refEv, o, 0, 1)
-			for _, w := range widths[1:] {
-				p := start.Clone()
-				ev := partition.NewEvalBoundaryPar(g, p, w)
-				RefineEvalPar(g, p, ev, o, 0, w)
-				requireSameResult(t, label+"/refine", g, refP, p, refEv, ev)
-				if o == partition.CommVolume {
-					// The tracked volume must also land exactly on a rescan.
-					if got, want := ev.CommVol(), p.CommVolume(g); got != want {
-						t.Fatalf("%s: width %d tracked CommVol %v, rescan %v", label, w, got, want)
-					}
-				}
-			}
+			start := partition.RandomBalanced(g.NumNodes(), 4, rand.New(rand.NewSource(81)))
+			requireWidthBitIdentical(t, label+"/climb", g, start, o, climb)
+			requireWidthBitIdentical(t, label+"/refine", g, start, o, Refine)
 		}
 	}
 }
@@ -154,7 +129,7 @@ func TestColoredClimbCommVolMonotoneAndConverges(t *testing.T) {
 		prev := p.Fitness(g, partition.CommVolume)
 		ev := partition.NewEvalBoundary(g, p)
 		for pass := 0; pass < 50; pass++ {
-			moved := HillClimbColored(g, p, partition.CommVolume, 1, 4, ev)
+			moved := Climb(g, p, ev, Config{Objective: partition.CommVolume, MaxPasses: 1, Workers: 4})
 			fit := p.Fitness(g, partition.CommVolume)
 			if fit < prev-1e-9 {
 				t.Fatalf("seed %d: pass %d worsened fitness %v -> %v", seed, pass, prev, fit)

@@ -13,7 +13,7 @@ func TestRefineFixesGrossImbalance(t *testing.T) {
 	// Everything in part 0: rebalance must redistribute into all 4 parts.
 	g := gen.Mesh(80, 21)
 	p := partition.New(g.NumNodes(), 4)
-	Refine(g, p, 2)
+	Refine(g, p, nil, Config{MaxPasses: 2})
 	sizes := p.PartSizes()
 	for q, s := range sizes {
 		if s == 0 {
@@ -50,7 +50,7 @@ func TestRefineHandlesDisconnectedOverweightPart(t *testing.T) {
 	for v := 0; v < 15; v++ {
 		p.Assign[v] = 1
 	}
-	Refine(g, p, 1)
+	Refine(g, p, nil, Config{MaxPasses: 1})
 	sizes := p.PartSizes()
 	diff := sizes[0] - sizes[1]
 	if diff < 0 {
@@ -96,7 +96,7 @@ func TestRebalanceBalancesWeightNotCount(t *testing.T) {
 		}
 	}
 	before := p.PartWeights(g)
-	Rebalance(g, p, nil, partition.TotalCut)
+	Rebalance(g, p, nil, Config{})
 	after := p.PartWeights(g)
 	ideal := g.TotalNodeWeight() / parts
 	if after[0] >= before[0] {
@@ -129,7 +129,7 @@ func TestRebalanceWeightedDoesNotOscillate(t *testing.T) {
 		p.Assign[v] = 1
 	}
 	want := append([]uint16(nil), p.Assign...)
-	Rebalance(g, p, nil, partition.TotalCut)
+	Rebalance(g, p, nil, Config{})
 	for v, q := range p.Assign {
 		if q != want[v] {
 			t.Fatalf("rebalance moved node %d (weight %v) without improving balance", v, g.NodeWeight(v))
@@ -143,7 +143,7 @@ func TestRefinePreservesValidity(t *testing.T) {
 	for v := 0; v < 10; v++ {
 		p.Assign[v] = 1
 	}
-	Refine(g, p, 0)
+	Refine(g, p, nil, Config{})
 	if err := p.Validate(g); err != nil {
 		t.Fatal(err)
 	}

@@ -22,6 +22,7 @@ package lp
 
 import (
 	"repro/internal/graph"
+	"repro/internal/kl"
 	"repro/internal/par"
 	"repro/internal/partition"
 )
@@ -35,11 +36,6 @@ type Config struct {
 	// selects GOMAXPROCS); a pure speed knob under the bit-identity
 	// contract.
 	Workers int
-	// BalanceFrac caps every part's weight at (1+BalanceFrac) times the
-	// ideal (total node weight / parts); 0 selects 0.02. Moves may only
-	// shrink a part that is over the cap, never push one over it; draining
-	// inherited imbalance is the rebalancer's job, not LP's.
-	BalanceFrac float64
 	// Stop, when non-nil, is polled before each pass; pass boundaries are
 	// consistent states (every move goes through the Eval), so an early
 	// return yields a valid, just less refined, partition.
@@ -50,11 +46,17 @@ type Config struct {
 	Scratch *Scratch
 }
 
-// Scratch owns RefineEval's working state across calls. The zero value is
+// Scratch owns Refine's working state across calls. The zero value is
 // ready to use. Not safe for concurrent use.
 type Scratch struct {
 	s sweeper
 }
+
+// balanceFrac caps every part's weight at (1+balanceFrac) times the ideal
+// (total node weight / parts). Moves may only shrink a part that is over the
+// cap, never push one over it; draining inherited imbalance is the
+// rebalancer's job, not LP's.
+const balanceFrac = 0.02
 
 // tileSize matches package kl's colored climb: tiles are part of the
 // algorithm's definition (never derived from the worker count), so every
@@ -79,36 +81,31 @@ type workerScratch struct {
 // sweeper carries one refinement's state; all slices are reused across
 // tiles, classes, and passes.
 type sweeper struct {
-	bIndex    []int32 // graph node -> 1 + position in the current tile; 0 = absent
-	bsnap     []int   // per-pass ascending boundary snapshot
-	members   []int32 // tile nodes grouped by color
-	classOff  []int32
-	classFill []int32
-	off       []int32 // candidate range start per class member
-	bestTo    []int32 // chosen destination per class member; -1 = stay
-	cands     []moveCand
-	workers   []workerScratch
-	colors    par.ColorScratch
+	classes kl.Classes // per-tile coloring + class grouping
+	bsnap   []int      // per-pass ascending boundary snapshot
+	off     []int32    // candidate range start per class member
+	bestTo  []int32    // chosen destination per class member; -1 = stay
+	cands   []moveCand
+	workers []workerScratch
 }
 
-// RefineEval improves p in place through ev (which must track the boundary;
-// aggregates and boundary stay exact move by move) and returns the number of
-// moves made. ev must be in sync with p on entry. The objective driven down
-// is always the total edge cut — LP is the cheap coarse-level refiner, and
-// at the levels it runs on, cut is the only objective whose gain is O(deg);
-// callers optimizing other objectives still profit because every committed
-// move strictly reduces cut without growing any part past the cap.
-func RefineEval(g *graph.Graph, p *partition.Partition, ev *partition.Eval, cfg Config) int {
-	if !ev.TracksBoundary() {
+// Refine improves p in place through ev and returns the number of moves
+// made. ev, when non-nil, must be in sync with p on entry; a nil ev is built
+// from p, and boundary tracking is enabled if it is off. The aggregates and
+// boundary stay exact move by move. The objective driven down is always the
+// total edge cut — LP is the cheap coarse-level refiner, and at the levels
+// it runs on, cut is the only objective whose gain is O(deg); callers
+// optimizing other objectives still profit because every committed move
+// strictly reduces cut without growing any part past the cap.
+func Refine(g *graph.Graph, p *partition.Partition, ev *partition.Eval, cfg Config) int {
+	if ev == nil {
+		ev = partition.NewEvalBoundaryPar(g, p, cfg.Workers)
+	} else if !ev.TracksBoundary() {
 		ev.ResetBoundaryPar(g, p, cfg.Workers)
 	}
 	maxPasses := cfg.MaxPasses
 	if maxPasses <= 0 {
 		maxPasses = 16
-	}
-	balance := cfg.BalanceFrac
-	if balance == 0 {
-		balance = 0.02
 	}
 	var s *sweeper
 	if cfg.Scratch != nil {
@@ -116,7 +113,7 @@ func RefineEval(g *graph.Graph, p *partition.Partition, ev *partition.Eval, cfg 
 	} else {
 		s = new(sweeper)
 	}
-	maxLoad := g.TotalNodeWeight() / float64(p.Parts) * (1 + balance)
+	maxLoad := g.TotalNodeWeight() / float64(p.Parts) * (1 + balanceFrac)
 	workers := par.Workers(cfg.Workers)
 	if len(s.workers) < workers || (len(s.workers) > 0 && len(s.workers[0].seen) < p.Parts) {
 		s.workers = make([]workerScratch, workers)
@@ -136,9 +133,6 @@ func RefineEval(g *graph.Graph, p *partition.Partition, ev *partition.Eval, cfg 
 			sc.seen[i] = 0
 		}
 		sc.stamp = 1
-	}
-	if len(s.bIndex) < g.NumNodes() {
-		s.bIndex = make([]int32, g.NumNodes())
 	}
 	moves := 0
 	for pass := 0; pass < maxPasses; pass++ {
@@ -169,52 +163,15 @@ func (s *sweeper) pass(g *graph.Graph, p *partition.Partition, ev *partition.Eva
 	return moves
 }
 
-// sweepTile colors the tile's induced subgraph and sweeps its color classes
-// in ascending color order, exactly like kl's colored climb: tiles run
-// sequentially, so only intra-tile adjacency needs coloring.
+// sweepTile colors the tile's induced subgraph (kl.Classes, the grouping
+// kl's colored climb uses) and sweeps its color classes in ascending color
+// order: tiles run sequentially, so only intra-tile adjacency needs
+// coloring.
 func (s *sweeper) sweepTile(g *graph.Graph, p *partition.Partition, ev *partition.Eval, workers int, maxLoad float64, tile []int) int {
-	for i, v := range tile {
-		s.bIndex[v] = int32(i + 1)
-	}
-	colors := s.colors.Color(workers, len(tile), func(i int, visit func(u int)) {
-		for _, u := range g.Neighbors(tile[i]) {
-			if j := s.bIndex[u]; j > 0 {
-				visit(int(j - 1))
-			}
-		}
-	})
-	nColors := 0
-	for _, cl := range colors {
-		if int(cl) >= nColors {
-			nColors = int(cl) + 1
-		}
-	}
-	s.classOff = ensureInt32(s.classOff, nColors+1)
-	for i := range s.classOff {
-		s.classOff[i] = 0
-	}
-	for _, cl := range colors {
-		s.classOff[cl+1]++
-	}
-	for cl := 0; cl < nColors; cl++ {
-		s.classOff[cl+1] += s.classOff[cl]
-	}
-	s.members = ensureInt32(s.members, len(tile))
-	s.classFill = ensureInt32(s.classFill, nColors)
-	for i := range s.classFill {
-		s.classFill[i] = 0
-	}
-	for i, v := range tile {
-		cl := colors[i]
-		s.members[s.classOff[cl]+s.classFill[cl]] = int32(v)
-		s.classFill[cl]++
-	}
-	for _, v := range tile {
-		s.bIndex[v] = 0
-	}
+	members, off := s.classes.Group(g, tile, workers)
 	moves := 0
-	for cl := 0; cl < nColors; cl++ {
-		moves += s.sweepClass(g, p, ev, workers, maxLoad, s.members[s.classOff[cl]:s.classOff[cl+1]])
+	for cl := 0; cl < len(off)-1; cl++ {
+		moves += s.sweepClass(g, p, ev, workers, maxLoad, members[off[cl]:off[cl+1]])
 	}
 	return moves
 }

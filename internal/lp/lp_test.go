@@ -18,7 +18,7 @@ func testGraph(n int, seed int64) *graph.Graph {
 func refined(g *graph.Graph, cfg Config, seed int64) (*partition.Partition, *partition.Eval, int) {
 	p := partition.RandomBalanced(g.NumNodes(), 8, rand.New(rand.NewSource(seed)))
 	ev := partition.NewEvalBoundary(g, p)
-	moves := RefineEval(g, p, ev, cfg)
+	moves := Refine(g, p, ev, cfg)
 	return p, ev, moves
 }
 
@@ -27,7 +27,7 @@ func TestRefineReducesCutWithinCap(t *testing.T) {
 	p := partition.RandomBalanced(g.NumNodes(), 8, rand.New(rand.NewSource(2)))
 	ev := partition.NewEvalBoundary(g, p)
 	before := ev.TotalCutWeight()
-	moves := RefineEval(g, p, ev, Config{Workers: 1})
+	moves := Refine(g, p, ev, Config{Workers: 1})
 	if moves == 0 {
 		t.Fatal("no moves on a random partition of a geometric graph")
 	}

@@ -17,7 +17,7 @@ func klInner(g *graph.Graph, parts int, rng *rand.Rand) (*partition.Partition, e
 	if err != nil {
 		return nil, err
 	}
-	kl.Refine(g, p, 0)
+	kl.Refine(g, p, nil, kl.Config{})
 	return p, nil
 }
 
@@ -33,7 +33,6 @@ func benchPartition(b *testing.B, n int, ref Refiner) {
 }
 
 func BenchmarkPartition10kKLFM(b *testing.B) { benchPartition(b, 10000, RefineKLFM) }
-func BenchmarkPartition10kKL(b *testing.B)   { benchPartition(b, 10000, RefineKL) }
 func BenchmarkPartition10kFM(b *testing.B)   { benchPartition(b, 10000, RefineFM) }
 func BenchmarkPartition10kNone(b *testing.B) { benchPartition(b, 10000, RefineNone) }
 

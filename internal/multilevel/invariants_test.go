@@ -111,7 +111,7 @@ func TestHierarchyInvariantsMETISGraph(t *testing.T) {
 
 func TestPartitionRefinersAgreeOnValidity(t *testing.T) {
 	g := gen.Mesh(500, 21)
-	for _, ref := range []Refiner{RefineKLFM, RefineKL, RefineFM, RefineNone} {
+	for _, ref := range []Refiner{RefineKLFM, RefineFM, RefineNone} {
 		p, err := Partition(g, Config{Parts: 4, Seed: 2, Refiner: ref}, rsbInner)
 		if err != nil {
 			t.Fatalf("%v: %v", ref, err)
@@ -123,7 +123,7 @@ func TestPartitionRefinersAgreeOnValidity(t *testing.T) {
 	// Refinement must not hurt: both refiners should cut no worse than the
 	// raw projection.
 	raw, _ := Partition(g, Config{Parts: 4, Seed: 2, Refiner: RefineNone}, rsbInner)
-	for _, ref := range []Refiner{RefineKLFM, RefineKL, RefineFM} {
+	for _, ref := range []Refiner{RefineKLFM, RefineFM} {
 		p, _ := Partition(g, Config{Parts: 4, Seed: 2, Refiner: ref}, rsbInner)
 		if p.CutSize(g) > raw.CutSize(g) {
 			t.Errorf("%v worsened the cut: %v > %v", ref, p.CutSize(g), raw.CutSize(g))

@@ -22,9 +22,11 @@
 // changes wall time, never the result. Coarsening splits matching into a
 // parallel propose phase plus a serial claim sweep; uncoarsening fills each
 // projection and rebuilds each level's boundary over par-owned index ranges,
-// and refines with the colored boundary climb (kl.HillClimbColored), FM with
-// parallel heap seeding, and the parallel rebalance argmax — all of which
-// are bit-identical at every width by construction.
+// and refines with the colored boundary climb (kl.Climb), FM — the heap pass
+// with parallel seeding below coloredFMMinNodes, the colored schedule
+// (fm.RefineColored) at and above it — label propagation (lp.Refine) on
+// levels of at least lpMinNodes, and the parallel rebalance argmax, all of
+// which are bit-identical at every width by construction.
 package multilevel
 
 import (
@@ -180,10 +182,6 @@ const (
 	// and keeping the best prefix), then a final climb-and-rebalance. This
 	// is what gives multilevel its METIS-like quality.
 	RefineKLFM Refiner = iota
-	// RefineKL is pure boundary hill climbing (kl.RefineEval) with
-	// rebalancing: the cheapest option, at some cut quality cost on graphs
-	// with long straight boundaries.
-	RefineKL
 	// RefineFM is pure Fiduccia–Mattheyses refinement plus a rebalancing
 	// sweep (FM's balance slack cannot drain imbalance inherited from
 	// weighted coarse levels on its own).
@@ -198,8 +196,6 @@ func (r Refiner) String() string {
 	switch r {
 	case RefineKLFM:
 		return "kl+fm"
-	case RefineKL:
-		return "kl"
 	case RefineFM:
 		return "fm"
 	case RefineNone:
@@ -215,8 +211,6 @@ type Config struct {
 	// CoarsestSize stops coarsening once the graph is at or below this many
 	// nodes; default 64.
 	CoarsestSize int
-	// MaxLevels bounds the hierarchy depth; default 30.
-	MaxLevels int
 	// RefinePasses bounds per-level refinement passes; default 4 (the
 	// projection of a refined coarse solution starts near a local optimum,
 	// so later passes find almost nothing).
@@ -237,29 +231,6 @@ type Config struct {
 	// projection, because node identities change.
 	Objective partition.Objective
 	Seed      int64
-	// LPThreshold is the node count at or above which a level's refinement
-	// switches from the KL/FM combination to the size-constrained
-	// label-propagation refiner (package lp): one deterministic colored
-	// sweep per pass, O(deg) per boundary node, no gain heaps — the
-	// KaMinPar-style cheap refiner for levels where KL/FM gain structures
-	// dominate wall time. 0 selects DefaultLPThreshold (250k nodes — above
-	// every committed sub-million baseline, so the default changes no
-	// committed cut); negative disables the switch at every size. The
-	// refiner honors the same Workers bit-identity contract and Stop
-	// polling as the KL/FM path.
-	LPThreshold int
-	// FMParThreshold is the node count at or above which a level's FM
-	// refinement runs the deterministic-parallel colored schedule
-	// (fm.RefineEvalPar) instead of the serial heap pass: the per-move gain
-	// evaluation — FM's dominant cost on big levels — fans out over Workers
-	// while the schedule itself stays a pure function of the level's state,
-	// so the Workers bit-identity contract holds unchanged. Below the
-	// threshold the serial pass wins (coloring and merging overhead beats
-	// the heap only once levels are large). 0 selects DefaultFMParThreshold
-	// (50k nodes); negative disables the switch at every size. The two
-	// passes are distinct deterministic algorithms: flipping the threshold
-	// changes cuts (comparably good), never determinism.
-	FMParThreshold int
 	// Stats, when non-nil, receives the run's phase timings.
 	Stats *Stats
 	// Stop, when non-nil, requests cooperative cancellation: it is polled
@@ -290,9 +261,9 @@ type Stats struct {
 	// uncoarsening wall time to the label-propagation sweeps, the KL colored
 	// climbs (including rebalance), and the FM passes individually. The three
 	// sum to slightly less than Refine (loop overhead is unattributed).
-	RefineLP    time.Duration // lp.RefineEval above LPThreshold
+	RefineLP    time.Duration // lp.Refine on levels of at least lpMinNodes
 	RefineClimb time.Duration // kl climbs + rebalance
-	RefineFM    time.Duration // fm.RefineEval / fm.RefineEvalPar
+	RefineFM    time.Duration // fm.Refine / fm.RefineColored
 
 	CoarsenBytes     uint64 // bytes allocated during hierarchy construction
 	CoarseSolveBytes uint64 // ... during the coarse solve
@@ -300,35 +271,34 @@ type Stats struct {
 	RefineBytes      uint64 // ... during per-level refinement
 }
 
-// DefaultLPThreshold is the node count at which Config.LPThreshold == 0
-// switches a level's refinement to label propagation. It sits above every
-// committed sub-million benchmark case (the largest is 100k nodes), so the
-// default-path cuts of all existing baselines are untouched.
-const DefaultLPThreshold = 250_000
-
-// DefaultFMParThreshold is the node count at which Config.FMParThreshold == 0
-// switches a level's FM refinement to the deterministic-parallel colored
-// schedule. At 50k nodes the parallel pass's coloring/merge overhead is well
-// amortized by the fanned-out gain evaluation; the scale100k and scale1M
-// benchmark tiers cross it, the small diverse/weighted tiers do not.
-const DefaultFMParThreshold = 50_000
+// The V-cycle's size switches. They are constants rather than knobs because
+// every caller runs with these values, and each is what measurement chose:
+//
+//   - lpMinNodes: levels this large refine with label propagation instead of
+//     KL/FM, whose Theta(n·parts) gain structures dominate wall time and
+//     allocation at the million-node tier. It sits above every committed
+//     sub-million benchmark case, so only the 1M-and-up tiers take it.
+//   - coloredFMMinNodes: levels this large run FM on the colored schedule
+//     (fm.RefineColored), whose coloring and merge overhead is amortized by
+//     the fanned-out gain evaluation only on big levels. Below it the serial
+//     heap pass stays: running the colored schedule on every level made
+//     multilevel-kl on a 10k-node power-law graph 2.06x slower (median op
+//     time over seeds 1-6, the benchmark's powerlaw-10k workload) for a
+//     1.9% better cut.
+//   - maxLevels bounds the coarsening hierarchy's depth.
+const (
+	lpMinNodes        = 250_000
+	coloredFMMinNodes = 50_000
+	maxLevels         = 30
+)
 
 func (c *Config) withDefaults() Config {
 	out := *c
 	if out.CoarsestSize == 0 {
 		out.CoarsestSize = 64
 	}
-	if out.MaxLevels == 0 {
-		out.MaxLevels = 30
-	}
 	if out.RefinePasses == 0 {
 		out.RefinePasses = 4
-	}
-	if out.LPThreshold == 0 {
-		out.LPThreshold = DefaultLPThreshold
-	}
-	if out.FMParThreshold == 0 {
-		out.FMParThreshold = DefaultFMParThreshold
 	}
 	return out
 }
@@ -441,7 +411,7 @@ func (hs *hierarchyScratch) buildHierarchy(g *graph.Graph, coarsestSize, maxLeve
 		// Stop when matching found nothing to merge — or almost nothing
 		// (under 5% of nodes): a star center or contracted hub can absorb
 		// one neighbor per level forever, so without the stall cut a
-		// degenerate graph would burn all MaxLevels levels shrinking by a
+		// degenerate graph would burn all maxLevels levels shrinking by a
 		// node at a time. Real meshes and RGGs merge 40–50% per level and
 		// never come near the threshold.
 		if coarse.NumNodes() >= cur.NumNodes() || cur.NumNodes()-coarse.NumNodes() < cur.NumNodes()/20 {
@@ -472,7 +442,7 @@ func Partition(g *graph.Graph, cfg Config, inner Partitioner) (*partition.Partit
 	var stats Stats
 	start := time.Now()
 	alloc := allocSnap(meter)
-	levels, coarsest := hs.buildHierarchy(g, c.CoarsestSize, c.MaxLevels, rng, c.Workers, true)
+	levels, coarsest := hs.buildHierarchy(g, c.CoarsestSize, maxLevels, rng, c.Workers, true)
 	stats.Levels = len(levels)
 	stats.Coarsen = time.Since(start)
 	stats.CoarsenBytes = allocSnap(meter) - alloc
@@ -509,12 +479,10 @@ func Partition(g *graph.Graph, cfg Config, inner Partitioner) (*partition.Partit
 		// the per-level boundary rebuilds below reslice within capacity
 		// instead of reallocating every time the hierarchy grows back.
 		ev.Reserve(g.NumNodes(), c.Parts)
-		if c.Refiner == RefineKLFM || c.Refiner == RefineFM {
-			// Same for FM's Theta(n*parts) connectivity table: growing it
-			// level by level as the hierarchy unwinds would reallocate at
-			// nearly every step for about twice the finest level's bytes.
-			hs.fm.Reserve(g.NumNodes(), c.Parts)
-		}
+		// Same for FM's Theta(n*parts) connectivity table: growing it level
+		// by level as the hierarchy unwinds would reallocate at nearly every
+		// step for about twice the finest level's bytes.
+		hs.fm.Reserve(g.NumNodes(), c.Parts)
 	}
 
 	for i := len(levels) - 1; i >= 0; i-- {
@@ -551,20 +519,21 @@ func Partition(g *graph.Graph, cfg Config, inner Partitioner) (*partition.Partit
 		stats.ProjectBytes += allocSnap(meter) - alloc
 		start = time.Now()
 		alloc = allocSnap(meter)
-		stopped := c.Stop != nil && c.Stop()
-		useLP := c.LPThreshold > 0 && n >= c.LPThreshold
-		// fmPass runs this level's FM refinement: the deterministic-parallel
-		// colored schedule at or above FMParThreshold, the serial heap pass
-		// below it (both share hs.fm's arena). The two are distinct
-		// deterministic algorithms, so the threshold changes cuts but every
-		// Workers value still reproduces Workers=1 bit for bit.
+		kcfg := kl.Config{Objective: c.Objective, MaxPasses: c.RefinePasses, Workers: c.Workers, Stop: c.Stop}
+		// fmPass runs this level's FM refinement: the colored schedule on
+		// levels of at least coloredFMMinNodes, the serial heap pass below
+		// (both share hs.fm's arena). Under CommVolume, which fm does not
+		// support, it is skipped.
 		fmPass := func(passes int) {
+			if c.Objective == partition.CommVolume {
+				return
+			}
 			t := time.Now()
 			cfg := fm.Config{MaxPasses: passes, Workers: c.Workers, Objective: c.Objective, Stop: c.Stop, Scratch: &hs.fm}
-			if c.FMParThreshold > 0 && n >= c.FMParThreshold {
-				fm.RefineEvalPar(lvl.Graph, fine, ev, cfg)
+			if n >= coloredFMMinNodes {
+				fm.RefineColored(lvl.Graph, fine, ev, cfg)
 			} else {
-				fm.RefineEval(lvl.Graph, fine, ev, cfg)
+				fm.Refine(lvl.Graph, fine, ev, cfg)
 			}
 			stats.RefineFM += time.Since(t)
 		}
@@ -574,39 +543,34 @@ func Partition(g *graph.Graph, cfg Config, inner Partitioner) (*partition.Partit
 			stats.RefineClimb += time.Since(t)
 		}
 		switch {
-		case stopped:
+		case c.Stop != nil && c.Stop():
 			// Cancellation between levels: skip this level's refinement
 			// entirely but keep projecting — the loop must reach levels[0]
 			// for the partition to be a valid answer for g.
 		case c.Refiner == RefineNone:
-		case useLP:
+		case n >= lpMinNodes:
 			// Million-node levels: the KL/FM gain structures (Theta(n·parts)
 			// connectivity, gain heaps) dominate wall time and allocation up
 			// here, so refine with the size-constrained label-propagation
 			// sweep instead, then drain any inherited imbalance.
 			t := time.Now()
-			lp.RefineEval(lvl.Graph, fine, ev, lp.Config{MaxPasses: c.RefinePasses, Workers: c.Workers, Stop: c.Stop, Scratch: &hs.lp})
+			lp.Refine(lvl.Graph, fine, ev, lp.Config{MaxPasses: c.RefinePasses, Workers: c.Workers, Stop: c.Stop, Scratch: &hs.lp})
 			stats.RefineLP += time.Since(t)
-			climb(func() { kl.RebalancePar(lvl.Graph, fine, ev, c.Objective, c.Workers) })
+			climb(func() { kl.Rebalance(lvl.Graph, fine, ev, kcfg) })
 		case c.Refiner == RefineKLFM:
 			// Climb first (each pass is cheap and takes every strictly
 			// improving move), then a single FM pass to slide through the
 			// zero-gain plateaus steepest descent cannot cross, then a final
 			// climb-and-rebalance to harvest what FM exposed. Under CommVolume
-			// the FM step is skipped (fm does not support that objective), so
 			// the combination degrades to pure colored climbing.
-			climb(func() { kl.HillClimbColoredStop(lvl.Graph, fine, c.Objective, c.RefinePasses, c.Workers, ev, c.Stop) })
-			if c.Objective != partition.CommVolume {
-				fmPass(1)
-			}
-			climb(func() { kl.RefineEvalParStop(lvl.Graph, fine, ev, c.Objective, 1, c.Workers, c.Stop) })
-		case c.Refiner == RefineKL:
-			climb(func() { kl.RefineEvalParStop(lvl.Graph, fine, ev, c.Objective, c.RefinePasses, c.Workers, c.Stop) })
+			climb(func() { kl.Climb(lvl.Graph, fine, ev, kcfg) })
+			fmPass(1)
+			once := kcfg
+			once.MaxPasses = 1
+			climb(func() { kl.Refine(lvl.Graph, fine, ev, once) })
 		case c.Refiner == RefineFM:
-			if c.Objective != partition.CommVolume {
-				fmPass(c.RefinePasses)
-			}
-			climb(func() { kl.RebalancePar(lvl.Graph, fine, ev, c.Objective, c.Workers) })
+			fmPass(c.RefinePasses)
+			climb(func() { kl.Rebalance(lvl.Graph, fine, ev, kcfg) })
 		}
 		stats.Refine += time.Since(start)
 		stats.RefineBytes += allocSnap(meter) - alloc

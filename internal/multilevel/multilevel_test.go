@@ -6,9 +6,11 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/fm"
 	"repro/internal/ga"
 	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/kl"
 	"repro/internal/partition"
 	"repro/internal/spectral"
 )
@@ -212,7 +214,7 @@ func TestPartitionWorkersBitIdentical(t *testing.T) {
 	// The whole V-cycle — hierarchy, coarse solve, refinement — must be a
 	// pure function of the seed, independent of the pipeline width.
 	g := gen.Mesh(900, 13)
-	for _, ref := range []Refiner{RefineKLFM, RefineKL, RefineFM} {
+	for _, ref := range []Refiner{RefineKLFM, RefineFM} {
 		base, err := Partition(g, Config{Parts: 4, Seed: 5, Refiner: ref, Workers: 1}, rsbInner)
 		if err != nil {
 			t.Fatalf("%v: %v", ref, err)
@@ -243,7 +245,7 @@ func TestQuickPartitionWorkersBitIdentical(t *testing.T) {
 			"weighted": randomWeightedGraph(250+80*int(seed), seed*17),
 		}
 		for name, g := range graphs {
-			for _, ref := range []Refiner{RefineKLFM, RefineKL, RefineFM} {
+			for _, ref := range []Refiner{RefineKLFM, RefineFM} {
 				base, err := Partition(g, Config{Parts: 4, Seed: seed, Refiner: ref, Workers: 1}, klInner)
 				if err != nil {
 					t.Fatalf("%s %v: %v", name, ref, err)
@@ -264,35 +266,48 @@ func TestQuickPartitionWorkersBitIdentical(t *testing.T) {
 	}
 }
 
-// Forcing FMParThreshold to 1 routes every level's FM through the
-// deterministic-parallel colored schedule, so the full V-cycle must still
-// reproduce the Workers=1 partition bit for bit at every width — the
-// cross-layer pin of the parallel FM pass in its production seat.
+// The colored FM schedule in its production seat: on a contracted
+// hierarchy level, starting from a coarser level's partition projected onto
+// it with the Eval carried across the projection, followed by the rebalance
+// the pipeline runs after it. Every width must reproduce the Workers=1
+// partition and gain bit for bit, with the FM arena shared across runs as
+// the pipeline shares it.
 func TestPartitionFMParWorkersBitIdentical(t *testing.T) {
+	var scratch fm.Scratch
 	for seed := int64(1); seed <= 2; seed++ {
 		graphs := map[string]*graph.Graph{
-			"mesh":     gen.Mesh(700, seed),
-			"weighted": randomWeightedGraph(500, seed*23),
+			"mesh":     gen.Mesh(1400, seed),
+			"weighted": randomWeightedGraph(1000, seed*23),
 		}
 		for name, g := range graphs {
+			rng := rand.New(rand.NewSource(seed))
+			level, _ := Coarsen(g, rng, 1)
+			coarse, coarseOf := Coarsen(level, rng, 1)
+			cp, err := klInner(coarse, 4, rng)
+			if err != nil {
+				t.Fatal(err)
+			}
 			for _, obj := range []partition.Objective{partition.TotalCut, partition.WorstCut} {
-				for _, ref := range []Refiner{RefineKLFM, RefineFM} {
-					cfg := Config{Parts: 4, Seed: seed, Refiner: ref, Objective: obj, FMParThreshold: 1, Workers: 1}
-					base, err := Partition(g, cfg, klInner)
-					if err != nil {
-						t.Fatalf("%s %v %v: %v", name, ref, obj, err)
+				run := func(workers int) (*partition.Partition, float64) {
+					ev := partition.NewEvalBoundary(coarse, cp)
+					p := partition.New(level.NumNodes(), 4)
+					for v := range p.Assign {
+						p.Assign[v] = cp.Assign[coarseOf[v]]
 					}
-					for _, workers := range []int{2, 4, 8} {
-						cfg.Workers = workers
-						p, err := Partition(g, cfg, klInner)
-						if err != nil {
-							t.Fatalf("%s %v %v workers=%d: %v", name, ref, obj, workers, err)
-						}
-						for v := range p.Assign {
-							if p.Assign[v] != base.Assign[v] {
-								t.Fatalf("%s seed=%d %v %v workers=%d: node %d differs",
-									name, seed, ref, obj, workers, v)
-							}
+					ev.ResetBoundaryPar(level, p, workers)
+					gain := fm.RefineColored(level, p, ev, fm.Config{MaxPasses: 4, Workers: workers, Objective: obj, Scratch: &scratch})
+					kl.Rebalance(level, p, ev, kl.Config{Objective: obj, Workers: workers})
+					return p, gain
+				}
+				base, baseGain := run(1)
+				for _, workers := range []int{2, 4, 8} {
+					p, gain := run(workers)
+					if gain != baseGain {
+						t.Fatalf("%s seed=%d %v workers=%d: gain %v, reference %v", name, seed, obj, workers, gain, baseGain)
+					}
+					for v := range p.Assign {
+						if p.Assign[v] != base.Assign[v] {
+							t.Fatalf("%s seed=%d %v workers=%d: node %d differs", name, seed, obj, workers, v)
 						}
 					}
 				}

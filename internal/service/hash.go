@@ -34,12 +34,11 @@ func cacheKey(g *graph.Graph, algoName string, o algo.Options) string {
 // string formatting, never a rehash — this is what makes an N-spec batch
 // over one stored graph exactly one content hash, not N.
 func cacheKeyFromHash(graphHash, algoName string, o algo.Options) string {
-	return fmt.Sprintf("%s:%s:p%d.o%d.s%d.g%d.n%d.i%d.r%d.c%d.l%d.t%d.f%d",
+	return fmt.Sprintf("%s:%s:p%d.o%d.s%d.g%d.n%d.i%d.r%d.c%d.l%d",
 		graphHash, algoName,
 		o.Parts, int(o.Objective), o.Seed,
 		o.Generations, o.PopSize, o.Islands,
-		o.RefinePasses, o.CoarsestSize, o.LanczosIter,
-		o.LPThreshold, o.FMParThreshold)
+		o.RefinePasses, o.CoarsestSize, o.LanczosIter)
 }
 
 // hashGraph digests a graph's full content — structure, node and edge
