@@ -52,7 +52,7 @@ func main() {
 		outPath = flag.String("o", "", "also write the report to this file")
 		runs    = flag.Int("runs", 0, "override run count")
 		gens    = flag.Int("gens", 0, "override generations")
-		workers = flag.Int("evalworkers", 0, "parallel fitness-evaluation goroutines per engine (0 = auto; results are identical for any value)")
+		workers = flag.Int("evalworkers", 0, "GA width: islands stepped at once, or offspring evaluated at once for a single population (0 = auto; results are identical for any value)")
 
 		doBench   = flag.Bool("bench", false, "run the machine-readable benchmark suite instead of tables/figures")
 		suite     = flag.String("suite", "small", "benchmark suite: small | scale | scale100k | scale1M | scale10M | diverse | weighted | fmpar (width-labeled parallel-FM report)")

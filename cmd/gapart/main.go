@@ -44,7 +44,7 @@ func main() {
 		gens      = flag.Int("gens", 0, "GA generations (0 = default)")
 		pop       = flag.Int("pop", 0, "GA total population (0 = default)")
 		islands   = flag.Int("islands", 0, "GA subpopulations (0 = default, 1 = single population)")
-		workers   = flag.Int("evalworkers", 0, "parallel fitness-evaluation goroutines per engine (0 = auto; results are identical for any value)")
+		workers   = flag.Int("evalworkers", 0, "GA width: islands stepped at once, or offspring evaluated at once for a single population (0 = auto; results are identical for any value)")
 		mlWorkers = flag.Int("workers", 0, "parallel V-cycle goroutines: coarsening, contraction, projection, and colored refinement (0 = auto; results are identical for any value)")
 		passes    = flag.Int("passes", 0, "refinement passes for kl/fm/multilevel (0 = algorithm default)")
 		coarsest  = flag.Int("coarsest", 0, "multilevel: stop coarsening at this many nodes (0 = default)")

@@ -19,6 +19,7 @@ import (
 	"log"
 	"math/rand"
 
+	"repro/internal/algo"
 	"repro/internal/gen"
 	"repro/internal/incremental"
 	"repro/internal/spectral"
@@ -46,10 +47,7 @@ func main() {
 
 		// Paper's method: GA repair seeded with the old partition.
 		gaPart, err := incremental.Repartition(grown, cur, incremental.Config{
-			Generations: 120,
-			TotalPop:    320,
-			Islands:     16,
-			Seed:        int64(step),
+			Options: algo.Options{Generations: 120, PopSize: 320, Islands: 16, Seed: int64(step)},
 		})
 		if err != nil {
 			log.Fatal(err)

@@ -48,7 +48,6 @@ func main() {
 			Seed:      7,
 		},
 		Islands:          16,
-		Parallel:         true,
 		CrossoverFactory: func(int) ga.Crossover { return ga.NewDKNUX(rsb) },
 	})
 	if err != nil {

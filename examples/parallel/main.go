@@ -1,19 +1,14 @@
-// Parallel: the distributed-population GA (DPGA) as a parallel program —
-// the paper's §3.4 and its CM-5/Paragon outlook. Each subpopulation runs in
-// its own goroutine; every few generations the islands exchange their best
-// individuals along a 4-dimensional hypercube, just as the paper's
-// message-passing implementation would.
+// Command parallel runs the distributed-population GA (DPGA) of the paper's
+// §3.4 as a parallel program. dpga is the one GA driver: within an epoch the
+// islands step concurrently over internal/par, every few generations they
+// exchange their best individuals along a 4-dimensional hypercube, and a
+// single island spends the same width on evaluating its offspring instead.
 //
-// The example runs the same total budget with 1, 4, and 16 islands and
-// reports wall-clock time and solution quality, then demonstrates that the
-// concurrent execution is bit-identical to the sequential one (island RNGs
-// are independent and migration happens at barriers).
-//
-// Orthogonally to the island layer, every engine evaluates offspring
-// fitness on a worker pool (ga.Config.EvalWorkers): breeding stays on one
-// goroutine for reproducibility, evaluation fans out. The final section
-// shows that a single population with parallel evaluation matches the
-// serial engine assignment for assignment.
+// The example runs the same total budget with 1, 4, and 16 islands, once at
+// width 1 and once at width GOMAXPROCS, reports the cut and wall-clock time
+// of both, and checks that the two widths give the same partition: island
+// RNGs are independent, migration happens at barriers, and evaluation is
+// pure, so the width changes only the time.
 //
 // Run with: go run ./examples/parallel
 package main
@@ -22,6 +17,7 @@ import (
 	"fmt"
 	"log"
 	"runtime"
+	"slices"
 	"time"
 
 	"repro/internal/dpga"
@@ -39,59 +35,22 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	wide := runtime.GOMAXPROCS(0)
 	fmt.Printf("mesh: %d nodes, %d edges; GOMAXPROCS=%d\n\n",
-		g.NumNodes(), g.NumEdges(), runtime.GOMAXPROCS(0))
+		g.NumNodes(), g.NumEdges(), wide)
 
-	for _, islands := range []int{1, 4, 16} {
+	run := func(islands, width int) (*partition.Partition, time.Duration) {
 		start := time.Now()
-		var cut float64
-		if islands == 1 {
-			e, err := ga.New(g, ga.Config{
-				Parts:     parts,
-				PopSize:   320,
-				Seeds:     []*partition.Partition{seed},
-				Crossover: ga.NewDKNUX(seed),
-				Seed:      13,
-			})
-			if err != nil {
-				log.Fatal(err)
-			}
-			cut = e.Run(generations).Part.CutSize(g)
-		} else {
-			m, err := dpga.New(g, dpga.Config{
-				Base: ga.Config{
-					Parts:   parts,
-					PopSize: 320,
-					Seeds:   []*partition.Partition{seed},
-					Seed:    13,
-				},
-				Islands:  islands,
-				Parallel: true,
-				CrossoverFactory: func(int) ga.Crossover {
-					return ga.NewDKNUX(seed)
-				},
-			})
-			if err != nil {
-				log.Fatal(err)
-			}
-			cut = m.Run(generations).Part.CutSize(g)
-		}
-		fmt.Printf("islands=%2d  population=320  gens=%d  ->  cut=%.0f  wall=%s\n",
-			islands, generations, cut, time.Since(start).Round(time.Millisecond))
-	}
-
-	// Determinism: concurrent == sequential, assignment for assignment.
-	fmt.Println("\nverifying parallel == sequential determinism (4 islands, 40 gens):")
-	runOnce := func(parallel bool) []uint16 {
 		m, err := dpga.New(g, dpga.Config{
 			Base: ga.Config{
-				Parts:   parts,
-				PopSize: 64,
-				Seeds:   []*partition.Partition{seed},
-				Seed:    13,
+				Parts:       parts,
+				PopSize:     320,
+				Seeds:       []*partition.Partition{seed},
+				HillClimb:   true,
+				EvalWorkers: width,
+				Seed:        13,
 			},
-			Islands:  4,
-			Parallel: parallel,
+			Islands: islands,
 			CrossoverFactory: func(int) ga.Crossover {
 				return ga.NewDKNUX(seed)
 			},
@@ -99,45 +58,18 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		return m.Run(40).Part.Assign
+		return m.Run(generations).Part, time.Since(start)
 	}
-	a, b := runOnce(true), runOnce(false)
-	for i := range a {
-		if a[i] != b[i] {
-			log.Fatalf("divergence at node %d", i)
-		}
-	}
-	fmt.Println("identical partitions — the island model is deterministic under concurrency.")
 
-	// Second parallel axis: batched fitness evaluation inside one engine.
-	// Breeding (selection/crossover/mutation) is serial on the engine's RNG;
-	// evaluation and hill climbing are pure and fan out over EvalWorkers.
-	fmt.Println("\nverifying parallel fitness evaluation == serial (1 population, 40 gens):")
-	evalRun := func(workers int) ([]uint16, time.Duration) {
-		start := time.Now()
-		e, err := ga.New(g, ga.Config{
-			Parts:       parts,
-			PopSize:     320,
-			Seeds:       []*partition.Partition{seed},
-			Crossover:   ga.NewDKNUX(seed),
-			HillClimb:   true,
-			EvalWorkers: workers,
-			Seed:        13,
-		})
-		if err != nil {
-			log.Fatal(err)
+	for _, islands := range []int{1, 4, 16} {
+		serial, tSerial := run(islands, 1)
+		parallel, tParallel := run(islands, wide)
+		if !slices.Equal(serial.Assign, parallel.Assign) {
+			log.Fatalf("islands=%d: width %d diverged from width 1", islands, wide)
 		}
-		p := e.Run(40).Part.Assign
-		e.Close()
-		return p, time.Since(start)
+		fmt.Printf("islands=%2d  population=320  gens=%d  ->  cut=%.0f  wall: width 1 %s, width %d %s\n",
+			islands, generations, serial.CutSize(g),
+			tSerial.Round(time.Millisecond), wide, tParallel.Round(time.Millisecond))
 	}
-	serial, tSerial := evalRun(1)
-	para, tPara := evalRun(runtime.GOMAXPROCS(0))
-	for i := range serial {
-		if serial[i] != para[i] {
-			log.Fatalf("eval-worker divergence at node %d", i)
-		}
-	}
-	fmt.Printf("identical partitions — EvalWorkers=1 took %s, EvalWorkers=%d took %s.\n",
-		tSerial.Round(time.Millisecond), runtime.GOMAXPROCS(0), tPara.Round(time.Millisecond))
+	fmt.Println("\nidentical partitions at every width: one code path, deterministic under concurrency.")
 }

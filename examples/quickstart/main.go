@@ -49,8 +49,7 @@ func main() {
 			Seeds:   []*partition.Partition{seed},
 			Seed:    42,
 		},
-		Islands:  16,
-		Parallel: true,
+		Islands: 16,
 		CrossoverFactory: func(island int) ga.Crossover {
 			return ga.NewDKNUX(seed)
 		},

@@ -51,7 +51,6 @@ func main() {
 			Seed:    17,
 		},
 		Islands:          16,
-		Parallel:         true,
 		CrossoverFactory: func(int) ga.Crossover { return ga.NewDKNUX(ibpPart) },
 	})
 	if err != nil {

@@ -47,7 +47,6 @@ func main() {
 			Seed:    9,
 		},
 		Islands:          16,
-		Parallel:         true,
 		CrossoverFactory: func(int) ga.Crossover { return ga.NewDKNUX(rsb) },
 	})
 	if err != nil {

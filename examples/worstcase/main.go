@@ -42,7 +42,6 @@ func main() {
 				Seed:      11,
 			},
 			Islands:          16,
-			Parallel:         true,
 			CrossoverFactory: func(int) ga.Crossover { return ga.NewDKNUX(rsb) },
 		})
 		if err != nil {

@@ -207,8 +207,8 @@ func registerMultilevel(name, innerName string, refiner multilevel.Refiner, info
 	}))
 }
 
-// runGA runs the paper's GA family: single population for Islands <= 1, the
-// distributed island model otherwise. When the graph has coordinates the
+// runGA runs the paper's GA family on the distributed island model (one
+// island is the single-population GA). When the graph has coordinates the
 // population is seeded with an IBP partition (the paper's recommended
 // practice); otherwise it starts from random balanced partitions.
 func runGA(g *graph.Graph, operator string, o Options) (*partition.Partition, error) {
@@ -237,38 +237,18 @@ func runGA(g *graph.Graph, operator string, o Options) (*partition.Partition, er
 			return ga.KPoint{K: 2}
 		}
 	}
-	base := ga.Config{
-		Parts:       opt.Parts,
-		Objective:   opt.Objective,
-		PopSize:     opt.PopSize,
-		Seeds:       seeds,
-		EvalWorkers: opt.EvalWorkers,
-		Seed:        opt.Seed,
-	}
-	stop := o.stop()
-	if opt.Islands <= 1 {
-		base.Crossover = mkOp(0)
-		e, err := ga.New(g, base)
-		if err != nil {
-			return nil, err
-		}
-		defer e.Close()
-		// Cancellation checkpoint: between generations, the single-population
-		// engine's only serial point.
-		for i := 0; i < opt.Generations; i++ {
-			if stop != nil && stop() {
-				break
-			}
-			e.Step()
-		}
-		return e.Best().Part, nil
-	}
 	m, err := dpga.New(g, dpga.Config{
-		Base:             base,
+		Base: ga.Config{
+			Parts:       opt.Parts,
+			Objective:   opt.Objective,
+			PopSize:     opt.PopSize,
+			Seeds:       seeds,
+			EvalWorkers: opt.EvalWorkers,
+			Seed:        opt.Seed,
+		},
 		Islands:          opt.Islands,
-		Parallel:         true,
 		CrossoverFactory: mkOp,
-		Stop:             stop,
+		Stop:             o.stop(),
 	})
 	if err != nil {
 		return nil, err

@@ -122,40 +122,23 @@ func Speedup(opt Options) Figure {
 			continue
 		}
 		start := time.Now()
-		var cut float64
-		if islands == 1 {
-			e, err := ga.New(g, ga.Config{
+		m, err := dpga.New(g, dpga.Config{
+			Base: ga.Config{
 				Parts:       parts,
 				PopSize:     opt.TotalPop,
 				Seeds:       seeds,
-				Crossover:   ga.NewDKNUX(ibpSeed),
 				EvalWorkers: opt.EvalWorkers,
 				Seed:        opt.Seed,
-			})
-			if err != nil {
-				panic(fmt.Sprintf("bench: %v", err))
-			}
-			cut = e.Run(opt.Generations).Part.CutSize(g)
-		} else {
-			m, err := dpga.New(g, dpga.Config{
-				Base: ga.Config{
-					Parts:       parts,
-					PopSize:     opt.TotalPop,
-					Seeds:       seeds,
-					EvalWorkers: opt.EvalWorkers,
-					Seed:        opt.Seed,
-				},
-				Islands:  islands,
-				Parallel: true,
-				CrossoverFactory: func(island int) ga.Crossover {
-					return ga.NewDKNUX(ibpSeed)
-				},
-			})
-			if err != nil {
-				panic(fmt.Sprintf("bench: %v", err))
-			}
-			cut = m.Run(opt.Generations).Part.CutSize(g)
+			},
+			Islands: islands,
+			CrossoverFactory: func(island int) ga.Crossover {
+				return ga.NewDKNUX(ibpSeed)
+			},
+		})
+		if err != nil {
+			panic(fmt.Sprintf("bench: %v", err))
 		}
+		cut := m.Run(opt.Generations).Part.CutSize(g)
 		elapsed := time.Since(start).Seconds()
 		timeS.X = append(timeS.X, float64(islands))
 		timeS.Y = append(timeS.Y, elapsed)

@@ -29,39 +29,27 @@ func runDKNUX(g *graph.Graph, parts int, obj partition.Objective,
 	return best
 }
 
-// runOnce is a single DPGA (or single-population) DKNUX run.
+// runOnce is a single DPGA DKNUX run (one island is a single population).
 func runOnce(g *graph.Graph, parts int, obj partition.Objective,
 	seeds []*partition.Partition, opt Options, runSeed int64) *partition.Partition {
 
-	base := ga.Config{
-		Parts:       parts,
-		Objective:   obj,
-		PopSize:     opt.TotalPop,
-		Seeds:       seeds,
-		HillClimb:   opt.HillClimb,
-		EvalWorkers: opt.EvalWorkers,
-		Seed:        runSeed,
-	}
-	estimate := func(island int) *partition.Partition {
-		if len(seeds) > 0 {
-			return seeds[island%len(seeds)]
-		}
-		rng := rand.New(rand.NewSource(runSeed + int64(island)))
-		return partition.RandomBalanced(g.NumNodes(), parts, rng)
-	}
-	if opt.Islands <= 1 {
-		base.Crossover = ga.NewDKNUX(estimate(0))
-		e, err := ga.New(g, base)
-		if err != nil {
-			panic(fmt.Sprintf("bench: %v", err))
-		}
-		return e.Run(opt.Generations).Part
-	}
 	m, err := dpga.New(g, dpga.Config{
-		Base:    base,
+		Base: ga.Config{
+			Parts:       parts,
+			Objective:   obj,
+			PopSize:     opt.TotalPop,
+			Seeds:       seeds,
+			HillClimb:   opt.HillClimb,
+			EvalWorkers: opt.EvalWorkers,
+			Seed:        runSeed,
+		},
 		Islands: opt.Islands,
 		CrossoverFactory: func(island int) ga.Crossover {
-			return ga.NewDKNUX(estimate(island))
+			if len(seeds) > 0 {
+				return ga.NewDKNUX(seeds[island%len(seeds)])
+			}
+			rng := rand.New(rand.NewSource(runSeed + int64(island)))
+			return ga.NewDKNUX(partition.RandomBalanced(g.NumNodes(), parts, rng))
 		},
 	})
 	if err != nil {

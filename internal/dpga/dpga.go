@@ -1,114 +1,35 @@
 // Package dpga implements the paper's coarse-grained distributed-population
 // genetic algorithm (§3.4): the population is divided into subpopulations
-// ("islands") arranged in a communication topology (the paper uses a
-// four-dimensional hypercube of 16 subpopulations); crossover is restricted
-// to members of the same subpopulation, and each island periodically sends
-// copies of its best individuals to its topological neighbors.
+// ("islands") on a hypercube (the paper uses a four-dimensional hypercube
+// of 16 subpopulations); crossover is restricted to members of the same
+// subpopulation, and each island periodically sends copies of its best
+// individuals to its hypercube neighbors.
 //
-// Islands advance independently between migrations, so the model runs
-// either sequentially or with one goroutine per island; results are
-// bit-identical in both modes because every island owns its RNG and
-// migration happens at a barrier.
+// dpga is the one driver of the paper's GA: a single island is exactly the
+// single-population engine, ga.New(Base).Run. Islands advance independently
+// between migrations and step concurrently over internal/par; results are
+// bit-identical at every width because every island owns its RNG and its
+// crossover operator, migration happens at a barrier, and evaluation is
+// pure.
 package dpga
 
 import (
 	"fmt"
 	"math/rand"
-	"sync"
 
 	"repro/internal/ga"
 	"repro/internal/graph"
+	"repro/internal/par"
 	"repro/internal/partition"
 )
 
-// Topology defines island adjacency. Islands are numbered 0..n-1.
-type Topology interface {
-	// Name identifies the topology in reports.
-	Name() string
-	// Validate reports whether the topology supports n islands.
-	Validate(n int) error
-	// Neighbors returns the islands that island i sends migrants to.
-	Neighbors(i, n int) []int
-}
-
-// Hypercube connects island i to every island differing in exactly one bit
-// of its index; n must be a power of two. With n=16 this is the paper's
-// 4-dimensional hypercube.
-type Hypercube struct{}
-
-// Name implements Topology.
-func (Hypercube) Name() string { return "hypercube" }
-
-// Validate implements Topology.
-func (Hypercube) Validate(n int) error {
-	if n <= 0 || n&(n-1) != 0 {
-		return fmt.Errorf("dpga: hypercube needs a power-of-two island count, got %d", n)
-	}
-	return nil
-}
-
-// Neighbors implements Topology.
-func (Hypercube) Neighbors(i, n int) []int {
+// hypercubeNeighbors returns the islands that island i of n sends migrants
+// to: every island whose index differs from i in exactly one bit. With
+// n=16 this is the paper's 4-dimensional hypercube.
+func hypercubeNeighbors(i, n int) []int {
 	var out []int
 	for bit := 1; bit < n; bit <<= 1 {
 		out = append(out, i^bit)
-	}
-	return out
-}
-
-// Ring connects island i to (i±1) mod n.
-type Ring struct{}
-
-// Name implements Topology.
-func (Ring) Name() string { return "ring" }
-
-// Validate implements Topology.
-func (Ring) Validate(n int) error {
-	if n < 2 {
-		return fmt.Errorf("dpga: ring needs >= 2 islands, got %d", n)
-	}
-	return nil
-}
-
-// Neighbors implements Topology.
-func (Ring) Neighbors(i, n int) []int {
-	if n == 2 {
-		return []int{1 - i}
-	}
-	return []int{(i + 1) % n, (i - 1 + n) % n}
-}
-
-// Mesh arranges islands in a Rows x Cols grid with 4-neighbor adjacency.
-type Mesh struct {
-	Rows, Cols int
-}
-
-// Name implements Topology.
-func (m Mesh) Name() string { return fmt.Sprintf("mesh-%dx%d", m.Rows, m.Cols) }
-
-// Validate implements Topology.
-func (m Mesh) Validate(n int) error {
-	if m.Rows*m.Cols != n {
-		return fmt.Errorf("dpga: mesh %dx%d cannot hold %d islands", m.Rows, m.Cols, n)
-	}
-	return nil
-}
-
-// Neighbors implements Topology.
-func (m Mesh) Neighbors(i, n int) []int {
-	r, c := i/m.Cols, i%m.Cols
-	var out []int
-	if r > 0 {
-		out = append(out, i-m.Cols)
-	}
-	if r+1 < m.Rows {
-		out = append(out, i+m.Cols)
-	}
-	if c > 0 {
-		out = append(out, i-1)
-	}
-	if c+1 < m.Cols {
-		out = append(out, i+1)
 	}
 	return out
 }
@@ -117,56 +38,46 @@ func (m Mesh) Neighbors(i, n int) []int {
 // Base.PopSize/Islands (the paper runs total population 320 over 16
 // islands of 20).
 type Config struct {
-	Base    ga.Config // shared GA parameters; PopSize is the TOTAL population
-	Islands int       // number of subpopulations; default 16 (paper)
+	// Base holds the shared GA parameters; PopSize is the TOTAL population.
+	// Base.EvalWorkers is the model's width (<= 0 selects GOMAXPROCS): with
+	// several islands, that many islands step at once and each evaluates
+	// its offspring serially; a single island evaluates its offspring at
+	// that width. Every width gives bit-identical results. Base.Crossover
+	// must be nil: operators come from CrossoverFactory.
+	Base    ga.Config
+	Islands int // hypercube subpopulations, a power of two; default 16 (paper)
 
-	Topology          Topology // default Hypercube{}
-	MigrationInterval int      // generations between migrations; default 5
-	Migrants          int      // best individuals sent per neighbor; default 1
+	MigrationInterval int // generations between migrations; default 5
+	Migrants          int // best individuals sent per neighbor; default 1
 
-	// Parallel runs one goroutine per island between migration barriers.
-	// Results are identical to the sequential mode; this only changes
-	// wall-clock time on multicore hosts.
-	//
-	// Base.EvalWorkers composes with this knob: each island engine
-	// evaluates its offspring on its own worker pool. When Parallel is set
-	// and Base.EvalWorkers is 0, islands default to one evaluation worker
-	// each (the islands themselves already saturate the cores); in the
-	// sequential mode the 0 default resolves to all cores inside each
-	// island, so a sequential model still evaluates in parallel. Every
-	// combination produces bit-identical results.
-	Parallel bool
-
-	// CrossoverFactory builds a per-island crossover operator. Required
-	// when Base.Crossover carries per-run state (KNUX/DKNUX estimates must
-	// not be shared across islands); optional otherwise. The island index
-	// is provided for diagnostics.
+	// CrossoverFactory builds island i's crossover operator (required).
+	// Every island gets its own instance, so per-run operator state (the
+	// KNUX/DKNUX estimate) is never shared by concurrently stepping islands.
 	CrossoverFactory func(island int) ga.Crossover
 
-	// Stop, when non-nil, is polled between epochs (the migration barrier,
-	// the model's only serial checkpoint): Run returns the best individual
-	// found so far once it reports true. It is never consulted inside an
-	// epoch, so cancellation latency is MigrationInterval generations.
+	// Stop, when non-nil, is polled at every migration barrier (the model's
+	// only serial checkpoint): Run returns the best individual found so far
+	// once it reports true. With several islands the cancellation latency
+	// is MigrationInterval generations; a single island has nothing to
+	// migrate and is polled before every generation.
 	Stop func() bool
 }
 
 // Model is a running distributed GA.
 type Model struct {
-	g       *graph.Graph
 	cfg     Config
+	width   int // islands stepped at once within an epoch
 	islands []*ga.Engine
 	gen     int
 }
 
-// New validates cfg and builds the islands. Each island receives a distinct
-// RNG seed derived from Base.Seed and its index, so islands explore
-// independently but the whole run is reproducible.
+// New validates cfg and builds the islands. With several islands each
+// receives a distinct RNG seed derived from Base.Seed and its index, so
+// islands explore independently but the whole run is reproducible; a single
+// island runs on Base.Seed itself.
 func New(g *graph.Graph, cfg Config) (*Model, error) {
 	if cfg.Islands == 0 {
 		cfg.Islands = 16
-	}
-	if cfg.Topology == nil {
-		cfg.Topology = Hypercube{}
 	}
 	if cfg.MigrationInterval == 0 {
 		cfg.MigrationInterval = 5
@@ -174,11 +85,14 @@ func New(g *graph.Graph, cfg Config) (*Model, error) {
 	if cfg.Migrants == 0 {
 		cfg.Migrants = 1
 	}
-	if err := cfg.Topology.Validate(cfg.Islands); err != nil {
-		return nil, err
+	if n := cfg.Islands; n < 0 || n&(n-1) != 0 {
+		return nil, fmt.Errorf("dpga: hypercube needs a power-of-two island count, got %d", n)
 	}
-	if cfg.Base.Crossover == nil && cfg.CrossoverFactory == nil {
-		return nil, fmt.Errorf("dpga: need Base.Crossover or CrossoverFactory")
+	if cfg.Base.Crossover != nil {
+		return nil, fmt.Errorf("dpga: Base.Crossover would be shared by concurrent islands; set CrossoverFactory")
+	}
+	if cfg.CrossoverFactory == nil {
+		return nil, fmt.Errorf("dpga: CrossoverFactory is required")
 	}
 	total := cfg.Base.PopSize
 	if total == 0 {
@@ -188,19 +102,17 @@ func New(g *graph.Graph, cfg Config) (*Model, error) {
 	if per < 2 {
 		return nil, fmt.Errorf("dpga: %d islands leave %d individuals each (need >= 2)", cfg.Islands, per)
 	}
-	m := &Model{g: g, cfg: cfg}
+	m := &Model{cfg: cfg, width: par.Workers(cfg.Base.EvalWorkers)}
 	for i := 0; i < cfg.Islands; i++ {
 		ic := cfg.Base
 		ic.PopSize = per
-		if ic.EvalWorkers == 0 && cfg.Parallel {
-			// Concurrent islands already fill the machine; avoid spawning
-			// Islands × GOMAXPROCS evaluation workers.
+		ic.Crossover = cfg.CrossoverFactory(i)
+		ic.EvalWorkers = m.width
+		if cfg.Islands > 1 {
+			// The islands themselves fill the width.
 			ic.EvalWorkers = 1
-		}
-		// Derive independent island seeds; avoid correlated streams.
-		ic.Seed = rand.New(rand.NewSource(cfg.Base.Seed + int64(i)*7919)).Int63()
-		if cfg.CrossoverFactory != nil {
-			ic.Crossover = cfg.CrossoverFactory(i)
+			// Derive independent island seeds; avoid correlated streams.
+			ic.Seed = rand.New(rand.NewSource(cfg.Base.Seed + int64(i)*7919)).Int63()
 		}
 		e, err := ga.New(g, ic)
 		if err != nil {
@@ -215,14 +127,15 @@ func New(g *graph.Graph, cfg Config) (*Model, error) {
 // MigrationInterval generations, and returns the best individual across
 // islands.
 func (m *Model) Run(generations int) *ga.Individual {
+	interval := m.cfg.MigrationInterval
+	if len(m.islands) == 1 {
+		interval = 1 // nothing to migrate: every generation is a barrier
+	}
 	for done := 0; done < generations; {
 		if m.cfg.Stop != nil && m.cfg.Stop() {
 			break
 		}
-		step := m.cfg.MigrationInterval
-		if generations-done < step {
-			step = generations - done
-		}
+		step := min(interval, generations-done)
 		m.epoch(step)
 		done += step
 		if done < generations {
@@ -232,33 +145,21 @@ func (m *Model) Run(generations int) *ga.Individual {
 	return m.Best()
 }
 
-// epoch advances every island by steps generations, in parallel if
-// configured.
+// epoch advances every island by steps generations, m.width islands at a
+// time.
 func (m *Model) epoch(steps int) {
-	if !m.cfg.Parallel {
-		for _, e := range m.islands {
+	par.For(m.width, len(m.islands), func(_, lo, hi int) {
+		for _, e := range m.islands[lo:hi] {
 			for s := 0; s < steps; s++ {
 				e.Step()
 			}
 		}
-	} else {
-		var wg sync.WaitGroup
-		for _, e := range m.islands {
-			wg.Add(1)
-			go func(e *ga.Engine) {
-				defer wg.Done()
-				for s := 0; s < steps; s++ {
-					e.Step()
-				}
-			}(e)
-		}
-		wg.Wait()
-	}
+	})
 	m.gen += steps
 }
 
 // migrate sends copies of each island's best Migrants individuals to every
-// topological neighbor. Migration is applied island by island after all
+// hypercube neighbor. Migration is applied island by island after all
 // sends are collected, so the order of islands does not privilege anyone
 // within an exchange round.
 func (m *Model) migrate() {
@@ -270,7 +171,7 @@ func (m *Model) migrate() {
 	var batch []migrant
 	for i, e := range m.islands {
 		bests := topK(e.Population(), m.cfg.Migrants)
-		for _, to := range m.cfg.Topology.Neighbors(i, n) {
+		for _, to := range hypercubeNeighbors(i, n) {
 			for _, b := range bests {
 				batch = append(batch, migrant{to, b.Part.Clone()})
 			}

@@ -2,9 +2,11 @@ package dpga
 
 import (
 	"math/rand"
-	"sort"
+	"reflect"
+	"runtime"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"repro/internal/ga"
 	"repro/internal/gen"
@@ -15,12 +17,12 @@ func TestHypercubeNeighbors(t *testing.T) {
 	// 4-d hypercube: every island has 4 neighbors, adjacency symmetric.
 	n := 16
 	for i := 0; i < n; i++ {
-		nbrs := Hypercube{}.Neighbors(i, n)
+		nbrs := hypercubeNeighbors(i, n)
 		if len(nbrs) != 4 {
 			t.Fatalf("island %d has %d neighbors, want 4", i, len(nbrs))
 		}
 		for _, j := range nbrs {
-			back := Hypercube{}.Neighbors(j, n)
+			back := hypercubeNeighbors(j, n)
 			found := false
 			for _, k := range back {
 				if k == i {
@@ -35,52 +37,18 @@ func TestHypercubeNeighbors(t *testing.T) {
 }
 
 func TestHypercubeValidate(t *testing.T) {
-	if err := (Hypercube{}).Validate(16); err != nil {
-		t.Error(err)
-	}
-	for _, n := range []int{0, 3, 6, 12} {
-		if err := (Hypercube{}).Validate(n); err == nil {
-			t.Errorf("hypercube accepted %d islands", n)
+	g := gen.Mesh(40, 1)
+	for _, n := range []int{1, 2, 16} {
+		cfg := Config{Base: baseConfig(2), Islands: n, CrossoverFactory: uniform}
+		if _, err := New(g, cfg); err != nil {
+			t.Errorf("%d islands: %v", n, err)
 		}
 	}
-}
-
-func TestRingNeighbors(t *testing.T) {
-	nbrs := Ring{}.Neighbors(0, 5)
-	sort.Ints(nbrs)
-	if len(nbrs) != 2 || nbrs[0] != 1 || nbrs[1] != 4 {
-		t.Errorf("ring neighbors of 0 = %v", nbrs)
-	}
-	// Two islands: single neighbor, no duplicates.
-	if n := (Ring{}).Neighbors(0, 2); len(n) != 1 || n[0] != 1 {
-		t.Errorf("2-ring neighbors = %v", n)
-	}
-	if err := (Ring{}).Validate(1); err == nil {
-		t.Error("ring accepted 1 island")
-	}
-}
-
-func TestMeshNeighbors(t *testing.T) {
-	m := Mesh{Rows: 2, Cols: 3}
-	if err := m.Validate(6); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Validate(5); err == nil {
-		t.Error("mesh accepted wrong count")
-	}
-	// Corner 0 has 2 neighbors; center of a 3x3 has 4.
-	if n := m.Neighbors(0, 6); len(n) != 2 {
-		t.Errorf("corner neighbors = %v", n)
-	}
-	m2 := Mesh{Rows: 3, Cols: 3}
-	if n := m2.Neighbors(4, 9); len(n) != 4 {
-		t.Errorf("center neighbors = %v", n)
-	}
-}
-
-func TestTopologyNames(t *testing.T) {
-	if (Hypercube{}).Name() == "" || (Ring{}).Name() == "" || (Mesh{2, 2}).Name() == "" {
-		t.Error("empty topology name")
+	for _, n := range []int{-4, 3, 6, 12} {
+		cfg := Config{Base: baseConfig(2), Islands: n, CrossoverFactory: uniform}
+		if _, err := New(g, cfg); err == nil {
+			t.Errorf("hypercube accepted %d islands", n)
+		}
 	}
 }
 
@@ -92,6 +60,9 @@ func baseConfig(parts int) ga.Config {
 	}
 }
 
+// uniform is a CrossoverFactory for tests that need no per-island state.
+func uniform(int) ga.Crossover { return ga.Uniform{} }
+
 func TestNewValidation(t *testing.T) {
 	g := gen.Mesh(40, 1)
 	// No crossover anywhere.
@@ -99,16 +70,27 @@ func TestNewValidation(t *testing.T) {
 		t.Error("config without crossover accepted")
 	}
 	// Too many islands for the population.
-	cfg := Config{Base: baseConfig(2), Islands: 64}
-	cfg.Base.Crossover = ga.Uniform{}
-	if _, err := New(g, cfg); err == nil {
+	if _, err := New(g, Config{Base: baseConfig(2), Islands: 64, CrossoverFactory: uniform}); err == nil {
 		t.Error("1-individual islands accepted")
 	}
 	// Hypercube with non-power-of-two.
-	cfg2 := Config{Base: baseConfig(2), Islands: 6}
-	cfg2.Base.Crossover = ga.Uniform{}
-	if _, err := New(g, cfg2); err == nil {
+	if _, err := New(g, Config{Base: baseConfig(2), Islands: 6, CrossoverFactory: uniform}); err == nil {
 		t.Error("6-island hypercube accepted")
+	}
+}
+
+// A Base.Crossover would be one operator stepped by every island at once —
+// a data race for operators with per-run state (DKNUX's estimate) — so New
+// refuses it even alongside a factory.
+func TestNewRejectsSharedCrossover(t *testing.T) {
+	g := gen.Mesh(40, 1)
+	est := partition.RandomBalanced(40, 2, rand.New(rand.NewSource(1)))
+	for _, factory := range []func(int) ga.Crossover{nil, uniform} {
+		cfg := Config{Base: baseConfig(2), Islands: 4, CrossoverFactory: factory}
+		cfg.Base.Crossover = ga.NewDKNUX(est)
+		if _, err := New(g, cfg); err == nil {
+			t.Errorf("shared Base.Crossover accepted (factory set: %v)", factory != nil)
+		}
 	}
 }
 
@@ -116,9 +98,8 @@ func TestPaperConfiguration(t *testing.T) {
 	// Paper: total population 320, 16 subpopulations, 4-d hypercube.
 	g := gen.Mesh(50, 2)
 	cfg := Config{
-		Base:     ga.Config{Parts: 4, Crossover: ga.Uniform{}, Seed: 1},
-		Islands:  16,
-		Topology: Hypercube{},
+		Base:             ga.Config{Parts: 4, Seed: 1},
+		CrossoverFactory: uniform,
 	}
 	m, err := New(g, cfg)
 	if err != nil {
@@ -137,9 +118,10 @@ func TestPaperConfiguration(t *testing.T) {
 func TestRunImprovesAndCounts(t *testing.T) {
 	g := gen.Mesh(60, 3)
 	cfg := Config{
-		Base:    ga.Config{Parts: 4, PopSize: 64, Crossover: ga.Uniform{}, Seed: 5},
-		Islands: 4, Topology: Ring{},
+		Base:              ga.Config{Parts: 4, PopSize: 64, Seed: 5},
+		Islands:           4,
 		MigrationInterval: 3,
+		CrossoverFactory:  uniform,
 	}
 	m, err := New(g, cfg)
 	if err != nil {
@@ -155,28 +137,126 @@ func TestRunImprovesAndCounts(t *testing.T) {
 	}
 }
 
+// TestParallelMatchesSequential is the width table: for every island count,
+// every width reproduces width 1 — the final best, the aggregate series and
+// every island's Stats — because islands own their RNGs and operators,
+// migrate at barriers, and evaluate purely.
 func TestParallelMatchesSequential(t *testing.T) {
 	g := gen.Mesh(50, 4)
-	mk := func(parallel bool) []uint16 {
-		cfg := Config{
-			Base:     ga.Config{Parts: 4, PopSize: 48, Crossover: ga.Uniform{}, Seed: 9},
-			Islands:  4,
-			Topology: Ring{},
-			Parallel: parallel,
-		}
-		m, err := New(g, cfg)
+	type result struct {
+		best   []uint16
+		cuts   []float64
+		fits   []float64
+		island []ga.Stats
+	}
+	run := func(islands, width int) result {
+		m, err := New(g, Config{
+			Base:              ga.Config{Parts: 4, PopSize: 64, HillClimb: true, EvalWorkers: width, Seed: 9},
+			Islands:           islands,
+			MigrationInterval: 3,
+			CrossoverFactory: func(island int) ga.Crossover {
+				rng := rand.New(rand.NewSource(int64(100 + island)))
+				return ga.NewDKNUX(partition.RandomBalanced(g.NumNodes(), 4, rng))
+			},
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		m.Run(10)
-		return m.Best().Part.Assign
-	}
-	seq := mk(false)
-	par := mk(true)
-	for i := range seq {
-		if seq[i] != par[i] {
-			t.Fatal("parallel and sequential runs diverged")
+		r := result{best: m.Run(10).Part.Assign, cuts: m.BestCutSeries(), fits: m.BestFitnessSeries()}
+		for _, e := range m.Islands() {
+			r.island = append(r.island, e.Stats())
 		}
+		return r
+	}
+	for _, islands := range []int{1, 4, 16} {
+		ref := run(islands, 1)
+		for _, width := range []int{2, 7} {
+			if got := run(islands, width); !reflect.DeepEqual(ref, got) {
+				t.Errorf("islands=%d: width %d diverged from width 1", islands, width)
+			}
+		}
+	}
+}
+
+// One island is the single-population GA: the same engine, seed and
+// operator as ga.New(base).Run, so the final assignment and the whole Stats
+// trajectory must match bit for bit.
+func TestOneIslandIsSinglePopulation(t *testing.T) {
+	g := gen.PaperGraph(144)
+	est := partition.RandomBalanced(g.NumNodes(), 8, rand.New(rand.NewSource(5)))
+	for _, obj := range []partition.Objective{partition.TotalCut, partition.WorstCut} {
+		base := ga.Config{Parts: 8, Objective: obj, PopSize: 48, HillClimb: true, Seed: 29}
+
+		single := base
+		single.Crossover = ga.NewDKNUX(est)
+		e, err := ga.New(g, single)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := e.Run(15)
+
+		m, err := New(g, Config{
+			Base:             base,
+			Islands:          1,
+			CrossoverFactory: func(int) ga.Crossover { return ga.NewDKNUX(est) },
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := m.Run(15)
+		if !reflect.DeepEqual(want.Part.Assign, got.Part.Assign) || want.Fitness != got.Fitness {
+			t.Errorf("%s: one-island best differs from ga.New(base).Run", obj.FlagName())
+		}
+		if !reflect.DeepEqual(e.Stats(), m.Islands()[0].Stats()) {
+			t.Errorf("%s: one-island Stats differ from ga.New(base).Run", obj.FlagName())
+		}
+	}
+}
+
+// A single island has nothing to migrate, so Stop is polled before every
+// generation, as the single-population engine allows.
+func TestOneIslandPollsStopEveryGeneration(t *testing.T) {
+	g := gen.Mesh(40, 5)
+	polls := 0
+	m, err := New(g, Config{
+		Base:              ga.Config{Parts: 2, PopSize: 16, Seed: 3},
+		Islands:           1,
+		MigrationInterval: 5,
+		CrossoverFactory:  uniform,
+		Stop:              func() bool { polls++; return polls > 3 },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.Run(20)
+	if m.Generation() != 3 {
+		t.Errorf("stopped after %d generations, want 3", m.Generation())
+	}
+}
+
+// Run leaves no goroutine behind: islands and offspring evaluation share
+// internal/par, whose loops wait for their workers before returning.
+func TestRunLeavesNoGoroutines(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	g := gen.Mesh(60, 6)
+	before := runtime.NumGoroutine()
+	m, err := New(g, Config{
+		Base:             ga.Config{Parts: 4, PopSize: 64, Seed: 7},
+		CrossoverFactory: uniform,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.Run(6)
+	// A par worker exits just after signalling its WaitGroup; give the
+	// scheduler a moment to retire it.
+	after := runtime.NumGoroutine()
+	for deadline := time.Now().Add(2 * time.Second); after > before && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+		after = runtime.NumGoroutine()
+	}
+	if after > before {
+		t.Errorf("%d goroutines before New+Run, %d after", before, after)
 	}
 }
 
@@ -190,10 +270,10 @@ func TestMigrationSpreadsBest(t *testing.T) {
 	g := gen.PaperGraph(98)
 	run := func(interval int) float64 {
 		cfg := Config{
-			Base:              ga.Config{Parts: 4, PopSize: 48, Crossover: ga.Uniform{}, Seed: 31},
+			Base:              ga.Config{Parts: 4, PopSize: 48, Seed: 31},
 			Islands:           4,
-			Topology:          Ring{},
 			MigrationInterval: interval,
+			CrossoverFactory:  uniform,
 		}
 		m, err := New(g, cfg)
 		if err != nil {
@@ -222,7 +302,7 @@ func TestCrossoverFactoryPerIslandState(t *testing.T) {
 	made := map[ga.Crossover]bool{}
 	cfg := Config{
 		Base:    ga.Config{Parts: 2, PopSize: 32, Seed: 3},
-		Islands: 4, Topology: Ring{},
+		Islands: 4,
 		CrossoverFactory: func(island int) ga.Crossover {
 			op := ga.NewDKNUX(partition.RandomBalanced(40, 2, rng))
 			made[op] = true
@@ -242,8 +322,9 @@ func TestCrossoverFactoryPerIslandState(t *testing.T) {
 func TestBestCutSeries(t *testing.T) {
 	g := gen.Mesh(50, 8)
 	cfg := Config{
-		Base:    ga.Config{Parts: 4, PopSize: 32, Crossover: ga.Uniform{}, Seed: 11},
-		Islands: 4, Topology: Ring{},
+		Base:             ga.Config{Parts: 4, PopSize: 32, Seed: 11},
+		Islands:          4,
+		CrossoverFactory: uniform,
 	}
 	m, err := New(g, cfg)
 	if err != nil {
@@ -267,40 +348,24 @@ func TestBestCutSeries(t *testing.T) {
 	}
 }
 
-// Property: all topologies give symmetric adjacency and in-range neighbors.
-func TestQuickTopologySymmetry(t *testing.T) {
+// Property: hypercube adjacency is symmetric, in range, and irreflexive for
+// every power-of-two island count.
+func TestQuickHypercubeSymmetry(t *testing.T) {
 	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		tops := []struct {
-			t Topology
-			n int
-		}{
-			{Hypercube{}, 1 << (1 + rng.Intn(5))},
-			{Ring{}, 2 + rng.Intn(20)},
-			{Mesh{Rows: 1 + rng.Intn(5), Cols: 1 + rng.Intn(5)}, 0},
-		}
-		tops[2].n = tops[2].t.(Mesh).Rows * tops[2].t.(Mesh).Cols
-		for _, tc := range tops {
-			if tc.t.Validate(tc.n) != nil {
-				if _, isMesh := tc.t.(Mesh); isMesh && tc.n < 2 {
-					continue
+		n := 1 << rand.New(rand.NewSource(seed)).Intn(6)
+		for i := 0; i < n; i++ {
+			for _, j := range hypercubeNeighbors(i, n) {
+				if j < 0 || j >= n || j == i {
+					return false
 				}
-				return false
-			}
-			for i := 0; i < tc.n; i++ {
-				for _, j := range tc.t.Neighbors(i, tc.n) {
-					if j < 0 || j >= tc.n || j == i {
-						return false
+				found := false
+				for _, k := range hypercubeNeighbors(j, n) {
+					if k == i {
+						found = true
 					}
-					found := false
-					for _, k := range tc.t.Neighbors(j, tc.n) {
-						if k == i {
-							found = true
-						}
-					}
-					if !found {
-						return false
-					}
+				}
+				if !found {
+					return false
 				}
 			}
 		}

@@ -4,10 +4,10 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"runtime"
 
 	"repro/internal/graph"
 	"repro/internal/kl"
+	"repro/internal/par"
 	"repro/internal/partition"
 )
 
@@ -47,14 +47,14 @@ type Config struct {
 	// BenchmarkAblationReplacement compares the two.
 	SteadyState bool
 
-	// EvalWorkers sets how many goroutines evaluate offspring fitness (and
-	// run optional hill climbing) concurrently during the evaluate phase of
-	// each generation. Values <= 0 select runtime.GOMAXPROCS(0); 1 is the
-	// fully serial path. Evaluation is pure — only the serial breed phase
-	// consumes the RNG — so results are bit-identical for every worker
-	// count. SteadyState replacement is inherently sequential (each
-	// offspring's selection sees the previous replacement) and ignores this
-	// knob.
+	// EvalWorkers sets how many goroutines (internal/par) evaluate offspring
+	// fitness (and run optional hill climbing) concurrently during the
+	// evaluate phase of each generation. Values <= 0 select
+	// runtime.GOMAXPROCS(0); 1 is the serial loop. Evaluation is pure — only
+	// the serial breed phase consumes the RNG — so results are bit-identical
+	// for every worker count. SteadyState replacement is inherently
+	// sequential (each offspring's selection sees the previous replacement)
+	// and ignores this knob.
 	EvalWorkers int
 
 	Seed int64 // RNG seed; runs with equal Config are bit-reproducible
@@ -80,9 +80,7 @@ func (c *Config) withDefaults() Config {
 	if out.SeedPerturb == 0 {
 		out.SeedPerturb = 0.15
 	}
-	if out.EvalWorkers <= 0 {
-		out.EvalWorkers = runtime.GOMAXPROCS(0)
-	}
+	out.EvalWorkers = par.Workers(out.EvalWorkers)
 	return out
 }
 
@@ -111,10 +109,6 @@ type Engine struct {
 	// crossover operator; the estimate is replaced only by strictly fitter
 	// bests, so a good heuristic seed is never displaced by a weaker one.
 	estFitness float64
-
-	// pool is the persistent evaluation worker pool (nil when EvalWorkers
-	// resolves to 1: the serial path spawns nothing).
-	pool *evalPool
 
 	stats Stats
 }
@@ -151,12 +145,6 @@ func New(g *graph.Graph, cfg Config) (*Engine, error) {
 		rng:        rand.New(rand.NewSource(c.Seed)),
 		estFitness: math.Inf(-1),
 	}
-	if c.EvalWorkers > 1 {
-		e.pool = newEvalPool(c.EvalWorkers)
-		// Engines are not required to be Closed: when one is garbage
-		// collected with its pool still running, release the helpers.
-		runtime.AddCleanup(e, (*evalPool).shutdown, e.pool)
-	}
 	if prov, ok := c.Crossover.(EstimateProvider); ok {
 		if est := prov.Estimate(); est != nil && len(est.Assign) == g.NumNodes() && est.Parts == c.Parts {
 			e.estFitness = est.Fitness(g, c.Objective)
@@ -171,7 +159,7 @@ func (e *Engine) initPopulation() {
 	n := e.g.NumNodes()
 	c := e.cfg
 	// Construction consumes the RNG and stays serial; the initial fitness
-	// evaluation is pure and runs on the worker pool.
+	// evaluation is pure and runs on the evaluation workers.
 	e.pop = make([]*Individual, 0, c.PopSize)
 	for _, s := range c.Seeds {
 		if len(e.pop) == c.PopSize {
@@ -272,7 +260,7 @@ func (e *Engine) Step() {
 		offspring = append(offspring, e.breedOne())
 	}
 
-	// Evaluate phase: pure, parallel across the worker pool.
+	// Evaluate phase: pure, parallel across the evaluation workers.
 	e.evaluate(offspring, c.HillClimb)
 
 	e.pop = append(next, offspring...)
@@ -323,20 +311,19 @@ func (e *Engine) finish(ind *Individual, hillClimb bool) {
 	ind.Fitness = ind.ev.Fitness(e.g, e.cfg.Objective)
 }
 
-// evaluate finishes a batch of offspring on the worker pool.
+// evaluate finishes a batch of offspring on the evaluation workers.
 func (e *Engine) evaluate(batch []*Individual, hillClimb bool) {
 	e.forEach(len(batch), func(i int) { e.finish(batch[i], hillClimb) })
 }
 
-// forEach runs fn(i) for i in [0, n), on the pool when one exists.
+// forEach runs fn(i) for i in [0, n) over Config.EvalWorkers goroutines; at
+// one worker it is the serial loop.
 func (e *Engine) forEach(n int, fn func(int)) {
-	if e.pool == nil {
-		for i := 0; i < n; i++ {
+	par.For(e.cfg.EvalWorkers, n, func(_, lo, hi int) {
+		for i := lo; i < hi; i++ {
 			fn(i)
 		}
-		return
-	}
-	e.pool.run(n, fn)
+	})
 }
 
 // stepSteadyState produces PopSize offspring, each immediately replacing
@@ -418,15 +405,6 @@ func (e *Engine) Run(generations int) *Individual {
 
 // Best returns a clone of the best individual found so far.
 func (e *Engine) Best() *Individual { return e.best.Clone() }
-
-// Close releases the evaluation worker pool. Calling it is optional — an
-// engine that is garbage collected releases its workers automatically — and
-// idempotent; the engine must not Step again afterwards.
-func (e *Engine) Close() {
-	if e.pool != nil {
-		e.pool.shutdown()
-	}
-}
 
 // Generation returns the number of Step calls so far.
 func (e *Engine) Generation() int { return e.gen }

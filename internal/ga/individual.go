@@ -2,8 +2,8 @@
 // partitioning: the assignment-vector representation, the traditional
 // crossover operators (one-point, two-point, k-point, uniform), the paper's
 // knowledge-based operators KNUX and DKNUX, mutation, selection, optional
-// boundary hill climbing, and a single-population engine that the
-// distributed-population model (package dpga) composes.
+// boundary hill climbing, and the single-population engine that the
+// distributed-population model (package dpga) runs as each island.
 package ga
 
 import (

@@ -33,7 +33,6 @@ func TestEvalWorkersBitIdentical(t *testing.T) {
 					t.Fatal(err)
 				}
 				best := e.Run(12)
-				e.Close()
 				return e.Stats(), best.Part.Assign
 			}
 			s1, p1 := run(1)
@@ -69,7 +68,6 @@ func TestEvalWorkersBitIdenticalDKNUX(t *testing.T) {
 			t.Fatal(err)
 		}
 		best := e.Run(15)
-		e.Close()
 		return best.Part.Assign
 	}
 	serial := run(1)
@@ -106,7 +104,6 @@ func BenchmarkStepParallel(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			defer e.Close()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				e.Step()
@@ -140,7 +137,6 @@ func BenchmarkStepDKNUXParallel(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			defer e.Close()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				e.Step()

@@ -27,33 +27,13 @@ import (
 )
 
 // Config parameterizes an incremental GA repartitioning.
-//
-// Options is the single source of truth for the knobs the unified registry
-// also understands (parts, objective, generations, population, islands,
-// eval workers, seed) — set it and leave the deprecated flat fields zero.
-// Before Options existed this package duplicated those fields and they
-// silently drifted from algo.Options (the stale-config bug); they are kept
-// only so existing callers keep compiling, and any non-zero flat field fills
-// in the corresponding unset Options field.
 type Config struct {
-	// Options carries the registry-style configuration. Options.PopSize is
-	// the TOTAL population across islands (dpga divides it).
+	// Options carries the registry-style configuration: parts (default: the
+	// old partition's), objective, generations (default 80), population
+	// (default 320), islands (default 16; 1 selects a single population),
+	// eval workers and seed. Options.PopSize is the TOTAL population across
+	// islands (dpga divides it).
 	Options algo.Options
-
-	// Deprecated: set Options.Parts.
-	Parts int
-	// Deprecated: set Options.Objective.
-	Objective partition.Objective
-	// Deprecated: set Options.Generations.
-	Generations int
-	// Deprecated: set Options.PopSize.
-	TotalPop int
-	// Deprecated: set Options.Islands.
-	Islands int
-	// Deprecated: set Options.EvalWorkers.
-	EvalWorkers int
-	// Deprecated: set Options.Seed.
-	Seed int64
 
 	// SeedCopies is how many distinct balance-repaired extensions of the old
 	// partition seed the population; default 8.
@@ -62,31 +42,11 @@ type Config struct {
 	HillClimb bool // apply boundary hill climbing to offspring
 }
 
-// effective merges the deprecated flat fields into Options (an unset Options
-// field inherits a non-zero flat one) and applies the paper defaults.
-func (c *Config) effective() (algo.Options, int) {
-	o := c.Options
-	if o.Parts == 0 {
-		o.Parts = c.Parts
-	}
-	if o.Objective == partition.TotalCut {
-		o.Objective = c.Objective
-	}
-	if o.Generations == 0 {
-		o.Generations = c.Generations
-	}
-	if o.PopSize == 0 {
-		o.PopSize = c.TotalPop
-	}
-	if o.Islands == 0 {
-		o.Islands = c.Islands
-	}
-	if o.EvalWorkers == 0 {
-		o.EvalWorkers = c.EvalWorkers
-	}
-	if o.Seed == 0 {
-		o.Seed = c.Seed
-	}
+// Repartition repairs oldPart (a partition of the original graph) for the
+// grown graph using the DKNUX GA. The grown graph must contain the original
+// nodes with unchanged indices (as gen.Refine guarantees).
+func Repartition(grown *graph.Graph, oldPart *partition.Partition, cfg Config) (*partition.Partition, error) {
+	o := cfg.Options
 	if o.Generations == 0 {
 		o.Generations = 80
 	}
@@ -94,20 +54,12 @@ func (c *Config) effective() (algo.Options, int) {
 		o.PopSize = 320
 	}
 	if o.Islands == 0 {
-		o.Islands = 16 // 4-d hypercube; 1 selects a single population
+		o.Islands = 16 // the paper's 4-d hypercube
 	}
-	copies := c.SeedCopies
-	if copies == 0 {
-		copies = 8
+	seedCopies := cfg.SeedCopies
+	if seedCopies == 0 {
+		seedCopies = 8
 	}
-	return o, copies
-}
-
-// Repartition repairs oldPart (a partition of the original graph) for the
-// grown graph using the DKNUX GA. The grown graph must contain the original
-// nodes with unchanged indices (as gen.Refine guarantees).
-func Repartition(grown *graph.Graph, oldPart *partition.Partition, cfg Config) (*partition.Partition, error) {
-	o, seedCopies := cfg.effective()
 	if o.Parts == 0 {
 		o.Parts = oldPart.Parts
 	}
@@ -133,26 +85,16 @@ func Repartition(grown *graph.Graph, oldPart *partition.Partition, cfg Config) (
 		seeds = append(seeds, partition.ExtendRandomBalanced(oldPart, grown, rng))
 	}
 
-	base := ga.Config{
-		Parts:       o.Parts,
-		Objective:   o.Objective,
-		PopSize:     o.PopSize,
-		Seeds:       seeds,
-		HillClimb:   cfg.HillClimb,
-		EvalWorkers: o.EvalWorkers,
-		Seed:        o.Seed,
-	}
-	if o.Islands <= 1 {
-		est := seeds[0]
-		base.Crossover = ga.NewDKNUX(est)
-		e, err := ga.New(grown, base)
-		if err != nil {
-			return nil, err
-		}
-		return e.Run(o.Generations).Part, nil
-	}
 	m, err := dpga.New(grown, dpga.Config{
-		Base:    base,
+		Base: ga.Config{
+			Parts:       o.Parts,
+			Objective:   o.Objective,
+			PopSize:     o.PopSize,
+			Seeds:       seeds,
+			HillClimb:   cfg.HillClimb,
+			EvalWorkers: o.EvalWorkers,
+			Seed:        o.Seed,
+		},
 		Islands: o.Islands,
 		CrossoverFactory: func(island int) ga.Crossover {
 			return ga.NewDKNUX(seeds[island%len(seeds)])

@@ -20,11 +20,7 @@ func TestRepartitionBasics(t *testing.T) {
 		t.Fatal(err)
 	}
 	got, err := Repartition(grown, old, Config{
-		Parts:       4,
-		Generations: 15,
-		TotalPop:    48,
-		Islands:     1,
-		Seed:        3,
+		Options: algo.Options{Parts: 4, Generations: 15, PopSize: 48, Islands: 1, Seed: 3},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -51,11 +47,7 @@ func TestRepartitionBeatsMajorityNeighbor(t *testing.T) {
 	}
 	det := MajorityNeighbor(grown, old)
 	gaPart, err := Repartition(grown, old, Config{
-		Parts:       4,
-		Generations: 30,
-		TotalPop:    64,
-		Islands:     4,
-		Seed:        5,
+		Options: algo.Options{Parts: 4, Generations: 30, PopSize: 64, Islands: 4, Seed: 5},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -73,12 +65,12 @@ func TestRepartitionErrors(t *testing.T) {
 	grown := gen.Refine(base, 5, rng)
 	old := partition.New(50, 4)
 	// Mismatched parts.
-	if _, err := Repartition(grown, old, Config{Parts: 8, Generations: 1, TotalPop: 8, Islands: 1}); err == nil {
+	if _, err := Repartition(grown, old, Config{Options: algo.Options{Parts: 8, Generations: 1, PopSize: 8, Islands: 1}}); err == nil {
 		t.Error("mismatched parts accepted")
 	}
 	// Old partition larger than grown graph.
 	big := partition.New(100, 4)
-	if _, err := Repartition(grown, big, Config{Generations: 1, TotalPop: 8, Islands: 1}); err == nil {
+	if _, err := Repartition(grown, big, Config{Options: algo.Options{Generations: 1, PopSize: 8, Islands: 1}}); err == nil {
 		t.Error("oversized old partition accepted")
 	}
 }
@@ -91,7 +83,7 @@ func TestRepartitionDefaultPartsFromOld(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Repartition(grown, old, Config{Generations: 5, TotalPop: 16, Islands: 1, Seed: 1})
+	got, err := Repartition(grown, old, Config{Options: algo.Options{Generations: 5, PopSize: 16, Islands: 1, Seed: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,38 +145,6 @@ func TestFromScratchRegistryPath(t *testing.T) {
 	}
 }
 
-// Options supersedes the deprecated flat fields: the same run configured
-// either way must produce the identical partition, and an explicit Options
-// field wins over a conflicting deprecated one.
-func TestConfigOptionsSupersedeDeprecatedFields(t *testing.T) {
-	base := gen.Mesh(78, 11)
-	rng := rand.New(rand.NewSource(17))
-	grown := gen.Refine(base, 10, rng)
-	old, err := spectral.Partition(base, 4, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	flat, err := Repartition(grown, old, Config{
-		Parts: 4, Generations: 10, TotalPop: 32, Islands: 4, Seed: 23,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	viaOptions, err := Repartition(grown, old, Config{
-		Options: algo.Options{Parts: 4, Generations: 10, PopSize: 32, Islands: 4, Seed: 23},
-		// Conflicting deprecated fields must lose to the Options above.
-		Generations: 99, TotalPop: 8, Seed: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for v := range flat.Assign {
-		if flat.Assign[v] != viaOptions.Assign[v] {
-			t.Fatal("Options-configured run diverged from deprecated-field run")
-		}
-	}
-}
-
 func TestMovedNodes(t *testing.T) {
 	a := partition.New(5, 2)
 	b := partition.New(5, 2)
@@ -215,7 +175,7 @@ func TestIncrementalMovesFewNodes(t *testing.T) {
 		t.Fatal(err)
 	}
 	gaPart, err := Repartition(grown, old, Config{
-		Generations: 20, TotalPop: 64, Islands: 4, Seed: 7,
+		Options: algo.Options{Generations: 20, PopSize: 64, Islands: 4, Seed: 7},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -244,7 +204,7 @@ func TestRepartitionDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := Config{Generations: 10, TotalPop: 32, Islands: 4, Seed: 23}
+	cfg := Config{Options: algo.Options{Generations: 10, PopSize: 32, Islands: 4, Seed: 23}}
 	a, err := Repartition(grown, old, cfg)
 	if err != nil {
 		t.Fatal(err)

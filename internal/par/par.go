@@ -1,6 +1,6 @@
 // Package par provides the small data-parallel primitive the multilevel
-// pipeline is built on: a chunked parallel for-loop whose output is
-// independent of the worker count and of the scheduling order.
+// pipeline and the GA are built on: a chunked parallel for-loop whose output
+// is independent of the worker count and of the scheduling order.
 //
 // Determinism is the caller's contract, not the scheduler's: every function
 // handed to For must write only to locations owned by its index range, so

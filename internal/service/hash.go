@@ -20,19 +20,13 @@ func GraphHash(g *graph.Graph) string {
 	return "sha256:" + hex.EncodeToString(h[:])
 }
 
-// cacheKey derives the content address of a request: the graph's content
-// hash joined with the algorithm name and every result-relevant option. Two
-// requests with the same key are guaranteed the same partition (the
-// registry's determinism contract), which is what makes returning a cached
-// result sound — and bit-identical.
-func cacheKey(g *graph.Graph, algoName string, o algo.Options) string {
-	return cacheKeyFromHash(GraphHash(g), algoName, o)
-}
-
-// cacheKeyFromHash is cacheKey for callers that already hold the graph's
-// content address (the stored-graph submission path): deriving the key costs
-// string formatting, never a rehash — this is what makes an N-spec batch
-// over one stored graph exactly one content hash, not N.
+// cacheKeyFromHash derives the content address of a request: the graph's
+// content hash joined with the algorithm name and every result-relevant
+// option. Two requests with the same key are guaranteed the same partition
+// (the registry's determinism contract), which is what makes returning a
+// cached result sound — and bit-identical. Deriving the key costs string
+// formatting, never a rehash — this is what makes an N-spec batch over one
+// stored graph exactly one content hash, not N.
 func cacheKeyFromHash(graphHash, algoName string, o algo.Options) string {
 	return fmt.Sprintf("%s:%s:p%d.o%d.s%d.g%d.n%d.i%d.r%d.c%d.l%d",
 		graphHash, algoName,
