@@ -16,9 +16,12 @@
 //	POST   /v1/jobs           batch-submit specs against a stored graph
 //	GET    /v1/jobs/{id}      poll a job (?wait=1 blocks until it completes)
 //	DELETE /v1/jobs/{id}      cancel a queued or running job
-//	POST   /v1/partition      legacy inline submit (store+submit shim)
+//	POST   /v1/partition      legacy inline submit: store the graph, then a one-spec batch
 //	GET    /v1/algos          the algorithm registry with declared constraints
 //	GET    /v1/stats          worker, job, cache, store, and quota counters
+//
+// Both job endpoints submit through one engine call that checks every spec
+// before queueing any and, when waiting, waits on the jobs it holds.
 //
 // See README.md for the request schemas and an example curl session. The
 // daemon shuts down gracefully on SIGINT/SIGTERM: in-flight requests and

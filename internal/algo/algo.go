@@ -186,14 +186,14 @@ func Register(p Partitioner) {
 	registry[name] = p
 }
 
-// Get returns the partitioner registered under name, or an error listing the
-// available names.
+// Get returns the partitioner registered under name, or an unknown_algo
+// *RequestError listing the available names.
 func Get(name string) (Partitioner, error) {
 	mu.RLock()
 	p, ok := registry[name]
 	mu.RUnlock()
 	if !ok {
-		return nil, fmt.Errorf("algo: unknown algorithm %q (available: %v)", name, Names())
+		return nil, refuse("unknown_algo", "unknown algorithm %q (available: %v)", name, Names())
 	}
 	return p, nil
 }
@@ -210,25 +210,55 @@ func Names() []string {
 	return out
 }
 
-// Run looks up name, validates the request against the algorithm's declared
-// constraints, and partitions g.
+// RequestError is a request the registry refuses before running anything.
+// Code is the stable machine-readable reason, which partd puts on the wire:
+// unknown_algo, bad_parts, needs_coords, parts_not_power_of_two, or
+// unsupported_objective.
+type RequestError struct {
+	Code    string
+	Message string
+}
+
+func (e *RequestError) Error() string { return "algo: " + e.Message }
+
+func refuse(code, format string, args ...any) *RequestError {
+	return &RequestError{Code: code, Message: fmt.Sprintf(format, args...)}
+}
+
+// Check validates a request against the registry without running it: a
+// registered name, opt.Parts in [1, partition.MaxParts], and the
+// algorithm's declared constraints. It deliberately allows more parts than
+// nodes: the multilevel pipeline runs its inner solver on a coarsest graph
+// of CoarsestSize nodes whatever the part count.
+func Check(g *graph.Graph, name string, opt Options) *RequestError {
+	_, re := check(g, name, opt)
+	return re
+}
+
+// Run checks the request (see Check) and partitions g.
 func Run(g *graph.Graph, name string, opt Options) (*partition.Partition, error) {
-	p, err := Get(name)
-	if err != nil {
-		return nil, err
-	}
-	if opt.Parts <= 0 {
-		return nil, fmt.Errorf("algo: %s: invalid part count %d", name, opt.Parts)
-	}
-	info := p.Info()
-	if info.NeedsCoords && !g.HasCoords() {
-		return nil, fmt.Errorf("algo: %s requires a geometric embedding and the graph has none", name)
-	}
-	if info.PowerOfTwoParts && opt.Parts&(opt.Parts-1) != 0 {
-		return nil, fmt.Errorf("algo: %s requires a power-of-two part count, got %d", name, opt.Parts)
-	}
-	if !info.SupportsObjective(opt.Objective) {
-		return nil, fmt.Errorf("algo: %s does not support objective %s", name, opt.Objective.FlagName())
+	p, re := check(g, name, opt)
+	if re != nil {
+		return nil, re
 	}
 	return p.Partition(g, opt)
+}
+
+func check(g *graph.Graph, name string, opt Options) (Partitioner, *RequestError) {
+	p, err := Get(name)
+	if err != nil {
+		return nil, err.(*RequestError)
+	}
+	info := p.Info()
+	switch {
+	case opt.Parts < 1 || opt.Parts > partition.MaxParts:
+		return nil, refuse("bad_parts", "%s: parts must be in [1, %d], got %d", name, partition.MaxParts, opt.Parts)
+	case info.NeedsCoords && !g.HasCoords():
+		return nil, refuse("needs_coords", "%s requires a geometric embedding and the graph has none", name)
+	case info.PowerOfTwoParts && opt.Parts&(opt.Parts-1) != 0:
+		return nil, refuse("parts_not_power_of_two", "%s requires a power-of-two part count, got %d", name, opt.Parts)
+	case !info.SupportsObjective(opt.Objective):
+		return nil, refuse("unsupported_objective", "%s does not support objective %s", name, opt.Objective.FlagName())
+	}
+	return p, nil
 }

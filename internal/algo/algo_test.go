@@ -1,6 +1,7 @@
 package algo
 
 import (
+	"errors"
 	"math/rand"
 	"strings"
 	"testing"
@@ -204,6 +205,34 @@ func TestRunRejectsInvalidRequests(t *testing.T) {
 	}
 	if _, err := Run(withCoords, "rsb", Options{Parts: 3}); err == nil {
 		t.Error("power-of-two algorithm accepted 3 parts")
+	}
+}
+
+// Every registered algorithm refuses a part count past the uint16 part ids
+// with the typed bad_parts error, before doing any work, instead of
+// panicking in partition.New.
+func TestRunRefusesTooManyParts(t *testing.T) {
+	g := gen.Mesh(100, 3)
+	for _, name := range Names() {
+		_, err := Run(g, name, Options{Parts: 1<<16 + 1})
+		var re *RequestError
+		if !errors.As(err, &re) || re.Code != "bad_parts" {
+			t.Errorf("%s: got %v, want a bad_parts *RequestError", name, err)
+		}
+	}
+}
+
+// More parts than nodes is partd's policy, not a registry constraint: the
+// multilevel pipeline hands its inner solver a coarsest graph of about 64
+// nodes whatever the part count, so Run must keep accepting this request.
+func TestMultilevelPartsExceedCoarsestGraph(t *testing.T) {
+	g := gen.Mesh(5000, 3)
+	p, err := Run(g, "multilevel-kl", Options{Parts: 128, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Validate(g); err != nil || p.Parts != 128 {
+		t.Fatalf("parts %d, validate: %v", p.Parts, err)
 	}
 }
 

@@ -26,20 +26,11 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"strings"
 	"sync"
 	"time"
 
-	"repro/internal/gio"
 	"repro/internal/ring"
 	"repro/internal/service"
-)
-
-// Body bounds mirror the shard's own: the router refuses what a shard would
-// refuse rather than buffering an abusive payload only to relay a 413.
-const (
-	maxGraphPayload   = 256 << 20
-	maxControlPayload = 1 << 20
 )
 
 // digestCacheSize bounds the payload-digest → content-hash memo (FIFO).
@@ -249,26 +240,14 @@ func (rt *Router) routedDo(r *http.Request, key, method, pathAndQuery string, bo
 		if !rt.isLive(name) {
 			continue
 		}
-		req, err := rt.shardRequest(r.Context(), name, method, pathAndQuery, r.Header, body)
-		if err != nil {
-			return "", nil, err
-		}
-		resp, err := rt.hc.Do(req)
+		resp, err := rt.directDo(r, name, method, pathAndQuery, body, true)
 		if err != nil {
 			if r.Context().Err() != nil {
 				return "", nil, err // the client gave up, not the shard
 			}
-			rt.setDown(name, true)
-			rt.mu.Lock()
-			rt.routeErrors++
-			rt.mu.Unlock()
 			lastErr = err
 			continue
 		}
-		rt.setDown(name, false)
-		rt.mu.Lock()
-		rt.proxied[name]++
-		rt.mu.Unlock()
 		return name, resp, nil
 	}
 	if lastErr == nil {
@@ -278,7 +257,8 @@ func (rt *Router) routedDo(r *http.Request, key, method, pathAndQuery string, bo
 }
 
 // directDo performs the request against one named shard (job routes: the id
-// says exactly where the job lives, so there is nothing to fail over to).
+// says exactly where the job lives, so there is nothing to fail over to),
+// marking the shard down on a transport error and up on any answer.
 // counted controls whether the request lands in the per-shard distribution
 // counters — data-plane proxying does, stats/algos fan-out does not, so
 // "proxied" reflects routed client traffic only.
@@ -309,20 +289,25 @@ func (rt *Router) directDo(r *http.Request, name, method, pathAndQuery string, b
 // relay streams a shard response to the client unchanged.
 func relay(w http.ResponseWriter, resp *http.Response) {
 	defer resp.Body.Close()
+	writeHeader(w, resp)
+	_, _ = io.Copy(w, resp.Body)
+}
+
+// writeHeader passes the shard's status and relayHeaders on to the client.
+func writeHeader(w http.ResponseWriter, resp *http.Response) {
 	for _, h := range relayHeaders {
 		if v := resp.Header.Get(h); v != "" {
 			w.Header().Set(h, v)
 		}
 	}
 	w.WriteHeader(resp.StatusCode)
-	_, _ = io.Copy(w, resp.Body)
 }
 
 // relayRewritten buffers a shard response and, on success, rewrites it
 // through fn (job-id qualification). Errors pass through untouched.
 func relayRewritten(w http.ResponseWriter, resp *http.Response, fn func([]byte) ([]byte, bool)) {
 	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, maxGraphPayload))
+	data, err := io.ReadAll(io.LimitReader(resp.Body, service.MaxGraphPayload))
 	if err != nil {
 		service.WriteError(w, http.StatusBadGateway, "shard_unreachable", "reading shard response: "+err.Error())
 		return
@@ -332,12 +317,7 @@ func relayRewritten(w http.ResponseWriter, resp *http.Response, fn func([]byte) 
 			data = out
 		}
 	}
-	for _, h := range relayHeaders {
-		if v := resp.Header.Get(h); v != "" {
-			w.Header().Set(h, v)
-		}
-	}
-	w.WriteHeader(resp.StatusCode)
+	writeHeader(w, resp)
 	_, _ = w.Write(data)
 }
 
@@ -373,20 +353,9 @@ func (rt *Router) contentHash(format, payload string) (string, *service.RequestE
 	rt.routeParses++
 	rt.mu.Unlock()
 
-	f, err := gio.FormatByName(format)
-	if err != nil {
-		return "", &service.RequestError{Code: "bad_format",
-			Message: fmt.Sprintf("unknown graph format %q (want metis, edgelist, or text)", format)}
-	}
-	if f == gio.FormatAuto {
-		f = gio.FormatMETIS
-	}
-	if payload == "" {
-		return "", &service.RequestError{Code: "bad_graph", Message: "request carries no graph payload"}
-	}
-	g, err := gio.ReadGraph(f, strings.NewReader(payload))
-	if err != nil {
-		return "", &service.RequestError{Code: "bad_graph", Message: err.Error()}
+	g, re := service.ParsePayload(format, payload, nil)
+	if re != nil {
+		return "", re
 	}
 	hash := service.GraphHash(g)
 
@@ -403,9 +372,11 @@ func (rt *Router) contentHash(format, payload string) (string, *service.RequestE
 	return hash, nil
 }
 
-// readBody reads and bounds the request body, returning nil after writing
-// the error when it is oversized or unreadable.
-func readBody(w http.ResponseWriter, r *http.Request, limit int64) []byte {
+// readJSON reads the body under a shard's own bound (the router refuses what
+// a shard would, rather than buffering an abusive payload to relay a 413),
+// decodes it into v and returns it for forwarding, or nil after writing the
+// error.
+func readJSON(w http.ResponseWriter, r *http.Request, limit int64, v any) []byte {
 	r.Body = http.MaxBytesReader(w, r.Body, limit)
 	data, err := io.ReadAll(r.Body)
 	if err != nil {
@@ -417,32 +388,42 @@ func readBody(w http.ResponseWriter, r *http.Request, limit int64) []byte {
 		}
 		return nil
 	}
+	if err := json.Unmarshal(data, v); err != nil {
+		service.WriteError(w, http.StatusBadRequest, "bad_json", "malformed request body: "+err.Error())
+		return nil
+	}
 	return data
 }
 
 // --- handlers ---
 
-func (rt *Router) handleGraphPut(w http.ResponseWriter, r *http.Request) {
-	body := readBody(w, r, maxGraphPayload)
+// routeUpload sends a graph-carrying request (PUT /v1/graphs or the legacy
+// POST /v1/partition) to the shard that owns its graph's content hash. It
+// returns that shard's name and response, or a nil response after writing
+// the error.
+func (rt *Router) routeUpload(w http.ResponseWriter, r *http.Request, method, pathAndQuery string) (string, *http.Response) {
+	var req service.GraphPutRequest // both bodies carry format and graph; the shard decodes the rest
+	body := readJSON(w, r, service.MaxGraphPayload, &req)
 	if body == nil {
-		return
-	}
-	var req service.GraphPutRequest
-	if err := json.Unmarshal(body, &req); err != nil {
-		service.WriteError(w, http.StatusBadRequest, "bad_json", "malformed request body: "+err.Error())
-		return
+		return "", nil
 	}
 	hash, rerr := rt.contentHash(req.Format, req.Graph)
 	if rerr != nil {
 		service.WriteError(w, http.StatusBadRequest, rerr.Code, rerr.Message)
-		return
+		return "", nil
 	}
-	_, resp, err := rt.routedDo(r, hash, http.MethodPut, "/v1/graphs", body)
+	shard, resp, err := rt.routedDo(r, hash, method, pathAndQuery, body)
 	if err != nil {
 		writeNoShard(w, err)
-		return
+		return "", nil
 	}
-	relay(w, resp)
+	return shard, resp
+}
+
+func (rt *Router) handleGraphPut(w http.ResponseWriter, r *http.Request) {
+	if _, resp := rt.routeUpload(w, r, http.MethodPut, "/v1/graphs"); resp != nil {
+		relay(w, resp)
+	}
 }
 
 func (rt *Router) handleGraphGet(w http.ResponseWriter, r *http.Request) {
@@ -451,11 +432,7 @@ func (rt *Router) handleGraphGet(w http.ResponseWriter, r *http.Request) {
 		service.WriteError(w, http.StatusBadRequest, re.Code, re.Message)
 		return
 	}
-	pathAndQuery := "/v1/graphs/" + hash
-	if r.URL.RawQuery != "" {
-		pathAndQuery += "?" + r.URL.RawQuery
-	}
-	_, resp, err := rt.routedDo(r, hash, http.MethodGet, pathAndQuery, nil)
+	_, resp, err := rt.routedDo(r, hash, http.MethodGet, withQuery("/v1/graphs/"+hash, r), nil)
 	if err != nil {
 		writeNoShard(w, err)
 		return
@@ -464,24 +441,16 @@ func (rt *Router) handleGraphGet(w http.ResponseWriter, r *http.Request) {
 }
 
 func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
-	body := readBody(w, r, maxControlPayload)
-	if body == nil {
-		return
-	}
 	var req service.BatchRequest
-	if err := json.Unmarshal(body, &req); err != nil {
-		service.WriteError(w, http.StatusBadRequest, "bad_json", "malformed request body: "+err.Error())
+	body := readJSON(w, r, service.MaxControlPayload, &req)
+	if body == nil {
 		return
 	}
 	if re := service.ValidateGraphRef(req.Graph); re != nil {
 		service.WriteError(w, http.StatusBadRequest, re.Code, re.Message)
 		return
 	}
-	pathAndQuery := "/v1/jobs"
-	if r.URL.RawQuery != "" {
-		pathAndQuery += "?" + r.URL.RawQuery
-	}
-	shard, resp, err := rt.routedDo(r, req.Graph, http.MethodPost, pathAndQuery, body)
+	shard, resp, err := rt.routedDo(r, req.Graph, http.MethodPost, withQuery("/v1/jobs", r), body)
 	if err != nil {
 		writeNoShard(w, err)
 		return
@@ -506,25 +475,13 @@ func (rt *Router) handleJob(w http.ResponseWriter, r *http.Request) {
 			fmt.Sprintf("job id names unknown shard %q (fleet job ids look like shard/localid)", shard))
 		return
 	}
-	pathAndQuery := "/v1/jobs/" + id
-	if r.URL.RawQuery != "" {
-		pathAndQuery += "?" + r.URL.RawQuery
-	}
-	resp, err := rt.directDo(r, shard, r.Method, pathAndQuery, nil, true)
+	resp, err := rt.directDo(r, shard, r.Method, withQuery("/v1/jobs/"+id, r), nil, true)
 	if err != nil {
 		service.WriteError(w, http.StatusServiceUnavailable, "shard_unreachable",
 			fmt.Sprintf("shard %s (owner of job %s/%s) is unreachable: %v", shard, shard, id, err))
 		return
 	}
-	relayRewritten(w, resp, func(data []byte) ([]byte, bool) {
-		var info service.JobInfo
-		if json.Unmarshal(data, &info) != nil || info.ID == "" {
-			return nil, false
-		}
-		info.ID = shard + "/" + info.ID
-		out, err := marshalIndent(info)
-		return out, err == nil
-	})
+	relayRewritten(w, resp, qualifyJob(shard))
 }
 
 func (rt *Router) handleUnqualifiedJob(w http.ResponseWriter, r *http.Request) {
@@ -533,30 +490,23 @@ func (rt *Router) handleUnqualifiedJob(w http.ResponseWriter, r *http.Request) {
 }
 
 func (rt *Router) handlePartition(w http.ResponseWriter, r *http.Request) {
-	body := readBody(w, r, maxGraphPayload)
-	if body == nil {
-		return
+	if shard, resp := rt.routeUpload(w, r, http.MethodPost, withQuery("/v1/partition", r)); resp != nil {
+		relayRewritten(w, resp, qualifyJob(shard))
 	}
-	var req service.PartitionRequest
-	if err := json.Unmarshal(body, &req); err != nil {
-		service.WriteError(w, http.StatusBadRequest, "bad_json", "malformed request body: "+err.Error())
-		return
+}
+
+// withQuery appends r's raw query, if any, to a shard path.
+func withQuery(path string, r *http.Request) string {
+	if r.URL.RawQuery == "" {
+		return path
 	}
-	hash, rerr := rt.contentHash(req.Format, req.Graph)
-	if rerr != nil {
-		service.WriteError(w, http.StatusBadRequest, rerr.Code, rerr.Message)
-		return
-	}
-	pathAndQuery := "/v1/partition"
-	if r.URL.RawQuery != "" {
-		pathAndQuery += "?" + r.URL.RawQuery
-	}
-	shard, resp, err := rt.routedDo(r, hash, http.MethodPost, pathAndQuery, body)
-	if err != nil {
-		writeNoShard(w, err)
-		return
-	}
-	relayRewritten(w, resp, func(data []byte) ([]byte, bool) {
+	return path + "?" + r.URL.RawQuery
+}
+
+// qualifyJob is the relayRewritten rewrite of a JobInfo response: it
+// prefixes the job id with the shard that owns it.
+func qualifyJob(shard string) func([]byte) ([]byte, bool) {
+	return func(data []byte) ([]byte, bool) {
 		var info service.JobInfo
 		if json.Unmarshal(data, &info) != nil || info.ID == "" {
 			return nil, false
@@ -564,7 +514,7 @@ func (rt *Router) handlePartition(w http.ResponseWriter, r *http.Request) {
 		info.ID = shard + "/" + info.ID
 		out, err := marshalIndent(info)
 		return out, err == nil
-	})
+	}
 }
 
 func marshalIndent(v any) ([]byte, error) {

@@ -29,9 +29,12 @@ type Partition struct {
 	Parts  int
 }
 
+// MaxParts is the largest supported part count: part ids are uint16.
+const MaxParts = 1 << 16
+
 // New returns a partition of n nodes into parts parts, all nodes in part 0.
 func New(n, parts int) *Partition {
-	if parts <= 0 || parts > 1<<16 {
+	if parts <= 0 || parts > MaxParts {
 		panic(fmt.Sprintf("partition: invalid part count %d", parts))
 	}
 	return &Partition{Assign: make([]uint16, n), Parts: parts}

@@ -81,12 +81,12 @@ func TestCancelQueuedJobImmediate(t *testing.T) {
 	defer close(ctl.release)
 	g := testGraph(t)
 
-	running, err := e.Submit(g, "test-block", algo.Options{Parts: 2, Seed: 1})
+	running, err := submit(e, stored(g), "test-block", algo.Options{Parts: 2, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctl.waitStarted(t)
-	queued, err := e.Submit(g, "test-block", algo.Options{Parts: 2, Seed: 2})
+	queued, err := submit(e, stored(g), "test-block", algo.Options{Parts: 2, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,6 +121,30 @@ func TestCancelQueuedJobImmediate(t *testing.T) {
 	_ = running
 }
 
+// A batch the queue refuses midway leaves nothing queued: the members it
+// already submitted are cancelled, so a batch is all-or-nothing.
+func TestBatchOverloadCancelsSubmittedMembers(t *testing.T) {
+	ctl := installBlock(t)
+	e := service.New(service.Config{Workers: 1, MaxQueue: 1})
+	defer e.Close()
+	defer close(ctl.release)
+	sg := stored(testGraph(t))
+	if _, err := submit(e, sg, "test-block", algo.Options{Parts: 2, Seed: 1}); err != nil {
+		t.Fatal(err)
+	}
+	ctl.waitStarted(t) // the worker is busy and the queue has one free slot
+	batch := []service.Request{
+		{Algo: "test-block", Opts: algo.Options{Parts: 2, Seed: 2}}, // takes the slot
+		{Algo: "test-block", Opts: algo.Options{Parts: 2, Seed: 3}}, // refused
+	}
+	if _, err := e.Submit(context.Background(), sg, batch, false); !errors.Is(err, service.ErrOverloaded) {
+		t.Fatalf("got %v, want ErrOverloaded", err)
+	}
+	if s := e.Stats(); s.JobsQueued != 0 || s.JobsCancelled != 1 {
+		t.Errorf("queued %d, cancelled %d; want 0 and 1", s.JobsQueued, s.JobsCancelled)
+	}
+}
+
 // A running job observes its cancellation at the algorithm's next
 // checkpoint, the waiter gets a cancelled snapshot, and the discarded
 // partial result never enters the cache.
@@ -131,7 +155,7 @@ func TestCancelRunningJobObservedAndNeverCached(t *testing.T) {
 	g := testGraph(t)
 	opts := algo.Options{Parts: 2, Seed: 3}
 
-	info, err := e.Submit(g, "test-block", opts)
+	info, err := submit(e, stored(g), "test-block", opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +177,7 @@ func TestCancelRunningJobObservedAndNeverCached(t *testing.T) {
 	// algorithm did return a valid partition at its checkpoint) is discarded,
 	// never cached.
 	close(ctl.release)
-	again, err := e.Submit(g, "test-block", opts)
+	again, err := submit(e, stored(g), "test-block", opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,12 +201,12 @@ func TestCancelCoalescedJobLeavesSibling(t *testing.T) {
 	g := testGraph(t)
 	opts := algo.Options{Parts: 2, Seed: 4}
 
-	a, err := e.Submit(g, "test-block", opts)
+	a, err := submit(e, stored(g), "test-block", opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctl.waitStarted(t)
-	b, err := e.Submit(g, "test-block", opts) // coalesces onto a's computation
+	b, err := submit(e, stored(g), "test-block", opts) // coalesces onto a's computation
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,16 +269,16 @@ func TestAlgoRunHonorsCancelledContext(t *testing.T) {
 	}
 }
 
-// Close never strands a SubmitWait: queued jobs fail with the typed
+// Close never strands a waiter: queued jobs fail with the typed
 // ErrEngineClosed error and every concurrent waiter returns. This is the
-// regression test for the Close-vs-SubmitWait race.
+// regression test for the race between Close and submit-then-wait.
 func TestCloseVsSubmitWaitRace(t *testing.T) {
 	ctl := installBlock(t)
 	e := service.New(service.Config{Workers: 1, MaxQueue: 64})
 	g := testGraph(t)
 
 	// Occupy the single worker so every subsequent submission queues.
-	running, err := e.Submit(g, "test-block", algo.Options{Parts: 2, Seed: 10})
+	running, err := submit(e, stored(g), "test-block", algo.Options{Parts: 2, Seed: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,7 +299,7 @@ func TestCloseVsSubmitWaitRace(t *testing.T) {
 			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 			defer cancel()
 			// Distinct seeds: distinct queued computations.
-			j, err := e.Submit(g, "test-block", algo.Options{Parts: 2, Seed: int64(100 + i)})
+			j, err := submit(e, stored(g), "test-block", algo.Options{Parts: 2, Seed: int64(100 + i)})
 			enqueued <- struct{}{}
 			if err != nil {
 				results[i] = outcome{err: err}
@@ -323,7 +347,7 @@ func TestCloseVsSubmitWaitRace(t *testing.T) {
 	if final.State != service.StateDone {
 		t.Errorf("running job state %s after Close, want done (Close lets running jobs finish)", final.State)
 	}
-	if _, err := e.Submit(g, "grow", algo.Options{Parts: 2}); !errors.Is(err, service.ErrEngineClosed) {
+	if _, err := submit(e, stored(g), "grow", algo.Options{Parts: 2}); !errors.Is(err, service.ErrEngineClosed) {
 		t.Errorf("Submit after Close: %v, want ErrEngineClosed", err)
 	}
 }

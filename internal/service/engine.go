@@ -1,8 +1,18 @@
 // Package service turns the algorithm registry into a long-running
-// partition-as-a-service job engine: callers submit (graph, algorithm,
-// options) requests, a bounded worker pool executes them, and a
-// content-addressed LRU cache returns bit-identical results for repeated
-// requests without recomputing.
+// partition-as-a-service job engine: callers store a graph once, submit
+// batches of (algorithm, options) requests against it, a bounded worker
+// pool executes them, and a content-addressed LRU cache returns
+// bit-identical results for repeated requests without recomputing.
+//
+// There is one submission path. Engine.Submit takes a stored graph and a
+// batch of requests; POST /v1/jobs calls it with the batch it names, and the
+// legacy POST /v1/partition stores its inline graph and calls it with a
+// one-request batch. Submit checks every request before queueing any: the
+// registry's constraints through algo.Check (a known algorithm, parts in
+// [1, 65536], coordinates, power-of-two parts, the objective), plus the
+// engine's own policy that parts may not exceed the graph's nodes. A waiting
+// Submit waits on the jobs it holds, so it never loses a member to
+// job-history eviction, however many jobs other requests submit meanwhile.
 //
 // Determinism is what makes the cache sound. Every registered partitioner is
 // deterministic for a fixed Options.Seed, and the Workers/EvalWorkers knobs
@@ -162,6 +172,7 @@ type Stats struct {
 type RequestError struct {
 	Code    string // stable machine-readable code
 	Message string
+	Spec    int // index of the refused request in a Submit batch
 }
 
 func (e *RequestError) Error() string { return e.Message }
@@ -170,17 +181,32 @@ func reqErr(code, format string, args ...any) *RequestError {
 	return &RequestError{Code: code, Message: fmt.Sprintf(format, args...)}
 }
 
+// lruEntryOverhead approximates the per-entry bookkeeping beyond the result
+// payload: the entry/Result structs, the duplicated key (map key + item),
+// the list element, and map slot overhead.
+const lruEntryOverhead = 256
+
+// entryBytes is the payload-size accounting of one completed entry: the
+// assignment vector dominates (2 bytes per node), plus the key and the fixed
+// structural overhead.
+func entryBytes(key string, ent *entry) int64 {
+	var payload int64
+	if ent.result != nil {
+		payload = 2 * int64(len(ent.result.Assign))
+	}
+	return payload + 2*int64(len(key)) + lruEntryOverhead
+}
+
 // entry is one distinct computation, shared by every job with the same key.
 type entry struct {
-	key     string
-	algo    string
-	opts    algo.Options // normalized; execution widths applied at run time
-	graph   *graph.Graph // released once the computation finishes
-	state   State
-	result  *Result
-	err     error
-	done    chan struct{} // closed on completion, for waiters
-	execNum int           // worker slot, for debugging
+	key    string
+	algo   string
+	opts   algo.Options // normalized; execution widths applied at run time
+	graph  *graph.Graph // released once the computation finishes
+	state  State
+	result *Result
+	err    error
+	done   chan struct{} // closed on completion, for waiters
 
 	// Cancellation plumbing. ctx is threaded into the algorithm run; cancel
 	// fires it. refs counts attached live jobs — the computation is only
@@ -214,7 +240,7 @@ type Engine struct {
 	jobs     map[string]*job
 	jobOrder []string // job ids in creation order, for history eviction
 	inflight map[string]*entry
-	cache    *lruCache
+	cache    *lru[*entry]
 	seq      uint64
 	running  int
 	closed   bool
@@ -246,13 +272,13 @@ func New(cfg Config) *Engine {
 		cfg:      cfg,
 		jobs:     make(map[string]*job),
 		inflight: make(map[string]*entry),
-		cache:    newLRU(cfg.CacheBytes),
+		cache:    newLRU[*entry](cfg.CacheBytes),
 	}
 	e.cond = sync.NewCond(&e.mu)
 	e.restore(cfg.Restore)
 	e.wg.Add(cfg.Workers)
 	for i := 0; i < cfg.Workers; i++ {
-		go e.worker(i)
+		go e.worker()
 	}
 	return e
 }
@@ -297,11 +323,7 @@ func (e *Engine) restore(records []JobInfo) {
 			e.seq = n
 		}
 	}
-	for len(e.jobs) > e.cfg.JobHistory && len(e.jobOrder) > 0 {
-		id := e.jobOrder[0]
-		e.jobOrder = e.jobOrder[1:]
-		delete(e.jobs, id)
-	}
+	e.evictJobHistoryLocked() // every restored job is terminal
 }
 
 // closedChan is a pre-closed channel shared by everything that is born
@@ -312,83 +334,51 @@ var closedChan = func() chan struct{} {
 	return ch
 }()
 
-// Validate checks a request against the registry's declared constraints
-// without submitting it. It returns nil or a *RequestError; batch callers
-// use it to validate every spec before submitting any, so a batch is
-// accepted or refused atomically.
-func (e *Engine) Validate(g *graph.Graph, algoName string, opts algo.Options) error {
-	if re := validateRequest(g, algoName, opts); re != nil {
-		return re
+// Request is one member of a submission: a registered algorithm and its
+// options.
+type Request struct {
+	Algo string
+	Opts algo.Options
+}
+
+// Submit checks every request (see checkRequest) before submitting any, so
+// a batch is accepted or refused whole; a refusal is a *RequestError whose
+// Spec is the request's index. Each request is answered from the result
+// cache, attached to an identical in-flight computation, or queued. If the
+// queue refuses one midway (ErrOverloaded), those already submitted are
+// cancelled. Without wait, Submit returns the jobs' first snapshots; with
+// wait, it returns once every job is terminal or ctx is done, waiting on
+// the jobs it holds rather than on their ids.
+func (e *Engine) Submit(ctx context.Context, sg *StoredGraph, reqs []Request, wait bool) ([]JobInfo, error) {
+	for i, r := range reqs {
+		if re := checkRequest(sg.Graph, r); re != nil {
+			re.Spec = i
+			return nil, re
+		}
+	}
+	jobs, infos, err := e.enqueue(sg, reqs)
+	if err != nil || !wait {
+		return infos, err
+	}
+	for i, j := range jobs {
+		if infos[i], err = e.waitOn(ctx, j); err != nil {
+			return nil, err
+		}
+	}
+	return infos, nil
+}
+
+// checkRequest is algo.Check plus the engine's own policy: parts may not
+// exceed the graph's nodes. That policy stays out of algo.Run, whose
+// multilevel pipeline solves coarsest graphs smaller than the part count.
+func checkRequest(g *graph.Graph, r Request) *RequestError {
+	if re := algo.Check(g, r.Algo, r.Opts); re != nil {
+		return &RequestError{Code: re.Code, Message: re.Message}
+	}
+	if r.Opts.Parts > g.NumNodes() {
+		return reqErr("bad_parts", "parts %d exceeds the graph's %d nodes", r.Opts.Parts, g.NumNodes())
 	}
 	return nil
-}
-
-func validateRequest(g *graph.Graph, algoName string, opts algo.Options) *RequestError {
-	p, err := algo.Get(algoName)
-	if err != nil {
-		return reqErr("unknown_algo", "unknown algorithm %q (see /v1/algos; available: %v)", algoName, algo.Names())
-	}
-	if opts.Parts < 1 {
-		return reqErr("bad_parts", "parts must be >= 1, got %d", opts.Parts)
-	}
-	if opts.Parts > g.NumNodes() {
-		return reqErr("bad_parts", "parts %d exceeds the graph's %d nodes", opts.Parts, g.NumNodes())
-	}
-	// Partition assignments are uint16 repo-wide; a larger part count would
-	// silently wrap part ids instead of failing.
-	if opts.Parts > 1<<16 {
-		return reqErr("bad_parts", "parts %d exceeds the supported maximum %d", opts.Parts, 1<<16)
-	}
-	info := p.Info()
-	if info.NeedsCoords && !g.HasCoords() {
-		return reqErr("needs_coords", "algorithm %q requires a geometric embedding and the input format carries none", algoName)
-	}
-	if info.PowerOfTwoParts && opts.Parts&(opts.Parts-1) != 0 {
-		return reqErr("parts_not_power_of_two", "algorithm %q requires a power-of-two part count, got %d", algoName, opts.Parts)
-	}
-	if !info.SupportsObjective(opts.Objective) {
-		return reqErr("unsupported_objective", "algorithm %q does not support objective %q (see /v1/algos)", algoName, opts.Objective.FlagName())
-	}
-	return nil
-}
-
-// Submit validates a request against the registry's declared constraints and
-// either answers it from the cache, attaches it to an identical in-flight
-// computation, or queues a new computation. It returns the job's snapshot;
-// poll GetJob or block on WaitJob for completion.
-func (e *Engine) Submit(g *graph.Graph, algoName string, opts algo.Options) (JobInfo, error) {
-	_, info, err := e.submit(g, GraphHash(g), algoName, opts)
-	return info, err
-}
-
-// SubmitStored is Submit for a graph already held in a GraphStore: the
-// stored content address keys the cache directly, so no rehash happens —
-// an N-spec batch over one stored graph costs one parse and one hash total,
-// both paid at PUT time.
-func (e *Engine) SubmitStored(sg *StoredGraph, algoName string, opts algo.Options) (JobInfo, error) {
-	_, info, err := e.submit(sg.Graph, sg.Hash, algoName, opts)
-	return info, err
-}
-
-// SubmitWait submits like Submit and blocks until the job completes or ctx
-// is cancelled. It holds the job reference across the wait, so the result
-// is delivered even if a burst of other submissions evicts the job from
-// the pollable history meanwhile.
-func (e *Engine) SubmitWait(ctx context.Context, g *graph.Graph, algoName string, opts algo.Options) (JobInfo, error) {
-	j, info, err := e.submit(g, GraphHash(g), algoName, opts)
-	if err != nil {
-		return info, err
-	}
-	return e.waitOn(ctx, j)
-}
-
-// SubmitStoredWait is SubmitWait over a stored graph (see SubmitStored).
-func (e *Engine) SubmitStoredWait(ctx context.Context, sg *StoredGraph, algoName string, opts algo.Options) (JobInfo, error) {
-	j, info, err := e.submit(sg.Graph, sg.Hash, algoName, opts)
-	if err != nil {
-		return info, err
-	}
-	return e.waitOn(ctx, j)
 }
 
 // waitOn blocks until j reaches a terminal state — its computation finishes
@@ -405,76 +395,96 @@ func (e *Engine) waitOn(ctx context.Context, j *job) (JobInfo, error) {
 	return e.snapshotLocked(j), nil
 }
 
-func (e *Engine) submit(g *graph.Graph, graphHash, algoName string, opts algo.Options) (*job, JobInfo, error) {
-	if re := validateRequest(g, algoName, opts); re != nil {
-		return nil, JobInfo{}, re
-	}
-	opts = normalizeOptions(opts)
-	key := cacheKeyFromHash(graphHash, algoName, opts)
-
+// enqueue submits every request of a checked batch under one hold of e.mu,
+// returning the jobs and their first snapshots.
+func (e *Engine) enqueue(sg *StoredGraph, reqs []Request) ([]*job, []JobInfo, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.closed {
-		return nil, JobInfo{}, fmt.Errorf("%w: not accepting new jobs", ErrEngineClosed)
+		return nil, nil, fmt.Errorf("%w: not accepting new jobs", ErrEngineClosed)
 	}
-	newJob := func() *job {
-		e.jobsSubmitted++
-		e.seq++
-		j := &job{
-			id:       fmt.Sprintf("j%08d", e.seq),
-			created:  time.Now(),
-			cancelCh: make(chan struct{}),
+	jobs := make([]*job, 0, len(reqs))
+	infos := make([]JobInfo, 0, len(reqs))
+	for _, r := range reqs {
+		j, err := e.submitLocked(sg, r)
+		if err != nil {
+			// Keep the batch all-or-nothing: cancel what it already
+			// submitted. Cache hits are finished, so they refuse
+			// (job_finished) and stay as they are.
+			for _, j := range jobs {
+				_ = e.cancelLocked(j)
+			}
+			return nil, nil, err
 		}
-		e.jobs[j.id] = j
-		e.jobOrder = append(e.jobOrder, j.id)
-		e.evictJobHistoryLocked()
-		return j
+		jobs = append(jobs, j)
+		infos = append(infos, e.snapshotLocked(j))
 	}
+	return jobs, infos, nil
+}
 
+// submitLocked answers one request from the cache, attaches it to an
+// identical in-flight computation, or queues a new computation. e.mu must
+// be held.
+func (e *Engine) submitLocked(sg *StoredGraph, r Request) (*job, error) {
+	opts := normalizeOptions(r.Opts)
+	key := cacheKeyFromHash(sg.Hash, r.Algo, opts)
 	if ent, ok := e.cache.get(key); ok {
 		e.hits++
-		j := newJob()
-		j.cached = true
-		j.entry = ent
+		j := e.newJobLocked(ent, true)
 		e.logJobLocked(j) // born terminal
-		return j, e.snapshotLocked(j), nil
+		return j, nil
 	}
 	if ent, ok := e.inflight[key]; ok {
 		e.coalesced++
-		j := newJob()
-		j.cached = true
-		j.entry = ent
 		ent.refs++
-		ent.jobs = append(ent.jobs, j)
-		return j, e.snapshotLocked(j), nil
+		return e.newJobLocked(ent, true), nil
 	}
 	// A new computation needs a queue slot; every queued entry pins its
 	// parsed graph, so refuse (backpressure) rather than queue without
 	// bound. Checked before the job record is created: an overloaded
 	// request leaves no trace.
 	if len(e.queue) >= e.cfg.MaxQueue {
-		return nil, JobInfo{}, fmt.Errorf("%w (%d computations waiting); retry later", ErrOverloaded, len(e.queue))
+		return nil, fmt.Errorf("%w (%d computations waiting); retry later", ErrOverloaded, len(e.queue))
 	}
 	e.misses++
 	ctx, cancel := context.WithCancel(context.Background())
 	ent := &entry{
 		key:    key,
-		algo:   algoName,
+		algo:   r.Algo,
 		opts:   opts,
-		graph:  g,
+		graph:  sg.Graph,
 		state:  StateQueued,
 		done:   make(chan struct{}),
 		ctx:    ctx,
 		cancel: cancel,
 		refs:   1,
 	}
-	j := newJob()
-	j.entry = ent
-	ent.jobs = append(ent.jobs, j)
 	e.inflight[key] = ent
 	e.queue = append(e.queue, ent)
 	e.cond.Signal()
-	return j, e.snapshotLocked(j), nil
+	return e.newJobLocked(ent, false), nil
+}
+
+// newJobLocked records a new job on ent. A job on a live entry is also
+// listed on it, so the worker logs it when the entry finishes. e.mu must be
+// held.
+func (e *Engine) newJobLocked(ent *entry, cached bool) *job {
+	e.jobsSubmitted++
+	e.seq++
+	j := &job{
+		id:       fmt.Sprintf("j%08d", e.seq),
+		created:  time.Now(),
+		cached:   cached,
+		entry:    ent,
+		cancelCh: make(chan struct{}),
+	}
+	if !ent.state.terminal() {
+		ent.jobs = append(ent.jobs, j)
+	}
+	e.jobs[j.id] = j
+	e.jobOrder = append(e.jobOrder, j.id)
+	e.evictJobHistoryLocked()
+	return j
 }
 
 // evictJobHistoryLocked forgets the oldest finished jobs beyond the history
@@ -537,12 +547,18 @@ func (e *Engine) CancelJob(id string) (JobInfo, error) {
 	if !ok {
 		return JobInfo{}, fmt.Errorf("%w: %q", ErrNoJob, id)
 	}
+	err := e.cancelLocked(j)
+	return e.snapshotLocked(j), err
+}
+
+// cancelLocked cancels j as CancelJob describes. e.mu must be held.
+func (e *Engine) cancelLocked(j *job) error {
 	if j.cancelled {
-		return e.snapshotLocked(j), nil
+		return nil
 	}
 	ent := j.entry
 	if ent.state.terminal() {
-		return e.snapshotLocked(j), reqErr("job_finished", "job %q already %s; nothing to cancel", id, ent.state)
+		return reqErr("job_finished", "job %q already %s; nothing to cancel", j.id, ent.state)
 	}
 	j.cancelled = true
 	close(j.cancelCh)
@@ -565,7 +581,7 @@ func (e *Engine) CancelJob(id string) (JobInfo, error) {
 		}
 	}
 	e.logJobLocked(j)
-	return e.snapshotLocked(j), nil
+	return nil
 }
 
 // removeQueuedLocked drops ent from the FIFO. e.mu must be held.
@@ -598,14 +614,14 @@ func (e *Engine) Stats() Stats {
 		CacheMisses:        e.misses,
 		CacheEvictions:     e.evictions,
 		CacheEntries:       e.cache.len(),
-		CacheBytes:         e.cache.sizeBytes(),
+		CacheBytes:         e.cache.bytes,
 		CacheCapacityBytes: e.cfg.CacheBytes,
 	}
 }
 
 // Close stops the engine: queued-but-unstarted computations fail with
 // ErrEngineClosed (their waiters wake immediately — Close never strands a
-// SubmitWait), running ones are allowed to finish, and the worker pool
+// waiting Submit), running ones are allowed to finish, and the worker pool
 // drains before Close returns. Submit after Close fails with
 // ErrEngineClosed.
 func (e *Engine) Close() {
@@ -634,7 +650,7 @@ func (e *Engine) Close() {
 }
 
 // worker is one pool goroutine: pop, compute, publish, repeat.
-func (e *Engine) worker(slot int) {
+func (e *Engine) worker() {
 	defer e.wg.Done()
 	for {
 		e.mu.Lock()
@@ -648,7 +664,6 @@ func (e *Engine) worker(slot int) {
 		ent := e.queue[0]
 		e.queue = e.queue[1:]
 		ent.state = StateRunning
-		ent.execNum = slot
 		e.running++
 		e.mu.Unlock()
 
@@ -675,7 +690,7 @@ func (e *Engine) worker(slot int) {
 			ent.state = StateDone
 			ent.result = res
 			e.jobsDone++
-			e.evictions += uint64(e.cache.add(ent.key, ent))
+			e.evictions += uint64(e.cache.add(ent.key, ent, entryBytes(ent.key, ent)))
 		}
 		ent.graph = nil // the CSR arrays are the bulk of a job's footprint
 		ent.cancel()    // release the context's resources

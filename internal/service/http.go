@@ -1,6 +1,7 @@
 package service
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -21,7 +22,7 @@ import (
 //	POST   /v1/jobs           batch-submit specs against a stored graph
 //	GET    /v1/jobs/{id}      job status and result (?wait=1 blocks)
 //	DELETE /v1/jobs/{id}      cancel a queued or running job
-//	POST   /v1/partition      legacy inline submit (graph payload in the body)
+//	POST   /v1/partition      legacy inline submit: store the body's graph, then a one-spec batch
 //	GET    /v1/algos          the registry with declared constraints
 //	GET    /v1/stats          engine, store, and per-client quota counters
 //
@@ -35,14 +36,15 @@ import (
 // it as "version" and /v1/algos as "api".
 const APIVersion = "v2"
 
-// maxGraphPayload bounds a graph-carrying request body. A 10M-node mesh in
+// MaxGraphPayload bounds a graph-carrying request body. A 10M-node mesh in
 // METIS form is ~100 MB of text; this default admits the scales the suites
-// exercise while keeping a single request from exhausting the daemon.
-const maxGraphPayload = 256 << 20
+// exercise while keeping a single request from exhausting the daemon. The
+// fleet router applies the same bound.
+const MaxGraphPayload = 256 << 20
 
-// maxControlPayload bounds bodies that carry no graph (batch submissions):
+// MaxControlPayload bounds bodies that carry no graph (batch submissions):
 // a full batch of specs is a few KB, so anything near this limit is abuse.
-const maxControlPayload = 1 << 20
+const MaxControlPayload = 1 << 20
 
 // maxBatchSpecs bounds one batch submission. The engine's queue bound is the
 // real backpressure; this merely keeps a single request from monopolizing it.
@@ -66,38 +68,19 @@ type JobSpec struct {
 	LanczosIter  int `json:"lanczos_iter,omitempty"`
 }
 
-// PartitionRequest is the body of the legacy POST /v1/partition: one spec's
-// worth of fields plus an inline serialized graph. Format names the encoding
-// ("metis" is the default, "edgelist" and "text" the alternatives). Wait,
-// when true, holds the response until the job completes instead of returning
-// 202 immediately. Internally the daemon runs this through the same
-// store-then-submit path as the v2 endpoints, so repeated inline uploads of
-// the same graph deduplicate onto one stored copy.
+// PartitionRequest is the body of the legacy POST /v1/partition: one
+// JobSpec (its fields sit at the top level of the JSON) plus an inline
+// serialized graph. Format names the encoding ("metis" is the default,
+// "edgelist" and "text" the alternatives). Wait, when true, holds the
+// response until the job completes instead of returning 202 immediately.
+// The daemon stores the graph, then submits the spec as a one-request batch
+// through the same path as POST /v1/jobs, so repeated inline uploads of the
+// same graph deduplicate onto one stored copy.
 type PartitionRequest struct {
-	Algo      string `json:"algo"`
-	Parts     int    `json:"parts"`
-	Seed      int64  `json:"seed"`
-	Format    string `json:"format,omitempty"`
-	Graph     string `json:"graph"`
-	Objective string `json:"objective,omitempty"` // "cut" (default), "maxcut", or "commvol"; legacy "total"/"worst" accepted
-
-	Generations  int  `json:"generations,omitempty"`
-	PopSize      int  `json:"pop_size,omitempty"`
-	Islands      int  `json:"islands,omitempty"`
-	RefinePasses int  `json:"refine_passes,omitempty"`
-	CoarsestSize int  `json:"coarsest_size,omitempty"`
-	LanczosIter  int  `json:"lanczos_iter,omitempty"`
-	Wait         bool `json:"wait,omitempty"`
-}
-
-// spec extracts the request's JobSpec — the legacy endpoint is exactly a
-// one-spec batch with an inline graph.
-func (r *PartitionRequest) spec() JobSpec {
-	return JobSpec{
-		Algo: r.Algo, Parts: r.Parts, Seed: r.Seed, Objective: r.Objective,
-		Generations: r.Generations, PopSize: r.PopSize, Islands: r.Islands,
-		RefinePasses: r.RefinePasses, CoarsestSize: r.CoarsestSize, LanczosIter: r.LanczosIter,
-	}
+	JobSpec
+	Format string `json:"format,omitempty"`
+	Graph  string `json:"graph"`
+	Wait   bool   `json:"wait,omitempty"`
 }
 
 // GraphPutRequest is the body of PUT /v1/graphs.
@@ -215,7 +198,7 @@ func NewHandler(e *Engine, opts ...HandlerOption) http.Handler {
 	mux.HandleFunc("POST /v1/partition", s.handlePartition)
 	mux.HandleFunc("GET /v1/algos", s.handleAlgos)
 	mux.HandleFunc("GET /v1/stats", s.handleStats)
-	s.mux = mux
+	s.mux = EnvelopeHandler(mux)
 	return http.HandlerFunc(s.serve)
 }
 
@@ -225,7 +208,7 @@ type httpServer struct {
 	quota    *Quota
 	auth     *Auth
 	peers    *PeerFetcher
-	mux      *http.ServeMux
+	mux      http.Handler
 	parseSem chan struct{}
 }
 
@@ -238,17 +221,17 @@ func (s *httpServer) serve(w http.ResponseWriter, r *http.Request) {
 		// The fleet router probes this to mark shards down/up; it must work
 		// without a token and must not consume quota.
 		if r.Method != http.MethodGet && r.Method != http.MethodHead {
-			writeError(w, http.StatusMethodNotAllowed, "method_not_allowed", "method not allowed for this endpoint")
+			WriteError(w, http.StatusMethodNotAllowed, "method_not_allowed", "method not allowed for this endpoint")
 			return
 		}
-		writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+		WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 		return
 	}
 	if s.auth != nil {
 		name, ok := s.auth.Identify(r)
 		if !ok {
 			w.Header().Set("WWW-Authenticate", `Bearer realm="partd"`)
-			writeError(w, http.StatusUnauthorized, "unauthorized",
+			WriteError(w, http.StatusUnauthorized, "unauthorized",
 				"missing or unknown bearer token (send Authorization: Bearer <token>)")
 			return
 		}
@@ -269,12 +252,12 @@ func (s *httpServer) serve(w http.ResponseWriter, r *http.Request) {
 				secs = 1
 			}
 			w.Header().Set("Retry-After", strconv.Itoa(secs))
-			writeError(w, http.StatusTooManyRequests, "quota_exceeded",
+			WriteError(w, http.StatusTooManyRequests, "quota_exceeded",
 				fmt.Sprintf("client %q is over its request quota; retry in %ds", client, secs))
 			return
 		}
 	}
-	s.mux.ServeHTTP(&envelopeWriter{rw: w}, r)
+	s.mux.ServeHTTP(w, r)
 }
 
 // clientID identifies the caller for quota accounting: the X-Client header
@@ -312,7 +295,7 @@ func (w *envelopeWriter) WriteHeader(status int) {
 				msg += " (allowed: " + allow + ")"
 			}
 		}
-		writeError(w.rw, status, code, msg)
+		WriteError(w.rw, status, code, msg)
 		return
 	}
 	w.rw.WriteHeader(status)
@@ -325,38 +308,13 @@ func (w *envelopeWriter) Write(p []byte) (int, error) {
 	return w.rw.Write(p)
 }
 
-// decodeGraphPayload decodes a graph-carrying body and parses it into the
-// store, holding a parse slot throughout. It returns the stored graph, or
-// writes the error response and returns nil.
-func (s *httpServer) parsePayload(w http.ResponseWriter, format, payload string) (*StoredGraph, bool) {
-	f, err := gio.FormatByName(format)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "bad_format",
-			fmt.Sprintf("unknown graph format %q (want metis, edgelist, or text)", format))
-		return nil, false
-	}
-	if f == gio.FormatAuto {
-		f = gio.FormatMETIS
-	}
-	if payload == "" {
-		writeError(w, http.StatusBadRequest, "bad_graph", "request carries no graph payload")
-		return nil, false
-	}
-	sg, existed, err := s.store.ParseAndPut(f, strings.NewReader(payload))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "bad_graph", err.Error())
-		return nil, false
-	}
-	return sg, existed
-}
-
 // acquireParseSlot blocks until a decode/parse slot is free; it returns a
 // release func, or writes the error and returns nil if the client gave up.
 func (s *httpServer) acquireParseSlot(w http.ResponseWriter, r *http.Request) func() {
 	select {
 	case s.parseSem <- struct{}{}:
 	case <-r.Context().Done():
-		writeError(w, http.StatusServiceUnavailable, "unavailable", "request cancelled while waiting for a parse slot")
+		WriteError(w, http.StatusServiceUnavailable, "unavailable", "request cancelled while waiting for a parse slot")
 		return nil
 	}
 	released := false
@@ -373,11 +331,11 @@ func decodeBody(w http.ResponseWriter, r *http.Request, limit int64, v any) bool
 	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
-			writeError(w, http.StatusRequestEntityTooLarge, "payload_too_large",
+			WriteError(w, http.StatusRequestEntityTooLarge, "payload_too_large",
 				fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit))
 			return false
 		}
-		writeError(w, http.StatusBadRequest, "bad_json", "malformed request body: "+err.Error())
+		WriteError(w, http.StatusBadRequest, "bad_json", "malformed request body: "+err.Error())
 		return false
 	}
 	return true
@@ -391,18 +349,19 @@ func (s *httpServer) handleGraphPut(w http.ResponseWriter, r *http.Request) {
 	}
 	defer release()
 	var req GraphPutRequest
-	if !decodeBody(w, r, maxGraphPayload, &req) {
+	if !decodeBody(w, r, MaxGraphPayload, &req) {
 		return
 	}
-	sg, ok := s.parsePayload(w, req.Format, req.Graph)
-	if sg == nil {
+	sg, existed, re := s.store.ParseAndPut(req.Format, req.Graph)
+	if re != nil {
+		WriteError(w, http.StatusBadRequest, re.Code, re.Message)
 		return
 	}
 	status := http.StatusCreated
-	if ok {
+	if existed {
 		status = http.StatusOK // deduplicated onto an existing upload
 	}
-	writeJSON(w, status, GraphPutResponse{Hash: sg.Hash, Nodes: sg.Nodes, Edges: sg.Edges, Existed: ok})
+	WriteJSON(w, status, GraphPutResponse{Hash: sg.Hash, Nodes: sg.Nodes, Edges: sg.Edges, Existed: existed})
 }
 
 // handleGraphGet is GET /v1/graphs/{hash}: stored-graph metadata, or with
@@ -411,19 +370,19 @@ func (s *httpServer) handleGraphPut(w http.ResponseWriter, r *http.Request) {
 // drops coordinates.
 func (s *httpServer) handleGraphGet(w http.ResponseWriter, r *http.Request) {
 	hash := r.PathValue("hash")
-	if re := validateGraphRef(hash); re != nil {
-		writeError(w, http.StatusBadRequest, re.Code, re.Message)
+	if re := ValidateGraphRef(hash); re != nil {
+		WriteError(w, http.StatusBadRequest, re.Code, re.Message)
 		return
 	}
 	sg, ok := s.store.Get(hash)
 	if !ok {
-		writeError(w, http.StatusNotFound, "graph_not_found",
+		WriteError(w, http.StatusNotFound, "graph_not_found",
 			fmt.Sprintf("no stored graph %s (evicted or never uploaded; PUT /v1/graphs to (re)store it)", hash))
 		return
 	}
 	switch export := r.URL.Query().Get("export"); export {
 	case "":
-		writeJSON(w, http.StatusOK, sg)
+		WriteJSON(w, http.StatusOK, sg)
 	case "bin":
 		w.Header().Set("Content-Type", "application/x-partd-graph")
 		w.Header().Set("X-Graph-Hash", sg.Hash)
@@ -433,22 +392,22 @@ func (s *httpServer) handleGraphGet(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("X-Graph-Hash", sg.Hash)
 		_ = gio.WriteGraph(gio.FormatMETIS, w, sg.Graph)
 	default:
-		writeError(w, http.StatusBadRequest, "bad_export",
+		WriteError(w, http.StatusBadRequest, "bad_export",
 			fmt.Sprintf("unknown export %q (want bin or metis)", export))
 	}
 }
 
 // handleBatch is POST /v1/jobs: fan a batch of specs out against one stored
-// graph. Validation is atomic — any bad spec refuses the whole batch before
-// a single job exists. The stored content address keys the result cache
-// directly, so an N-spec batch costs zero parses and zero hashes here.
+// graph through Engine.Submit, which refuses the whole batch if any spec is
+// bad. The stored content address keys the result cache directly, so an
+// N-spec batch costs zero parses and zero hashes here.
 func (s *httpServer) handleBatch(w http.ResponseWriter, r *http.Request) {
 	var req BatchRequest
-	if !decodeBody(w, r, maxControlPayload, &req) {
+	if !decodeBody(w, r, MaxControlPayload, &req) {
 		return
 	}
-	if re := validateGraphRef(req.Graph); re != nil {
-		writeError(w, http.StatusBadRequest, re.Code, re.Message)
+	if re := ValidateGraphRef(req.Graph); re != nil {
+		WriteError(w, http.StatusBadRequest, re.Code, re.Message)
 		return
 	}
 	sg, ok := s.store.Get(req.Graph)
@@ -462,68 +421,35 @@ func (s *httpServer) handleBatch(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	if !ok {
-		writeError(w, http.StatusNotFound, "graph_not_found",
+		WriteError(w, http.StatusNotFound, "graph_not_found",
 			fmt.Sprintf("no stored graph %s (evicted or never uploaded; PUT /v1/graphs to (re)store it)", req.Graph))
 		return
 	}
 	if len(req.Specs) == 0 {
-		writeError(w, http.StatusBadRequest, "empty_batch", "batch carries no specs")
+		WriteError(w, http.StatusBadRequest, "empty_batch", "batch carries no specs")
 		return
 	}
 	if len(req.Specs) > maxBatchSpecs {
-		writeError(w, http.StatusBadRequest, "too_many_specs",
+		WriteError(w, http.StatusBadRequest, "too_many_specs",
 			fmt.Sprintf("batch of %d specs exceeds the per-request maximum %d", len(req.Specs), maxBatchSpecs))
 		return
 	}
-	allOpts := make([]algo.Options, len(req.Specs))
-	for i := range req.Specs {
-		opts, rerr := optionsFromSpec(&req.Specs[i])
-		if rerr == nil {
-			var re *RequestError
-			if err := s.e.Validate(sg.Graph, req.Specs[i].Algo, opts); errors.As(err, &re) {
-				rerr = re
-			}
-		}
-		if rerr != nil {
-			writeError(w, http.StatusBadRequest, rerr.Code,
-				fmt.Sprintf("spec[%d]: %s", i, rerr.Message))
-			return
-		}
-		allOpts[i] = opts
-	}
-	jobs := make([]JobInfo, 0, len(req.Specs))
-	for i := range req.Specs {
-		info, err := s.e.SubmitStored(sg, req.Specs[i].Algo, allOpts[i])
-		if err != nil {
-			// Mid-batch refusal (queue filled up under us): cancel what this
-			// request already submitted so the batch stays all-or-nothing.
-			for _, j := range jobs {
-				s.e.CancelJob(j.ID)
-			}
-			writeSubmitError(w, err)
-			return
-		}
-		jobs = append(jobs, info)
-	}
-	if req.Wait || r.URL.Query().Get("wait") == "1" {
-		for i := range jobs {
-			final, err := s.e.WaitJob(r.Context(), jobs[i].ID)
-			if err != nil {
-				writeError(w, http.StatusServiceUnavailable, "wait_interrupted", err.Error())
-				return
-			}
-			jobs[i] = final
-		}
-		writeJSON(w, http.StatusOK, BatchResponse{Graph: sg.Hash, Jobs: jobs})
+	wait := req.Wait || r.URL.Query().Get("wait") == "1"
+	jobs, err := s.submit(r.Context(), sg, req.Specs, wait)
+	if err != nil {
+		writeSubmitError(w, err, true)
 		return
 	}
-	writeJSON(w, http.StatusAccepted, BatchResponse{Graph: sg.Hash, Jobs: jobs})
+	status := http.StatusAccepted
+	if wait {
+		status = http.StatusOK
+	}
+	WriteJSON(w, status, BatchResponse{Graph: sg.Hash, Jobs: jobs})
 }
 
-// handlePartition is the legacy one-shot endpoint, reimplemented as a thin
-// shim over the same store-then-submit path the v2 endpoints use: parse and
-// store the inline payload (deduplicating with prior uploads), then submit
-// by content address. One code path, no behavioral drift between APIs.
+// handlePartition is the legacy one-shot endpoint: parse and store the
+// inline payload (deduplicating with prior uploads), then submit its spec
+// as a one-request batch, exactly as POST /v1/jobs would.
 func (s *httpServer) handlePartition(w http.ResponseWriter, r *http.Request) {
 	release := s.acquireParseSlot(w, r)
 	if release == nil {
@@ -531,61 +457,77 @@ func (s *httpServer) handlePartition(w http.ResponseWriter, r *http.Request) {
 	}
 	defer release()
 	var req PartitionRequest
-	if !decodeBody(w, r, maxGraphPayload, &req) {
+	if !decodeBody(w, r, MaxGraphPayload, &req) {
 		return
 	}
-	sg, _ := s.parsePayload(w, req.Format, req.Graph)
-	if sg == nil {
-		return
-	}
-	spec := req.spec()
-	opts, rerr := optionsFromSpec(&spec)
-	if rerr != nil {
-		writeError(w, http.StatusBadRequest, rerr.Code, rerr.Message)
+	sg, _, re := s.store.ParseAndPut(req.Format, req.Graph)
+	if re != nil {
+		WriteError(w, http.StatusBadRequest, re.Code, re.Message)
 		return
 	}
 	req.Graph = "" // drop the body copy; the store owns the parsed arrays now
 	// The slot covers only the decode/parse stage; release before any wait
 	// so wait-mode requests do not pin slots while blocked on their job.
 	release()
-	if req.Wait || r.URL.Query().Get("wait") == "1" {
-		// SubmitWait holds the job across the wait — unlike submit-then-poll
-		// it cannot lose the result to history eviction under load.
-		final, err := s.e.SubmitStoredWait(r.Context(), sg, req.Algo, opts)
-		if err != nil {
-			writeSubmitError(w, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, final)
-		return
-	}
-	info, err := s.e.SubmitStored(sg, req.Algo, opts)
+	jobs, err := s.submit(r.Context(), sg, []JobSpec{req.JobSpec}, req.Wait || r.URL.Query().Get("wait") == "1")
 	if err != nil {
-		writeSubmitError(w, err)
+		writeSubmitError(w, err, false)
 		return
 	}
 	status := http.StatusAccepted
-	if info.State.terminal() {
+	if jobs[0].State.terminal() {
 		status = http.StatusOK
 	}
-	writeJSON(w, status, info)
+	WriteJSON(w, status, jobs[0])
 }
 
-// writeSubmitError maps a Submit/SubmitWait failure to its HTTP shape:
-// caller mistakes are 400 with their stable code, a full queue is 429
-// (back off and retry), a closed engine is 503 with the typed engine_closed
-// code, anything else a generic 503.
-func writeSubmitError(w http.ResponseWriter, err error) {
+// submit maps wire specs onto engine requests and submits them as one batch.
+func (s *httpServer) submit(ctx context.Context, sg *StoredGraph, specs []JobSpec, wait bool) ([]JobInfo, error) {
+	reqs := make([]Request, len(specs))
+	for i, spec := range specs {
+		o, err := partition.ParseObjective(spec.Objective)
+		if err != nil {
+			re := reqErr("bad_objective", "unknown objective %q (want cut, maxcut, or commvol)", spec.Objective)
+			re.Spec = i
+			return nil, re
+		}
+		reqs[i] = Request{Algo: spec.Algo, Opts: algo.Options{
+			Parts:        spec.Parts,
+			Objective:    o,
+			Seed:         spec.Seed,
+			Generations:  spec.Generations,
+			PopSize:      spec.PopSize,
+			Islands:      spec.Islands,
+			RefinePasses: spec.RefinePasses,
+			CoarsestSize: spec.CoarsestSize,
+			LanczosIter:  spec.LanczosIter,
+		}}
+	}
+	return s.e.Submit(ctx, sg, reqs, wait)
+}
+
+// writeSubmitError maps a refused or interrupted submission to its HTTP
+// shape: caller mistakes are 400 with their stable code (and, for a batch,
+// the offending spec's index), a full queue is 429 (back off and retry), a
+// closed engine is 503 with the typed engine_closed code, a wait cut short
+// by the client is 503 wait_interrupted, anything else a generic 503.
+func writeSubmitError(w http.ResponseWriter, err error, batch bool) {
 	var re *RequestError
 	switch {
 	case errors.As(err, &re):
-		writeError(w, http.StatusBadRequest, re.Code, re.Message)
+		msg := re.Message
+		if batch {
+			msg = fmt.Sprintf("spec[%d]: %s", re.Spec, msg)
+		}
+		WriteError(w, http.StatusBadRequest, re.Code, msg)
 	case errors.Is(err, ErrOverloaded):
-		writeError(w, http.StatusTooManyRequests, "overloaded", err.Error())
+		WriteError(w, http.StatusTooManyRequests, "overloaded", err.Error())
 	case errors.Is(err, ErrEngineClosed):
-		writeError(w, http.StatusServiceUnavailable, "engine_closed", err.Error())
+		WriteError(w, http.StatusServiceUnavailable, "engine_closed", err.Error())
+	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
+		WriteError(w, http.StatusServiceUnavailable, "wait_interrupted", err.Error())
 	default:
-		writeError(w, http.StatusServiceUnavailable, "unavailable", err.Error())
+		WriteError(w, http.StatusServiceUnavailable, "unavailable", err.Error())
 	}
 }
 
@@ -595,20 +537,20 @@ func (s *httpServer) handleJob(w http.ResponseWriter, r *http.Request) {
 		info, err := s.e.WaitJob(r.Context(), id)
 		switch {
 		case errors.Is(err, ErrNoJob):
-			writeError(w, http.StatusNotFound, "not_found", err.Error())
+			WriteError(w, http.StatusNotFound, "not_found", err.Error())
 		case err != nil:
-			writeError(w, http.StatusServiceUnavailable, "wait_interrupted", err.Error())
+			WriteError(w, http.StatusServiceUnavailable, "wait_interrupted", err.Error())
 		default:
-			writeJSON(w, http.StatusOK, info)
+			WriteJSON(w, http.StatusOK, info)
 		}
 		return
 	}
 	info, ok := s.e.GetJob(id)
 	if !ok {
-		writeError(w, http.StatusNotFound, "not_found", fmt.Sprintf("no job %q", id))
+		WriteError(w, http.StatusNotFound, "not_found", fmt.Sprintf("no job %q", id))
 		return
 	}
-	writeJSON(w, http.StatusOK, info)
+	WriteJSON(w, http.StatusOK, info)
 }
 
 // handleCancel is DELETE /v1/jobs/{id}. Cancelling an already-cancelled job
@@ -619,13 +561,13 @@ func (s *httpServer) handleCancel(w http.ResponseWriter, r *http.Request) {
 	var re *RequestError
 	switch {
 	case errors.Is(err, ErrNoJob):
-		writeError(w, http.StatusNotFound, "not_found", err.Error())
+		WriteError(w, http.StatusNotFound, "not_found", err.Error())
 	case errors.As(err, &re):
-		writeError(w, http.StatusConflict, re.Code, re.Message)
+		WriteError(w, http.StatusConflict, re.Code, re.Message)
 	case err != nil:
-		writeError(w, http.StatusServiceUnavailable, "unavailable", err.Error())
+		WriteError(w, http.StatusServiceUnavailable, "unavailable", err.Error())
 	default:
-		writeJSON(w, http.StatusOK, info)
+		WriteJSON(w, http.StatusOK, info)
 	}
 }
 
@@ -653,7 +595,7 @@ func (s *httpServer) handleAlgos(w http.ResponseWriter, _ *http.Request) {
 			Objectives:      objectives,
 		})
 	}
-	writeJSON(w, http.StatusOK, AlgosResponse{API: APIVersion, Algos: out})
+	WriteJSON(w, http.StatusOK, AlgosResponse{API: APIVersion, Algos: out})
 }
 
 func (s *httpServer) handleStats(w http.ResponseWriter, _ *http.Request) {
@@ -662,33 +604,13 @@ func (s *httpServer) handleStats(w http.ResponseWriter, _ *http.Request) {
 		ps := s.peers.Stats()
 		peer = &ps
 	}
-	writeJSON(w, http.StatusOK, StatsResponse{
+	WriteJSON(w, http.StatusOK, StatsResponse{
 		Version: APIVersion,
 		Stats:   s.e.Stats(),
 		Store:   s.store.Stats(),
 		Quota:   s.quota.Stats(),
 		Peer:    peer,
 	})
-}
-
-// optionsFromSpec maps a wire spec onto algo.Options.
-func optionsFromSpec(spec *JobSpec) (algo.Options, *RequestError) {
-	opts := algo.Options{
-		Parts:        spec.Parts,
-		Seed:         spec.Seed,
-		Generations:  spec.Generations,
-		PopSize:      spec.PopSize,
-		Islands:      spec.Islands,
-		RefinePasses: spec.RefinePasses,
-		CoarsestSize: spec.CoarsestSize,
-		LanczosIter:  spec.LanczosIter,
-	}
-	o, err := partition.ParseObjective(spec.Objective)
-	if err != nil {
-		return opts, reqErr("bad_objective", "unknown objective %q (want cut, maxcut, or commvol)", spec.Objective)
-	}
-	opts.Objective = o
-	return opts, nil
 }
 
 type errorBody struct {
@@ -698,32 +620,24 @@ type errorBody struct {
 	} `json:"error"`
 }
 
-func writeError(w http.ResponseWriter, status int, code, message string) {
+// WriteError writes the structured error envelope. It, WriteJSON,
+// EnvelopeHandler, and ValidateGraphRef are exported for the fleet router
+// (cmd/partroute), which must speak byte-for-byte the same wire shapes as a
+// shard so clients cannot tell a routed fleet from a single daemon.
+func WriteError(w http.ResponseWriter, status int, code, message string) {
 	var body errorBody
 	body.Error.Code = code
 	body.Error.Message = message
-	writeJSON(w, status, body)
+	WriteJSON(w, status, body)
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
+// WriteJSON writes v as the API's indented JSON with the given status.
+func WriteJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	_ = enc.Encode(v)
-}
-
-// WriteJSON, WriteError, EnvelopeHandler, and ValidateGraphRef are the
-// envelope primitives exported for the fleet router (cmd/partroute), which
-// must speak byte-for-byte the same wire shapes as a shard so clients cannot
-// tell a routed fleet from a single daemon.
-
-// WriteJSON writes v as the API's indented JSON with the given status.
-func WriteJSON(w http.ResponseWriter, status int, v any) { writeJSON(w, status, v) }
-
-// WriteError writes the structured error envelope.
-func WriteError(w http.ResponseWriter, status int, code, message string) {
-	writeError(w, status, code, message)
 }
 
 // EnvelopeHandler wraps h so its mux-generated plain-text 404/405 responses
@@ -733,6 +647,3 @@ func EnvelopeHandler(h http.Handler) http.Handler {
 		h.ServeHTTP(&envelopeWriter{rw: w}, r)
 	})
 }
-
-// ValidateGraphRef checks the wire shape of a graph reference; nil means ok.
-func ValidateGraphRef(ref string) *RequestError { return validateGraphRef(ref) }

@@ -84,7 +84,9 @@ func TestHTTPSubmitWaitAndPoll(t *testing.T) {
 
 	// Synchronous submission.
 	status, data := postPartition(t, ts.URL, service.PartitionRequest{
-		Algo: "multilevel-kl", Parts: 4, Seed: 1994, Graph: payload, Wait: true,
+		JobSpec: service.JobSpec{Algo: "multilevel-kl", Parts: 4, Seed: 1994},
+		Graph:   payload,
+		Wait:    true,
 	})
 	if status != http.StatusOK {
 		t.Fatalf("status %d: %s", status, data)
@@ -99,7 +101,8 @@ func TestHTTPSubmitWaitAndPoll(t *testing.T) {
 
 	// Asynchronous submission + ?wait=1 poll.
 	status, data = postPartition(t, ts.URL, service.PartitionRequest{
-		Algo: "multilevel-kl", Parts: 4, Seed: 7, Graph: payload,
+		JobSpec: service.JobSpec{Algo: "multilevel-kl", Parts: 4, Seed: 7},
+		Graph:   payload,
 	})
 	if status != http.StatusAccepted && status != http.StatusOK {
 		t.Fatalf("async status %d: %s", status, data)
@@ -138,7 +141,9 @@ func TestHTTPConcurrentIdenticalRequests(t *testing.T) {
 	ts, e := newTestServer(t, service.Config{Workers: 2})
 	payload := metisPayload(t, 400)
 	req := service.PartitionRequest{
-		Algo: "multilevel-fm", Parts: 8, Seed: 3, Graph: payload, Wait: true,
+		JobSpec: service.JobSpec{Algo: "multilevel-fm", Parts: 8, Seed: 3},
+		Graph:   payload,
+		Wait:    true,
 	}
 
 	var wg sync.WaitGroup
@@ -196,16 +201,16 @@ func TestHTTPConstraintViolationsAreStructured4xx(t *testing.T) {
 		req  service.PartitionRequest
 		code string
 	}{
-		{"unknown algo", service.PartitionRequest{Algo: "nope", Parts: 4, Graph: payload}, "unknown_algo"},
-		{"zero parts", service.PartitionRequest{Algo: "kl", Parts: 0, Graph: payload}, "bad_parts"},
-		{"parts exceed nodes", service.PartitionRequest{Algo: "kl", Parts: 101, Graph: payload}, "bad_parts"},
-		{"coords needed", service.PartitionRequest{Algo: "ibp", Parts: 4, Graph: payload}, "needs_coords"},
-		{"non power of two", service.PartitionRequest{Algo: "rsb", Parts: 3, Graph: payload}, "parts_not_power_of_two"},
-		{"bad objective", service.PartitionRequest{Algo: "kl", Parts: 4, Graph: payload, Objective: "median"}, "bad_objective"},
-		{"bad format", service.PartitionRequest{Algo: "kl", Parts: 4, Graph: payload, Format: "xml"}, "bad_format"},
-		{"empty graph", service.PartitionRequest{Algo: "kl", Parts: 4}, "bad_graph"},
-		{"malformed metis", service.PartitionRequest{Algo: "kl", Parts: 4, Graph: "3 9\n2\n1\n\n"}, "bad_graph"},
-		{"malformed edgelist", service.PartitionRequest{Algo: "kl", Parts: 2, Format: "edgelist", Graph: "0 0\n"}, "bad_graph"},
+		{"unknown algo", service.PartitionRequest{JobSpec: service.JobSpec{Algo: "nope", Parts: 4}, Graph: payload}, "unknown_algo"},
+		{"zero parts", service.PartitionRequest{JobSpec: service.JobSpec{Algo: "kl", Parts: 0}, Graph: payload}, "bad_parts"},
+		{"parts exceed nodes", service.PartitionRequest{JobSpec: service.JobSpec{Algo: "kl", Parts: 101}, Graph: payload}, "bad_parts"},
+		{"coords needed", service.PartitionRequest{JobSpec: service.JobSpec{Algo: "ibp", Parts: 4}, Graph: payload}, "needs_coords"},
+		{"non power of two", service.PartitionRequest{JobSpec: service.JobSpec{Algo: "rsb", Parts: 3}, Graph: payload}, "parts_not_power_of_two"},
+		{"bad objective", service.PartitionRequest{JobSpec: service.JobSpec{Algo: "kl", Parts: 4, Objective: "median"}, Graph: payload}, "bad_objective"},
+		{"bad format", service.PartitionRequest{JobSpec: service.JobSpec{Algo: "kl", Parts: 4}, Graph: payload, Format: "xml"}, "bad_format"},
+		{"empty graph", service.PartitionRequest{JobSpec: service.JobSpec{Algo: "kl", Parts: 4}}, "bad_graph"},
+		{"malformed metis", service.PartitionRequest{JobSpec: service.JobSpec{Algo: "kl", Parts: 4}, Graph: "3 9\n2\n1\n\n"}, "bad_graph"},
+		{"malformed edgelist", service.PartitionRequest{JobSpec: service.JobSpec{Algo: "kl", Parts: 2}, Format: "edgelist", Graph: "0 0\n"}, "bad_graph"},
 	}
 	for _, c := range cases {
 		status, data := postPartition(t, ts.URL, c.req)
@@ -266,7 +271,9 @@ func TestHTTPStats(t *testing.T) {
 	payload := metisPayload(t, 120)
 	for i := 0; i < 2; i++ {
 		status, data := postPartition(t, ts.URL, service.PartitionRequest{
-			Algo: "kl", Parts: 2, Graph: payload, Wait: true,
+			JobSpec: service.JobSpec{Algo: "kl", Parts: 2},
+			Graph:   payload,
+			Wait:    true,
 		})
 		if status != http.StatusOK {
 			t.Fatalf("status %d: %s", status, data)
@@ -309,7 +316,10 @@ func TestHTTPTextFormatCarriesCoords(t *testing.T) {
 		t.Fatal(err)
 	}
 	status, data := postPartition(t, ts.URL, service.PartitionRequest{
-		Algo: "ibp", Parts: 4, Format: "text", Graph: buf.String(), Wait: true,
+		JobSpec: service.JobSpec{Algo: "ibp", Parts: 4},
+		Format:  "text",
+		Graph:   buf.String(),
+		Wait:    true,
 	})
 	if status != http.StatusOK {
 		t.Fatalf("status %d: %s", status, data)
@@ -326,8 +336,10 @@ func ExampleNewHandler() {
 	defer ts.Close()
 
 	body, _ := json.Marshal(service.PartitionRequest{
-		Algo: "grow", Parts: 2, Format: "edgelist",
-		Graph: "0 1\n1 2\n2 3\n3 0\n", Wait: true,
+		JobSpec: service.JobSpec{Algo: "grow", Parts: 2},
+		Format:  "edgelist",
+		Graph:   "0 1\n1 2\n2 3\n3 0\n",
+		Wait:    true,
 	})
 	resp, err := http.Post(ts.URL+"/v1/partition", "application/json", bytes.NewReader(body))
 	if err != nil {

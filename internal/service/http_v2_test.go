@@ -124,7 +124,9 @@ func TestHTTPUploadOnceBatchBitIdentical(t *testing.T) {
 	legacy, _ := newTestServerOpts(t, service.Config{Workers: 2})
 	for i, j := range br.Jobs {
 		status, data := postPartition(t, legacy.URL, service.PartitionRequest{
-			Algo: "multilevel-kl", Parts: 4, Seed: int64(i), Graph: payload, Wait: true,
+			JobSpec: service.JobSpec{Algo: "multilevel-kl", Parts: 4, Seed: int64(i)},
+			Graph:   payload,
+			Wait:    true,
 		})
 		if status != http.StatusOK {
 			t.Fatalf("legacy submit %d: status %d: %s", i, status, data)
@@ -157,6 +159,44 @@ func TestHTTPUploadOnceBatchBitIdentical(t *testing.T) {
 	status, data = doJSON(t, http.MethodGet, ts.URL+"/v1/graphs/"+put.Hash, nil)
 	if status != http.StatusOK {
 		t.Fatalf("GET graph status %d: %s", status, data)
+	}
+}
+
+// A waiting batch holds its jobs, so it cannot lose a member to job-history
+// eviction: with a history of 4, a batch of 8 cache hits evicts its own
+// first members as it submits the rest, and must still answer 200 with all
+// 8 done.
+func TestHTTPBatchWaitOutlivesJobHistory(t *testing.T) {
+	ts, _ := newTestServerOpts(t, service.Config{Workers: 1, JobHistory: 4})
+	status, data := doJSON(t, http.MethodPut, ts.URL+"/v1/graphs", service.GraphPutRequest{Graph: metisPayload(t, 100)})
+	if status != http.StatusCreated {
+		t.Fatalf("PUT status %d: %s", status, data)
+	}
+	var put service.GraphPutResponse
+	if err := json.Unmarshal(data, &put); err != nil {
+		t.Fatal(err)
+	}
+	batch := service.BatchRequest{Graph: put.Hash}
+	for seed := int64(0); seed < 8; seed++ {
+		batch.Specs = append(batch.Specs, service.JobSpec{Algo: "grow", Parts: 2, Seed: seed})
+	}
+	for round, wantCached := range []bool{false, true} {
+		status, data = doJSON(t, http.MethodPost, ts.URL+"/v1/jobs?wait=1", batch)
+		if status != http.StatusOK {
+			t.Fatalf("round %d: status %d: %s", round, status, data)
+		}
+		var br service.BatchResponse
+		if err := json.Unmarshal(data, &br); err != nil {
+			t.Fatal(err)
+		}
+		if len(br.Jobs) != 8 {
+			t.Fatalf("round %d: %d jobs, want 8", round, len(br.Jobs))
+		}
+		for i, j := range br.Jobs {
+			if j.State != service.StateDone || j.Cached != wantCached {
+				t.Errorf("round %d job %d: state %s cached %v, want done cached %v", round, i, j.State, j.Cached, wantCached)
+			}
+		}
 	}
 }
 
@@ -324,7 +364,7 @@ func TestHTTPQuotaAdmission(t *testing.T) {
 	payload := metisPayload(t, 100)
 
 	send := func(client string) (int, []byte, http.Header) {
-		body, _ := json.Marshal(service.PartitionRequest{Algo: "kl", Parts: 2, Graph: payload, Wait: true})
+		body, _ := json.Marshal(service.PartitionRequest{JobSpec: service.JobSpec{Algo: "kl", Parts: 2}, Graph: payload, Wait: true})
 		req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/partition", bytes.NewReader(body))
 		if err != nil {
 			t.Fatal(err)

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"sync"
 )
@@ -155,7 +156,7 @@ func (l *JobLog) compactLocked() {
 	f, err := os.OpenFile(l.path, os.O_WRONLY|os.O_APPEND|os.O_CREATE, 0o644)
 	if err != nil {
 		// Without a file handle the log goes dark but the daemon lives on.
-		l.f, l.w = nil, bufio.NewWriter(discardWriter{})
+		l.f, l.w = nil, bufio.NewWriter(io.Discard)
 		return
 	}
 	l.f = f
@@ -176,7 +177,3 @@ func (l *JobLog) Close() error {
 	}
 	return l.f.Close()
 }
-
-type discardWriter struct{}
-
-func (discardWriter) Write(p []byte) (int, error) { return len(p), nil }

@@ -19,13 +19,13 @@ func TestObjectiveFragmentsCacheKey(t *testing.T) {
 	defer e.Close()
 	g := testGraph(t)
 
-	cut, err := e.Submit(g, "kl", algo.Options{Parts: 4})
+	cut, err := submit(e, stored(g), "kl", algo.Options{Parts: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	waitDone(t, e, cut.ID)
 	for _, o := range []partition.Objective{partition.WorstCut, partition.CommVolume} {
-		got, err := e.Submit(g, "kl", algo.Options{Parts: 4, Objective: o})
+		got, err := submit(e, stored(g), "kl", algo.Options{Parts: 4, Objective: o})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -56,7 +56,7 @@ func TestUnsupportedObjectiveRejected(t *testing.T) {
 		{"fm", partition.CommVolume},
 		{"multilevel-fm", partition.CommVolume},
 	} {
-		_, err := e.Submit(g, c.algo, algo.Options{Parts: 4, Objective: c.o})
+		_, err := submit(e, stored(g), c.algo, algo.Options{Parts: 4, Objective: c.o})
 		var re *service.RequestError
 		if !errors.As(err, &re) || re.Code != "unsupported_objective" {
 			t.Errorf("%s with %s: got %v, want unsupported_objective", c.algo, c.o.FlagName(), err)
@@ -72,19 +72,24 @@ func TestHTTPObjectiveSurface(t *testing.T) {
 	payload := metisPayload(t, 120)
 
 	status, data := postPartition(t, ts.URL, service.PartitionRequest{
-		Algo: "kl", Parts: 4, Graph: payload, Objective: "maxcut", Wait: true,
+		JobSpec: service.JobSpec{Algo: "kl", Parts: 4, Objective: "maxcut"},
+		Graph:   payload,
+		Wait:    true,
 	})
 	if status != http.StatusOK {
 		t.Fatalf("maxcut submit: status %d body %s", status, data)
 	}
 	status, data = postPartition(t, ts.URL, service.PartitionRequest{
-		Algo: "kl", Parts: 4, Graph: payload, Objective: "worst", Wait: true,
+		JobSpec: service.JobSpec{Algo: "kl", Parts: 4, Objective: "worst"},
+		Graph:   payload,
+		Wait:    true,
 	})
 	if status != http.StatusOK {
 		t.Fatalf("legacy worst submit: status %d body %s", status, data)
 	}
 	status, data = postPartition(t, ts.URL, service.PartitionRequest{
-		Algo: "grow", Parts: 4, Graph: payload, Objective: "commvol",
+		JobSpec: service.JobSpec{Algo: "grow", Parts: 4, Objective: "commvol"},
+		Graph:   payload,
 	})
 	if status != http.StatusBadRequest || decodeErrorCode(t, data) != "unsupported_objective" {
 		t.Fatalf("grow+commvol: status %d body %s", status, data)

@@ -1,8 +1,7 @@
 package service
 
 import (
-	"container/list"
-	"io"
+	"strings"
 	"sync"
 
 	"repro/internal/gio"
@@ -26,11 +25,8 @@ import (
 // upload-once contract: one PUT followed by an N-spec batch is exactly one
 // parse and one content hash, not N.
 type GraphStore struct {
-	mu       sync.Mutex
-	maxBytes int64
-	bytes    int64
-	order    *list.List // front = most recently used; values are *StoredGraph
-	items    map[string]*list.Element
+	mu     sync.Mutex
+	graphs *lru[*StoredGraph]
 
 	puts, dedups, parses, hashes, gets, misses, evictions uint64
 }
@@ -42,7 +38,6 @@ type StoredGraph struct {
 	Edges int    `json:"edges"`
 
 	Graph *graph.Graph `json:"-"`
-	bytes int64
 }
 
 // StoreStats are the store's instrumentation counters.
@@ -65,11 +60,7 @@ func NewGraphStore(maxBytes int64) *GraphStore {
 	if maxBytes <= 0 {
 		maxBytes = 256 << 20
 	}
-	return &GraphStore{
-		maxBytes: maxBytes,
-		order:    list.New(),
-		items:    make(map[string]*list.Element),
-	}
+	return &GraphStore{graphs: newLRU[*StoredGraph](maxBytes)}
 }
 
 // graphBytes approximates a graph's resident CSR footprint: offsets,
@@ -84,16 +75,44 @@ func graphBytes(g *graph.Graph) int64 {
 	return b
 }
 
-// ParseAndPut parses one wire payload into CSR (counted: this is the parse
-// the upload-once contract says happens exactly once per distinct graph
-// upload) and stores it. It reports whether the graph was already present.
-func (s *GraphStore) ParseAndPut(f gio.Format, r io.Reader) (*StoredGraph, bool, error) {
-	s.mu.Lock()
-	s.parses++
-	s.mu.Unlock()
-	g, err := gio.ReadGraph(f, r)
+// ParsePayload parses a graph payload as it arrives on the wire; format is
+// a gio format name ("" and "auto" mean METIS). It refuses an unknown format
+// (bad_format) and an empty or unparsable payload (bad_graph). parsing, if
+// non-nil, runs just before the parse itself, so a caller can count parses
+// without counting the cheap refusals.
+func ParsePayload(format, payload string, parsing func()) (*graph.Graph, *RequestError) {
+	f, err := gio.FormatByName(format)
 	if err != nil {
-		return nil, false, err
+		return nil, reqErr("bad_format", "unknown graph format %q (want metis, edgelist, or text)", format)
+	}
+	if f == gio.FormatAuto {
+		f = gio.FormatMETIS
+	}
+	if payload == "" {
+		return nil, reqErr("bad_graph", "request carries no graph payload")
+	}
+	if parsing != nil {
+		parsing()
+	}
+	g, err := gio.ReadGraph(f, strings.NewReader(payload))
+	if err != nil {
+		return nil, reqErr("bad_graph", "%s", err)
+	}
+	return g, nil
+}
+
+// ParseAndPut parses one wire payload into CSR (see ParsePayload) and stores
+// it, reporting whether the graph was already present. The parse is
+// counted: this is the parse the upload-once contract says happens exactly
+// once per distinct graph upload.
+func (s *GraphStore) ParseAndPut(format, payload string) (*StoredGraph, bool, *RequestError) {
+	g, re := ParsePayload(format, payload, func() {
+		s.mu.Lock()
+		s.parses++
+		s.mu.Unlock()
+	})
+	if re != nil {
+		return nil, false, re
 	}
 	sg, existed := s.Put(g)
 	return sg, existed, nil
@@ -101,7 +120,8 @@ func (s *GraphStore) ParseAndPut(f gio.Format, r io.Reader) (*StoredGraph, bool,
 
 // Put stores an already-parsed graph under its content address, deduplicating
 // by hash: offering a graph that is already stored refreshes its recency and
-// returns the existing copy (existed = true), discarding g.
+// returns the existing copy (existed = true), discarding g. An oversized
+// graph is retained alone (see lru.add) instead of being unstorable.
 func (s *GraphStore) Put(g *graph.Graph) (*StoredGraph, bool) {
 	s.mu.Lock()
 	s.hashes++
@@ -111,31 +131,12 @@ func (s *GraphStore) Put(g *graph.Graph) (*StoredGraph, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.puts++
-	if el, ok := s.items[hash]; ok {
+	if sg, ok := s.graphs.get(hash); ok {
 		s.dedups++
-		s.order.MoveToFront(el)
-		return el.Value.(*StoredGraph), true
+		return sg, true
 	}
-	sg := &StoredGraph{
-		Hash:  hash,
-		Nodes: g.NumNodes(),
-		Edges: g.NumEdges(),
-		Graph: g,
-		bytes: graphBytes(g),
-	}
-	s.items[hash] = s.order.PushFront(sg)
-	s.bytes += sg.bytes
-	// Evict from the LRU end until the budget holds, but never the graph
-	// just stored: an oversized graph is retained alone (and evicted by the
-	// next Put) instead of being unstorable.
-	for s.bytes > s.maxBytes && s.order.Len() > 1 {
-		oldest := s.order.Back()
-		old := oldest.Value.(*StoredGraph)
-		s.order.Remove(oldest)
-		delete(s.items, old.Hash)
-		s.bytes -= old.bytes
-		s.evictions++
-	}
+	sg := &StoredGraph{Hash: hash, Nodes: g.NumNodes(), Edges: g.NumEdges(), Graph: g}
+	s.evictions += uint64(s.graphs.add(hash, sg, graphBytes(g)))
 	return sg, false
 }
 
@@ -143,14 +144,13 @@ func (s *GraphStore) Put(g *graph.Graph) (*StoredGraph, bool) {
 func (s *GraphStore) Get(hash string) (*StoredGraph, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	el, ok := s.items[hash]
+	sg, ok := s.graphs.get(hash)
 	if !ok {
 		s.misses++
 		return nil, false
 	}
 	s.gets++
-	s.order.MoveToFront(el)
-	return el.Value.(*StoredGraph), true
+	return sg, true
 }
 
 // Stats returns the current counters.
@@ -158,9 +158,9 @@ func (s *GraphStore) Stats() StoreStats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return StoreStats{
-		Graphs:        s.order.Len(),
-		Bytes:         s.bytes,
-		CapacityBytes: s.maxBytes,
+		Graphs:        s.graphs.len(),
+		Bytes:         s.graphs.bytes,
+		CapacityBytes: s.graphs.maxBytes,
 		Puts:          s.puts,
 		Dedups:        s.dedups,
 		Parses:        s.parses,
@@ -171,10 +171,10 @@ func (s *GraphStore) Stats() StoreStats {
 	}
 }
 
-// validateGraphRef checks the wire shape of a graph reference ("sha256:"
+// ValidateGraphRef checks the wire shape of a graph reference ("sha256:"
 // plus 64 hex digits) before any store lookup, so typos fail with a clear
-// bad_graph_ref rather than a misleading not-found.
-func validateGraphRef(ref string) *RequestError {
+// bad_graph_ref rather than a misleading not-found; nil means ok.
+func ValidateGraphRef(ref string) *RequestError {
 	const prefix = "sha256:"
 	if len(ref) != len(prefix)+64 || ref[:len(prefix)] != prefix {
 		return reqErr("bad_graph_ref", "graph reference %q is not of the form sha256:<64 hex digits> (as returned by PUT /v1/graphs)", ref)

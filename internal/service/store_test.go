@@ -54,18 +54,18 @@ func TestGraphStoreParseAndPutCountsParses(t *testing.T) {
 	if err := gio.WriteMETIS(&sb, gen.Mesh(100, 1)); err != nil {
 		t.Fatal(err)
 	}
-	sg, existed, err := s.ParseAndPut(gio.FormatMETIS, strings.NewReader(sb.String()))
+	sg, existed, err := s.ParseAndPut("metis", sb.String())
 	if err != nil || existed {
 		t.Fatalf("sg=%v existed=%v err=%v", sg, existed, err)
 	}
-	if _, existed, _ := s.ParseAndPut(gio.FormatMETIS, strings.NewReader(sb.String())); !existed {
+	if _, existed, _ := s.ParseAndPut("metis", sb.String()); !existed {
 		t.Fatal("re-upload did not dedup")
 	}
 	st := s.Stats()
 	if st.Parses != 2 || st.Hashes != 2 || st.Graphs != 1 {
 		t.Errorf("counters: %+v", st)
 	}
-	if _, _, err := s.ParseAndPut(gio.FormatMETIS, strings.NewReader("not metis\n")); err == nil {
+	if _, _, err := s.ParseAndPut("metis", "not metis\n"); err == nil {
 		t.Fatal("malformed payload stored")
 	}
 }
@@ -192,7 +192,7 @@ func TestEngineJobLogRestore(t *testing.T) {
 	}
 	e := service.New(service.Config{Workers: 1, Log: l, Restore: restored})
 	g := testGraph(t)
-	info, err := e.Submit(g, "kl", algo.Options{Parts: 2, Seed: 7})
+	info, err := submit(e, stored(g), "kl", algo.Options{Parts: 2, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +218,7 @@ func TestEngineJobLogRestore(t *testing.T) {
 		t.Errorf("restored result %+v", got.Result)
 	}
 	// New ids continue past the restored sequence — no collisions.
-	next, err := e2.Submit(g, "kl", algo.Options{Parts: 2, Seed: 8})
+	next, err := submit(e2, stored(g), "kl", algo.Options{Parts: 2, Seed: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
