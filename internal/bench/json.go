@@ -265,7 +265,6 @@ func RunJSON(suiteName string, cases []Case, algos []string, opt algo.Options, r
 		GOARCH:    runtime.GOARCH,
 	}
 	for _, c := range cases {
-		ideal := c.Graph.TotalNodeWeight() / float64(c.Parts)
 		for _, name := range algos {
 			res := Result{
 				Case:  c.Name,
@@ -313,13 +312,7 @@ func RunJSON(suiteName string, cases []Case, algos []string, opt algo.Options, r
 				res.MaxPartCut = p.MaxPartCut(c.Graph)
 				res.CommVolume = p.CommVolume(c.Graph)
 				res.ImbalanceSq = p.ImbalanceSq(c.Graph)
-				var maxW float64
-				for _, w := range p.PartWeights(c.Graph) {
-					if w > maxW {
-						maxW = w
-					}
-				}
-				res.Balance = maxW / ideal
+				res.Balance = p.Balance(c.Graph)
 			}
 			rep.Results = append(rep.Results, res)
 		}

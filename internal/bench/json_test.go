@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/algo"
 	"repro/internal/gen"
+	"repro/internal/gio"
 )
 
 func TestRunJSONSmokeAndRoundTrip(t *testing.T) {
@@ -49,6 +50,26 @@ func TestRunJSONRecordsConstraintErrors(t *testing.T) {
 	}
 	if rep.Results[1].Error != "" || rep.Results[1].Cut == 0 {
 		t.Errorf("kl should have succeeded: %+v", rep.Results[1])
+	}
+}
+
+// A graph whose node weights sum to 0 has no ideal part weight to measure
+// balance against: its rows must report balance 0, not NaN, so the report
+// still encodes.
+func TestRunJSONZeroWeightGraphEncodes(t *testing.T) {
+	g, err := gio.ReadMETIS(strings.NewReader("% zero-weight path\n4 3 10\n0 2\n0 1 3\n0 2 4\n0 3\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep := RunJSON("unit", []Case{{Name: "zero-p2", Graph: g, Parts: 2}}, []string{"grow", "kl"}, algo.Options{Seed: 1}, 1)
+	for _, r := range rep.Results {
+		if r.Error != "" || r.Balance != 0 {
+			t.Errorf("%s: error %q, balance %v; want no error and balance 0", r.Algo, r.Error, r.Balance)
+		}
+	}
+	var buf bytes.Buffer
+	if err := rep.WriteJSON(&buf); err != nil {
+		t.Fatalf("report does not encode: %v", err)
 	}
 }
 

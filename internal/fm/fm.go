@@ -105,6 +105,13 @@ type refinement struct {
 	stop    func() bool
 	minSize int // node-count balance bounds every kept move respects
 	maxSize int
+
+	// The current pass's best-prefix state, advanced by commit: the
+	// cumulative score of the moves logged so far (s.log), and the best
+	// cumulative score with the log length that reached it.
+	cum, bestCum float64
+	bestK        int
+	cmax         runningMax // WorstCut: max over the tentative cuts s.cuts
 }
 
 // refine is the pass loop both schedules share. It rejects CommVolume,
@@ -181,6 +188,7 @@ type scratch struct {
 	seedGain  []float64 // ... and its gain (-1 destination = no candidate)
 	seeds     []int     // boundary snapshot buffer, one per pass
 	cuts      []float64 // WorstCut: tentative per-part cuts along the pass's move sequence
+	sizes     []int     // live part sizes along the pass's move sequence
 
 	// Colored-pass (RefineColored) state, grown by growPar only when the
 	// parallel refiner runs; see fmpar.go. The generation counters are
@@ -200,7 +208,6 @@ type scratch struct {
 	affected  []int32 // movers' neighbors with live rows, dedup'd per batch
 	affMark   []int32 // affMark[v] == affGen: already in affected
 	affGen    int32
-	sizes     []int // live part sizes along the parallel pass
 }
 
 // grow resizes the scratch for an (n, parts) refinement, reusing capacity.
@@ -230,6 +237,11 @@ func (s *scratch) grow(n, parts int) {
 		s.work = partition.New(n, parts)
 	} else {
 		s.work.Assign = s.work.Assign[:n]
+	}
+	if cap(s.sizes) < parts {
+		s.sizes = make([]int, parts)
+	} else {
+		s.sizes = s.sizes[:parts]
 	}
 }
 
@@ -274,9 +286,7 @@ func (s *scratch) bestOf(work *partition.Partition, parts, v int) (int32, float6
 
 // move is one entry of the FM move log.
 type move struct {
-	v        int
-	from, to int
-	gain     float64
+	v, to int
 }
 
 // runningMax tracks max(0, max_q cuts[q]) across incremental updates — the
@@ -331,6 +341,76 @@ func (m *runningMax) cur() float64 {
 		return m.max
 	}
 	return 0
+}
+
+// startPass begins a pass of either schedule: a fresh pass stamp, the
+// working assignment and part sizes copied from p, an empty move log, and
+// under WorstCut the tentative per-part cuts copied from ev.
+func (r *refinement) startPass() {
+	s := r.s
+	s.pass++
+	copy(s.work.Assign, r.p.Assign)
+	clear(s.sizes)
+	for _, q := range s.work.Assign {
+		s.sizes[q]++
+	}
+	s.log = s.log[:0]
+	r.cum, r.bestCum, r.bestK = 0, 0, 0
+	if r.o == partition.WorstCut {
+		s.cuts = append(s.cuts[:0], r.ev.Cuts...)
+		r.cmax.reset(s.cuts)
+	}
+}
+
+// legal reports whether moving one node from part from to part to keeps
+// both within the node-count balance bounds.
+func (r *refinement) legal(from, to int) bool {
+	return r.s.sizes[from]-1 >= r.minSize && r.s.sizes[to]+1 <= r.maxSize
+}
+
+// commit is the move step both schedules share. It locks v, moves it from
+// part from to part to in the working assignment and part sizes, scores the
+// move, logs it, and advances the best prefix. The score is the cut gain
+// passed in, except under WorstCut: there it is the drop of max_q C(q) over
+// the tentative cuts, read from v's connectivity row, and the cut gain that
+// ordered the pops or commits is only a visit-order heuristic. v's row is
+// current, because it keys on v's neighbors' parts, which v's own move does
+// not touch; and only C(from) and C(to) change, because v's cut edges into
+// any third part stay cut on both sides.
+func (r *refinement) commit(v, from, to int, gain float64) {
+	s, parts := r.s, r.p.Parts
+	s.lockPass[v] = s.pass
+	s.work.Assign[v] = uint16(to)
+	s.sizes[from]--
+	s.sizes[to]++
+	if r.o == partition.WorstCut {
+		row := s.conn[v*parts : (v+1)*parts]
+		var rowSum float64
+		for _, w := range row {
+			rowSum += w
+		}
+		wFrom, wTo := row[from], row[to]
+		wOther := rowSum - wFrom - wTo
+		curMax := r.cmax.cur()
+		r.cmax.apply(s.cuts, from, wFrom-wTo-wOther)
+		r.cmax.apply(s.cuts, to, wFrom-wTo+wOther)
+		r.cum += curMax - r.cmax.cur()
+	} else {
+		r.cum += gain
+	}
+	s.log = append(s.log, move{v: v, to: to})
+	if r.cum > r.bestCum {
+		r.bestCum, r.bestK = r.cum, len(s.log)
+	}
+}
+
+// keep applies the pass's best prefix through ev, in pass order, and
+// returns its score.
+func (r *refinement) keep() float64 {
+	for _, m := range r.s.log[:r.bestK] {
+		r.ev.Move(r.g, r.p, m.v, m.to)
+	}
+	return r.bestCum
 }
 
 // cand is a prioritized candidate move.
@@ -407,15 +487,12 @@ func (h *candHeap) pop() cand {
 // that follows stays serial (each move reorders the heap the next pop
 // reads); RefineColored is the schedule that parallelizes it.
 func (r *refinement) heapPass() (float64, bool) {
-	g, p, ev, s, o := r.g, r.p, r.ev, r.s, r.o
-	minSize, maxSize := r.minSize, r.maxSize
-	parts := p.Parts
+	g, ev, s := r.g, r.ev, r.s
+	parts := r.p.Parts
 
-	s.pass++
+	r.startPass()
 	work := s.work
-	copy(work.Assign, p.Assign)
 	ensureConn := func(v int) { s.ensureConn(g, work, parts, v) }
-	sizes := p.PartSizes()
 	locked := func(v int) bool { return s.lockPass[v] == s.pass }
 	// stamp values restart at 0 each pass; the reset is lazy (stamped with
 	// the pass number) so it costs nothing for untouched nodes.
@@ -459,20 +536,6 @@ func (r *refinement) heapPass() (float64, bool) {
 		}
 	}
 
-	log := s.log[:0]
-	var cum, bestCum float64
-	bestK := 0
-	// WorstCut: the applied prefix's per-part cuts, evolved move by move so
-	// each move's max_q C(q) delta is exact against the moves before it. Only
-	// C(from) and C(to) change on a move — v's cut edges into any third part
-	// stay cut on both sides.
-	var cuts []float64
-	var cmax runningMax
-	if o == partition.WorstCut {
-		cuts = append(s.cuts[:0], ev.Cuts...)
-		s.cuts = cuts
-		cmax.reset(cuts)
-	}
 	for len(*h) > 0 {
 		c := h.pop()
 		v := c.v
@@ -483,8 +546,7 @@ func (r *refinement) heapPass() (float64, bool) {
 		if c.to == from {
 			continue
 		}
-		// Balance legality.
-		if sizes[from]-1 < minSize || sizes[c.to]+1 > maxSize {
+		if !r.legal(from, c.to) {
 			// Illegal now; it may become legal after other moves, so
 			// re-stamp and re-push once.
 			bumpStamp(v)
@@ -495,39 +557,7 @@ func (r *refinement) heapPass() (float64, bool) {
 			}
 			continue
 		}
-		// Apply the move.
-		s.lockPass[v] = s.pass
-		work.Assign[v] = uint16(c.to)
-		sizes[from]--
-		sizes[c.to]++
-		if o == partition.WorstCut {
-			// Score by the worst-part delta, computed from v's (current)
-			// connectivity row. The heap ordered by cut gain is a visit-order
-			// heuristic here; the best-prefix selection below is what the
-			// objective actually steers.
-			row := s.conn[v*parts : (v+1)*parts]
-			var rowSum float64
-			for _, w := range row {
-				rowSum += w
-			}
-			// The row already reflects the move (work.Assign[v] changed after
-			// the neighbors' rows were updated, but v's own row keys on its
-			// neighbors' parts, which the move does not touch).
-			wFrom, wTo := row[from], row[c.to]
-			wOther := rowSum - wFrom - wTo
-			dFrom := wFrom - wTo - wOther
-			dTo := wFrom - wTo + wOther
-			curMax := cmax.cur()
-			cmax.apply(cuts, from, dFrom)
-			cmax.apply(cuts, c.to, dTo)
-			cum += curMax - cmax.cur()
-		} else {
-			cum += c.gain
-		}
-		log = append(log, move{v: v, from: from, to: c.to, gain: c.gain})
-		if cum > bestCum {
-			bestCum, bestK = cum, len(log)
-		}
+		r.commit(v, from, c.to, c.gain)
 		// Update neighbors' connectivity and re-queue them. A neighbor whose
 		// row is not yet materialized needs no delta: its lazy scan already
 		// sees v in its new part.
@@ -544,14 +574,5 @@ func (r *refinement) heapPass() (float64, bool) {
 			pushBest(int(u))
 		}
 	}
-	s.log = log
-	if bestK == 0 {
-		return 0, false
-	}
-	// Keep the best prefix. Moves are replayed in pass order, so each node's
-	// current part matches the logged `from` when its move applies.
-	for _, m := range log[:bestK] {
-		ev.Move(g, p, m.v, m.to)
-	}
-	return bestCum, false
+	return r.keep(), false
 }

@@ -74,7 +74,7 @@ func lessCand(a, b parCand) bool {
 
 // growPar sizes the colored-pass scratch; grow(n, parts) must have run.
 // Like grow, it reuses capacity and never resets the generation counters.
-func (s *scratch) growPar(n, parts int) {
+func (s *scratch) growPar(n int) {
 	if cap(s.nextMark) < n {
 		s.nextMark = make([]int32, n)
 		s.movedMark = make([]int32, n)
@@ -87,11 +87,6 @@ func (s *scratch) growPar(n, parts int) {
 		s.affMark = s.affMark[:n]
 		s.movedFrom = s.movedFrom[:n]
 		s.movedTo = s.movedTo[:n]
-	}
-	if cap(s.sizes) < parts {
-		s.sizes = make([]int, parts)
-	} else {
-		s.sizes = s.sizes[:parts]
 	}
 }
 
@@ -116,20 +111,11 @@ func RefineColored(g *graph.Graph, p *partition.Partition, ev *partition.Eval, c
 // kept plus whether Stop cut the pass short; kept moves are applied through
 // ev either way, so pass exits are always consistent states.
 func (r *refinement) coloredPass() (float64, bool) {
-	g, p, ev, s, o, workers, stop := r.g, r.p, r.ev, r.s, r.o, r.workers, r.stop
-	minSize, maxSize := r.minSize, r.maxSize
-	s.growPar(g.NumNodes(), p.Parts)
-	parts := p.Parts
-	s.pass++
+	g, ev, s, workers, stop := r.g, r.ev, r.s, r.workers, r.stop
+	s.growPar(g.NumNodes())
+	parts := r.p.Parts
+	r.startPass()
 	work := s.work
-	copy(work.Assign, p.Assign)
-	sizes := s.sizes
-	for q := range sizes {
-		sizes[q] = 0
-	}
-	for _, q := range work.Assign {
-		sizes[q]++
-	}
 	locked := func(v int) bool { return s.lockPass[v] == s.pass }
 	// The serial pass's lazily-reset bounce budget, reused verbatim: stamps
 	// restart at 0 on first touch per pass.
@@ -144,16 +130,6 @@ func (r *refinement) coloredPass() (float64, bool) {
 
 	s.frontier = ev.AppendBoundary(s.frontier)
 	frontier := s.frontier
-	log := s.log[:0]
-	var cum, bestCum float64
-	bestK := 0
-	var cuts []float64
-	var cmax runningMax
-	if o == partition.WorstCut {
-		cuts = append(s.cuts[:0], ev.Cuts...)
-		s.cuts = cuts
-		cmax.reset(cuts)
-	}
 	stopped := false
 
 	for len(frontier) > 0 {
@@ -204,7 +180,7 @@ func (r *refinement) coloredPass() (float64, bool) {
 				v := int(cd.v)
 				from := int(work.Assign[v])
 				to := int(cd.to)
-				if sizes[from]-1 < minSize || sizes[to]+1 > maxSize {
+				if !r.legal(from, to) {
 					// Illegal now; it may become legal after other commits, so
 					// stay eligible next round — within the bounce budget, the
 					// same loop guard as the serial pass's re-pushes.
@@ -215,32 +191,8 @@ func (r *refinement) coloredPass() (float64, bool) {
 					}
 					continue
 				}
-				s.lockPass[v] = s.pass
-				work.Assign[v] = uint16(to)
-				sizes[from]--
-				sizes[to]++
-				if o == partition.WorstCut {
-					// Same worst-part scoring as the serial pass: v's row is
-					// current (all earlier batches' deltas applied; its own
-					// move keys on neighbors' parts, which it does not touch).
-					row := s.conn[v*parts : (v+1)*parts]
-					var rowSum float64
-					for _, w := range row {
-						rowSum += w
-					}
-					wFrom, wTo := row[from], row[to]
-					wOther := rowSum - wFrom - wTo
-					curMax := cmax.cur()
-					cmax.apply(cuts, from, wFrom-wTo-wOther)
-					cmax.apply(cuts, to, wFrom-wTo+wOther)
-					cum += curMax - cmax.cur()
-				} else {
-					cum += cd.gain
-				}
-				log = append(log, move{v: v, from: from, to: to, gain: cd.gain})
-				if cum > bestCum {
-					bestCum, bestK = cum, len(log)
-				}
+				// v's row is current: all earlier batches' deltas were applied.
+				r.commit(v, from, to, cd.gain)
 				s.movedMark[v] = s.movedGen
 				s.movedFrom[v] = uint16(from)
 				s.movedTo[v] = uint16(to)
@@ -301,12 +253,5 @@ func (r *refinement) coloredPass() (float64, bool) {
 		s.frontier = kept
 		frontier = kept
 	}
-	s.log = log
-	if bestK == 0 {
-		return 0, stopped
-	}
-	for _, m := range log[:bestK] {
-		ev.Move(g, p, m.v, m.to)
-	}
-	return bestCum, stopped
+	return r.keep(), stopped
 }

@@ -10,8 +10,8 @@ import (
 // Two nodes of one color class share no edge, so their candidate moves can
 // be gain-evaluated concurrently against class-start state without one move
 // invalidating another's deltas — the shared scheduling substrate of the
-// colored boundary climb (per tile), label propagation (per tile, package
-// lp), and the colored FM pass (per round, package fm).
+// colored boundary sweep (per tile, under both Climb and Propagate) and the
+// colored FM pass (per round, package fm).
 //
 // The zero value is ready to use. The slices returned by Group alias the
 // scratch and are valid until the next call; a Classes is not safe for

@@ -1,35 +1,44 @@
-// Colored parallel boundary hill climbing: the uncoarsening-phase refiner of
-// the multilevel pipeline, parallelized without giving up the repository-wide
+// The colored boundary sweep: the uncoarsening-phase refiners of the
+// multilevel pipeline, parallelized without giving up the repository-wide
 // Workers determinism contract.
 //
 // The serial climb (HillClimbEval) visits the boundary in ascending node
 // order and takes each node's best strictly-improving move immediately, so
 // every decision depends on all earlier ones — an inherently sequential
-// chain. The colored climb breaks the chain where it is provably slack: each
+// chain. The colored sweep breaks the chain where it is provably slack: each
 // pass walks the boundary in index-contiguous tiles, and a deterministic
-// coloring of each tile's induced subgraph (par.Color) splits the tile into
-// color classes with no internal edges, so within a class no committed move
-// can change another member's neighborhood. That makes the expensive
-// per-node work — the O(deg) scan producing each member's candidate parts
-// and cut deltas — a pure function of the class-start state, evaluated in
-// parallel over par-owned index ranges. Commits then replay serially within
-// the class in descending provisional-gain order (biggest class-start winner
-// first, ascending node id on ties), folding each candidate's cut deltas
-// with the *current* part weights (and cuts), so a class sweep is exactly a
-// serial sweep of its members and a move is taken only if it strictly
-// improves the fitness at commit time; the partition.Eval aggregates stay
-// exact move by move.
+// coloring of each tile's induced subgraph (Classes over par.Color) splits
+// the tile into color classes with no internal edges, so within a class no
+// committed move can change another member's neighborhood. That makes the
+// expensive per-node work — the O(deg) gather of each member's candidate
+// parts and the edge weight into each — a pure function of the class-start
+// state, computed in parallel over par-owned index ranges. What a class does
+// with its candidates is the sweep's rule, in two pieces: an evaluation per
+// member, run inside the parallel gather, and a serial commit that replays
+// the class through the partition.Eval, so the aggregates stay exact move by
+// move. Two rules run on the sweep:
 //
-// The whole climb is therefore the serial climb run over a deterministic
-// permutation of each pass's boundary — (tile, color, gain) order instead
-// of pure index order — which preserves its properties (monotone fitness,
-// convergence to a single-move local optimum; at tile size 1 it IS the
-// serial climb bit for bit) while exposing class-sized batches of gain
-// evaluation to the worker pool. The result is a pure function of (graph,
-// partition, objective): the worker count changes only which goroutine
-// computes which class member's deltas, never a decision — pinned by the
-// width bit-identity tests in this package and downstream in multilevel and
-// algo.
+//   - Climb, boundary hill climbing. Each member's provisional best gain
+//     against the class-start aggregates orders the commit: descending gain,
+//     ascending node id on ties, every candidate re-evaluated against the
+//     current part weights (and cuts) and a move taken only if it strictly
+//     improves the fitness. The climb is therefore the serial climb run over
+//     a deterministic permutation of each pass's boundary — (tile, color,
+//     gain) order instead of pure index order — which preserves its
+//     properties (monotone fitness, convergence to a single-move local
+//     optimum; at tile size 1 it IS the serial climb bit for bit).
+//   - Propagate, size-constrained label propagation in the style of
+//     KaMinPar (Gottesbüren et al. '21). Each member votes for the part it
+//     is most strongly connected to, and the class commits in ascending node
+//     order, moving a member only if its vote strictly beats its home part
+//     and the target stays under a hard weight cap. No gain function and no
+//     move log: O(deg) per boundary node, which is why it refines the
+//     million-node levels, where KL/FM's Theta(n·parts) structures dominate.
+//
+// Either way the result is a pure function of (graph, partition, rule): the
+// worker count changes only which goroutine gathers which class member's
+// candidates, never a decision — pinned by the width bit-identity tests in
+// this package and downstream in multilevel and algo.
 package kl
 
 import (
@@ -42,9 +51,9 @@ import (
 	"repro/internal/partition"
 )
 
-// Climb performs boundary hill climbing with the colored parallel sweep
-// described above, spreading gain evaluation over cfg.Workers goroutines.
-// Like HillClimbEval it climbs until no move improves cfg.Objective or
+// Climb performs boundary hill climbing on the colored sweep described
+// above, spreading the gather over cfg.Workers goroutines. Like
+// HillClimbEval it climbs until no move improves cfg.Objective or
 // cfg.MaxPasses passes complete, keeps ev (built from p when nil) exactly in
 // sync, and returns the number of moves made; cfg.Stop is polled before each
 // pass.
@@ -56,51 +65,45 @@ import (
 // The GA's offspring climbing keeps the serial sweep; the multilevel
 // uncoarsening phase and the flat kl registry algorithm use this one.
 func Climb(g *graph.Graph, p *partition.Partition, ev *partition.Eval, cfg Config) int {
-	ev = tracked(g, p, ev, cfg)
-	c := climberPool.Get().(*colorClimber)
-	c.g = g
-	c.p = p
-	c.o = cfg.Objective
-	c.ev = ev
-	c.avg = g.TotalNodeWeight() / float64(p.Parts)
-	c.workers = par.Workers(cfg.Workers)
-	// Pooled class scratch carries stamps from earlier climbs; restart them
-	// so a long-lived process can never wrap a stamp into a stale seen entry
-	// (and so a scratch sized for fewer parts is rebuilt).
-	if len(c.scratch) > 0 && len(c.scratch[0].seen) >= p.Parts {
-		for w := range c.scratch {
-			sc := &c.scratch[w]
-			for i := range sc.seen {
-				sc.seen[i] = 0
-			}
-			sc.stamp = 1
-		}
-	} else {
-		c.scratch = nil
-	}
-	moves := 0
-	for pass := 0; cfg.MaxPasses <= 0 || pass < cfg.MaxPasses; pass++ {
-		if cfg.Stop != nil && cfg.Stop() {
-			break
-		}
-		m := c.pass()
-		moves += m
-		if m == 0 {
-			break
-		}
-	}
-	c.g, c.p, c.ev = nil, nil, nil
-	climberPool.Put(c)
-	return moves
+	s := sweepPool.Get().(*sweeper)
+	defer sweepPool.Put(s)
+	return s.climb(g, p, ev, cfg)
 }
 
-// climberPool recycles colorClimber scratch across climbs: the multilevel
-// uncoarsening phase runs two climbs per level, and the O(n) bIndex plus the
-// tile/class buffers otherwise reallocate at every one. Pooled state never
-// changes results: every buffer is either fully rewritten before it is read
-// (members, cands, off, ...), restored to its zero invariant by the previous
-// climb (bIndex), or explicitly reset on checkout (the class stamps).
-var climberPool = sync.Pool{New: func() any { return new(colorClimber) }}
+// Propagate refines p by size-constrained label propagation on the colored
+// sweep and returns the number of moves made. A pass moves each boundary
+// node to the foreign part it has the most edge weight into (ties to the
+// part its neighbor order reaches first) when that beats its own part
+// strictly and keeps the target's live weight within 1.02·W/k; draining
+// inherited imbalance is Rebalance's job. The objective driven down is
+// always the total edge cut, whatever cfg.Objective: at the levels Propagate
+// runs on, cut is the only objective whose gain is O(deg), and every move
+// strictly reduces it without pushing a part over the cap. cfg.MaxPasses <=
+// 0 selects 16 passes; cfg.Stop is polled before each pass, and ev (built
+// from p when nil) stays exactly in sync, as in Climb.
+func Propagate(g *graph.Graph, p *partition.Partition, ev *partition.Eval, cfg Config) int {
+	s := sweepPool.Get().(*sweeper)
+	defer sweepPool.Put(s)
+	return s.propagate(g, p, ev, cfg)
+}
+
+const (
+	// balanceFrac sets Propagate's hard cap: no move may push a part past
+	// (1+balanceFrac) times the ideal weight W/k.
+	balanceFrac = 0.02
+	// propagatePasses bounds Propagate when cfg.MaxPasses <= 0 — a safety
+	// bound, since label propagation converges in a handful of passes.
+	propagatePasses = 16
+)
+
+// sweepPool recycles sweepers across Climb and Propagate calls: the
+// multilevel uncoarsening phase sweeps two or three times per level, and the
+// O(n) coloring index plus the tile/class buffers otherwise reallocate at
+// every one. Pooled state never changes results: every buffer is either
+// fully rewritten before it is read (cands, off, ...), restored to its zero
+// invariant by the previous sweep (Classes' bIndex), or reset when a sweep
+// starts (the dedup stamps).
+var sweepPool = sync.Pool{New: func() any { return new(sweeper) }}
 
 // moveCand is one candidate destination of a class member: the target part
 // and the total weight of the member's edges into it, accumulated in
@@ -119,28 +122,92 @@ type classScratch struct {
 	stamp int32
 }
 
-// colorClimber carries the state of one colored climb. All slices are
-// scratch reused across classes and passes.
-type colorClimber struct {
+// sweeper carries the state of one colored sweep. All slices are scratch
+// reused across classes, passes, and (through sweepPool) sweeps.
+type sweeper struct {
 	g       *graph.Graph
 	p       *partition.Partition
-	o       partition.Objective
 	ev      *partition.Eval
-	avg     float64
 	workers int
 
 	classes Classes // per-tile coloring + class grouping (shared with package fm)
+	bsnap   []int   // per-pass boundary snapshot buffer
+	scratch []classScratch
 
-	off      []int32 // candidate range start per class member (degree-prefix)
-	cnt      []int32 // candidates actually produced
-	wFrom    []float64
-	wTot     []float64
-	provGain []float64 // provisional best gain per member vs class-start state
-	order    []int32   // class commit order (provisional gain desc, id asc)
-	cands    []moveCand
-	scratch  []classScratch
+	// Per class member j: its candidates cands[off[j]:off[j]+cnt[j]], the
+	// weight of its edges into its own part and in total, and the rule's
+	// eval of it (to, score).
+	off   []int32
+	cnt   []int32
+	wFrom []float64
+	wTot  []float64
+	cands []moveCand
+	to    []int32
+	score []float64
 
-	bsnap []int // per-pass boundary snapshot buffer
+	order []int32 // Climb's class commit order
+}
+
+// rule is what a sweep does with a color class once its members'
+// candidates are gathered. eval runs inside the parallel gather, once per
+// member j (node v), against the class-start state, and returns the
+// member's preferred destination (-1: none) and a score, which the sweep
+// stores in to[j] and score[j]; it must write nothing else. commit then
+// replays the class serially through the Eval and returns the moves made.
+type rule interface {
+	eval(s *sweeper, j, v int) (to int32, score float64)
+	commit(s *sweeper, members []int32) int
+}
+
+// climb is Climb on this sweeper.
+func (s *sweeper) climb(g *graph.Graph, p *partition.Partition, ev *partition.Eval, cfg Config) int {
+	r := climbRule{o: cfg.Objective, avg: g.TotalNodeWeight() / float64(p.Parts)}
+	return s.run(g, p, ev, cfg, cfg.MaxPasses, r)
+}
+
+// propagate is Propagate on this sweeper.
+func (s *sweeper) propagate(g *graph.Graph, p *partition.Partition, ev *partition.Eval, cfg Config) int {
+	maxPasses := cfg.MaxPasses
+	if maxPasses <= 0 {
+		maxPasses = propagatePasses
+	}
+	r := propagateRule{maxLoad: g.TotalNodeWeight() / float64(p.Parts) * (1 + balanceFrac)}
+	return s.run(g, p, ev, cfg, maxPasses, r)
+}
+
+// run sweeps the boundary with r until a pass moves nothing or maxPasses
+// passes complete (<= 0: no bound), polling cfg.Stop before each pass, and
+// returns the number of moves. ev is prepared by tracked.
+func (s *sweeper) run(g *graph.Graph, p *partition.Partition, ev *partition.Eval, cfg Config, maxPasses int, r rule) int {
+	s.g, s.p, s.ev = g, p, tracked(g, p, ev, cfg)
+	s.workers = par.Workers(cfg.Workers)
+	// A recycled sweeper's dedup rows carry stamps from earlier sweeps:
+	// restart them, so a long-lived process can never wrap a stamp into a
+	// stale seen entry, and rebuild them when there are too few or they are
+	// too short for p.Parts.
+	if len(s.scratch) < s.workers || len(s.scratch[0].seen) < p.Parts {
+		s.scratch = make([]classScratch, s.workers)
+		for w := range s.scratch {
+			s.scratch[w] = classScratch{seen: make([]int32, p.Parts), idx: make([]int32, p.Parts)}
+		}
+	}
+	for w := range s.scratch {
+		clear(s.scratch[w].seen)
+		s.scratch[w].stamp = 1
+	}
+	moves := 0
+	for pass := 0; maxPasses <= 0 || pass < maxPasses; pass++ {
+		if cfg.Stop != nil && cfg.Stop() {
+			break
+		}
+		m := s.pass(r)
+		moves += m
+		if m == 0 {
+			break
+		}
+	}
+	s.g, s.p, s.ev = nil, nil, nil
+	return moves
 }
 
 // tileSize is the number of consecutive boundary nodes one colored tile
@@ -155,178 +222,174 @@ type colorClimber struct {
 const tileSize = 512
 
 // pass snapshots the boundary and sweeps it in ascending index order, one
-// tile at a time: each tile's induced subgraph is colored, each color
-// class's candidate moves are gain-evaluated in parallel, and commits
-// replay within the class in descending provisional-gain order (ascending
-// node id on ties). It returns the number of moves.
-func (c *colorClimber) pass() int {
-	c.bsnap = c.ev.AppendBoundary(c.bsnap)
-	b := c.bsnap // ascending snapshot
-	if len(b) == 0 {
-		return 0
-	}
+// tile at a time, each tile's color classes in ascending color order.
+// Adjacent nodes in different tiles are never evaluated concurrently (tiles
+// run sequentially), so only intra-tile adjacency needs coloring. It returns
+// the number of moves.
+func (s *sweeper) pass(r rule) int {
+	s.bsnap = s.ev.AppendBoundary(s.bsnap)
+	b := s.bsnap // ascending snapshot
 	moves := 0
 	for lo := 0; lo < len(b); lo += tileSize {
-		hi := lo + tileSize
-		if hi > len(b) {
-			hi = len(b)
+		members, off := s.classes.Group(s.g, b[lo:min(lo+tileSize, len(b))], s.workers)
+		for cl := 0; cl < len(off)-1; cl++ {
+			moves += s.sweepClass(r, members[off[cl]:off[cl+1]])
 		}
-		moves += c.sweepTile(b[lo:hi])
 	}
 	return moves
 }
 
-// sweepTile colors the tile's induced subgraph and sweeps its color classes
-// in ascending color order. Adjacent nodes in different tiles are never
-// evaluated concurrently (tiles run sequentially), so only intra-tile
-// adjacency needs coloring.
-func (c *colorClimber) sweepTile(tile []int) int {
-	members, off := c.classes.Group(c.g, tile, c.workers)
-	moves := 0
-	for cl := 0; cl < len(off)-1; cl++ {
-		moves += c.sweepClass(members[off[cl]:off[cl+1]])
-	}
-	return moves
-}
-
-// sweepClass evaluates every class member's candidate moves in parallel
-// against the class-start state, then commits strictly-improving moves
-// serially in descending provisional-gain order (ascending node id on ties).
-//
-// The provisional gain — each member's best gain against the class-start
-// aggregates — is computed in the same parallel phase as the candidate
-// weights, so ordering by it costs no extra serial work, and it is a pure
-// function of class-start state, so the commit order is width-independent
-// like everything else here. Committing big winners first harvests more of
-// a class's gain before the members' moves interact (the same greedy order
-// FM's heap imposes globally); commitBest still re-evaluates every candidate
-// against the live aggregates at its commit slot, so correctness and the
-// strict-improvement rule are unchanged — only the order in which members
-// get their slot.
-func (c *colorClimber) sweepClass(members []int32) int {
+// sweepClass gathers every class member's candidates and runs r's eval on
+// them in parallel against the class-start state, then hands the class to
+// r's serial commit.
+func (s *sweeper) sweepClass(r rule, members []int32) int {
 	m := len(members)
-	c.off = ensureInt32(c.off, m+1)
-	c.cnt = ensureInt32(c.cnt, m)
-	c.wFrom = ensureFloat(c.wFrom, m)
-	c.wTot = ensureFloat(c.wTot, m)
-	c.provGain = ensureFloat(c.provGain, m)
-	c.order = ensureInt32(c.order, m)
-	c.off[0] = 0
+	s.off = ensureInt32(s.off, m+1)
+	s.cnt = ensureInt32(s.cnt, m)
+	s.wFrom = ensureFloat(s.wFrom, m)
+	s.wTot = ensureFloat(s.wTot, m)
+	s.to = ensureInt32(s.to, m)
+	s.score = ensureFloat(s.score, m)
+	s.off[0] = 0
 	for j, v := range members {
-		c.off[j+1] = c.off[j] + int32(len(c.g.Neighbors(int(v))))
+		s.off[j+1] = s.off[j] + int32(len(s.g.Neighbors(int(v))))
 	}
-	if need := int(c.off[m]); cap(c.cands) < need {
-		c.cands = make([]moveCand, need)
+	if need := int(s.off[m]); cap(s.cands) < need {
+		s.cands = make([]moveCand, need)
 	} else {
-		c.cands = c.cands[:need]
+		s.cands = s.cands[:need]
 	}
-	if len(c.scratch) < c.workers {
-		c.scratch = make([]classScratch, c.workers)
-		for w := range c.scratch {
-			c.scratch[w] = classScratch{
-				seen:  make([]int32, c.p.Parts),
-				idx:   make([]int32, c.p.Parts),
-				stamp: 1,
-			}
-		}
-	}
-	assign := c.p.Assign
-	// Tiny classes run inline: the evaluation is a pure function into
+	// Tiny classes run inline: the gather is a pure function into
 	// index-owned slots either way (so the cutoff cannot change results),
 	// and goroutine handoff would cost more than the work itself.
-	workers := c.workers
+	workers := s.workers
 	if m < 32 {
 		workers = 1
 	}
 	par.For(workers, m, func(worker, lo, hi int) {
-		sc := &c.scratch[worker]
+		sc := &s.scratch[worker]
 		for j := lo; j < hi; j++ {
 			v := int(members[j])
-			from := assign[v]
-			base := int(c.off[j])
-			k := int32(0)
-			var wf, wt float64
-			ws := c.g.EdgeWeights(v)
-			for i, u := range c.g.Neighbors(v) {
-				w := ws[i]
-				wt += w
-				q := assign[u]
-				if q == from {
-					wf += w
-					continue
-				}
-				if sc.seen[q] != sc.stamp {
-					sc.seen[q] = sc.stamp
-					sc.idx[q] = k
-					c.cands[base+int(k)] = moveCand{to: int32(q), wTo: w}
-					k++
-				} else {
-					c.cands[base+int(sc.idx[q])].wTo += w
-				}
-			}
-			sc.stamp++
-			c.cnt[j] = k
-			c.wFrom[j] = wf
-			c.wTot[j] = wt
-			// Provisional best gain vs the class-start aggregates (ev is
-			// read-only during the parallel phase), for the commit order.
-			best := math.Inf(-1)
-			for t := int32(0); t < k; t++ {
-				cd := c.cands[base+int(t)]
-				wOther := wt - wf - cd.wTo
-				if fit := c.ev.MoveGainFromWeights(c.g, c.p, c.o, c.avg, v, int(cd.to), wf, cd.wTo, wOther); fit > best {
-					best = fit
-				}
-			}
-			c.provGain[j] = best
+			s.gather(sc, j, v)
+			s.to[j], s.score[j] = r.eval(s, j, v)
 		}
 	})
-	// Commit order: provisional gain descending, node id ascending on ties.
-	// Members are ascending within a class, so comparing the j indices is the
-	// id tie-break; the order is total (indices are distinct), hence one
+	return r.commit(s, members)
+}
+
+// gather fills class member j's (node v's) candidate range in first-seen
+// neighbor order, using the calling worker's dedup scratch sc, plus the
+// weight of v's edges into its own part and in total.
+func (s *sweeper) gather(sc *classScratch, j, v int) {
+	assign := s.p.Assign
+	from := assign[v]
+	base := int(s.off[j])
+	k := int32(0)
+	var wf, wt float64
+	ws := s.g.EdgeWeights(v)
+	for i, u := range s.g.Neighbors(v) {
+		w := ws[i]
+		wt += w
+		q := assign[u]
+		if q == from {
+			wf += w
+			continue
+		}
+		if sc.seen[q] != sc.stamp {
+			sc.seen[q] = sc.stamp
+			sc.idx[q] = k
+			s.cands[base+int(k)] = moveCand{to: int32(q), wTo: w}
+			k++
+		} else {
+			s.cands[base+int(sc.idx[q])].wTo += w
+		}
+	}
+	sc.stamp++
+	s.cnt[j] = k
+	s.wFrom[j] = wf
+	s.wTot[j] = wt
+}
+
+// candidates returns class member j's gathered candidates.
+func (s *sweeper) candidates(j int) []moveCand {
+	return s.cands[s.off[j] : s.off[j]+s.cnt[j]]
+}
+
+// climbRule is Climb's rule: fitness gains through the shared gain
+// definition (partition.Eval.MoveGainFromWeights) under objective o.
+type climbRule struct {
+	o   partition.Objective
+	avg float64 // ideal part weight W/k
+}
+
+// eval is member j's provisional best move against the class-start
+// aggregates (ev is read-only during the gather). It costs the commit no
+// serial work, and being a pure function of class-start state, it makes the
+// commit order width-independent like everything else here.
+func (r climbRule) eval(s *sweeper, j, v int) (int32, float64) {
+	wf, wt := s.wFrom[j], s.wTot[j]
+	bestTo, best := int32(-1), math.Inf(-1)
+	for _, cd := range s.candidates(j) {
+		wOther := wt - wf - cd.wTo
+		if fit := s.ev.MoveGainFromWeights(s.g, s.p, r.o, r.avg, v, int(cd.to), wf, cd.wTo, wOther); fit > best {
+			bestTo, best = cd.to, fit
+		}
+	}
+	return bestTo, best
+}
+
+// commit replays the class in descending provisional gain, ascending node id
+// on ties. Committing big winners first harvests more of a class's gain
+// before the members' moves interact (the same greedy order FM's heap
+// imposes globally); commitBest still re-evaluates every candidate against
+// the live aggregates at its commit slot, so correctness and the
+// strict-improvement rule are unchanged — only the order in which members
+// get their slot.
+func (r climbRule) commit(s *sweeper, members []int32) int {
+	// Members are ascending within a class, so comparing the j indices is
+	// the id tie-break; the order is total (indices are distinct), hence one
 	// fixed point for the sort and any width.
-	order := c.order[:m]
+	s.order = ensureInt32(s.order, len(members))
+	order := s.order
 	for j := range order {
 		order[j] = int32(j)
 	}
 	sort.Slice(order, func(a, b int) bool {
 		ja, jb := order[a], order[b]
-		if c.provGain[ja] != c.provGain[jb] {
-			return c.provGain[ja] > c.provGain[jb]
+		if s.score[ja] != s.score[jb] {
+			return s.score[ja] > s.score[jb]
 		}
 		return ja < jb
 	})
 	moves := 0
 	for _, j := range order {
-		if c.commitBest(int(j), int(members[j])) {
+		if r.commitBest(s, int(j), int(members[j])) {
 			moves++
 		}
 	}
 	return moves
 }
 
-// commitBest folds class member j's precomputed edge-weight triples with the
-// current aggregates through the shared gain definition
-// (partition.Eval.MoveGainFromWeights), picks the best strictly-improving
-// destination with the serial climb's exact tie rules (candidates in
-// first-seen neighbor order, strict improvement only), and applies it through
-// ev so the aggregates and boundary stay exact.
+// commitBest folds class member j's gathered edge weights with the current
+// aggregates through the shared gain definition, picks the best
+// strictly-improving destination with the serial climb's exact tie rules
+// (candidates in first-seen neighbor order, strict improvement only), and
+// applies it through ev so the aggregates and boundary stay exact.
 //
-// The precomputed weight triples are still valid here even though earlier
-// members of the class may have moved: class members share no edge, so a
-// member's neighborhood is untouched until its own commit slot. The
-// CommVolume gain ignores the triples and rescans v's neighbor counts inside
-// MoveGainFromWeights — against the Eval's current state, which is exactly
-// the serial semantics (and still sound under the no-shared-edge guarantee).
-func (c *colorClimber) commitBest(j, v int) bool {
-	wf, wt := c.wFrom[j], c.wTot[j]
+// The gathered weights are still valid here even though earlier members of
+// the class may have moved: class members share no edge, so a member's
+// neighborhood is untouched until its own commit slot. The CommVolume gain
+// ignores them and rescans v's neighbor counts inside MoveGainFromWeights —
+// against the Eval's current state, which is exactly the serial semantics
+// (and still sound under the no-shared-edge guarantee).
+func (r climbRule) commitBest(s *sweeper, j, v int) bool {
+	wf, wt := s.wFrom[j], s.wTot[j]
 	bestTo := -1
 	var bestFit float64
-	for k := 0; k < int(c.cnt[j]); k++ {
-		cd := c.cands[int(c.off[j])+k]
+	for _, cd := range s.candidates(j) {
 		to := int(cd.to)
 		wOther := wt - wf - cd.wTo
-		fit := c.ev.MoveGainFromWeights(c.g, c.p, c.o, c.avg, v, to, wf, cd.wTo, wOther)
+		fit := s.ev.MoveGainFromWeights(s.g, s.p, r.o, r.avg, v, to, wf, cd.wTo, wOther)
 		if fit > 1e-12 && (bestTo < 0 || fit > bestFit) {
 			bestTo, bestFit = to, fit
 		}
@@ -334,8 +397,43 @@ func (c *colorClimber) commitBest(j, v int) bool {
 	if bestTo < 0 {
 		return false
 	}
-	c.ev.Move(c.g, c.p, v, bestTo)
+	s.ev.Move(s.g, s.p, v, bestTo)
 	return true
+}
+
+// propagateRule is Propagate's rule: strongest-connection votes committed
+// under the part weight cap maxLoad.
+type propagateRule struct {
+	maxLoad float64 // (1+balanceFrac)·W/k
+}
+
+// eval is member j's label vote: its strongest foreign connection, the
+// first-seen part winning ties, kept only if it strictly beats the weight of
+// the member's edges into its own part.
+func (r propagateRule) eval(s *sweeper, j, _ int) (int32, float64) {
+	best, bestW := int32(-1), s.wFrom[j]
+	for _, cd := range s.candidates(j) {
+		if cd.wTo > bestW {
+			best, bestW = cd.to, cd.wTo
+		}
+	}
+	return best, bestW
+}
+
+// commit moves the voting members in ascending node order, each only if its
+// target stays under the cap by the live weights (earlier commits in this
+// class may have filled it).
+func (r propagateRule) commit(s *sweeper, members []int32) int {
+	moves := 0
+	for j, v := range members {
+		to := s.to[j]
+		if to < 0 || s.ev.Weights[to]+s.g.NodeWeight(int(v)) > r.maxLoad {
+			continue
+		}
+		s.ev.Move(s.g, s.p, int(v), int(to))
+		moves++
+	}
+	return moves
 }
 
 // rebalCand is a candidate of the parallel rebalance argmax; the total order

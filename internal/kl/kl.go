@@ -1,10 +1,14 @@
 // Package kl provides the boundary hill climbing of the paper's §3.6 ("only
 // the boundary points of each part are examined to see if migrating them to
-// the appropriate neighboring part improves fitness") in two schedules — the
-// serial climb the GA applies to every offspring (HillClimbEval) and the
-// colored, width-deterministic climb of the multilevel uncoarsening phase
-// (Climb, Refine) — plus the weight-balance restorer every refiner ends with
-// (Rebalance).
+// the appropriate neighboring part improves fitness") in two schedules, plus
+// the weight-balance restorer every refiner ends with (Rebalance):
+//
+//   - the serial climb the GA applies to every offspring (HillClimbEval);
+//   - the colored, width-deterministic boundary sweep of the multilevel
+//     uncoarsening phase, one sweep with two rules on it: hill climbing
+//     (Climb, and Refine, which rebalances after it) and size-constrained
+//     label propagation (Propagate), the cheap refiner of the million-node
+//     levels.
 package kl
 
 import (
@@ -15,19 +19,21 @@ import (
 	"repro/internal/partition"
 )
 
-// Config parameterizes the colored refiners Climb, Refine, and Rebalance,
-// mirroring fm.Config.
+// Config parameterizes the colored refiners Climb, Propagate, Refine, and
+// Rebalance, mirroring fm.Config.
 type Config struct {
 	// Objective selects the fitness the climb's gains target, and the
-	// node-cost model Rebalance scores its candidates by.
+	// node-cost model Rebalance scores its candidates by. Propagate always
+	// drives the edge cut.
 	Objective partition.Objective
-	// MaxPasses caps the climbing passes; <= 0 climbs until no move improves.
+	// MaxPasses caps the sweep passes; <= 0 climbs until no move improves
+	// (Propagate: 16 passes, a safety bound).
 	MaxPasses int
-	// Workers bounds the goroutines of the gain evaluation, the Eval
+	// Workers bounds the goroutines of the sweep's gather, the Eval
 	// rebuilds, and the rebalance argmax (<= 0 selects GOMAXPROCS). A pure
 	// speed knob: results are bit-identical at every width.
 	Workers int
-	// Stop, when non-nil, is polled before each climbing pass. Pass
+	// Stop, when non-nil, is polled before each sweep pass. Pass
 	// boundaries are consistent states (every move goes through the Eval), so
 	// an early return yields a valid, just less refined, partition. Rebalance
 	// does not poll it.

@@ -50,16 +50,7 @@ func Analyze(g *graph.Graph, p *partition.Partition) (*Report, error) {
 	}
 	r := &Report{Parts: p.Parts}
 	r.ComputeLoad = p.PartWeights(g)
-	var maxLoad, totLoad float64
-	for _, w := range r.ComputeLoad {
-		totLoad += w
-		if w > maxLoad {
-			maxLoad = w
-		}
-	}
-	if totLoad > 0 {
-		r.LoadRatio = maxLoad / (totLoad / float64(p.Parts))
-	}
+	r.LoadRatio = p.Balance(g)
 
 	r.HaloSend = p.PartCuts(g)
 	for _, h := range r.HaloSend {

@@ -34,7 +34,6 @@ func benchPartition(b *testing.B, n int, ref Refiner) {
 
 func BenchmarkPartition10kKLFM(b *testing.B) { benchPartition(b, 10000, RefineKLFM) }
 func BenchmarkPartition10kFM(b *testing.B)   { benchPartition(b, 10000, RefineFM) }
-func BenchmarkPartition10kNone(b *testing.B) { benchPartition(b, 10000, RefineNone) }
 
 func BenchmarkBuildHierarchy10k(b *testing.B) {
 	g := gen.Mesh(10000, gen.SuiteSeed+10000)

@@ -109,24 +109,44 @@ func TestHierarchyInvariantsMETISGraph(t *testing.T) {
 	checkHierarchyInvariants(t, g, 18)
 }
 
-func TestPartitionRefinersAgreeOnValidity(t *testing.T) {
-	g := gen.Mesh(500, 21)
-	for _, ref := range []Refiner{RefineKLFM, RefineFM, RefineNone} {
-		p, err := Partition(g, Config{Parts: 4, Seed: 2, Refiner: ref}, rsbInner)
-		if err != nil {
-			t.Fatalf("%v: %v", ref, err)
-		}
-		if err := p.Validate(g); err != nil {
-			t.Fatalf("%v: %v", ref, err)
-		}
+// rawProjection is the V-cycle with no refinement: the hierarchy and coarse
+// solve Partition builds for (parts, seed) under rsbInner, projected straight
+// back up to g.
+func rawProjection(t *testing.T, g *graph.Graph, parts int, seed int64) *partition.Partition {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	levels, coarsest := BuildHierarchy(g, 64, maxLevels, rng, 1)
+	p, err := rsbInner(coarsest, parts, rng)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Refinement must not hurt: both refiners should cut no worse than the
-	// raw projection.
-	raw, _ := Partition(g, Config{Parts: 4, Seed: 2, Refiner: RefineNone}, rsbInner)
-	for _, ref := range []Refiner{RefineKLFM, RefineFM} {
-		p, _ := Partition(g, Config{Parts: 4, Seed: 2, Refiner: ref}, rsbInner)
-		if p.CutSize(g) > raw.CutSize(g) {
-			t.Errorf("%v worsened the cut: %v > %v", ref, p.CutSize(g), raw.CutSize(g))
+	for i := len(levels) - 1; i >= 0; i-- {
+		fine := partition.New(levels[i].Graph.NumNodes(), parts)
+		for v := range fine.Assign {
+			fine.Assign[v] = p.Assign[levels[i].CoarseOf[v]]
+		}
+		p = fine
+	}
+	return p
+}
+
+func TestPartitionRefinersAgreeOnValidity(t *testing.T) {
+	for _, n := range []int{500, 2000} {
+		g := gen.Mesh(n, 21)
+		raw := rawProjection(t, g, 4, 2)
+		for _, ref := range []Refiner{RefineKLFM, RefineFM} {
+			p, err := Partition(g, Config{Parts: 4, Seed: 2, Refiner: ref}, rsbInner)
+			if err != nil {
+				t.Fatalf("n=%d %v: %v", n, ref, err)
+			}
+			if err := p.Validate(g); err != nil {
+				t.Fatalf("n=%d %v: %v", n, ref, err)
+			}
+			// Refinement must not hurt: both refiners cut no worse than the
+			// raw projection.
+			if p.CutSize(g) > raw.CutSize(g) {
+				t.Errorf("n=%d %v worsened the cut: %v > %v", n, ref, p.CutSize(g), raw.CutSize(g))
+			}
 		}
 	}
 }

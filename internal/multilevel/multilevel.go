@@ -22,11 +22,11 @@
 // changes wall time, never the result. Coarsening splits matching into a
 // parallel propose phase plus a serial claim sweep; uncoarsening fills each
 // projection and rebuilds each level's boundary over par-owned index ranges,
-// and refines with the colored boundary climb (kl.Climb), FM — the heap pass
-// with parallel seeding below coloredFMMinNodes, the colored schedule
-// (fm.RefineColored) at and above it — label propagation (lp.Refine) on
-// levels of at least lpMinNodes, and the parallel rebalance argmax, all of
-// which are bit-identical at every width by construction.
+// and refines with kl's colored boundary sweep — hill climbing (kl.Climb),
+// or label propagation (kl.Propagate) on levels of at least lpMinNodes — FM
+// (the heap pass with parallel seeding below coloredFMMinNodes, the colored
+// schedule fm.RefineColored at and above it), and the parallel rebalance
+// argmax, all of which are bit-identical at every width by construction.
 package multilevel
 
 import (
@@ -39,7 +39,6 @@ import (
 	"repro/internal/fm"
 	"repro/internal/graph"
 	"repro/internal/kl"
-	"repro/internal/lp"
 	"repro/internal/par"
 	"repro/internal/partition"
 )
@@ -186,9 +185,6 @@ const (
 	// sweep (FM's balance slack cannot drain imbalance inherited from
 	// weighted coarse levels on its own).
 	RefineFM
-	// RefineNone disables refinement; the projection is returned as-is.
-	// Useful for measuring how much refinement contributes.
-	RefineNone
 )
 
 // String returns the flag-friendly name of the refiner.
@@ -198,8 +194,6 @@ func (r Refiner) String() string {
 		return "kl+fm"
 	case RefineFM:
 		return "fm"
-	case RefineNone:
-		return "none"
 	default:
 		return fmt.Sprintf("Refiner(%d)", int(r))
 	}
@@ -261,7 +255,7 @@ type Stats struct {
 	// uncoarsening wall time to the label-propagation sweeps, the KL colored
 	// climbs (including rebalance), and the FM passes individually. The three
 	// sum to slightly less than Refine (loop overhead is unattributed).
-	RefineLP    time.Duration // lp.Refine on levels of at least lpMinNodes
+	RefineLP    time.Duration // kl.Propagate on levels of at least lpMinNodes
 	RefineClimb time.Duration // kl climbs + rebalance
 	RefineFM    time.Duration // fm.Refine / fm.RefineColored
 
@@ -274,10 +268,11 @@ type Stats struct {
 // The V-cycle's size switches. They are constants rather than knobs because
 // every caller runs with these values, and each is what measurement chose:
 //
-//   - lpMinNodes: levels this large refine with label propagation instead of
-//     KL/FM, whose Theta(n·parts) gain structures dominate wall time and
-//     allocation at the million-node tier. It sits above every committed
-//     sub-million benchmark case, so only the 1M-and-up tiers take it.
+//   - lpMinNodes: levels this large refine with label propagation
+//     (kl.Propagate) instead of climb and FM, whose Theta(n·parts) gain
+//     structures dominate wall time and allocation at the million-node tier.
+//     It sits above every committed sub-million benchmark case, so only the
+//     1M-and-up tiers take it.
 //   - coloredFMMinNodes: levels this large run FM on the colored schedule
 //     (fm.RefineColored), whose coloring and merge overhead is amortized by
 //     the fanned-out gain evaluation only on big levels. Below it the serial
@@ -330,7 +325,6 @@ type hierarchyScratch struct {
 	coarse   [][]int // per-level CoarseOf buffers (pool reuse only)
 	contract graph.ContractScratch
 	fm       fm.Scratch
-	lp       lp.Scratch
 	// pingpong holds the two intermediate-level partitions the uncoarsening
 	// loop alternates between; the finest level allocates fresh (it is the
 	// returned result).
@@ -469,21 +463,18 @@ func Partition(g *graph.Graph, cfg Config, inner Partitioner) (*partition.Partit
 	// so the boundary is rebuilt per level — by the sharded parallel scan,
 	// like the projection fill itself (every fine node's slot is owned by
 	// exactly one par chunk, so any width writes the same arrays).
-	var ev *partition.Eval
-	if c.Refiner != RefineNone {
-		ev = partition.NewEvalBoundary(coarsest, p)
-		if c.Objective == partition.CommVolume {
-			ev.ResetCommVolPar(coarsest, p, c.Workers)
-		}
-		// Presize the Eval's per-node buffers for the finest level now, so
-		// the per-level boundary rebuilds below reslice within capacity
-		// instead of reallocating every time the hierarchy grows back.
-		ev.Reserve(g.NumNodes(), c.Parts)
-		// Same for FM's Theta(n*parts) connectivity table: growing it level
-		// by level as the hierarchy unwinds would reallocate at nearly every
-		// step for about twice the finest level's bytes.
-		hs.fm.Reserve(g.NumNodes(), c.Parts)
+	ev := partition.NewEvalBoundary(coarsest, p)
+	if c.Objective == partition.CommVolume {
+		ev.ResetCommVolPar(coarsest, p, c.Workers)
 	}
+	// Presize the Eval's per-node buffers for the finest level now, so the
+	// per-level boundary rebuilds below reslice within capacity instead of
+	// reallocating every time the hierarchy grows back.
+	ev.Reserve(g.NumNodes(), c.Parts)
+	// Same for FM's Theta(n*parts) connectivity table: growing it level by
+	// level as the hierarchy unwinds would reallocate at nearly every step
+	// for about twice the finest level's bytes.
+	hs.fm.Reserve(g.NumNodes(), c.Parts)
 
 	for i := len(levels) - 1; i >= 0; i-- {
 		lvl := levels[i]
@@ -507,13 +498,11 @@ func Partition(g *graph.Graph, cfg Config, inner Partitioner) (*partition.Partit
 				fa[v] = coarseAssign[coarseOf[v]]
 			}
 		})
-		if ev != nil {
-			ev.ResetBoundaryPar(lvl.Graph, fine, c.Workers)
-			if c.Objective == partition.CommVolume {
-				// The volume counters key on node identity, which projection
-				// just changed — rebuild them for this level's graph.
-				ev.ResetCommVolPar(lvl.Graph, fine, c.Workers)
-			}
+		ev.ResetBoundaryPar(lvl.Graph, fine, c.Workers)
+		if c.Objective == partition.CommVolume {
+			// The volume counters key on node identity, which projection just
+			// changed — rebuild them for this level's graph.
+			ev.ResetCommVolPar(lvl.Graph, fine, c.Workers)
 		}
 		stats.Project += time.Since(start)
 		stats.ProjectBytes += allocSnap(meter) - alloc
@@ -547,14 +536,13 @@ func Partition(g *graph.Graph, cfg Config, inner Partitioner) (*partition.Partit
 			// Cancellation between levels: skip this level's refinement
 			// entirely but keep projecting — the loop must reach levels[0]
 			// for the partition to be a valid answer for g.
-		case c.Refiner == RefineNone:
 		case n >= lpMinNodes:
 			// Million-node levels: the KL/FM gain structures (Theta(n·parts)
 			// connectivity, gain heaps) dominate wall time and allocation up
 			// here, so refine with the size-constrained label-propagation
-			// sweep instead, then drain any inherited imbalance.
+			// rule instead, then drain any inherited imbalance.
 			t := time.Now()
-			lp.Refine(lvl.Graph, fine, ev, lp.Config{MaxPasses: c.RefinePasses, Workers: c.Workers, Stop: c.Stop, Scratch: &hs.lp})
+			kl.Propagate(lvl.Graph, fine, ev, kcfg)
 			stats.RefineLP += time.Since(t)
 			climb(func() { kl.Rebalance(lvl.Graph, fine, ev, kcfg) })
 		case c.Refiner == RefineKLFM:

@@ -68,6 +68,21 @@ func (p *Partition) PartWeights(g *graph.Graph) []float64 {
 	return w
 }
 
+// Balance returns the heaviest part's weight over the ideal W/k, where W is
+// the total node weight: 1.0 is perfect balance. It returns 0 when W <= 0,
+// where the ratio has no meaning.
+func (p *Partition) Balance(g *graph.Graph) float64 {
+	ideal := g.TotalNodeWeight() / float64(p.Parts)
+	if ideal <= 0 {
+		return 0
+	}
+	var maxW float64
+	for _, w := range p.PartWeights(g) {
+		maxW = max(maxW, w)
+	}
+	return maxW / ideal
+}
+
 // PartSizes returns the node count of each part.
 func (p *Partition) PartSizes() []int {
 	s := make([]int, p.Parts)

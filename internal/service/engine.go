@@ -739,17 +739,8 @@ func (e *Engine) compute(ent *entry) (res *Result, err error) {
 		MaxPartCut:  p.MaxPartCut(g),
 		CommVolume:  p.CommVolume(g),
 		ImbalanceSq: p.ImbalanceSq(g),
+		Balance:     p.Balance(g),
 		ComputeNS:   elapsed.Nanoseconds(),
-	}
-	ideal := g.TotalNodeWeight() / float64(p.Parts)
-	var maxW float64
-	for _, w := range p.PartWeights(g) {
-		if w > maxW {
-			maxW = w
-		}
-	}
-	if ideal > 0 {
-		res.Balance = maxW / ideal
 	}
 	return res, nil
 }
