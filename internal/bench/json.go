@@ -170,9 +170,15 @@ func WeightedSuite() []Case {
 // the suite cannot spin). It exercises the parallel V-cycle end to end —
 // fifteen-odd coarsening levels and the full parallel uncoarsening phase —
 // plus the flat refiners and spectral bisection at six-figure node counts.
+// The power-law case is the hub-heavy counterpart for the multilevel
+// refiners only (CI runs the flat ones on the RGG case alone): its boundary
+// tiles hold hubs adjacent to thousands of nodes, the shape that exposes
+// superlinear refinement work, such as a coloring that rescans hubs or
+// Rebalance's per-move boundary scan.
 func Scale100kSuite() []Case {
 	return []Case{
 		{Name: "rgg-100000-p8", Graph: gen.RandomGeometric(rand.New(rand.NewSource(gen.SuiteSeed+100000)), 100000, 0.005), Parts: 8},
+		{Name: "powerlaw-100000-p8", Graph: gen.PowerLaw(100000, 4, gen.SuiteSeed+100001), Parts: 8},
 	}
 }
 

@@ -7,8 +7,9 @@
 // serial half is cheap, without weakening any of FM's semantics:
 //
 //	round:  snapshot the eligible frontier (initially the tracked boundary)
-//	        and color its induced subgraph (kl.Classes over par.Color), so
-//	        nodes within a color class share no edge;
+//	        and color its induced subgraph (kl.Classes: first-fit in
+//	        descending hashed-priority order, the coloring Jones–Plassmann
+//	        would give), so nodes within a color class share no edge;
 //	color:  for each class in ascending color order, evaluate every member's
 //	        connectivity row and best candidate move in parallel — a pure
 //	        function of round-start state, since no class neighbor can move
@@ -140,7 +141,7 @@ func (r *refinement) coloredPass() (float64, bool) {
 			stopped = true
 			break
 		}
-		members, off := s.classes.Group(g, frontier, workers)
+		members, off := s.classes.Group(g, frontier)
 		s.nextGen++
 		next := s.next[:0]
 		addNext := func(v int) {

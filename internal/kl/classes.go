@@ -1,12 +1,19 @@
 package kl
 
 import (
+	"cmp"
+	"math/bits"
+	"slices"
+
 	"repro/internal/graph"
-	"repro/internal/par"
 )
 
 // Classes groups a node set by a deterministic proper coloring of the set's
-// induced subgraph (par.Color: Jones–Plassmann over hashed-id priorities).
+// induced subgraph: first-fit greedy in descending hashed-priority order,
+// which yields exactly the coloring Jones–Plassmann rounds over the same
+// priorities would (a node takes its color once all its higher-priority
+// neighbors have theirs and before any lower-priority one, so its color is
+// the smallest one absent among its higher-priority neighbors either way).
 // Two nodes of one color class share no edge, so their candidate moves can
 // be gain-evaluated concurrently against class-start state without one move
 // invalidating another's deltas — the shared scheduling substrate of the
@@ -21,48 +28,54 @@ type Classes struct {
 	members []int32 // set nodes grouped by color, ascending within a class
 	off     []int32 // members[off[c]:off[c+1]] = color class c
 	fill    []int32 // counting-sort fill cursor per class
-	colors  par.ColorScratch
-
-	// adjacency source of the in-flight Group call, for the bound-method
-	// visitor (a per-node closure would allocate on every visit).
-	g     *graph.Graph
-	nodes []int
+	color   []int32 // color per set index; -1 until first-fit reaches it
+	order   []int32 // set indices 0..len(order)-1 by descending prio
+	high    []int32 // colors >= 64 around the index being colored
+	scanned int     // adjacency entries the last Group call scanned
+	// keyed is sortByPrio's sort scratch.
+	keyed []prioIndex
 }
 
-// adj is the induced-subgraph adjacency of the node set being grouped:
-// neighbors outside the set are invisible.
-func (cs *Classes) adj(i int, visit func(u int)) {
-	for _, u := range cs.g.Neighbors(cs.nodes[i]) {
-		if j := cs.bIndex[u]; j > 0 {
-			visit(int(j - 1))
-		}
-	}
+// prioIndex is one set index with its precomputed priority, the sort key of
+// the first-fit order.
+type prioIndex struct {
+	key uint64
+	i   int32
+}
+
+// adjacency is what Group colors over: *graph.Graph in production, raw
+// adjacency lists (self-loops, duplicate entries) in the oracle tests.
+type adjacency interface {
+	NumNodes() int
+	Neighbors(v int) []int32
 }
 
 // Group colors the induced subgraph of nodes — which must be ascending and
-// duplicate-free — over `workers` goroutines and returns the set grouped
-// class by class: members[off[c]:off[c+1]] is color class c, internally
-// ascending (the counting sort iterates the ascending input in order). The
-// grouping is a pure function of (g, nodes): the coloring is bit-identical
-// at every width and the grouping sweep is serial, so every caller sweeping
-// "class by class, ascending inside" walks one deterministic permutation of
-// the set.
-func (cs *Classes) Group(g *graph.Graph, nodes []int, workers int) (members []int32, off []int32) {
+// duplicate-free — and returns the set grouped class by class:
+// members[off[c]:off[c+1]] is color class c, internally ascending (the
+// counting sort iterates the ascending input in order). The grouping is a
+// pure function of (g, nodes), so every caller sweeping "class by class,
+// ascending inside" walks one deterministic permutation of the set.
+//
+// Each member's adjacency is scanned exactly once (Scanned reports the
+// total), so a call costs O(Σ deg + n log n) however skewed the degrees.
+func (cs *Classes) Group(g *graph.Graph, nodes []int) (members []int32, off []int32) {
+	return cs.group(g, nodes)
+}
+
+// Scanned returns the number of adjacency entries the last Group call
+// scanned: Σ deg(v) over its node set, a deterministic work counter.
+func (cs *Classes) Scanned() int { return cs.scanned }
+
+func (cs *Classes) group(g adjacency, nodes []int) (members []int32, off []int32) {
 	if len(cs.bIndex) < g.NumNodes() {
 		cs.bIndex = make([]int32, g.NumNodes())
 	}
 	for i, v := range nodes {
 		cs.bIndex[v] = int32(i + 1)
 	}
-	cs.g, cs.nodes = g, nodes
-	colors := cs.colors.Color(workers, len(nodes), cs.adj)
-	cs.g, cs.nodes = nil, nil
-	nColors := 0
-	for _, cl := range colors {
-		if int(cl) >= nColors {
-			nColors = int(cl) + 1
-		}
-	}
+	nColors := cs.firstFit(g, nodes)
+	colors := cs.color
 	cs.off = ensureInt32(cs.off, nColors+1)
 	for i := range cs.off {
 		cs.off[i] = 0
@@ -89,4 +102,84 @@ func (cs *Classes) Group(g *graph.Graph, nodes []int, workers int) (members []in
 		cs.bIndex[v] = 0
 	}
 	return cs.members, cs.off
+}
+
+// firstFit colors the set indexed by bIndex into cs.color and returns the
+// number of colors. Indices are visited in descending prio order; each takes
+// the smallest color none of its already-colored induced neighbors has.
+// Colors below 64 are tracked in a bitmask; the rare higher ones (an index
+// with 64+ distinctly-colored neighbors) fall back to a slice scan.
+// Neighbors outside the set are invisible, and a self-loop is harmless: an
+// index is still uncolored while its own adjacency is scanned.
+func (cs *Classes) firstFit(g adjacency, nodes []int) int {
+	n := len(nodes)
+	cs.sortByPrio(n)
+	color := ensureInt32(cs.color, n)
+	for i := range color {
+		color[i] = -1
+	}
+	cs.color = color
+	nColors, scanned := int32(0), 0
+	for _, i := range cs.order {
+		var mask uint64
+		high := cs.high[:0]
+		nbrs := g.Neighbors(nodes[i])
+		scanned += len(nbrs)
+		for _, u := range nbrs {
+			j := cs.bIndex[u]
+			if j == 0 {
+				continue
+			}
+			if c := color[j-1]; c >= 0 {
+				if c < 64 {
+					mask |= 1 << uint(c)
+				} else {
+					high = append(high, c)
+				}
+			}
+		}
+		c := int32(bits.TrailingZeros64(^mask))
+		if mask == ^uint64(0) {
+			for slices.Contains(high, c) {
+				c++
+			}
+		}
+		cs.high = high
+		color[i] = c
+		nColors = max(nColors, c+1)
+	}
+	cs.scanned = scanned
+	return int(nColors)
+}
+
+// sortByPrio fills cs.order with 0..n-1 by descending prio. The order is a
+// function of n alone, so consecutive calls of one size — every full tile of
+// a sweep — reuse it.
+func (cs *Classes) sortByPrio(n int) {
+	if len(cs.order) == n {
+		return
+	}
+	keyed := slices.Grow(cs.keyed[:0], n)
+	for i := 0; i < n; i++ {
+		keyed = append(keyed, prioIndex{key: prio(i), i: int32(i)})
+	}
+	slices.SortFunc(keyed, func(a, b prioIndex) int { return cmp.Compare(b.key, a.key) })
+	cs.keyed = keyed
+	cs.order = ensureInt32(cs.order, n)
+	for k, e := range keyed {
+		cs.order[k] = e.i
+	}
+}
+
+// prio is a splitmix64-style finalizer: a bijection on 64-bit integers, so
+// distinct indices always have distinct priorities and the first-fit order
+// needs no tie-breaking.
+func prio(i int) uint64 {
+	x := uint64(i) + 0x9e3779b97f4a7c15
+	x ^= x >> 30
+	x *= 0xbf58476d1ce4e5b9
+	x ^= x >> 27
+	x *= 0x94d049bb133111eb
+	x ^= x >> 31
+	return x
 }

@@ -7,7 +7,8 @@
 // every decision depends on all earlier ones — an inherently sequential
 // chain. The colored sweep breaks the chain where it is provably slack: each
 // pass walks the boundary in index-contiguous tiles, and a deterministic
-// coloring of each tile's induced subgraph (Classes over par.Color) splits
+// coloring of each tile's induced subgraph (Classes: first-fit in descending
+// hashed-priority order, the coloring Jones–Plassmann would give) splits
 // the tile into color classes with no internal edges, so within a class no
 // committed move can change another member's neighborhood. That makes the
 // expensive per-node work — the O(deg) gather of each member's candidate
@@ -42,8 +43,9 @@
 package kl
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 	"sync"
 
 	"repro/internal/graph"
@@ -145,7 +147,7 @@ type sweeper struct {
 	to    []int32
 	score []float64
 
-	order []int32 // Climb's class commit order
+	order []scored // Climb's class commit order
 }
 
 // rule is what a sweep does with a color class once its members'
@@ -231,7 +233,7 @@ func (s *sweeper) pass(r rule) int {
 	b := s.bsnap // ascending snapshot
 	moves := 0
 	for lo := 0; lo < len(b); lo += tileSize {
-		members, off := s.classes.Group(s.g, b[lo:min(lo+tileSize, len(b))], s.workers)
+		members, off := s.classes.Group(s.g, b[lo:min(lo+tileSize, len(b))])
 		for cl := 0; cl < len(off)-1; cl++ {
 			moves += s.sweepClass(r, members[off[cl]:off[cl+1]])
 		}
@@ -349,25 +351,31 @@ func (r climbRule) commit(s *sweeper, members []int32) int {
 	// Members are ascending within a class, so comparing the j indices is
 	// the id tie-break; the order is total (indices are distinct), hence one
 	// fixed point for the sort and any width.
-	s.order = ensureInt32(s.order, len(members))
-	order := s.order
-	for j := range order {
-		order[j] = int32(j)
+	order := s.order[:0]
+	for j := range members {
+		order = append(order, scored{score: s.score[j], j: int32(j)})
 	}
-	sort.Slice(order, func(a, b int) bool {
-		ja, jb := order[a], order[b]
-		if s.score[ja] != s.score[jb] {
-			return s.score[ja] > s.score[jb]
+	slices.SortFunc(order, func(a, b scored) int {
+		if c := cmp.Compare(b.score, a.score); c != 0 {
+			return c
 		}
-		return ja < jb
+		return cmp.Compare(a.j, b.j)
 	})
+	s.order = order
 	moves := 0
-	for _, j := range order {
-		if r.commitBest(s, int(j), int(members[j])) {
+	for _, o := range order {
+		if r.commitBest(s, int(o.j), int(members[o.j])) {
 			moves++
 		}
 	}
 	return moves
+}
+
+// scored is one class member j in Climb's commit sort, keyed by its
+// provisional gain.
+type scored struct {
+	score float64
+	j     int32
 }
 
 // commitBest folds class member j's gathered edge weights with the current

@@ -277,9 +277,9 @@ type Stats struct {
 //     (fm.RefineColored), whose coloring and merge overhead is amortized by
 //     the fanned-out gain evaluation only on big levels. Below it the serial
 //     heap pass stays: running the colored schedule on every level made
-//     multilevel-kl on a 10k-node power-law graph 2.06x slower (median op
-//     time over seeds 1-6, the benchmark's powerlaw-10k workload) for a
-//     1.9% better cut.
+//     multilevel-kl on a 10k-node power-law graph 1.09x slower (median op
+//     time over seeds 1-6, the benchmark's powerlaw-10k workload; per seed
+//     0.86-1.25x) for a 1.8% better cut.
 //   - maxLevels bounds the coarsening hierarchy's depth.
 const (
 	lpMinNodes        = 250_000
