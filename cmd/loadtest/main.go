@@ -22,7 +22,7 @@
 // Usage:
 //
 //	loadtest -clients 4 -requests 50 -graphs 5 -json bench/BENCH_loadtest.json -check
-//	loadtest -fleet 3 -clients 6 -requests 40 -json bench/BENCH_fleet.json -check
+//	loadtest -fleet 3 -clients 6 -requests 40 -graphs 6 -json bench/BENCH_fleet.json -check
 //	loadtest -addr 127.0.0.1:9090 -clients 16 -requests 200
 package main
 

@@ -303,9 +303,11 @@ func writeHeader(w http.ResponseWriter, resp *http.Response) {
 	w.WriteHeader(resp.StatusCode)
 }
 
-// relayRewritten buffers a shard response and, on success, rewrites it
-// through fn (job-id qualification). Errors pass through untouched.
-func relayRewritten(w http.ResponseWriter, resp *http.Response, fn func([]byte) ([]byte, bool)) {
+// relayRewritten buffers a shard response and, on success, hands it to fn,
+// which decodes and rewrites it (job-id qualification). The rewritten value
+// goes out through service.WriteJSON, the shards' own writer, so routed and
+// direct replies share one wire shape. Errors pass through untouched.
+func relayRewritten(w http.ResponseWriter, resp *http.Response, fn func([]byte) (any, bool)) {
 	defer resp.Body.Close()
 	data, err := io.ReadAll(io.LimitReader(resp.Body, service.MaxGraphPayload))
 	if err != nil {
@@ -313,8 +315,9 @@ func relayRewritten(w http.ResponseWriter, resp *http.Response, fn func([]byte) 
 		return
 	}
 	if resp.StatusCode < 300 {
-		if out, ok := fn(data); ok {
-			data = out
+		if v, ok := fn(data); ok {
+			service.WriteJSON(w, resp.StatusCode, v)
+			return
 		}
 	}
 	writeHeader(w, resp)
@@ -455,7 +458,7 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 		writeNoShard(w, err)
 		return
 	}
-	relayRewritten(w, resp, func(data []byte) ([]byte, bool) {
+	relayRewritten(w, resp, func(data []byte) (any, bool) {
 		var br service.BatchResponse
 		if json.Unmarshal(data, &br) != nil {
 			return nil, false
@@ -463,8 +466,7 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 		for i := range br.Jobs {
 			br.Jobs[i].ID = shard + "/" + br.Jobs[i].ID
 		}
-		out, err := marshalIndent(br)
-		return out, err == nil
+		return br, true
 	})
 }
 
@@ -505,26 +507,15 @@ func withQuery(path string, r *http.Request) string {
 
 // qualifyJob is the relayRewritten rewrite of a JobInfo response: it
 // prefixes the job id with the shard that owns it.
-func qualifyJob(shard string) func([]byte) ([]byte, bool) {
-	return func(data []byte) ([]byte, bool) {
+func qualifyJob(shard string) func([]byte) (any, bool) {
+	return func(data []byte) (any, bool) {
 		var info service.JobInfo
 		if json.Unmarshal(data, &info) != nil || info.ID == "" {
 			return nil, false
 		}
 		info.ID = shard + "/" + info.ID
-		out, err := marshalIndent(info)
-		return out, err == nil
+		return info, true
 	}
-}
-
-func marshalIndent(v any) ([]byte, error) {
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(v); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
 }
 
 // --- aggregation ---
@@ -547,8 +538,12 @@ func fanOut[T any](rt *Router, r *http.Request, path string) map[string]T {
 				return
 			}
 			defer resp.Body.Close()
+			// Read on to EOF, up to a bound, before Close so the Transport
+			// keeps the connection: the decoder stops at the end of its
+			// value, before a chunked body's terminator, and closing an
+			// unfinished body drops the connection.
+			defer io.CopyN(io.Discard, resp.Body, 64<<10)
 			if resp.StatusCode != http.StatusOK {
-				io.Copy(io.Discard, resp.Body)
 				return
 			}
 			var v T

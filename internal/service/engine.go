@@ -121,13 +121,13 @@ func (s State) terminal() bool {
 // Result is a completed partition with the quality metrics the benchmark
 // suite reports.
 type Result struct {
-	Assign      []uint16 `json:"assign"`
-	Parts       int      `json:"parts"`
-	Cut         float64  `json:"cut"`
-	MaxPartCut  float64  `json:"max_part_cut"`
-	CommVolume  float64  `json:"comm_volume"`
-	ImbalanceSq float64  `json:"imbalance_sq"`
-	Balance     float64  `json:"balance"`
+	Assign      Assignment `json:"assign"`
+	Parts       int        `json:"parts"`
+	Cut         float64    `json:"cut"`
+	MaxPartCut  float64    `json:"max_part_cut"`
+	CommVolume  float64    `json:"comm_volume"`
+	ImbalanceSq float64    `json:"imbalance_sq"`
+	Balance     float64    `json:"balance"`
 	// ComputeNS is the wall time of the computation that produced this
 	// result. Cache hits share the producing run's Result, so they carry
 	// its original compute time — the job's own cost for a hit is ~0.

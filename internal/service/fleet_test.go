@@ -37,6 +37,8 @@ func TestGraphBinaryRoundTripHashIdentity(t *testing.T) {
 		gen.Mesh(500, 23),                        // coordinates present
 		gen.SkewWeights(gen.Mesh(300, 5), 7, 10), // non-uniform weights
 		gen.Grid(8, 9),
+		gen.PowerLaw(3000, 3, 1), // no coordinates
+		gen.Grid(300, 300),       // arrays outgrow the decoder's first reservation
 	} {
 		back := roundTrip(t, g)
 		if got, want := service.GraphHash(back), service.GraphHash(g); got != want {

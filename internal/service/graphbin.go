@@ -36,6 +36,12 @@ const (
 	maxBinAdj   = 1 << 31
 )
 
+// binChunk bounds the elements the decoder allocates ahead of the bytes it
+// has received: an array starts with room for at most this many and grows
+// as elements arrive, so a header that overstates its counts costs memory
+// in proportion to the payload actually sent, not to the counts it claims.
+const binChunk = 1 << 16
+
 // WriteGraphBinary encodes g in the canonical binary format.
 func WriteGraphBinary(w io.Writer, g *graph.Graph) error {
 	bw := bufio.NewWriterSize(w, 1<<16)
@@ -140,56 +146,55 @@ func ReadGraphBinary(r io.Reader) (*graph.Graph, error) {
 		return nil, fmt.Errorf("service: graph binary coords flag %d", coordByte)
 	}
 
-	nodeWeight := make([]float64, n)
-	for v := range nodeWeight {
-		if nodeWeight[v], err = f64(); err != nil {
-			return nil, fmt.Errorf("service: graph binary node weights: %w", err)
-		}
+	nodeWeight, err := appendArray(nil, n, f64)
+	if err != nil {
+		return nil, fmt.Errorf("service: graph binary node weights: %w", err)
 	}
 	var coords []graph.Point
 	if coordByte == 1 {
-		coords = make([]graph.Point, n)
-		for v := range coords {
-			if coords[v].X, err = f64(); err != nil {
-				return nil, fmt.Errorf("service: graph binary coords: %w", err)
+		coords, err = appendArray(nil, n, func() (graph.Point, error) {
+			x, err := f64()
+			if err != nil {
+				return graph.Point{}, err
 			}
-			if coords[v].Y, err = f64(); err != nil {
-				return nil, fmt.Errorf("service: graph binary coords: %w", err)
-			}
+			y, err := f64()
+			return graph.Point{X: x, Y: y}, err
+		})
+		if err != nil {
+			return nil, fmt.Errorf("service: graph binary coords: %w", err)
 		}
 	}
-	offsets := make([]int32, n+1)
+	// The payload carries per-node degrees; offsets accumulate them.
 	total := 0
-	for v := 0; v < n; v++ {
+	offsets, err := appendArray([]int32{0}, n, func() (int32, error) {
 		deg, err := u32()
 		if err != nil {
-			return nil, fmt.Errorf("service: graph binary degrees: %w", err)
+			return 0, err
 		}
-		total += int(deg)
-		if total > adjLen {
-			return nil, fmt.Errorf("service: graph binary degrees exceed adjacency length %d", adjLen)
+		if total += int(deg); total > adjLen {
+			return 0, fmt.Errorf("sum exceeds adjacency length %d", adjLen)
 		}
-		offsets[v+1] = int32(total)
+		return int32(total), nil
+	})
+	if err != nil {
+		return nil, fmt.Errorf("service: graph binary degrees: %w", err)
 	}
 	if total != adjLen {
 		return nil, fmt.Errorf("service: graph binary degrees sum to %d, header says %d", total, adjLen)
 	}
-	adj := make([]int32, adjLen)
-	for i := range adj {
+	adj, err := appendArray(nil, adjLen, func() (int32, error) {
 		u, err := u32()
-		if err != nil {
-			return nil, fmt.Errorf("service: graph binary adjacency: %w", err)
+		if err == nil && u >= uint32(n) {
+			err = fmt.Errorf("neighbor %d out of range (n=%d)", u, n)
 		}
-		if u >= uint32(n) {
-			return nil, fmt.Errorf("service: graph binary neighbor %d out of range (n=%d)", u, n)
-		}
-		adj[i] = int32(u)
+		return int32(u), err
+	})
+	if err != nil {
+		return nil, fmt.Errorf("service: graph binary adjacency: %w", err)
 	}
-	edgeWeight := make([]float64, adjLen)
-	for i := range edgeWeight {
-		if edgeWeight[i], err = f64(); err != nil {
-			return nil, fmt.Errorf("service: graph binary edge weights: %w", err)
-		}
+	edgeWeight, err := appendArray(nil, adjLen, f64)
+	if err != nil {
+		return nil, fmt.Errorf("service: graph binary edge weights: %w", err)
 	}
 	if _, err := br.ReadByte(); err != io.EOF {
 		return nil, fmt.Errorf("service: trailing bytes after graph binary payload")
@@ -199,4 +204,19 @@ func ReadGraphBinary(r io.Reader) (*graph.Graph, error) {
 		return nil, fmt.Errorf("service: graph binary content: %w", err)
 	}
 	return g, nil
+}
+
+// appendArray appends n elements decoded by next to dst, reserving room for
+// at most binChunk of them ahead of their arrival; see binChunk.
+func appendArray[T any](dst []T, n int, next func() (T, error)) ([]T, error) {
+	out := make([]T, len(dst), len(dst)+min(n, binChunk))
+	copy(out, dst)
+	for range n {
+		x, err := next()
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, x)
+	}
+	return out, nil
 }

@@ -631,13 +631,13 @@ func WriteError(w http.ResponseWriter, status int, code, message string) {
 	WriteJSON(w, status, body)
 }
 
-// WriteJSON writes v as the API's indented JSON with the given status.
+// WriteJSON writes v as the API's compact JSON, one value and a newline,
+// with the given status. Compact matters for result-bearing responses:
+// indenting would put every assignment entry on a line of its own.
 func WriteJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	_ = json.NewEncoder(w).Encode(v)
 }
 
 // EnvelopeHandler wraps h so its mux-generated plain-text 404/405 responses

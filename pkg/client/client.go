@@ -131,8 +131,7 @@ func New(baseURL string, opts ...Option) *Client {
 }
 
 // do runs one JSON request under the retry policy. A 2xx body decodes into
-// out (when non-nil); anything else decodes the error envelope into an
-// *APIError.
+// out; anything else decodes the error envelope into an *APIError.
 func (c *Client) do(ctx context.Context, method, path string, in, out any) error {
 	var body []byte
 	if in != nil {
@@ -242,11 +241,13 @@ func (c *Client) doOnce(ctx context.Context, method, path string, body []byte, o
 		}
 		return apiErr
 	}
-	if out == nil {
-		io.Copy(io.Discard, resp.Body)
-		return nil
-	}
-	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+	err = json.NewDecoder(resp.Body).Decode(out)
+	// Read on to EOF, up to a bound, so Close returns the connection to the
+	// Transport's pool: the decoder stops at the end of its value, before a
+	// chunked body's terminator, and closing an unfinished body drops the
+	// connection.
+	_, _ = io.CopyN(io.Discard, resp.Body, 64<<10)
+	if err != nil {
 		return fmt.Errorf("client: decoding response: %w", err)
 	}
 	return nil

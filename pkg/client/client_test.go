@@ -4,7 +4,10 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"net"
+	"net/http"
 	"net/http/httptest"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/gen"
@@ -156,5 +159,41 @@ func TestClientQuotaRetryAfter(t *testing.T) {
 	}
 	if !apiErr.IsRetryable() || apiErr.RetryAfter <= 0 {
 		t.Errorf("quota error not retryable with hint: %+v", apiErr)
+	}
+}
+
+// Sequential calls share one connection even when each reply is a large,
+// chunked body: the client reads past the decoded value to EOF before
+// closing, which is what lets the Transport keep the connection.
+func TestClientReusesConnection(t *testing.T) {
+	info := service.JobInfo{ID: "j00000001", State: service.StateDone,
+		Result: &service.Result{Assign: make([]uint16, 8000), Parts: 4}}
+	for v := range info.Result.Assign {
+		info.Result.Assign[v] = uint16(v % 4)
+	}
+	var conns atomic.Int64
+	ts := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		service.WriteJSON(w, http.StatusOK, info)
+	}))
+	ts.Config.ConnState = func(_ net.Conn, state http.ConnState) {
+		if state == http.StateNew {
+			conns.Add(1)
+		}
+	}
+	ts.Start()
+	defer ts.Close()
+
+	cl := client.New(ts.URL, client.WithHTTPClient(ts.Client()))
+	for range 50 {
+		got, err := cl.Job(context.Background(), info.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Result == nil || len(got.Result.Assign) != len(info.Result.Assign) {
+			t.Fatalf("decoded %+v, want an %d-entry assignment", got.Result, len(info.Result.Assign))
+		}
+	}
+	if n := conns.Load(); n != 1 {
+		t.Fatalf("50 sequential calls opened %d connections, want 1", n)
 	}
 }
