@@ -5,8 +5,11 @@
 // methods are directly comparable in the ablation benchmarks.
 //
 // The move set is single-node reassignment (the same neighborhood as the
-// GA's hill climber), the cooling schedule is geometric, and fitness deltas
-// are evaluated incrementally in O(deg(v)) per proposal.
+// GA's hill climber) and the cooling schedule is geometric. The current
+// partition lives in a partition.Eval, so each proposal is scored by the
+// shared gain definition (Eval.MoveGain) in O(deg(v) + k) and each accepted
+// move is applied in O(deg(v)); only a new best solution costs O(n), to copy
+// it.
 package anneal
 
 import (
@@ -75,13 +78,18 @@ func Improve(g *graph.Graph, start *partition.Partition, cfg Config, rng *rand.R
 		return nil, fmt.Errorf("anneal: config parts %d != partition parts %d", c.Parts, start.Parts)
 	}
 	cur := start.Clone()
-	curFit := cur.Fitness(g, c.Objective)
+	ev := partition.NewEval(g, cur)
+	if c.Objective == partition.CommVolume {
+		ev.Track(g, cur, c.Objective, 1)
+	}
+	avg := g.TotalNodeWeight() / float64(c.Parts)
+	curFit := ev.Fitness(g, c.Objective)
 	best := cur.Clone()
 	bestFit := curFit
 
 	temp := c.InitialTemp
 	if temp <= 0 {
-		temp = calibrateTemp(g, cur, c, rng)
+		temp = calibrateTemp(g, cur, ev, c, rng)
 	}
 	for ; temp > c.FinalTemp; temp *= c.Cooling {
 		for sweep := 0; sweep < c.SweepsPerT; sweep++ {
@@ -92,16 +100,16 @@ func Improve(g *graph.Graph, start *partition.Partition, cfg Config, rng *rand.R
 				if to == from {
 					continue
 				}
-				delta := moveDelta(g, cur, c.Objective, v, to)
+				delta := ev.MoveGain(g, cur, c.Objective, avg, v, to)
 				if delta >= 0 || rng.Float64() < math.Exp(delta/temp) {
-					cur.Assign[v] = uint16(to)
+					ev.Move(g, cur, v, to)
 					curFit += delta
 					if curFit > bestFit {
 						// Deltas accumulate float error; refresh exactly.
-						curFit = cur.Fitness(g, c.Objective)
+						curFit = ev.Fitness(g, c.Objective)
 						if curFit > bestFit {
 							bestFit = curFit
-							best = cur.Clone()
+							copy(best.Assign, cur.Assign)
 						}
 					}
 				}
@@ -111,73 +119,27 @@ func Improve(g *graph.Graph, start *partition.Partition, cfg Config, rng *rand.R
 	return best, nil
 }
 
-// calibrateTemp samples random uphill moves and picks a temperature at
-// which ~60% of them would be accepted.
-func calibrateTemp(g *graph.Graph, p *partition.Partition, c Config, rng *rand.Rand) float64 {
+// calibrateTemp samples random uphill moves of p, scored through ev, and
+// picks a temperature at which ~60% of them would be accepted.
+func calibrateTemp(g *graph.Graph, p *partition.Partition, ev *partition.Eval, c Config, rng *rand.Rand) float64 {
 	n := g.NumNodes()
-	var uphill []float64
-	for trial := 0; trial < 200 && len(uphill) < 50; trial++ {
+	avg := g.TotalNodeWeight() / float64(c.Parts)
+	var sum float64
+	uphill := 0
+	for trial := 0; trial < 200 && uphill < 50; trial++ {
 		v := rng.Intn(n)
 		to := rng.Intn(c.Parts)
 		if int(p.Assign[v]) == to {
 			continue
 		}
-		if d := moveDelta(g, p, c.Objective, v, to); d < 0 {
-			uphill = append(uphill, -d)
+		if d := ev.MoveGain(g, p, c.Objective, avg, v, to); d < 0 {
+			sum -= d
+			uphill++
 		}
 	}
-	if len(uphill) == 0 {
+	if uphill == 0 {
 		return 1
 	}
-	var mean float64
-	for _, d := range uphill {
-		mean += d
-	}
-	mean /= float64(len(uphill))
 	// exp(-mean/T) = 0.6  =>  T = mean / ln(1/0.6)
-	return mean / math.Log(1/0.6)
+	return sum / float64(uphill) / math.Log(1/0.6)
 }
-
-// moveDelta returns fitness(after) - fitness(before) for moving v to part
-// `to`, in O(deg(v)) for TotalCut. WorstCut needs the global max, which is
-// recomputed from per-part cuts in O(E) only when v's move could change it;
-// for the paper's graph sizes a direct evaluation is still cheap, so we
-// fall back to it for clarity.
-func moveDelta(g *graph.Graph, p *partition.Partition, o partition.Objective, v, to int) float64 {
-	from := int(p.Assign[v])
-	if from == to {
-		return 0
-	}
-	if o == partition.WorstCut {
-		before := p.Fitness(g, o)
-		p.Assign[v] = uint16(to)
-		after := p.Fitness(g, o)
-		p.Assign[v] = uint16(from)
-		return after - before
-	}
-	// TotalCut: cut delta is (edges to `from`) - (edges to `to`), doubled
-	// because Fitness 1 counts each cut edge twice.
-	var wFrom, wTo float64
-	ws := g.EdgeWeights(v)
-	for i, u := range g.Neighbors(v) {
-		switch int(p.Assign[u]) {
-		case from:
-			wFrom += ws[i]
-		case to:
-			wTo += ws[i]
-		}
-	}
-	cutDelta := 2 * (wFrom - wTo) // positive = cut grows
-
-	// Imbalance delta: only parts from/to change.
-	weights := p.PartWeights(g)
-	avg := g.TotalNodeWeight() / float64(p.Parts)
-	wv := g.NodeWeight(v)
-	before := sq(weights[from]-avg) + sq(weights[to]-avg)
-	after := sq(weights[from]-wv-avg) + sq(weights[to]+wv-avg)
-	imbDelta := after - before
-
-	return -(imbDelta + cutDelta)
-}
-
-func sq(x float64) float64 { return x * x }

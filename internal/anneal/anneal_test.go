@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/gen"
+	"repro/internal/graph"
 	"repro/internal/partition"
 )
 
@@ -88,31 +89,40 @@ func TestDeterministicForSeed(t *testing.T) {
 	}
 }
 
+// The Eval gain Improve scores proposals with must match a full
+// re-evaluation under both objectives and, on this unit-weight mesh, the
+// scan-based delta annealing used before, bit for bit. Moves are applied
+// through the Eval, as Improve applies them, so later trials exercise
+// updated aggregates.
 func TestMoveDeltaMatchesFullEvaluation(t *testing.T) {
 	g := gen.Mesh(40, 11)
-	rng := rand.New(rand.NewSource(13))
-	p := partition.RandomBalanced(40, 4, rng)
-	for trial := 0; trial < 200; trial++ {
-		v := rng.Intn(40)
-		to := rng.Intn(4)
-		if int(p.Assign[v]) == to {
-			continue
-		}
-		before := p.Fitness(g, partition.TotalCut)
-		want := func() float64 {
+	avg := g.TotalNodeWeight() / 4
+	for _, o := range []partition.Objective{partition.TotalCut, partition.WorstCut} {
+		rng := rand.New(rand.NewSource(13))
+		p := partition.RandomBalanced(40, 4, rng)
+		ev := partition.NewEval(g, p)
+		for trial := 0; trial < 200; trial++ {
+			v := rng.Intn(40)
+			to := rng.Intn(4)
+			if int(p.Assign[v]) == to {
+				continue
+			}
+			before := p.Fitness(g, o)
 			from := p.Assign[v]
 			p.Assign[v] = uint16(to)
-			after := p.Fitness(g, partition.TotalCut)
+			want := p.Fitness(g, o) - before
 			p.Assign[v] = from
-			return after - before
-		}()
-		got := moveDelta(g, p, partition.TotalCut, v, to)
-		if math.Abs(got-want) > 1e-9 {
-			t.Fatalf("trial %d: moveDelta = %v, full evaluation = %v", trial, got, want)
-		}
-		// Occasionally accept the move so we test from varied states.
-		if trial%3 == 0 {
-			p.Assign[v] = uint16(to)
+			got := ev.MoveGain(g, p, o, avg, v, to)
+			if math.Abs(got-want) > 1e-9 {
+				t.Fatalf("%v trial %d: gain = %v, full evaluation = %v", o, trial, got, want)
+			}
+			if ref := scanDelta(g, p, o, v, to); got != ref {
+				t.Fatalf("%v trial %d: gain = %v, scan reference = %v", o, trial, got, ref)
+			}
+			// Occasionally accept the move so we test from varied states.
+			if trial%3 == 0 {
+				ev.Move(g, p, v, to)
+			}
 		}
 	}
 }
@@ -121,10 +131,163 @@ func TestCalibrateTempPositive(t *testing.T) {
 	g := gen.Mesh(60, 15)
 	rng := rand.New(rand.NewSource(17))
 	p := partition.RandomBalanced(60, 4, rng)
-	temp := calibrateTemp(g, p, Config{Parts: 4}, rng)
+	temp := calibrateTemp(g, p, partition.NewEval(g, p), Config{Parts: 4}, rng)
 	if temp <= 0 || math.IsInf(temp, 0) || math.IsNaN(temp) {
 		t.Errorf("calibrated temp = %v", temp)
 	}
+}
+
+// Improve through the Eval must return exactly the partition the scan-based
+// annealer returns from the same start and seed: every proposal gets the
+// same delta, so every accept draws the same random numbers.
+func TestImproveMatchesScanReference(t *testing.T) {
+	for _, parts := range []int{2, 4, 8} {
+		for _, o := range []partition.Objective{partition.TotalCut, partition.WorstCut} {
+			g := gen.Mesh(120, int64(parts))
+			seed := int64(parts)*10 + int64(o)
+			cfg := Config{Parts: parts, Objective: o, Cooling: 0.85}
+			start := partition.RandomBalanced(g.NumNodes(), parts, rand.New(rand.NewSource(seed)))
+			got, err := Improve(g, start, cfg, rand.New(rand.NewSource(seed)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := scanImprove(g, start, cfg, rand.New(rand.NewSource(seed)))
+			for v := range want.Assign {
+				if got.Assign[v] != want.Assign[v] {
+					t.Fatalf("k=%d %v: node %d in part %d, scan reference %d", parts, o, v, got.Assign[v], want.Assign[v])
+				}
+			}
+		}
+	}
+}
+
+// One Improve allocates a constant handful of objects whatever the number
+// of proposals: the working and best partitions and the Eval (6 here). The
+// scan-based annealer allocated a part-weight vector per cut proposal and a
+// partition per new best (331,603 allocations here).
+func TestImproveAllocations(t *testing.T) {
+	g := gen.Mesh(1000, 19)
+	start := partition.RandomBalanced(1000, 8, rand.New(rand.NewSource(20)))
+	rng := rand.New(rand.NewSource(21))
+	allocs := testing.AllocsPerRun(2, func() {
+		if _, err := Improve(g, start, Config{Parts: 8}, rng); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 16 {
+		t.Errorf("Improve made %v allocations, want at most 16", allocs)
+	}
+}
+
+// Under CommVolume the Eval tracks the volume counts the gain reads, so the
+// annealer optimizes the volume itself.
+func TestImproveCommVolume(t *testing.T) {
+	g := gen.Mesh(200, 23)
+	rng := rand.New(rand.NewSource(24))
+	start := partition.RandomBalanced(200, 4, rng)
+	got, err := Improve(g, start, Config{Parts: 4, Objective: partition.CommVolume, Cooling: 0.9}, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.CommVolume(g) >= start.CommVolume(g) {
+		t.Errorf("annealed comm volume %v not below the random start's %v", got.CommVolume(g), start.CommVolume(g))
+	}
+}
+
+// scanDelta is the move delta annealing computed before it scored moves
+// through an Eval, kept verbatim as the reference: an O(n) part-weight scan
+// per cut proposal, two full Fitness scans per maxcut proposal.
+func scanDelta(g *graph.Graph, p *partition.Partition, o partition.Objective, v, to int) float64 {
+	from := int(p.Assign[v])
+	if from == to {
+		return 0
+	}
+	if o == partition.WorstCut {
+		before := p.Fitness(g, o)
+		p.Assign[v] = uint16(to)
+		after := p.Fitness(g, o)
+		p.Assign[v] = uint16(from)
+		return after - before
+	}
+	var wFrom, wTo float64
+	ws := g.EdgeWeights(v)
+	for i, u := range g.Neighbors(v) {
+		switch int(p.Assign[u]) {
+		case from:
+			wFrom += ws[i]
+		case to:
+			wTo += ws[i]
+		}
+	}
+	cutDelta := 2 * (wFrom - wTo)
+	weights := p.PartWeights(g)
+	avg := g.TotalNodeWeight() / float64(p.Parts)
+	wv := g.NodeWeight(v)
+	before := sq(weights[from]-avg) + sq(weights[to]-avg)
+	after := sq(weights[from]-wv-avg) + sq(weights[to]+wv-avg)
+	imbDelta := after - before
+	return -(imbDelta + cutDelta)
+}
+
+func sq(x float64) float64 { return x * x }
+
+// scanImprove is the annealer as it was before it kept an Eval — Improve and
+// its temperature calibration driven by scanDelta, with fitness refreshed by
+// full scans — kept as the reference Improve must reproduce.
+func scanImprove(g *graph.Graph, start *partition.Partition, cfg Config, rng *rand.Rand) *partition.Partition {
+	n := g.NumNodes()
+	c := cfg.withDefaults(n)
+	cur := start.Clone()
+	curFit := cur.Fitness(g, c.Objective)
+	best := cur.Clone()
+	bestFit := curFit
+	temp := c.InitialTemp
+	if temp <= 0 {
+		var uphill []float64
+		for trial := 0; trial < 200 && len(uphill) < 50; trial++ {
+			v := rng.Intn(n)
+			to := rng.Intn(c.Parts)
+			if int(cur.Assign[v]) == to {
+				continue
+			}
+			if d := scanDelta(g, cur, c.Objective, v, to); d < 0 {
+				uphill = append(uphill, -d)
+			}
+		}
+		temp = 1
+		if len(uphill) > 0 {
+			var mean float64
+			for _, d := range uphill {
+				mean += d
+			}
+			mean /= float64(len(uphill))
+			temp = mean / math.Log(1/0.6)
+		}
+	}
+	for ; temp > c.FinalTemp; temp *= c.Cooling {
+		for sweep := 0; sweep < c.SweepsPerT; sweep++ {
+			for trial := 0; trial < n; trial++ {
+				v := rng.Intn(n)
+				to := rng.Intn(c.Parts)
+				if to == int(cur.Assign[v]) {
+					continue
+				}
+				delta := scanDelta(g, cur, c.Objective, v, to)
+				if delta >= 0 || rng.Float64() < math.Exp(delta/temp) {
+					cur.Assign[v] = uint16(to)
+					curFit += delta
+					if curFit > bestFit {
+						curFit = cur.Fitness(g, c.Objective)
+						if curFit > bestFit {
+							bestFit = curFit
+							best = cur.Clone()
+						}
+					}
+				}
+			}
+		}
+	}
+	return best
 }
 
 // Property: annealing output is always a valid partition and at least as fit

@@ -115,11 +115,11 @@ type refinement struct {
 }
 
 // refine is the pass loop both schedules share. It rejects CommVolume,
-// applies the MaxPasses default, makes ev a boundary-tracking Eval in sync
-// with p (built by the sharded scan when nil), derives the balance bounds —
-// every part's node count within ceil(2% of ideal)+1 nodes of the ideal
-// n/parts — checks out the scratch, and runs pass until one gains nothing,
-// Stop fires, or MaxPasses is reached.
+// applies the MaxPasses default, prepares ev with partition.Tracked (so a
+// nil ev is built from p), derives the balance bounds — every part's node
+// count within ceil(2% of ideal)+1 nodes of the ideal n/parts — checks out
+// the scratch, and runs pass until one gains nothing, Stop fires, or
+// MaxPasses is reached.
 func refine(g *graph.Graph, p *partition.Partition, ev *partition.Eval, cfg Config, pass func(*refinement) (gain float64, stopped bool)) float64 {
 	if cfg.Objective == partition.CommVolume {
 		panic("fm: CommVolume objective is not supported (use the kl refiners)")
@@ -132,11 +132,7 @@ func refine(g *graph.Graph, p *partition.Partition, ev *partition.Eval, cfg Conf
 	if n == 0 || p.Parts < 2 {
 		return 0
 	}
-	if ev == nil {
-		ev = partition.NewEvalBoundaryPar(g, p, cfg.Workers)
-	} else if !ev.TracksBoundary() {
-		ev.ResetBoundaryPar(g, p, cfg.Workers)
-	}
+	ev = partition.Tracked(g, p, ev, cfg.Objective, cfg.Workers)
 	ideal := float64(n) / float64(p.Parts)
 	slack := int(math.Ceil(ideal/50)) + 1
 	r := &refinement{

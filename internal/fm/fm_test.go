@@ -170,7 +170,9 @@ func requireWorkersBitIdentical(t *testing.T, refine func(*graph.Graph, *partiti
 			gain := refine(tc.g, p, ev(p), Config{Workers: workers, Objective: obj, Scratch: &scratch})
 			return p, gain
 		}
-		tracked := func(p *partition.Partition) *partition.Eval { return partition.NewEvalBoundary(tc.g, p) }
+		tracked := func(p *partition.Partition) *partition.Eval {
+			return partition.Tracked(tc.g, p, nil, partition.TotalCut, 1)
+		}
 		untracked := func(p *partition.Partition) *partition.Eval { return partition.NewEval(tc.g, p) }
 		none := func(*partition.Partition) *partition.Eval { return nil }
 		refP, refGain := run(1, tracked)

@@ -95,7 +95,7 @@ func TestRefineEvalParStopMidPass(t *testing.T) {
 	for polls := 1; polls <= 6; polls++ {
 		p := partition.RandomBalanced(g.NumNodes(), 8, rng)
 		before := p.CutSize(g)
-		ev := partition.NewEvalBoundary(g, p)
+		ev := partition.Tracked(g, p, nil, partition.TotalCut, 1)
 		calls := 0
 		stop := func() bool {
 			calls++
@@ -110,7 +110,7 @@ func TestRefineEvalParStopMidPass(t *testing.T) {
 		}
 		// The Eval must agree with a from-scratch rebuild: weights, cuts,
 		// and the tracked boundary.
-		fresh := partition.NewEvalBoundary(g, p)
+		fresh := partition.Tracked(g, p, nil, partition.TotalCut, 1)
 		for q := range fresh.Cuts {
 			if ev.Cuts[q] != fresh.Cuts[q] {
 				t.Fatalf("polls=%d: ev.Cuts[%d] = %v, rebuild %v", polls, q, ev.Cuts[q], fresh.Cuts[q])

@@ -274,7 +274,7 @@ func TestGroupScansEachAdjacencyOnce(t *testing.T) {
 	}
 	pl := gen.PowerLaw(10000, 4, gen.SuiteSeed+10000)
 	p := partition.RandomBalanced(pl.NumNodes(), 8, rand.New(rand.NewSource(16)))
-	boundary := partition.NewEvalBoundary(pl, p).Boundary()
+	boundary := partition.Tracked(pl, p, nil, partition.TotalCut, 1).AppendBoundary(nil)
 	tiles := []struct {
 		name  string
 		g     *graph.Graph

@@ -179,9 +179,9 @@ func (s *sweeper) propagate(g *graph.Graph, p *partition.Partition, ev *partitio
 
 // run sweeps the boundary with r until a pass moves nothing or maxPasses
 // passes complete (<= 0: no bound), polling cfg.Stop before each pass, and
-// returns the number of moves. ev is prepared by tracked.
+// returns the number of moves. ev is prepared by partition.Tracked.
 func (s *sweeper) run(g *graph.Graph, p *partition.Partition, ev *partition.Eval, cfg Config, maxPasses int, r rule) int {
-	s.g, s.p, s.ev = g, p, tracked(g, p, ev, cfg)
+	s.g, s.p, s.ev = g, p, partition.Tracked(g, p, ev, cfg.Objective, cfg.Workers)
 	s.workers = par.Workers(cfg.Workers)
 	// A recycled sweeper's dedup rows carry stamps from earlier sweeps:
 	// restart them, so a long-lived process can never wrap a stamp into a

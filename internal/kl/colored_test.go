@@ -80,7 +80,7 @@ func requireSameResult(t *testing.T, label string, g *graph.Graph, refP, p *part
 				label, q, ev.Weights[q], ev.Cuts[q], refEv.Weights[q], refEv.Cuts[q])
 		}
 	}
-	rb, b := refEv.Boundary(), ev.Boundary()
+	rb, b := refEv.AppendBoundary(nil), ev.AppendBoundary(nil)
 	if len(rb) != len(b) {
 		t.Fatalf("%s: boundary size %d != %d", label, len(b), len(rb))
 	}
@@ -104,11 +104,11 @@ func climb(g *graph.Graph, p *partition.Partition, ev *partition.Eval, cfg Confi
 func requireWidthBitIdentical(t *testing.T, label string, g *graph.Graph, start *partition.Partition, o partition.Objective, r refiner) {
 	t.Helper()
 	refP := start.Clone()
-	refEv := partition.NewEvalBoundary(g, refP)
+	refEv := partition.Tracked(g, refP, nil, partition.TotalCut, 1)
 	r(g, refP, refEv, Config{Objective: o, Workers: 1})
 	for _, w := range widths[1:] {
 		p := start.Clone()
-		ev := partition.NewEvalBoundaryPar(g, p, w)
+		ev := partition.Tracked(g, p, nil, partition.TotalCut, w)
 		r(g, p, ev, Config{Objective: o, Workers: w})
 		requireSameResult(t, label, g, refP, p, refEv, ev)
 		if o == partition.CommVolume {
@@ -161,7 +161,7 @@ func TestColoredClimbMonotoneAndConverges(t *testing.T) {
 		for _, o := range []partition.Objective{partition.TotalCut, partition.WorstCut} {
 			p := partition.RandomBalanced(g.NumNodes(), 4, rng)
 			prev := p.Fitness(g, o)
-			ev := partition.NewEvalBoundary(g, p)
+			ev := partition.Tracked(g, p, nil, partition.TotalCut, 1)
 			for pass := 0; pass < 50; pass++ {
 				moved := Climb(g, p, ev, Config{Objective: o, MaxPasses: 1, Workers: 4})
 				fit := p.Fitness(g, o)

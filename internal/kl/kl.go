@@ -40,22 +40,6 @@ type Config struct {
 	Stop func() bool
 }
 
-// tracked returns the Eval the colored refiners work through: ev itself when
-// non-nil, a fresh sharded build from p otherwise, with boundary tracking —
-// and, under CommVolume, volume tracking — enabled if it is not already.
-// Every entry point starts here, so no refiner needs an untracked fallback.
-func tracked(g *graph.Graph, p *partition.Partition, ev *partition.Eval, cfg Config) *partition.Eval {
-	if ev == nil {
-		ev = partition.NewEvalBoundaryPar(g, p, cfg.Workers)
-	} else if !ev.TracksBoundary() {
-		ev.ResetBoundaryPar(g, p, cfg.Workers)
-	}
-	if cfg.Objective == partition.CommVolume && !ev.TracksCommVol() {
-		ev.ResetCommVolPar(g, p, cfg.Workers)
-	}
-	return ev
-}
-
 // HillClimbEval performs steepest-descent boundary migration on p in place
 // until no single-node move improves the fitness o, or maxPasses passes
 // complete (maxPasses <= 0 means unlimited). It returns the number of moves
@@ -69,13 +53,15 @@ func tracked(g *graph.Graph, p *partition.Partition, ev *partition.Eval, cfg Con
 // partition's cached aggregates (the GA engine keeps one Eval per
 // individual), which every move keeps in sync, so the GA can afford hill
 // climbing on every offspring and read the final fitness straight from ev. A
-// nil ev is rebuilt from p.
+// nil ev is rebuilt from p. Under the cut objectives an untracked ev stays
+// untracked, and each pass finds the boundary by scanning p; CommVolume's
+// gains need the Eval's volume counts, which are built here when missing.
 func HillClimbEval(g *graph.Graph, p *partition.Partition, o partition.Objective, maxPasses int, ev *partition.Eval) int {
-	if ev == nil {
+	switch {
+	case o == partition.CommVolume:
+		ev = partition.Tracked(g, p, ev, o, 1)
+	case ev == nil:
 		ev = partition.NewEval(g, p)
-	}
-	if o == partition.CommVolume && !ev.TracksCommVol() {
-		ev.EnableCommVol(g, p)
 	}
 	c := &climber{
 		g:   g,
@@ -110,7 +96,7 @@ func (c *climber) climb(maxPasses int) int {
 // identical order either way — tracking changes the cost, never the result.
 func (c *climber) boundary() []int {
 	if c.ev.TracksBoundary() {
-		return c.ev.Boundary()
+		return c.ev.AppendBoundary(nil)
 	}
 	return c.p.BoundaryNodes(c.g)
 }
@@ -174,10 +160,10 @@ scan:
 // sync with p; it stays exactly in sync with every move (rebalancing moves
 // included), so a caller can chain refinements — the multilevel pipeline
 // projects one Eval down its whole uncoarsening hierarchy this way, because
-// projection changes neither part weights nor part cuts. A nil ev is built
-// from p by the sharded parallel scan.
+// projection changes neither part weights nor part cuts. ev is prepared by
+// partition.Tracked, so a nil ev is built from p.
 func Refine(g *graph.Graph, p *partition.Partition, ev *partition.Eval, cfg Config) {
-	ev = tracked(g, p, ev, cfg)
+	ev = partition.Tracked(g, p, ev, cfg.Objective, cfg.Workers)
 	Climb(g, p, ev, cfg)
 	if cfg.Stop != nil && cfg.Stop() {
 		return
@@ -205,7 +191,7 @@ func Refine(g *graph.Graph, p *partition.Partition, ev *partition.Eval, cfg Conf
 // ascending) make the winner independent of visit order and width, so every
 // width picks exactly the same nodes.
 func Rebalance(g *graph.Graph, p *partition.Partition, ev *partition.Eval, cfg Config) {
-	ev = tracked(g, p, ev, cfg)
+	ev = partition.Tracked(g, p, ev, cfg.Objective, cfg.Workers)
 	n := g.NumNodes()
 	ideal := g.TotalNodeWeight() / float64(p.Parts)
 	var maxNodeW float64

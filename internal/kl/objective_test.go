@@ -31,8 +31,7 @@ func TestCommVolDeltaMatchesBruteForce(t *testing.T) {
 		n := g.NumNodes()
 		for _, parts := range []int{2, 5} {
 			p := partition.RandomBalanced(n, parts, rng)
-			ev := partition.NewEval(g, p)
-			ev.EnableCommVol(g, p)
+			ev := partition.Tracked(g, p, nil, partition.CommVolume, 1)
 			for trial := 0; trial < 400; trial++ {
 				v := rng.Intn(n)
 				to := rng.Intn(parts)
@@ -78,9 +77,7 @@ func TestMoveDeltaMatchesFullEvaluationAllObjectives(t *testing.T) {
 		for _, o := range partition.Objectives() {
 			p := partition.RandomBalanced(n, 4, rng)
 			c := newClimber(g, p, o)
-			if o == partition.CommVolume {
-				c.ev.EnableCommVol(g, p)
-			}
+			c.ev = partition.Tracked(g, p, c.ev, o, 1)
 			for trial := 0; trial < 200; trial++ {
 				v := rng.Intn(n)
 				to := rng.Intn(4)
@@ -127,7 +124,7 @@ func TestColoredClimbCommVolMonotoneAndConverges(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed * 9))
 		p := partition.RandomBalanced(g.NumNodes(), 4, rng)
 		prev := p.Fitness(g, partition.CommVolume)
-		ev := partition.NewEvalBoundary(g, p)
+		ev := partition.Tracked(g, p, nil, partition.TotalCut, 1)
 		for pass := 0; pass < 50; pass++ {
 			moved := Climb(g, p, ev, Config{Objective: partition.CommVolume, MaxPasses: 1, Workers: 4})
 			fit := p.Fitness(g, partition.CommVolume)

@@ -19,7 +19,7 @@ func rgg(n int, seed int64) *graph.Graph {
 
 func propagated(g *graph.Graph, parts int, seed int64, cfg Config) (*partition.Partition, *partition.Eval, int) {
 	p := partition.RandomBalanced(g.NumNodes(), parts, rand.New(rand.NewSource(seed)))
-	ev := partition.NewEvalBoundary(g, p)
+	ev := partition.Tracked(g, p, nil, partition.TotalCut, 1)
 	moves := Propagate(g, p, ev, cfg)
 	return p, ev, moves
 }
@@ -27,7 +27,7 @@ func propagated(g *graph.Graph, parts int, seed int64, cfg Config) (*partition.P
 func TestPropagateReducesCutWithinCap(t *testing.T) {
 	g := rgg(4000, 1)
 	p := partition.RandomBalanced(g.NumNodes(), 8, rand.New(rand.NewSource(2)))
-	ev := partition.NewEvalBoundary(g, p)
+	ev := partition.Tracked(g, p, nil, partition.TotalCut, 1)
 	before := ev.TotalCutWeight()
 	if Propagate(g, p, ev, Config{Workers: 1}) == 0 {
 		t.Fatal("no moves on a random partition of a geometric graph")
@@ -80,10 +80,10 @@ func TestSweepReuseBitIdentical(t *testing.T) {
 		for _, name := range []string{"climb", "propagate"} {
 			cfg := Config{Workers: tc.workers}
 			refP := start.Clone()
-			refEv := partition.NewEvalBoundary(g, refP)
+			refEv := partition.Tracked(g, refP, nil, partition.TotalCut, 1)
 			refMoves := rules[name](new(sweeper), g, refP, refEv, cfg)
 			p := start.Clone()
-			ev := partition.NewEvalBoundary(g, p)
+			ev := partition.Tracked(g, p, nil, partition.TotalCut, 1)
 			moves := rules[name](&reused, g, p, ev, cfg)
 			if moves != refMoves {
 				t.Fatalf("n=%d %s: reused sweeper made %d moves, fresh made %d", tc.n, name, moves, refMoves)
@@ -115,5 +115,5 @@ func TestPropagateStopAfterOnePass(t *testing.T) {
 	if err := p.Validate(g); err != nil {
 		t.Fatal(err)
 	}
-	requireSameResult(t, "stopped vs rebuilt Eval", g, p, p, partition.NewEvalBoundary(g, p), ev)
+	requireSameResult(t, "stopped vs rebuilt Eval", g, p, p, partition.Tracked(g, p, nil, partition.TotalCut, 1), ev)
 }

@@ -457,19 +457,16 @@ func Partition(g *graph.Graph, cfg Config, inner Partitioner) (*partition.Partit
 	// One Eval for the whole uncoarsening phase: projection preserves part
 	// weights (coarse node weights are member sums) and part cuts (coarse
 	// edge weights are cross-member sums), so the aggregates carry over
-	// verbatim and only refinement moves touch them. The Eval also tracks
-	// the boundary set, which every refiner seeds its scans from; unlike
-	// the weight/cut aggregates, node identities change across projection,
-	// so the boundary is rebuilt per level — by the sharded parallel scan,
-	// like the projection fill itself (every fine node's slot is owned by
-	// exactly one par chunk, so any width writes the same arrays).
-	ev := partition.NewEvalBoundary(coarsest, p)
-	if c.Objective == partition.CommVolume {
-		ev.ResetCommVolPar(coarsest, p, c.Workers)
-	}
-	// Presize the Eval's per-node buffers for the finest level now, so the
-	// per-level boundary rebuilds below reslice within capacity instead of
-	// reallocating every time the hierarchy grows back.
+	// verbatim and only refinement moves touch them. Its trackers — the
+	// boundary set every refiner seeds its scans from, and the volume counts
+	// under CommVolume — key on node identity, which projection changes, so
+	// Track rebuilds them per level by sharded scans (every fine node's slot
+	// is owned by exactly one par chunk, so any width writes the same
+	// arrays). Reserve then presizes those trackers for the finest level, so
+	// each level's Track reslices within capacity instead of reallocating
+	// every time the hierarchy grows back.
+	ev := partition.NewEval(coarsest, p)
+	ev.Track(coarsest, p, c.Objective, c.Workers)
 	ev.Reserve(g.NumNodes(), c.Parts)
 	// Same for FM's Theta(n*parts) connectivity table: growing it level by
 	// level as the hierarchy unwinds would reallocate at nearly every step
@@ -498,12 +495,7 @@ func Partition(g *graph.Graph, cfg Config, inner Partitioner) (*partition.Partit
 				fa[v] = coarseAssign[coarseOf[v]]
 			}
 		})
-		ev.ResetBoundaryPar(lvl.Graph, fine, c.Workers)
-		if c.Objective == partition.CommVolume {
-			// The volume counters key on node identity, which projection just
-			// changed — rebuild them for this level's graph.
-			ev.ResetCommVolPar(lvl.Graph, fine, c.Workers)
-		}
+		ev.Track(lvl.Graph, fine, c.Objective, c.Workers)
 		stats.Project += time.Since(start)
 		stats.ProjectBytes += allocSnap(meter) - alloc
 		start = time.Now()

@@ -289,12 +289,13 @@ func TestPartitionFMParWorkersBitIdentical(t *testing.T) {
 			}
 			for _, obj := range []partition.Objective{partition.TotalCut, partition.WorstCut} {
 				run := func(workers int) (*partition.Partition, float64) {
-					ev := partition.NewEvalBoundary(coarse, cp)
+					ev := partition.NewEval(coarse, cp)
+					ev.Track(coarse, cp, obj, 1)
 					p := partition.New(level.NumNodes(), 4)
 					for v := range p.Assign {
 						p.Assign[v] = cp.Assign[coarseOf[v]]
 					}
-					ev.ResetBoundaryPar(level, p, workers)
+					ev.Track(level, p, obj, workers)
 					gain := fm.RefineColored(level, p, ev, fm.Config{MaxPasses: 4, Workers: workers, Objective: obj, Scratch: &scratch})
 					kl.Rebalance(level, p, ev, kl.Config{Objective: obj, Workers: workers})
 					return p, gain

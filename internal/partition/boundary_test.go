@@ -58,13 +58,13 @@ func checkBoundaryMatchesBruteForce(t *testing.T, g *graph.Graph, parts int, rng
 	t.Helper()
 	n := g.NumNodes()
 	p := RandomBalanced(n, parts, rng)
-	ev := NewEvalBoundary(g, p)
+	ev := Tracked(g, p, nil, TotalCut, 1)
 	if !ev.TracksBoundary() {
-		t.Fatal("NewEvalBoundary does not track the boundary")
+		t.Fatal("Track did not enable boundary tracking")
 	}
 	check := func(step int) {
 		want := p.BoundaryNodes(g)
-		got := ev.Boundary()
+		got := ev.AppendBoundary(nil)
 		if len(got) != len(want) {
 			t.Fatalf("step %d: boundary size %d, brute force %d", step, len(got), len(want))
 		}
@@ -117,22 +117,24 @@ func TestBoundaryInvariantContractedGraph(t *testing.T) {
 	}
 }
 
-func TestResetBoundaryRebuildsForNewGraph(t *testing.T) {
+func TestTrackRebuildsForNewGraph(t *testing.T) {
 	// Reusing one Eval across graphs of different sizes is exactly what the
-	// multilevel uncoarsening phase does at every projection.
+	// multilevel uncoarsening phase does at every projection. The Eval
+	// tracks comm volume too, which Track must rebuild for the new graph
+	// even when asked for the cut objective.
 	rng := rand.New(rand.NewSource(5))
 	small := randomWeightedGraph(40, rng, true)
 	big := randomWeightedGraph(160, rng, false)
 
 	ps := RandomBalanced(small.NumNodes(), 4, rng)
-	ev := NewEvalBoundary(small, ps)
+	ev := Tracked(small, ps, nil, CommVolume, 1)
 
 	pb := RandomBalanced(big.NumNodes(), 4, rng)
 	ev.Weights = NewEval(big, pb).Weights
 	ev.Cuts = NewEval(big, pb).Cuts
-	ev.ResetBoundary(big, pb)
+	ev.Track(big, pb, TotalCut, 1)
 	want := pb.BoundaryNodes(big)
-	got := ev.Boundary()
+	got := ev.AppendBoundary(nil)
 	if len(got) != len(want) {
 		t.Fatalf("after reset: boundary size %d, brute force %d", len(got), len(want))
 	}
@@ -146,9 +148,12 @@ func TestResetBoundaryRebuildsForNewGraph(t *testing.T) {
 		ev.Move(big, pb, rng.Intn(big.NumNodes()), rng.Intn(4))
 	}
 	want = pb.BoundaryNodes(big)
-	got = ev.Boundary()
+	got = ev.AppendBoundary(nil)
 	if len(got) != len(want) {
 		t.Fatalf("after moves: boundary size %d, brute force %d", len(got), len(want))
+	}
+	if ev.CommVol() != pb.CommVolume(big) {
+		t.Fatalf("after moves: tracked volume %v, rescan %v", ev.CommVol(), pb.CommVolume(big))
 	}
 	for i := range got {
 		if got[i] != want[i] {
@@ -161,7 +166,7 @@ func TestCloneCopiesBoundaryTracking(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	g := randomWeightedGraph(50, rng, false)
 	p := RandomBalanced(g.NumNodes(), 3, rng)
-	ev := NewEvalBoundary(g, p)
+	ev := Tracked(g, p, nil, TotalCut, 1)
 	cl := ev.Clone()
 	if !cl.TracksBoundary() {
 		t.Fatal("clone lost boundary tracking")
@@ -172,7 +177,7 @@ func TestCloneCopiesBoundaryTracking(t *testing.T) {
 		cl.Move(g, p2, rng.Intn(g.NumNodes()), rng.Intn(3))
 	}
 	want := p.BoundaryNodes(g)
-	got := ev.Boundary()
+	got := ev.AppendBoundary(nil)
 	if len(got) != len(want) {
 		t.Fatalf("original boundary corrupted by clone moves: %d vs %d nodes", len(got), len(want))
 	}
@@ -193,8 +198,8 @@ func TestBoundaryPanicsWithoutTracking(t *testing.T) {
 	}
 	defer func() {
 		if recover() == nil {
-			t.Error("Boundary() on a non-tracking Eval did not panic")
+			t.Error("AppendBoundary on a non-tracking Eval did not panic")
 		}
 	}()
-	ev.Boundary()
+	ev.AppendBoundary(nil)
 }

@@ -12,13 +12,15 @@ import (
 // Eval per individual: crossover offspring pay one fused O(V+E) scan, while
 // mutation and boundary hill climbing apply incremental deltas.
 //
-// An Eval can additionally maintain the partition's boundary set — the nodes
-// with at least one neighbor in another part — incrementally through Move
-// (see NewEvalBoundary). Refiners seed their scans from that set instead of
-// rescanning all n nodes, which is what makes per-level refinement in the
-// multilevel pipeline output-sensitive. Tracking is opt-in because it costs
-// O(n) memory and O(deg) extra work per move; the GA's per-individual Evals
-// never ask for it.
+// An Eval has one lifecycle: NewEval builds the aggregates, Track (or
+// Tracked, which builds only what is missing) adds the trackers an objective
+// needs, Move keeps everything exact, and AppendBoundary reads the tracked
+// boundary set — the nodes with at least one neighbor in another part.
+// Refiners seed their scans from that set instead of rescanning all n nodes,
+// which is what makes per-level refinement in the multilevel pipeline
+// output-sensitive. Tracking is opt-in because it costs O(n) memory and
+// O(deg) extra work per move; the GA's per-individual Evals never ask for it
+// under the cut objectives.
 //
 // An Eval is only meaningful together with the partition it was built from
 // (or has tracked through Move calls); callers own keeping the pair in sync.
@@ -26,22 +28,22 @@ type Eval struct {
 	Weights []float64 // W(q): total node weight of part q
 	Cuts    []float64 // C(q): total weight of edges with exactly one endpoint in q
 
-	// Boundary tracking (enabled by NewEvalBoundary / ResetBoundary).
-	// extDeg[v] counts v's neighbors assigned to a different part; v is on
-	// the boundary iff extDeg[v] > 0. bnodes holds the boundary members in
-	// arbitrary order; bpos[v]-1 is v's index in bnodes (0 = absent), the
-	// classic indexed-set layout giving O(1) insert and delete.
+	// Boundary tracking (built by Track). extDeg[v] counts v's neighbors
+	// assigned to a different part; v is on the boundary iff extDeg[v] > 0.
+	// bnodes holds the boundary members in arbitrary order; bpos[v]-1 is v's
+	// index in bnodes (0 = absent), the classic indexed-set layout giving
+	// O(1) insert and delete.
 	extDeg []int32
 	bnodes []int32
 	bpos   []int32
 
-	// Communication-volume tracking (enabled by EnableCommVol /
-	// ResetCommVolPar), the per-(node, part) aggregates the CommVolume
-	// objective's O(deg) gains need. nbrCnt[v*parts+q] counts v's neighbors
-	// assigned to part q; extParts[v] is the number of distinct foreign parts
-	// v touches (its volume contribution); Vols[q] = Σ_{v∈q} extParts[v].
-	// All counters are integers, so the tracked state — and every gain
-	// derived from it — is exact and worker-count independent.
+	// Communication-volume tracking (built by Track under CommVolume), the
+	// per-(node, part) aggregates the CommVolume objective's O(deg) gains
+	// need. nbrCnt[v*parts+q] counts v's neighbors assigned to part q;
+	// extParts[v] is the number of distinct foreign parts v touches (its
+	// volume contribution); Vols[q] = Σ_{v∈q} extParts[v]. All counters are
+	// integers, so the tracked state — and every gain derived from it — is
+	// exact and worker-count independent.
 	Vols     []float64
 	nbrCnt   []int32
 	extParts []int32
@@ -72,22 +74,36 @@ func NewEval(g *graph.Graph, p *Partition) *Eval {
 	return ev
 }
 
-// NewEvalBoundary is NewEval with boundary tracking enabled: the returned
-// Eval additionally knows the partition's boundary set and keeps it exact
-// through every Move.
-func NewEvalBoundary(g *graph.Graph, p *Partition) *Eval {
-	ev := NewEval(g, p)
-	ev.ResetBoundary(g, p)
-	return ev
+// Track (re)builds the trackers objective o works through, for g and p, in
+// O(V+E) sharded over `workers` goroutines: the boundary set always, and the
+// comm-volume counts when o is CommVolume or the Eval already keeps them, so
+// no tracker is ever left describing another graph. The weight and cut
+// aggregates are not touched: they must already be p's. The multilevel
+// pipeline calls Track after every projection, which preserves part weights
+// and cuts but not node identities. The rebuilt state is bit-identical at
+// every worker count.
+func (ev *Eval) Track(g *graph.Graph, p *Partition, o Objective, workers int) {
+	ev.trackBoundary(g, p, workers)
+	if o == CommVolume || ev.TracksCommVol() {
+		ev.trackCommVol(g, p, workers)
+	}
 }
 
-// ResetBoundary (re)builds the boundary structures for the given graph and
-// partition in one O(V+E) scan, enabling tracking if it was off. The
-// multilevel pipeline calls this after projecting a partition to a finer
-// level: part weights and cuts carry over projection verbatim, but node
-// identities do not, so the boundary set must be rebuilt per level.
-func (ev *Eval) ResetBoundary(g *graph.Graph, p *Partition) {
-	ev.ResetBoundaryPar(g, p, 1)
+// Tracked returns an Eval of p that tracks what objective o needs: ev
+// itself, built by NewEval when nil, with each missing tracker built as
+// Track would and every tracker already present left as it is. It is how
+// every refiner entry point prepares the Eval it was handed.
+func Tracked(g *graph.Graph, p *Partition, ev *Eval, o Objective, workers int) *Eval {
+	if ev == nil {
+		ev = NewEval(g, p)
+	}
+	if !ev.TracksBoundary() {
+		ev.trackBoundary(g, p, workers)
+	}
+	if o == CommVolume && !ev.TracksCommVol() {
+		ev.trackCommVol(g, p, workers)
+	}
+	return ev
 }
 
 // TracksBoundary reports whether this Eval maintains the boundary set.
@@ -96,15 +112,6 @@ func (ev *Eval) TracksBoundary() bool { return ev.extDeg != nil }
 // TracksCommVol reports whether this Eval maintains the communication-volume
 // aggregates.
 func (ev *Eval) TracksCommVol() bool { return ev.nbrCnt != nil }
-
-// EnableCommVol (re)builds the communication-volume aggregates for the given
-// graph and partition in one O(V+E) scan, enabling tracking if it was off.
-// Like the boundary set — and unlike part weights and cuts — the per-node
-// counts do not survive a multilevel projection (node identities change), so
-// the pipeline rebuilds them per level.
-func (ev *Eval) EnableCommVol(g *graph.Graph, p *Partition) {
-	ev.ResetCommVolPar(g, p, 1)
-}
 
 // CommVol returns the total communication volume Σ_q V(q) from the tracked
 // aggregates. It panics if tracking is not enabled.
@@ -159,24 +166,11 @@ func (ev *Eval) CommVolDelta(g *graph.Graph, p *Partition, v, to int) float64 {
 	return float64(d)
 }
 
-// Boundary returns the tracked boundary nodes in increasing order. The cost
-// is O(b log b) in the boundary size b — output-sensitive, never O(n) — so
-// refiners may call it once per pass. It panics if tracking is not enabled.
-func (ev *Eval) Boundary() []int {
-	if ev.extDeg == nil {
-		panic("partition: Boundary called on Eval without boundary tracking")
-	}
-	out := make([]int, len(ev.bnodes))
-	for i, v := range ev.bnodes {
-		out[i] = int(v)
-	}
-	sort.Ints(out)
-	return out
-}
-
-// AppendBoundary is Boundary appending into buf (which may be nil) instead
-// of allocating, for refiners that snapshot the boundary once per pass and
-// recycle the buffer: buf's contents are replaced, its capacity is reused.
+// AppendBoundary returns the tracked boundary nodes in increasing order,
+// written into buf (which may be nil): buf's contents are replaced, its
+// capacity is reused, so refiners that snapshot the boundary once per pass
+// recycle one buffer. The cost is O(b log b) in the boundary size b —
+// output-sensitive, never O(n). It panics if tracking is not enabled.
 func (ev *Eval) AppendBoundary(buf []int) []int {
 	if ev.extDeg == nil {
 		panic("partition: AppendBoundary called on Eval without boundary tracking")
@@ -187,20 +181,6 @@ func (ev *Eval) AppendBoundary(buf []int) []int {
 	}
 	sort.Ints(buf)
 	return buf
-}
-
-// ForEachBoundary calls fn for every tracked boundary node in unspecified
-// order, without allocating or sorting — the right shape for argmax scans
-// (callers wanting deterministic results break ties on node id themselves).
-// fn must not trigger Move or ResetBoundary. It panics if tracking is not
-// enabled.
-func (ev *Eval) ForEachBoundary(fn func(v int)) {
-	if ev.extDeg == nil {
-		panic("partition: ForEachBoundary called on Eval without boundary tracking")
-	}
-	for _, v := range ev.bnodes {
-		fn(int(v))
-	}
 }
 
 // boundaryInsert adds v to the boundary set if absent.

@@ -3,10 +3,11 @@ package partition
 import "repro/internal/graph"
 
 // This file is the single definition of the objective-parameterized move
-// gain. Every refiner — the serial boundary climber, the colored parallel
-// climber, and the rebalance sweeps — computes "how much does moving v to
-// part `to` improve the objective" through these two methods, so the gain
-// arithmetic of each objective exists exactly once in the codebase.
+// gain. Every fitness-driven mover — the serial boundary climber, the
+// colored parallel climber, and simulated annealing's proposals — computes
+// "how much does moving v to part `to` improve the objective" through these
+// two methods, so the gain arithmetic of each objective exists exactly once
+// in the codebase.
 //
 // The floating-point expressions of the TotalCut and WorstCut cases are the
 // refiners' historical ones, verbatim: float addition is not associative, so

@@ -5,83 +5,20 @@ import (
 	"repro/internal/par"
 )
 
-// evalChunk is the fixed tile width of the sharded Eval scans. Like
+// evalChunk is the fixed tile width of Track's sharded scans. Like
 // par.ReduceChunk, it is a constant rather than a function of the worker
-// count: every shard (partial weight/cut vector, boundary-count cell) belongs
-// to a chunk, and the merge walks chunks in ascending order, so the
-// accumulation grouping — and with it every last floating-point bit — is
-// identical for every worker count.
+// count: every shard (boundary-count cell, partial volume vector) belongs to
+// a chunk, and the merge walks chunks in ascending order, so the
+// accumulation grouping — and with it every tracked bit — is identical for
+// every worker count.
 const evalChunk = 2048
-
-// NewEvalPar is NewEval with the O(V+E) scan sharded over `workers`
-// goroutines: each fixed-width chunk of nodes accumulates its own partial
-// part-weight and part-cut vectors (a cut edge is owned by its
-// lower-numbered endpoint's chunk, mirroring the serial scan), and the
-// partials merge in ascending chunk order. The result is bit-identical for
-// every worker count; for graphs with integer-valued weights it is also
-// exactly NewEval's result (the reassociated sums are exact), which covers
-// every graph the multilevel pipeline produces from integer inputs.
-func NewEvalPar(g *graph.Graph, p *Partition, workers int) *Eval {
-	n := g.NumNodes()
-	parts := p.Parts
-	ev := &Eval{
-		Weights: make([]float64, parts),
-		Cuts:    make([]float64, parts),
-	}
-	if n == 0 {
-		return ev
-	}
-	a := p.Assign
-	nChunks := (n + evalChunk - 1) / evalChunk
-	partW := make([]float64, nChunks*parts)
-	partC := make([]float64, nChunks*parts)
-	par.For(workers, nChunks, func(_, clo, chi int) {
-		for c := clo; c < chi; c++ {
-			lo, hi := c*evalChunk, (c+1)*evalChunk
-			if hi > n {
-				hi = n
-			}
-			w := partW[c*parts : (c+1)*parts]
-			cu := partC[c*parts : (c+1)*parts]
-			for v := lo; v < hi; v++ {
-				w[a[v]] += g.NodeWeight(v)
-			}
-			for u := lo; u < hi; u++ {
-				nbrs := g.Neighbors(u)
-				ws := g.EdgeWeights(u)
-				for i, v := range nbrs {
-					if int(v) > u && a[u] != a[v] {
-						cu[a[u]] += ws[i]
-						cu[a[v]] += ws[i]
-					}
-				}
-			}
-		}
-	})
-	for c := 0; c < nChunks; c++ {
-		for q := 0; q < parts; q++ {
-			ev.Weights[q] += partW[c*parts+q]
-			ev.Cuts[q] += partC[c*parts+q]
-		}
-	}
-	return ev
-}
-
-// NewEvalBoundaryPar is NewEvalPar plus a parallel boundary build: the
-// sharded counterpart of NewEvalBoundary.
-func NewEvalBoundaryPar(g *graph.Graph, p *Partition, workers int) *Eval {
-	ev := NewEvalPar(g, p, workers)
-	ev.ResetBoundaryPar(g, p, workers)
-	return ev
-}
 
 // Reserve grows the Eval's per-node buffer capacities to accommodate a graph
 // of n nodes without changing any tracked state. The multilevel uncoarsening
 // phase calls it once with the finest graph's size before walking back up the
-// hierarchy: every level's ResetBoundaryPar/ResetCommVolPar then reslices
-// within capacity instead of reallocating as the levels grow. Disabled
-// trackers stay disabled — Reserve presizes only what the Eval already
-// tracks.
+// hierarchy: every level's Track then reslices within capacity instead of
+// reallocating as the levels grow. Disabled trackers stay disabled — Reserve
+// presizes only what the Eval already tracks.
 func (ev *Eval) Reserve(n, parts int) {
 	if ev.extDeg != nil {
 		ev.extDeg = reserveInt32(ev.extDeg, n)
@@ -105,16 +42,17 @@ func reserveInt32(s []int32, n int) []int32 {
 	return out
 }
 
-// ResetBoundaryPar is ResetBoundary with the O(V+E) adjacency scan sharded
-// over `workers` goroutines. Phase one fills extDeg (every slot owned by
-// exactly one chunk) and counts each chunk's boundary members; a serial
-// prefix sum assigns each chunk its slice of bnodes; phase two writes the
-// members and their bpos slots in place. Chunks are contiguous ascending
-// node ranges, so the merged bnodes list is ascending — exactly the state
-// the serial ResetBoundary builds, bit for bit, at every worker count.
-func (ev *Eval) ResetBoundaryPar(g *graph.Graph, p *Partition, workers int) {
+// trackBoundary is Track's boundary half: it (re)builds the boundary set of
+// g and p with the O(V+E) adjacency scan sharded over `workers` goroutines.
+// Phase one fills extDeg (every slot owned by exactly one chunk) and counts
+// each chunk's boundary members; a serial prefix sum assigns each chunk its
+// slice of bnodes; phase two writes the members and their bpos slots in
+// place. Chunks are contiguous ascending node ranges, so the merged bnodes
+// list is ascending at every worker count.
+func (ev *Eval) trackBoundary(g *graph.Graph, p *Partition, workers int) {
 	n := g.NumNodes()
-	if cap(ev.extDeg) >= n {
+	// A nil slice is "not tracked", so an empty graph still allocates.
+	if ev.extDeg != nil && cap(ev.extDeg) >= n {
 		ev.extDeg = ev.extDeg[:n]
 		ev.bpos = ev.bpos[:n]
 	} else {
@@ -181,16 +119,17 @@ func (ev *Eval) ResetBoundaryPar(g *graph.Graph, p *Partition, workers int) {
 	})
 }
 
-// ResetCommVolPar is EnableCommVol with the O(V+E) scan sharded over
-// `workers` goroutines: every node's neighbor-count row and foreign-part
+// trackCommVol is Track's comm-volume half: it (re)builds the per-(node,
+// part) neighbor counts of g and p with the O(V+E) scan sharded over
+// `workers` goroutines. Every node's neighbor-count row and foreign-part
 // count is owned by exactly one fixed-width chunk, and the per-chunk partial
-// volume vectors merge in ascending chunk order — the same grid discipline
-// as NewEvalPar, so the rebuilt state is bit-identical at every worker count
-// (and, the counters being integers, exact).
-func (ev *Eval) ResetCommVolPar(g *graph.Graph, p *Partition, workers int) {
+// volume vectors merge in ascending chunk order, so the rebuilt state is
+// bit-identical at every worker count (and, the counters being integers,
+// exact).
+func (ev *Eval) trackCommVol(g *graph.Graph, p *Partition, workers int) {
 	n := g.NumNodes()
 	parts := p.Parts
-	if cap(ev.nbrCnt) >= n*parts {
+	if ev.nbrCnt != nil && cap(ev.nbrCnt) >= n*parts {
 		ev.nbrCnt = ev.nbrCnt[:n*parts]
 	} else {
 		ev.nbrCnt = make([]int32, n*parts)
@@ -258,8 +197,8 @@ func (ev *Eval) BoundaryLen() int {
 // BoundaryNode returns the i-th tracked boundary node in the set's internal
 // order — arbitrary, but fixed between Moves, which is what parallel argmax
 // scans over par-owned index ranges need (callers wanting deterministic
-// results break ties on node id, exactly as with ForEachBoundary). It panics
-// if tracking is not enabled.
+// results break ties on node id themselves). It panics if tracking is not
+// enabled.
 func (ev *Eval) BoundaryNode(i int) int {
 	if ev.extDeg == nil {
 		panic("partition: BoundaryNode called on Eval without boundary tracking")

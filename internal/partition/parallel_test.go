@@ -1,7 +1,9 @@
 package partition
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/graph"
@@ -33,9 +35,9 @@ func randomTestGraph(n int, seed int64) *graph.Graph {
 }
 
 // requireEvalEqual asserts two Evals agree exactly: aggregates bit for bit,
-// and — when both track the boundary — the full boundary state (membership,
-// external degrees, and the internal bnodes order, which the parallel
-// rebuild promises to reproduce exactly).
+// and — when both track them — the full boundary state (membership,
+// external degrees, and the internal bnodes order, which the sharded
+// rebuild promises to reproduce exactly) and the comm-volume counters.
 func requireEvalEqual(t *testing.T, label string, want, got *Eval) {
 	t.Helper()
 	for q := range want.Weights {
@@ -46,8 +48,13 @@ func requireEvalEqual(t *testing.T, label string, want, got *Eval) {
 			t.Fatalf("%s: part %d cut %v != %v", label, q, got.Cuts[q], want.Cuts[q])
 		}
 	}
-	if want.TracksBoundary() != got.TracksBoundary() {
+	if want.TracksBoundary() != got.TracksBoundary() || want.TracksCommVol() != got.TracksCommVol() {
 		t.Fatalf("%s: tracking mismatch", label)
+	}
+	if want.TracksCommVol() {
+		if !slices.Equal(want.Vols, got.Vols) || !slices.Equal(want.nbrCnt, got.nbrCnt) || !slices.Equal(want.extParts, got.extParts) {
+			t.Fatalf("%s: comm-volume state differs", label)
+		}
 	}
 	if !want.TracksBoundary() {
 		return
@@ -70,7 +77,7 @@ func requireEvalEqual(t *testing.T, label string, want, got *Eval) {
 	}
 }
 
-func TestNewEvalParMatchesSerial(t *testing.T) {
+func TestTrackWidthBitIdentical(t *testing.T) {
 	for _, n := range []int{1, 40, 500, 3000, 6000} {
 		g := randomTestGraph(n, int64(n))
 		rng := rand.New(rand.NewSource(int64(n) * 3))
@@ -79,45 +86,70 @@ func TestNewEvalParMatchesSerial(t *testing.T) {
 			parts = n
 		}
 		p := RandomBalanced(n, parts, rng)
-		want := NewEvalBoundary(g, p)
-		for _, workers := range parTestWidths {
-			got := NewEvalBoundaryPar(g, p, workers)
-			requireEvalEqual(t, "n/workers case", want, got)
+		for _, o := range []Objective{TotalCut, CommVolume} {
+			want := Tracked(g, p, nil, o, 1)
+			for _, workers := range parTestWidths {
+				got := NewEval(g, p)
+				got.Track(g, p, o, workers)
+				requireEvalEqual(t, fmt.Sprintf("n=%d %v workers=%d", n, o, workers), want, got)
+			}
 		}
 	}
 }
 
-func TestResetBoundaryParMatchesSerialAfterMoves(t *testing.T) {
-	// Drive a partition through random moves (with a serially-tracked Eval),
-	// then rebuild the boundary in parallel at several widths: every rebuild
-	// must reproduce the serially-rebuilt state exactly, including on the
-	// reused buffers of a dirty Eval.
+func TestTrackAfterMovesMatchesFreshBuild(t *testing.T) {
+	// Drive a partition through random moves with a tracked Eval, then
+	// rebuild its trackers at several widths: every rebuild must reproduce
+	// a fresh build exactly, including on the reused buffers of a dirty
+	// Eval.
 	g := randomTestGraph(2500, 11)
 	rng := rand.New(rand.NewSource(12))
 	p := RandomBalanced(2500, 5, rng)
-	ev := NewEvalBoundary(g, p)
+	ev := Tracked(g, p, nil, CommVolume, 1)
 	for i := 0; i < 400; i++ {
 		ev.Move(g, p, rng.Intn(2500), rng.Intn(5))
 	}
-	want := NewEvalBoundary(g, p)
+	want := Tracked(g, p, nil, CommVolume, 1)
 	for _, workers := range parTestWidths {
+		// Track under TotalCut keeps the volume counts the Eval tracks.
 		got := ev.Clone()
-		got.ResetBoundaryPar(g, p, workers)
+		got.Track(g, p, TotalCut, workers)
 		// Aggregates are carried by Move, not rebuilt — with integer weights
 		// they must still equal the fresh scan's exactly.
 		requireEvalEqual(t, "rebuild", want, got)
 	}
 }
 
+func TestTrackedBuildsOnlyWhatIsMissing(t *testing.T) {
+	g := randomTestGraph(300, 31)
+	p := RandomBalanced(300, 4, rand.New(rand.NewSource(32)))
+	// nil: a fresh NewEval plus Track.
+	ev := NewEval(g, p)
+	ev.Track(g, p, CommVolume, 1)
+	requireEvalEqual(t, "nil", ev, Tracked(g, p, nil, CommVolume, 4))
+	// Untracked: the trackers are added in place, the aggregates kept.
+	ev = NewEval(g, p)
+	ev.Weights[0] += 0.5 // a marker a rebuild of the aggregates would erase
+	if got := Tracked(g, p, ev, TotalCut, 2); got != ev || !ev.TracksBoundary() || ev.TracksCommVol() || ev.Weights[0] != NewEval(g, p).Weights[0]+0.5 {
+		t.Fatal("Tracked did not add exactly the boundary tracker to the Eval it was handed")
+	}
+	// Present trackers are not rebuilt: a marker survives.
+	ev.extDeg[0] += 100
+	Tracked(g, p, ev, CommVolume, 2)
+	if ev.extDeg[0] < 100 || !ev.TracksCommVol() {
+		t.Fatal("Tracked rebuilt a tracker that was present or skipped a missing one")
+	}
+}
+
 func TestBoundaryIndexedAccess(t *testing.T) {
 	g := randomTestGraph(300, 21)
 	p := RandomBalanced(300, 4, rand.New(rand.NewSource(22)))
-	ev := NewEvalBoundary(g, p)
+	ev := Tracked(g, p, nil, TotalCut, 1)
 	seen := make(map[int]bool)
 	for i := 0; i < ev.BoundaryLen(); i++ {
 		seen[ev.BoundaryNode(i)] = true
 	}
-	for _, v := range ev.Boundary() {
+	for _, v := range ev.AppendBoundary(nil) {
 		if !seen[v] {
 			t.Fatalf("boundary node %d missing from indexed access", v)
 		}
