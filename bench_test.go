@@ -7,12 +7,10 @@
 package repro
 
 import (
-	"fmt"
 	"math/rand"
 	"testing"
 
 	"repro/internal/bench"
-	"repro/internal/dpga"
 	"repro/internal/ga"
 	"repro/internal/gen"
 	"repro/internal/graph"
@@ -104,51 +102,26 @@ func BenchmarkSpeedup(b *testing.B) {
 
 // --- Ablations ---
 
-// runEngine is shared by the ablation benchmarks: a fixed-budget DKNUX run
-// on the 144-node mesh, returning the final cut (reported as a metric).
-func runEngine(b *testing.B, mutate func(*ga.Config)) {
-	g := gen.PaperGraph(144)
-	rng := rand.New(rand.NewSource(1))
-	seed := partition.RandomBalanced(g.NumNodes(), 4, rng)
-	var finalCut float64
-	for i := 0; i < b.N; i++ {
-		cfg := ga.Config{
-			Parts:     4,
-			PopSize:   64,
-			Crossover: ga.NewDKNUX(seed),
-			Seed:      int64(i),
-		}
-		if mutate != nil {
-			mutate(&cfg)
-		}
-		e, err := ga.New(g, cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		finalCut = e.Run(30).Part.CutSize(g)
-	}
-	b.ReportMetric(finalCut, "final-cut")
-}
-
-// BenchmarkAblationSelection compares the selection schemes (the paper does
-// not specify one; binary tournament is our default).
-func BenchmarkAblationSelection(b *testing.B) {
-	for _, sel := range []ga.Selection{ga.Tournament{Size: 2}, ga.Tournament{Size: 4}, ga.Roulette{}, ga.Rank{}} {
-		b.Run(sel.Name(), func(b *testing.B) {
-			runEngine(b, func(c *ga.Config) { c.Selection = sel })
-		})
-	}
-}
-
-// BenchmarkAblationHillClimb measures the optional §3.6 hill-climbing step.
+// BenchmarkAblationHillClimb measures the optional §3.6 hill-climbing step:
+// a fixed-budget DKNUX run on the 144-node mesh, reporting the final cut.
 func BenchmarkAblationHillClimb(b *testing.B) {
+	g := gen.PaperGraph(144)
+	seed := partition.RandomBalanced(g.NumNodes(), 4, rand.New(rand.NewSource(1)))
 	for _, hc := range []bool{false, true} {
 		name := "off"
 		if hc {
 			name = "on"
 		}
 		b.Run(name, func(b *testing.B) {
-			runEngine(b, func(c *ga.Config) { c.HillClimb = hc })
+			var finalCut float64
+			for i := 0; i < b.N; i++ {
+				e, err := ga.New(g, ga.Config{Parts: 4, PopSize: 64, Crossover: ga.NewDKNUX(seed), HillClimb: hc, Seed: int64(i)})
+				if err != nil {
+					b.Fatal(err)
+				}
+				finalCut = e.Run(30).Part.CutSize(g)
+			}
+			b.ReportMetric(finalCut, "final-cut")
 		})
 	}
 }
@@ -223,78 +196,6 @@ func BenchmarkAblationMultilevel(b *testing.B) {
 	})
 }
 
-// BenchmarkAblationNormalize measures part-label normalization (relabeling
-// parent b to positionally agree with parent a before crossover, after von
-// Laszewski's structural operators) wrapped around UX and DKNUX.
-func BenchmarkAblationNormalize(b *testing.B) {
-	g := gen.PaperGraph(144)
-	rng := rand.New(rand.NewSource(3))
-	seed := partition.RandomBalanced(g.NumNodes(), 4, rng)
-	mk := map[string]func() ga.Crossover{
-		"ux":           func() ga.Crossover { return ga.Uniform{} },
-		"ux+normalize": func() ga.Crossover { return ga.Normalizing{Inner: ga.Uniform{}} },
-		"dknux":        func() ga.Crossover { return ga.NewDKNUX(seed) },
-		"dknux+normalize": func() ga.Crossover {
-			return ga.Normalizing{Inner: ga.NewDKNUX(seed)}
-		},
-	}
-	for _, name := range []string{"ux", "ux+normalize", "dknux", "dknux+normalize"} {
-		b.Run(name, func(b *testing.B) {
-			var finalCut float64
-			for i := 0; i < b.N; i++ {
-				e, err := ga.New(g, ga.Config{Parts: 4, PopSize: 64, Crossover: mk[name](), Seed: int64(i)})
-				if err != nil {
-					b.Fatal(err)
-				}
-				finalCut = e.Run(30).Part.CutSize(g)
-			}
-			b.ReportMetric(finalCut, "final-cut")
-		})
-	}
-}
-
-// BenchmarkAblationReplacement compares generational (the default) against
-// steady-state replacement at equal offspring budget.
-func BenchmarkAblationReplacement(b *testing.B) {
-	for _, ss := range []bool{false, true} {
-		name := "generational"
-		if ss {
-			name = "steady-state"
-		}
-		b.Run(name, func(b *testing.B) {
-			runEngine(b, func(c *ga.Config) { c.SteadyState = ss })
-		})
-	}
-}
-
-// BenchmarkAblationMigrationInterval sweeps the DPGA migration interval,
-// reporting solution quality at a fixed budget: too-frequent migration
-// homogenizes islands, too-rare wastes the island model.
-func BenchmarkAblationMigrationInterval(b *testing.B) {
-	g := gen.PaperGraph(144)
-	for _, interval := range []int{1, 5, 20, 1000} {
-		b.Run(fmt.Sprintf("interval-%d", interval), func(b *testing.B) {
-			var cut float64
-			for i := 0; i < b.N; i++ {
-				m, err := dpga.New(g, dpga.Config{
-					Base:              ga.Config{Parts: 4, PopSize: 64, Seed: int64(i)},
-					Islands:           4,
-					MigrationInterval: interval,
-					CrossoverFactory: func(island int) ga.Crossover {
-						rng := rand.New(rand.NewSource(int64(i*100 + island)))
-						return ga.NewDKNUX(partition.RandomBalanced(g.NumNodes(), 4, rng))
-					},
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				cut = m.Run(30).Part.CutSize(g)
-			}
-			b.ReportMetric(cut, "final-cut")
-		})
-	}
-}
-
 // BenchmarkParamSweep regenerates the pc/pm sensitivity figure.
 func BenchmarkParamSweep(b *testing.B) {
 	opt := benchOptions()
@@ -323,7 +224,7 @@ func BenchmarkBaselines(b *testing.B) {
 		})
 	}
 	run("rsb", func() (*partition.Partition, error) {
-		return spectral.Partition(g, parts, rand.New(rand.NewSource(1)))
+		return spectral.Partition(g, parts, rand.New(rand.NewSource(1)), 0)
 	})
 	run("ibp-shuffled", func() (*partition.Partition, error) {
 		return ibp.Partition(g, parts, ibp.ShuffledRowMajor)
@@ -374,7 +275,7 @@ func BenchmarkNonConvexDomains(b *testing.B) {
 		return ibp.Partition(g, parts, ibp.ShuffledRowMajor)
 	})
 	run("rsb", func(i int) (*partition.Partition, error) {
-		return spectral.Partition(g, parts, rand.New(rand.NewSource(int64(i))))
+		return spectral.Partition(g, parts, rand.New(rand.NewSource(int64(i))), 0)
 	})
 	run("dknux", func(i int) (*partition.Partition, error) {
 		seed, err := ibp.Partition(g, parts, ibp.ShuffledRowMajor)
@@ -447,7 +348,7 @@ func BenchmarkHillClimbPass(b *testing.B) {
 func BenchmarkRSB(b *testing.B) {
 	g := gen.PaperGraph(309)
 	for i := 0; i < b.N; i++ {
-		if _, err := spectral.Partition(g, 8, rand.New(rand.NewSource(int64(i)))); err != nil {
+		if _, err := spectral.Partition(g, 8, rand.New(rand.NewSource(int64(i))), 0); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -5,15 +5,16 @@
 // The public surface lives in the internal packages (this repository is a
 // self-contained reproduction, not an importable SDK):
 //
-//   - internal/graph       CSR graphs, builders, traversal, text + METIS I/O
+//   - internal/graph       CSR graphs, builders, traversal, native text I/O
+//   - internal/gio         METIS and edge-list readers and writers
 //   - internal/geometry    Delaunay triangulation for mesh generation
 //   - internal/gen         the deterministic benchmark mesh suite and
 //     non-convex FEM domains (L-shape, annulus)
 //   - internal/partition   partitions, cut metrics, Fitness 1 and 2
-//   - internal/ga          the GA: KNUX, DKNUX, classic operators, label
-//     normalization, generational/steady-state engine
-//   - internal/dpga        distributed-population islands (hypercube etc.),
-//     synchronous-deterministic and asynchronous models
+//   - internal/ga          the GA: KNUX, DKNUX, classic operators, binary
+//     tournament selection, generational engine with 2 elites
+//   - internal/dpga        the distributed-population model: hypercube
+//     islands with barrier migration every 5 generations
 //   - internal/spectral    recursive spectral bisection (RSB baseline)
 //   - internal/linalg      Jacobi, Lanczos, tridiagonal QL eigensolvers
 //   - internal/ibp         index-based partitioning (appendix algorithm)
@@ -22,7 +23,7 @@
 //   - internal/anneal      simulated-annealing partitioner
 //   - internal/rcb         coordinate / graph recursive bisection baselines
 //   - internal/greedy      region-grow / scattered / strip baselines
-//   - internal/incremental incremental repartitioning strategies
+//   - internal/incremental incremental repartitioning with the seeded GA
 //   - internal/multilevel  heavy-edge-matching contraction (paper §5 outlook)
 //   - internal/metrics     halo volumes, load ratios, migration cost
 //   - internal/viz         SVG rendering of partitioned meshes

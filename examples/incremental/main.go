@@ -22,6 +22,7 @@ import (
 	"repro/internal/algo"
 	"repro/internal/gen"
 	"repro/internal/incremental"
+	"repro/internal/partition"
 	"repro/internal/spectral"
 )
 
@@ -30,7 +31,7 @@ func main() {
 	g := gen.Mesh(183, gen.SuiteSeed+183)
 	rng := rand.New(rand.NewSource(99))
 
-	cur, err := spectral.Partition(g, parts, rng)
+	cur, err := spectral.Partition(g, parts, rng, 0)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -53,13 +54,13 @@ func main() {
 			log.Fatal(err)
 		}
 		// Baseline 1: RSB from scratch.
-		scratch, err := incremental.RSBFromScratch(grown, parts, int64(step))
+		scratch, err := algo.Run(grown, "rsb", algo.Options{Parts: parts, Seed: int64(step)})
 		if err != nil {
 			log.Fatal(err)
 		}
 		// Baseline 2: deterministic extension of ITS OWN previous state.
 		detGrown := gen.Refine(detGraph, 30, rand.New(rand.NewSource(rngSeedFor(step))))
-		det = incremental.MajorityNeighbor(detGrown, det)
+		det = partition.ExtendMajorityNeighbor(det, detGrown)
 		detGraph = detGrown
 
 		fmt.Printf("  DKNUX incremental: cut=%3.0f  moved=%3d of %d old nodes  sizes=%v\n",

@@ -33,7 +33,7 @@ func main() {
 	fmt.Printf("mesh: %d nodes, %d edges decomposed onto %d processors\n\n",
 		g.NumNodes(), g.NumEdges(), parts)
 
-	rsb, err := spectral.Partition(g, parts, rand.New(rand.NewSource(3)))
+	rsb, err := spectral.Partition(g, parts, rand.New(rand.NewSource(3)), 0)
 	if err != nil {
 		log.Fatal(err)
 	}

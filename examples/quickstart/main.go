@@ -25,7 +25,7 @@ func main() {
 	fmt.Printf("mesh: %d nodes, %d edges -> %d parts\n", g.NumNodes(), g.NumEdges(), parts)
 
 	// Baseline 1: recursive spectral bisection.
-	rsb, err := spectral.Partition(g, parts, rand.New(rand.NewSource(1)))
+	rsb, err := spectral.Partition(g, parts, rand.New(rand.NewSource(1)), 0)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -39,7 +39,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	rsb, err := spectral.Partition(g, parts, rand.New(rand.NewSource(1)))
+	rsb, err := spectral.Partition(g, parts, rand.New(rand.NewSource(1)), 0)
 	if err != nil {
 		log.Fatal(err)
 	}

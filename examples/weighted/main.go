@@ -33,7 +33,7 @@ func main() {
 	fmt.Printf("weighted mesh: %d nodes (total weight %.0f), %d edges\n\n",
 		g.NumNodes(), g.TotalNodeWeight(), g.NumEdges())
 
-	rsb, err := spectral.Partition(g, parts, rand.New(rand.NewSource(3)))
+	rsb, err := spectral.Partition(g, parts, rand.New(rand.NewSource(3)), 0)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -25,7 +25,7 @@ func main() {
 	g := gen.PaperGraph(213)
 	const parts = 8
 
-	rsb, err := spectral.Partition(g, parts, rand.New(rand.NewSource(5)))
+	rsb, err := spectral.Partition(g, parts, rand.New(rand.NewSource(5)), 0)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -39,8 +39,8 @@ type Options struct {
 
 	// Genetic-algorithm family (dknux, knux, ux, 2pt, multilevel-ga).
 	Generations int // default 200
-	PopSize     int // total population across islands; default 320
-	Islands     int // subpopulations; default 16, 1 = single population
+	PopSize     int // total population across islands; default 320 (dpga's)
+	Islands     int // subpopulations; default 16 (dpga's), 1 = single population
 	EvalWorkers int // parallel fitness evaluation width (0 = auto)
 
 	// Refinement family (kl, fm, multilevel-*).
@@ -90,19 +90,6 @@ func (o Options) stop() func() bool {
 	}
 	ctx := o.Ctx
 	return func() bool { return ctx.Err() != nil }
-}
-
-func (o Options) withDefaults() Options {
-	if o.Generations == 0 {
-		o.Generations = 200
-	}
-	if o.PopSize == 0 {
-		o.PopSize = 320
-	}
-	if o.Islands == 0 {
-		o.Islands = 16
-	}
-	return o
 }
 
 // Info describes a registered algorithm and its input constraints, so

@@ -41,7 +41,7 @@ func init() {
 		PowerOfTwoParts: true,
 		Stochastic:      true, // Lanczos starts from a random vector
 	}, func(g *graph.Graph, opt Options) (*partition.Partition, error) {
-		return spectral.PartitionIter(g, opt.Parts, rand.New(rand.NewSource(opt.Seed)), opt.LanczosIter)
+		return spectral.Partition(g, opt.Parts, rand.New(rand.NewSource(opt.Seed)), opt.LanczosIter)
 	}))
 
 	Register(New(Info{
@@ -211,8 +211,11 @@ func registerMultilevel(name, innerName string, refiner multilevel.Refiner, info
 // island is the single-population GA). When the graph has coordinates the
 // population is seeded with an IBP partition (the paper's recommended
 // practice); otherwise it starts from random balanced partitions.
-func runGA(g *graph.Graph, operator string, o Options) (*partition.Partition, error) {
-	opt := o.withDefaults()
+func runGA(g *graph.Graph, operator string, opt Options) (*partition.Partition, error) {
+	gens := opt.Generations
+	if gens == 0 {
+		gens = 200
+	}
 	var seeds []*partition.Partition
 	if g.HasCoords() {
 		if s, err := ibp.Partition(g, opt.Parts, ibp.ShuffledRowMajor); err == nil {
@@ -248,10 +251,10 @@ func runGA(g *graph.Graph, operator string, o Options) (*partition.Partition, er
 		},
 		Islands:          opt.Islands,
 		CrossoverFactory: mkOp,
-		Stop:             o.stop(),
+		Stop:             opt.stop(),
 	})
 	if err != nil {
 		return nil, err
 	}
-	return m.Run(opt.Generations).Part, nil
+	return m.Run(gens).Part, nil
 }

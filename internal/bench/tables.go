@@ -14,7 +14,7 @@ import (
 // rsbPartition computes the RSB baseline for a graph, panicking on error
 // (the suite graphs are connected by construction, so errors are bugs).
 func rsbPartition(g *graph.Graph, parts int, seed int64) *partition.Partition {
-	p, err := spectral.Partition(g, parts, rand.New(rand.NewSource(seed)))
+	p, err := spectral.Partition(g, parts, rand.New(rand.NewSource(seed)), 0)
 	if err != nil {
 		panic(fmt.Sprintf("bench: RSB on suite graph failed: %v", err))
 	}
@@ -124,7 +124,7 @@ func withHillClimb(opt Options) Options {
 // Table3 regenerates the paper's Table 3: incremental graph partitioning
 // with Fitness 1. The DKNUX population is seeded with the previous
 // partition extended to the grown graph; RSB partitions the grown graph
-// from scratch. A MajorityNeighbor row (the paper's deterministic straw
+// from scratch. A majority-neighbor row (the paper's deterministic straw
 // man, discussed in its conclusions) is included for reference. Runs with
 // hill climbing per withHillClimb.
 func Table3(opt Options) Table {

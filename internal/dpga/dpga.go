@@ -2,8 +2,8 @@
 // genetic algorithm (§3.4): the population is divided into subpopulations
 // ("islands") on a hypercube (the paper uses a four-dimensional hypercube
 // of 16 subpopulations); crossover is restricted to members of the same
-// subpopulation, and each island periodically sends copies of its best
-// individuals to its hypercube neighbors.
+// subpopulation, and every five generations each island sends a copy of
+// its best individual to its hypercube neighbors.
 //
 // dpga is the one driver of the paper's GA: a single island is exactly the
 // single-population engine, ga.New(Base).Run. Islands advance independently
@@ -47,9 +47,6 @@ type Config struct {
 	Base    ga.Config
 	Islands int // hypercube subpopulations, a power of two; default 16 (paper)
 
-	MigrationInterval int // generations between migrations; default 5
-	Migrants          int // best individuals sent per neighbor; default 1
-
 	// CrossoverFactory builds island i's crossover operator (required).
 	// Every island gets its own instance, so per-run operator state (the
 	// KNUX/DKNUX estimate) is never shared by concurrently stepping islands.
@@ -58,10 +55,13 @@ type Config struct {
 	// Stop, when non-nil, is polled at every migration barrier (the model's
 	// only serial checkpoint): Run returns the best individual found so far
 	// once it reports true. With several islands the cancellation latency
-	// is MigrationInterval generations; a single island has nothing to
-	// migrate and is polled before every generation.
+	// is the migration interval; a single island has nothing to migrate and
+	// is polled before every generation.
 	Stop func() bool
 }
+
+// migrationInterval is the number of generations between migrations.
+const migrationInterval = 5
 
 // Model is a running distributed GA.
 type Model struct {
@@ -78,12 +78,6 @@ type Model struct {
 func New(g *graph.Graph, cfg Config) (*Model, error) {
 	if cfg.Islands == 0 {
 		cfg.Islands = 16
-	}
-	if cfg.MigrationInterval == 0 {
-		cfg.MigrationInterval = 5
-	}
-	if cfg.Migrants == 0 {
-		cfg.Migrants = 1
 	}
 	if n := cfg.Islands; n < 0 || n&(n-1) != 0 {
 		return nil, fmt.Errorf("dpga: hypercube needs a power-of-two island count, got %d", n)
@@ -124,10 +118,10 @@ func New(g *graph.Graph, cfg Config) (*Model, error) {
 }
 
 // Run advances all islands by generations steps, migrating every
-// MigrationInterval generations, and returns the best individual across
+// migrationInterval generations, and returns the best individual across
 // islands.
 func (m *Model) Run(generations int) *ga.Individual {
-	interval := m.cfg.MigrationInterval
+	interval := migrationInterval
 	if len(m.islands) == 1 {
 		interval = 1 // nothing to migrate: every generation is a barrier
 	}
@@ -158,10 +152,10 @@ func (m *Model) epoch(steps int) {
 	m.gen += steps
 }
 
-// migrate sends copies of each island's best Migrants individuals to every
-// hypercube neighbor. Migration is applied island by island after all
-// sends are collected, so the order of islands does not privilege anyone
-// within an exchange round.
+// migrate sends a copy of each island's fittest individual, the first on
+// ties, to every hypercube neighbor. Migration is applied island by island
+// after all sends are collected, so the order of islands does not privilege
+// anyone within an exchange round.
 func (m *Model) migrate() {
 	n := len(m.islands)
 	type migrant struct {
@@ -170,45 +164,22 @@ func (m *Model) migrate() {
 	}
 	var batch []migrant
 	for i, e := range m.islands {
-		bests := topK(e.Population(), m.cfg.Migrants)
-		for _, to := range hypercubeNeighbors(i, n) {
-			for _, b := range bests {
-				batch = append(batch, migrant{to, b.Part.Clone()})
+		pop := e.Population()
+		best := pop[0]
+		for _, ind := range pop[1:] {
+			if ind.Fitness > best.Fitness {
+				best = ind
 			}
+		}
+		for _, to := range hypercubeNeighbors(i, n) {
+			// Inject copies the partition, and no engine mutates a
+			// population member in place, so the batch may share it.
+			batch = append(batch, migrant{to, best.Part})
 		}
 	}
 	for _, mg := range batch {
 		m.islands[mg.to].Inject(mg.part)
 	}
-}
-
-// topK returns the k fittest individuals of pop (k <= len(pop) enforced by
-// clamping).
-func topK(pop []*ga.Individual, k int) []*ga.Individual {
-	if k > len(pop) {
-		k = len(pop)
-	}
-	idx := make([]int, 0, k)
-	for cand := range pop {
-		if len(idx) < k {
-			idx = append(idx, cand)
-			for t := len(idx) - 1; t > 0 && pop[idx[t]].Fitness > pop[idx[t-1]].Fitness; t-- {
-				idx[t], idx[t-1] = idx[t-1], idx[t]
-			}
-			continue
-		}
-		if pop[cand].Fitness > pop[idx[k-1]].Fitness {
-			idx[k-1] = cand
-			for t := k - 1; t > 0 && pop[idx[t]].Fitness > pop[idx[t-1]].Fitness; t-- {
-				idx[t], idx[t-1] = idx[t-1], idx[t]
-			}
-		}
-	}
-	out := make([]*ga.Individual, k)
-	for i, j := range idx {
-		out[i] = pop[j]
-	}
-	return out
 }
 
 // Best returns a clone of the best individual across all islands.
@@ -227,40 +198,3 @@ func (m *Model) Generation() int { return m.gen }
 
 // Islands exposes the underlying engines (read-only use).
 func (m *Model) Islands() []*ga.Engine { return m.islands }
-
-// BestFitnessSeries returns, for each generation index, the maximum
-// best-fitness across islands. Each island's series is monotone
-// non-decreasing, so the aggregate is too.
-func (m *Model) BestFitnessSeries() []float64 {
-	var out []float64
-	for _, e := range m.islands {
-		s := e.Stats().BestFitness
-		for gi, v := range s {
-			if gi >= len(out) {
-				out = append(out, v)
-			} else if v > out[gi] {
-				out[gi] = v
-			}
-		}
-	}
-	return out
-}
-
-// BestCutSeries returns, for each generation index, the minimum best-cut
-// across islands — the convergence trajectory used in the figures. Unlike
-// fitness, cut size is not guaranteed monotone: the fittest individual can
-// trade a slightly larger cut for much better balance.
-func (m *Model) BestCutSeries() []float64 {
-	var out []float64
-	for _, e := range m.islands {
-		s := e.Stats().BestCut
-		for gi, v := range s {
-			if gi >= len(out) {
-				out = append(out, v)
-			} else if v < out[gi] {
-				out[gi] = v
-			}
-		}
-	}
-	return out
-}

@@ -12,9 +12,10 @@ import (
 )
 
 // Config parameterizes a single-population GA run. Zero values select the
-// paper's defaults where the paper specifies one (population 320, pc = 0.7,
-// pm = 0.01) and sensible choices where it does not (binary tournament,
-// 2 elites).
+// paper's defaults (population 320, pc = 0.7, pm = 0.01). The choices the
+// paper leaves open are fixed: binary tournament selection, generational
+// replacement keeping the 2 fittest individuals, and seed copies perturbed
+// at 15%.
 type Config struct {
 	Parts     int                 // number of parts (required)
 	Objective partition.Objective // Fitness 1 (TotalCut) or Fitness 2 (WorstCut)
@@ -24,41 +25,33 @@ type Config struct {
 	Pm      float64 // per-gene mutation rate; default 0.01
 
 	Crossover Crossover // required
-	Selection Selection // default Tournament{Size: 2}
-	Elites    int       // individuals copied unchanged; default 2
 
 	// Seeds optionally initializes part of the population with heuristic
 	// solutions (IBP, RSB, or a previous partition in the incremental case).
 	// The rest of the population is filled with perturbed copies of the
-	// seeds (SeedPerturb) or, with no seeds, random balanced partitions.
-	Seeds       []*partition.Partition
-	SeedPerturb float64 // default 0.15
+	// seeds or, with no seeds, random balanced partitions.
+	Seeds []*partition.Partition
 
 	// HillClimb applies one pass of boundary hill climbing (§3.6) to each
 	// offspring. Off by default: the paper reports it as an optional
 	// improvement.
 	HillClimb bool
 
-	// SteadyState switches replacement from generational (the default; a
-	// whole new population per Step) to steady-state: each Step still
-	// produces PopSize offspring, but each offspring immediately replaces
-	// the current worst individual if fitter, so good genes propagate
-	// within a generation. The paper does not specify its policy;
-	// BenchmarkAblationReplacement compares the two.
-	SteadyState bool
-
 	// EvalWorkers sets how many goroutines (internal/par) evaluate offspring
 	// fitness (and run optional hill climbing) concurrently during the
 	// evaluate phase of each generation. Values <= 0 select
 	// runtime.GOMAXPROCS(0); 1 is the serial loop. Evaluation is pure — only
 	// the serial breed phase consumes the RNG — so results are bit-identical
-	// for every worker count. SteadyState replacement is inherently
-	// sequential (each offspring's selection sees the previous replacement)
-	// and ignores this knob.
+	// for every worker count.
 	EvalWorkers int
 
 	Seed int64 // RNG seed; runs with equal Config are bit-reproducible
 }
+
+const (
+	elites      = 2    // fittest individuals copied unchanged into each generation
+	seedPerturb = 0.15 // fraction of genes re-drawn in each perturbed seed copy
+)
 
 func (c *Config) withDefaults() Config {
 	out := *c
@@ -71,15 +64,6 @@ func (c *Config) withDefaults() Config {
 	if out.Pm == 0 {
 		out.Pm = 0.01
 	}
-	if out.Selection == nil {
-		out.Selection = Tournament{Size: 2}
-	}
-	if out.Elites == 0 {
-		out.Elites = 2
-	}
-	if out.SeedPerturb == 0 {
-		out.SeedPerturb = 0.15
-	}
 	out.EvalWorkers = par.Workers(out.EvalWorkers)
 	return out
 }
@@ -87,11 +71,8 @@ func (c *Config) withDefaults() Config {
 // Stats records the trajectory of a run, one entry per generation, starting
 // with the initial population (generation 0).
 type Stats struct {
-	BestFitness []float64 // best fitness in the population
-	BestCut     []float64 // CutSize of the best individual
-	BestMaxCut  []float64 // MaxPartCut of the best individual
-	MeanFitness []float64 // population mean fitness
-	Diversity   []float64 // mean per-gene disagreement with the best (0 = converged)
+	BestFitness []float64 // fitness of the best individual found so far
+	BestCut     []float64 // CutSize of that individual
 }
 
 // Engine is a single-population generational GA. Create with New, advance
@@ -122,11 +103,8 @@ func New(g *graph.Graph, cfg Config) (*Engine, error) {
 	if c.Crossover == nil {
 		return nil, fmt.Errorf("ga: Crossover is required")
 	}
-	if c.PopSize < 2 {
-		return nil, fmt.Errorf("ga: PopSize must be >= 2, got %d", c.PopSize)
-	}
-	if c.Elites >= c.PopSize {
-		return nil, fmt.Errorf("ga: Elites %d >= PopSize %d", c.Elites, c.PopSize)
+	if c.PopSize <= elites {
+		return nil, fmt.Errorf("ga: PopSize must exceed the %d elites, got %d", elites, c.PopSize)
 	}
 	if c.Pc < 0 || c.Pc > 1 || c.Pm < 0 || c.Pm > 1 {
 		return nil, fmt.Errorf("ga: rates must be in [0,1]: pc=%v pm=%v", c.Pc, c.Pm)
@@ -170,7 +148,7 @@ func (e *Engine) initPopulation() {
 	for len(e.pop) < c.PopSize {
 		var p *partition.Partition
 		if len(c.Seeds) > 0 {
-			p = c.Seeds[e.rng.Intn(len(c.Seeds))].Perturb(c.SeedPerturb, e.rng)
+			p = c.Seeds[e.rng.Intn(len(c.Seeds))].Perturb(seedPerturb, e.rng)
 		} else {
 			p = partition.RandomBalanced(n, c.Parts, e.rng)
 		}
@@ -204,50 +182,18 @@ func (e *Engine) updateEstimate() {
 func (e *Engine) record() {
 	e.stats.BestFitness = append(e.stats.BestFitness, e.best.Fitness)
 	e.stats.BestCut = append(e.stats.BestCut, e.best.Part.CutSize(e.g))
-	e.stats.BestMaxCut = append(e.stats.BestMaxCut, e.best.Part.MaxPartCut(e.g))
-
-	// The O(popsize × n) disagreement scan runs on the evaluation workers.
-	// Per-individual counts are integers, so the parallel map plus in-order
-	// reduce below is exact for every worker count.
-	ref := e.fittest().Part.Assign
-	counts := make([]int, len(e.pop))
-	e.forEach(len(e.pop), func(i int) {
-		d := 0
-		for j, q := range e.pop[i].Part.Assign {
-			if q != ref[j] {
-				d++
-			}
-		}
-		counts[i] = d
-	})
-	var meanFit, disagree float64
-	for i, ind := range e.pop {
-		meanFit += ind.Fitness
-		disagree += float64(counts[i])
-	}
-	n := float64(len(e.pop))
-	e.stats.MeanFitness = append(e.stats.MeanFitness, meanFit/n)
-	genes := float64(len(ref))
-	if genes == 0 {
-		genes = 1
-	}
-	e.stats.Diversity = append(e.stats.Diversity, disagree/(n*genes))
 }
 
 // Step advances one generation: elitism, then a strictly serial breed phase
 // (selection, crossover, mutation — everything that consumes the RNG),
 // then a parallel evaluate phase (optional hill climbing and fitness, pure
-// per-individual work spread over Config.EvalWorkers), then replacement
-// (generational or steady-state per Config.SteadyState).
+// per-individual work spread over Config.EvalWorkers), then generational
+// replacement.
 func (e *Engine) Step() {
-	if e.cfg.SteadyState {
-		e.stepSteadyState()
-		return
-	}
 	c := e.cfg
 	next := make([]*Individual, 0, c.PopSize)
 
-	// Elites: the c.Elites fittest individuals survive unchanged.
+	// The elites fittest individuals survive unchanged.
 	elite := e.eliteIndices()
 	for _, i := range elite {
 		next = append(next, e.pop[i].Clone())
@@ -279,9 +225,7 @@ func (e *Engine) Step() {
 // crossover offspring are evaluated from scratch in the evaluate phase.
 func (e *Engine) breedOne() *Individual {
 	c := e.cfg
-	i := c.Selection.Pick(e.pop, e.rng)
-	j := c.Selection.Pick(e.pop, e.rng)
-	a, b := e.pop[i], e.pop[j]
+	a, b := e.pop[tournament(e.pop, e.rng)], e.pop[tournament(e.pop, e.rng)]
 	var ind *Individual
 	if e.rng.Float64() < c.Pc {
 		ind = &Individual{Part: c.Crossover.Cross(e.g, a, b, e.rng)}
@@ -311,52 +255,29 @@ func (e *Engine) finish(ind *Individual, hillClimb bool) {
 	ind.Fitness = ind.ev.Fitness(e.g, e.cfg.Objective)
 }
 
-// evaluate finishes a batch of offspring on the evaluation workers.
+// evaluate finishes a batch of offspring over Config.EvalWorkers
+// goroutines; at one worker it is the serial loop.
 func (e *Engine) evaluate(batch []*Individual, hillClimb bool) {
-	e.forEach(len(batch), func(i int) { e.finish(batch[i], hillClimb) })
-}
-
-// forEach runs fn(i) for i in [0, n) over Config.EvalWorkers goroutines; at
-// one worker it is the serial loop.
-func (e *Engine) forEach(n int, fn func(int)) {
-	par.For(e.cfg.EvalWorkers, n, func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			fn(i)
+	par.For(e.cfg.EvalWorkers, len(batch), func(_, lo, hi int) {
+		for _, ind := range batch[lo:hi] {
+			e.finish(ind, hillClimb)
 		}
 	})
 }
 
-// stepSteadyState produces PopSize offspring, each immediately replacing
-// the worst individual when fitter. Elitism is implicit: the best
-// individuals are never the worst, so they survive. Breeding and evaluation
-// cannot be split into phases here — each offspring's selection observes the
-// previous offspring's replacement — so this path is serial by construction.
-func (e *Engine) stepSteadyState() {
-	c := e.cfg
-	for k := 0; k < c.PopSize; k++ {
-		ind := e.breedOne()
-		e.finish(ind, c.HillClimb)
-		worst := 0
-		for w := range e.pop {
-			if e.pop[w].Fitness < e.pop[worst].Fitness {
-				worst = w
-			}
-		}
-		if ind.Fitness > e.pop[worst].Fitness {
-			e.pop[worst] = ind
-			if ind.Fitness > e.best.Fitness {
-				e.best = ind.Clone()
-				e.updateEstimate()
-			}
-		}
+// tournament is binary tournament selection: it draws two individuals
+// uniformly and returns the index of the fitter one, the first on ties.
+func tournament(pop []*Individual, rng *rand.Rand) int {
+	i := rng.Intn(len(pop))
+	if j := rng.Intn(len(pop)); pop[j].Fitness > pop[i].Fitness {
+		return j
 	}
-	e.gen++
-	e.record()
+	return i
 }
 
-// eliteIndices returns the indices of the Elites fittest individuals.
+// eliteIndices returns the indices of the elites fittest individuals.
 func (e *Engine) eliteIndices() []int {
-	k := e.cfg.Elites
+	k := elites
 	idx := make([]int, 0, k)
 	for cand := range e.pop {
 		if len(idx) < k {
@@ -415,9 +336,6 @@ func (e *Engine) Stats() Stats {
 	return Stats{
 		BestFitness: append([]float64(nil), e.stats.BestFitness...),
 		BestCut:     append([]float64(nil), e.stats.BestCut...),
-		BestMaxCut:  append([]float64(nil), e.stats.BestMaxCut...),
-		MeanFitness: append([]float64(nil), e.stats.MeanFitness...),
-		Diversity:   append([]float64(nil), e.stats.Diversity...),
 	}
 }
 

@@ -20,12 +20,12 @@ func smallConfig(parts int, x Crossover) Config {
 func TestNewValidation(t *testing.T) {
 	g := gen.Mesh(30, 1)
 	cases := []Config{
-		{Parts: 0, Crossover: Uniform{}},              // bad parts
-		{Parts: 2},                                    // no crossover
-		{Parts: 2, Crossover: Uniform{}, PopSize: 1},  // tiny population
-		{Parts: 2, Crossover: Uniform{}, Elites: 400}, // elites >= pop (default 320)
-		{Parts: 2, Crossover: Uniform{}, Pc: 1.5},     // bad rate
-		{Parts: 2, Crossover: Uniform{}, Pm: -0.1},    // bad rate
+		{Parts: 0, Crossover: Uniform{}},             // bad parts
+		{Parts: 2},                                   // no crossover
+		{Parts: 2, Crossover: Uniform{}, PopSize: 1}, // tiny population
+		{Parts: 2, Crossover: Uniform{}, PopSize: 2}, // no room beside the 2 elites
+		{Parts: 2, Crossover: Uniform{}, Pc: 1.5},    // bad rate
+		{Parts: 2, Crossover: Uniform{}, Pm: -0.1},   // bad rate
 	}
 	for i, cfg := range cases {
 		if _, err := New(g, cfg); err == nil {
@@ -259,9 +259,7 @@ func TestGenerationCounter(t *testing.T) {
 
 func TestElitesPreserveBest(t *testing.T) {
 	g := gen.Mesh(50, 12)
-	cfg := smallConfig(4, KPoint{K: 2})
-	cfg.Elites = 2
-	e, err := New(g, cfg)
+	e, err := New(g, smallConfig(4, KPoint{K: 2}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,26 +280,9 @@ func TestElitesPreserveBest(t *testing.T) {
 	}
 }
 
-func TestSelectionSchemes(t *testing.T) {
-	g := gen.Mesh(40, 13)
-	for _, sel := range []Selection{Tournament{Size: 2}, Tournament{Size: 4}, Roulette{}, Rank{}} {
-		cfg := smallConfig(4, Uniform{})
-		cfg.Selection = sel
-		e, err := New(g, cfg)
-		if err != nil {
-			t.Fatalf("%s: %v", sel.Name(), err)
-		}
-		first := e.Best().Fitness
-		e.Run(15)
-		if e.Best().Fitness < first {
-			t.Errorf("%s: best regressed", sel.Name())
-		}
-	}
-}
-
 func TestSelectionPrefersFit(t *testing.T) {
-	// A population with one clearly fittest individual: every scheme must
-	// pick it more often than uniform chance.
+	// A population with one clearly fittest individual: binary tournament
+	// must pick it more often than uniform chance.
 	g := gen.Mesh(30, 14)
 	rng := rand.New(rand.NewSource(15))
 	pop := make([]*Individual, 10)
@@ -312,30 +293,52 @@ func TestSelectionPrefersFit(t *testing.T) {
 	best := partition.RandomBalanced(30, 2, rng)
 	pop[3] = NewIndividual(g, best, partition.TotalCut)
 	pop[3].Fitness = -1 // near-perfect
-	for _, sel := range []Selection{Tournament{Size: 2}, Roulette{}, Rank{}} {
-		hits := 0
-		const trials = 2000
-		for i := 0; i < trials; i++ {
-			if sel.Pick(pop, rng) == 3 {
-				hits++
-			}
+	hits := 0
+	const trials = 2000
+	for i := 0; i < trials; i++ {
+		if tournament(pop, rng) == 3 {
+			hits++
 		}
-		if hits <= trials/len(pop) {
-			t.Errorf("%s picked the best %d/%d times, no better than uniform", sel.Name(), hits, trials)
-		}
+	}
+	if hits <= trials/len(pop) {
+		t.Errorf("tournament picked the best %d/%d times, no better than uniform", hits, trials)
 	}
 }
 
-func TestTournamentPanicsOnZeroSize(t *testing.T) {
-	g := gen.Mesh(10, 1)
-	rng := rand.New(rand.NewSource(1))
-	pop := []*Individual{NewIndividual(g, partition.New(10, 2), partition.TotalCut)}
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic")
+// refTournamentPick is size-k tournament selection: k uniform draws, the
+// first fittest wins. At k = 2 it is the reference tournament must match.
+func refTournamentPick(size int, pop []*Individual, rng *rand.Rand) int {
+	best := rng.Intn(len(pop))
+	for i := 1; i < size; i++ {
+		c := rng.Intn(len(pop))
+		if pop[c].Fitness > pop[best].Fitness {
+			best = c
 		}
-	}()
-	Tournament{}.Pick(pop, rng)
+	}
+	return best
+}
+
+// tournament returns the same index as the size-2 reference and leaves the
+// RNG in the same state, on random populations full of fitness ties.
+func TestTournamentMatchesReference(t *testing.T) {
+	src := rand.New(rand.NewSource(41))
+	for trial := 0; trial < 200; trial++ {
+		pop := make([]*Individual, 1+src.Intn(12))
+		for i := range pop {
+			// Three distinct values, so many draws compare equal fitnesses.
+			pop[i] = &Individual{Fitness: -float64(src.Intn(3))}
+		}
+		seed := src.Int63()
+		got, want := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
+		for pick := 0; pick < 20; pick++ {
+			if i, j := tournament(pop, got), refTournamentPick(2, pop, want); i != j {
+				t.Fatalf("trial %d pick %d: tournament chose %d, reference %d", trial, pick, i, j)
+			}
+		}
+		if got.Int63() != want.Int63() {
+			t.Fatalf("trial %d: RNG state diverged from the reference", trial)
+		}
+	}
 }
 
 func TestWorstCutObjectiveRun(t *testing.T) {
@@ -353,10 +356,8 @@ func TestWorstCutObjectiveRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	first := e.Stats().BestMaxCut[0]
-	e.Run(25)
-	s := e.Stats()
-	last := s.BestMaxCut[len(s.BestMaxCut)-1]
+	first := e.Best().Part.MaxPartCut(g)
+	last := e.Run(25).Part.MaxPartCut(g)
 	if last > first {
 		t.Errorf("worst-cut objective: max cut grew %v -> %v", first, last)
 	}

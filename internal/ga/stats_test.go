@@ -15,18 +15,38 @@ func TestStatsSeriesLengthsAndBounds(t *testing.T) {
 	e.Run(12)
 	s := e.Stats()
 	want := 13 // generation 0 plus 12 steps
-	if len(s.MeanFitness) != want || len(s.Diversity) != want {
-		t.Fatalf("series lengths: mean=%d diversity=%d, want %d",
-			len(s.MeanFitness), len(s.Diversity), want)
+	if len(s.BestFitness) != want || len(s.BestCut) != want {
+		t.Fatalf("series lengths: fitness=%d cut=%d, want %d",
+			len(s.BestFitness), len(s.BestCut), want)
 	}
-	for i := range s.MeanFitness {
-		if s.MeanFitness[i] > s.BestFitness[i] {
-			t.Errorf("gen %d: mean fitness %v exceeds best %v", i, s.MeanFitness[i], s.BestFitness[i])
-		}
-		if s.Diversity[i] < 0 || s.Diversity[i] > 1 {
-			t.Errorf("gen %d: diversity %v out of [0,1]", i, s.Diversity[i])
+	for i, cut := range s.BestCut {
+		if cut < 0 || cut > float64(g.NumEdges()) {
+			t.Errorf("gen %d: best cut %v out of [0, %d]", i, cut, g.NumEdges())
 		}
 	}
+	if last := s.BestCut[want-1]; last != e.Best().Part.CutSize(g) {
+		t.Errorf("last best cut %v, want the best individual's %v", last, e.Best().Part.CutSize(g))
+	}
+}
+
+// diversity is the population's mean per-gene disagreement with its fittest
+// member: 0 when converged, near 1 - 1/parts for random partitions.
+func diversity(pop []*Individual) float64 {
+	ref := pop[0]
+	for _, ind := range pop[1:] {
+		if ind.Fitness > ref.Fitness {
+			ref = ind
+		}
+	}
+	differ := 0
+	for _, ind := range pop {
+		for j, q := range ind.Part.Assign {
+			if q != ref.Part.Assign[j] {
+				differ++
+			}
+		}
+	}
+	return float64(differ) / float64(len(pop)*len(ref.Part.Assign))
 }
 
 func TestDiversityShrinksUnderSelection(t *testing.T) {
@@ -37,10 +57,9 @@ func TestDiversityShrinksUnderSelection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	first := diversity(e.Population())
 	e.Run(40)
-	s := e.Stats()
-	first, last := s.Diversity[0], s.Diversity[len(s.Diversity)-1]
-	if last >= first {
+	if last := diversity(e.Population()); last >= first {
 		t.Errorf("diversity did not shrink: %v -> %v", first, last)
 	}
 }
@@ -53,8 +72,8 @@ func TestStatsCopyIsIndependent(t *testing.T) {
 	}
 	e.Run(2)
 	s := e.Stats()
-	s.Diversity[0] = 99
-	if e.Stats().Diversity[0] == 99 {
+	s.BestCut[0] = 99
+	if e.Stats().BestCut[0] == 99 {
 		t.Error("Stats returns aliased slices")
 	}
 }

@@ -4,15 +4,13 @@
 // population for the grown graph, and the GA repairs the partition far more
 // cheaply (and better) than repartitioning from scratch.
 //
-// Three strategies are provided for comparison, matching the paper's
-// Tables 3 and 6:
-//
-//   - GA (DKNUX) seeded with the carried-over partition,
-//   - RSB from scratch on the grown graph (the paper's baseline), and
-//   - the deterministic majority-neighbor rule (which the paper notes the GA
-//     beats: "results ... could not be obtained by a simple deterministic
-//     algorithm that assigns new nodes to the part to which most of its
-//     nearest neighbors belong").
+// The paper's Tables 3 and 6 compare the seeded DKNUX GA (Repartition)
+// against two baselines that need no code here: RSB from scratch on the
+// grown graph (algo.Run with "rsb") and the deterministic majority-neighbor
+// rule (partition.ExtendMajorityNeighbor), which the paper notes the GA
+// beats: "results ... could not be obtained by a simple deterministic
+// algorithm that assigns new nodes to the part to which most of its nearest
+// neighbors belong".
 package incremental
 
 import (
@@ -30,9 +28,9 @@ import (
 type Config struct {
 	// Options carries the registry-style configuration: parts (default: the
 	// old partition's), objective, generations (default 80), population
-	// (default 320), islands (default 16; 1 selects a single population),
-	// eval workers and seed. Options.PopSize is the TOTAL population across
-	// islands (dpga divides it).
+	// and islands (dpga's defaults, 320 and 16; 1 island selects a single
+	// population), eval workers and seed. Options.PopSize is the TOTAL
+	// population across islands (dpga divides it).
 	Options algo.Options
 
 	// SeedCopies is how many distinct balance-repaired extensions of the old
@@ -49,12 +47,6 @@ func Repartition(grown *graph.Graph, oldPart *partition.Partition, cfg Config) (
 	o := cfg.Options
 	if o.Generations == 0 {
 		o.Generations = 80
-	}
-	if o.PopSize == 0 {
-		o.PopSize = 320
-	}
-	if o.Islands == 0 {
-		o.Islands = 16 // the paper's 4-d hypercube
 	}
 	seedCopies := cfg.SeedCopies
 	if seedCopies == 0 {
@@ -104,27 +96,6 @@ func Repartition(grown *graph.Graph, oldPart *partition.Partition, cfg Config) (
 		return nil, err
 	}
 	return m.Run(o.Generations).Part, nil
-}
-
-// FromScratch partitions the grown graph with any registry algorithm,
-// ignoring the old partition — the from-scratch comparison column, run
-// through the same registry path (and therefore the same objective and
-// constraint validation) as every other consumer.
-func FromScratch(grown *graph.Graph, algoName string, opts algo.Options) (*partition.Partition, error) {
-	return algo.Run(grown, algoName, opts)
-}
-
-// RSBFromScratch partitions the grown graph with recursive spectral
-// bisection, ignoring the old partition — the paper's comparison column.
-// It is FromScratch("rsb", ...) with the historical signature.
-func RSBFromScratch(grown *graph.Graph, parts int, seed int64) (*partition.Partition, error) {
-	return FromScratch(grown, "rsb", algo.Options{Parts: parts, Seed: seed})
-}
-
-// MajorityNeighbor extends oldPart with the deterministic rule only
-// (no GA) — the paper's "simple deterministic algorithm" straw man.
-func MajorityNeighbor(grown *graph.Graph, oldPart *partition.Partition) *partition.Partition {
-	return partition.ExtendMajorityNeighbor(oldPart, grown)
 }
 
 // MovedNodes counts how many original nodes changed parts between the old

@@ -2,7 +2,6 @@ package incremental
 
 import (
 	"math/rand"
-	"strings"
 	"testing"
 
 	"repro/internal/algo"
@@ -15,7 +14,7 @@ func TestRepartitionBasics(t *testing.T) {
 	base := gen.Mesh(78, 11)
 	rng := rand.New(rand.NewSource(7))
 	grown := gen.Refine(base, 10, rng)
-	old, err := spectral.Partition(base, 4, rng)
+	old, err := spectral.Partition(base, 4, rng, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,11 +40,11 @@ func TestRepartitionBeatsMajorityNeighbor(t *testing.T) {
 	base := gen.Mesh(118, 11)
 	rng := rand.New(rand.NewSource(9))
 	grown := gen.Refine(base, 21, rng)
-	old, err := spectral.Partition(base, 4, rng)
+	old, err := spectral.Partition(base, 4, rng, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	det := MajorityNeighbor(grown, old)
+	det := partition.ExtendMajorityNeighbor(old, grown)
 	gaPart, err := Repartition(grown, old, Config{
 		Options: algo.Options{Parts: 4, Generations: 30, PopSize: 64, Islands: 4, Seed: 5},
 	})
@@ -79,7 +78,7 @@ func TestRepartitionDefaultPartsFromOld(t *testing.T) {
 	base := gen.Mesh(50, 2)
 	rng := rand.New(rand.NewSource(2))
 	grown := gen.Refine(base, 5, rng)
-	old, err := spectral.Partition(base, 4, rng)
+	old, err := spectral.Partition(base, 4, rng, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,59 +88,6 @@ func TestRepartitionDefaultPartsFromOld(t *testing.T) {
 	}
 	if got.Parts != 4 {
 		t.Errorf("parts defaulted to %d, want 4 (from old partition)", got.Parts)
-	}
-}
-
-func TestRSBFromScratch(t *testing.T) {
-	base := gen.Mesh(60, 3)
-	rng := rand.New(rand.NewSource(3))
-	grown := gen.Refine(base, 8, rng)
-	p, err := RSBFromScratch(grown, 4, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Validate(grown); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// The from-scratch baseline goes through the unified registry, so it inherits
-// the registry's option handling — one config struct, no drifting duplicate
-// fields — including objective support and constraint validation.
-func TestFromScratchRegistryPath(t *testing.T) {
-	base := gen.Mesh(60, 3)
-	rng := rand.New(rand.NewSource(3))
-	grown := gen.Refine(base, 8, rng)
-
-	p, err := FromScratch(grown, "multilevel-kl", algo.Options{Parts: 4, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Validate(grown); err != nil {
-		t.Fatal(err)
-	}
-	// Registry validation applies: unknown names and unsupported objectives
-	// fail loudly instead of silently optimizing something else.
-	if _, err := FromScratch(grown, "no-such-algo", algo.Options{Parts: 4}); err == nil {
-		t.Error("unknown algorithm accepted")
-	}
-	if _, err := FromScratch(grown, "grow", algo.Options{Parts: 4, Objective: partition.CommVolume}); err == nil ||
-		!strings.Contains(err.Error(), "does not support objective") {
-		t.Errorf("grow+commvol: got %v, want unsupported-objective error", err)
-	}
-	// RSBFromScratch is the same path with the historical signature.
-	a, err := RSBFromScratch(grown, 4, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := FromScratch(grown, "rsb", algo.Options{Parts: 4, Seed: 9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for v := range a.Assign {
-		if a.Assign[v] != b.Assign[v] {
-			t.Fatal("RSBFromScratch diverged from the registry rsb path")
-		}
 	}
 }
 
@@ -170,7 +116,7 @@ func TestIncrementalMovesFewNodes(t *testing.T) {
 	base := gen.Mesh(118, 11)
 	rng := rand.New(rand.NewSource(13))
 	grown := gen.Refine(base, 21, rng)
-	old, err := spectral.Partition(base, 4, rng)
+	old, err := spectral.Partition(base, 4, rng, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +126,7 @@ func TestIncrementalMovesFewNodes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	scratch, err := RSBFromScratch(grown, 4, 7)
+	scratch, err := algo.Run(grown, "rsb", algo.Options{Parts: 4, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +146,7 @@ func TestRepartitionDeterministic(t *testing.T) {
 	base := gen.Mesh(78, 11)
 	rng := rand.New(rand.NewSource(17))
 	grown := gen.Refine(base, 10, rng)
-	old, err := spectral.Partition(base, 4, rng)
+	old, err := spectral.Partition(base, 4, rng, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

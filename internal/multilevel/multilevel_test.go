@@ -75,7 +75,7 @@ func TestCoarsenKeepsConnectivity(t *testing.T) {
 }
 
 func rsbInner(g *graph.Graph, parts int, rng *rand.Rand) (*partition.Partition, error) {
-	return spectral.Partition(g, parts, rng)
+	return spectral.Partition(g, parts, rng, 0)
 }
 
 func gaInner(g *graph.Graph, parts int, rng *rand.Rand) (*partition.Partition, error) {

@@ -28,7 +28,7 @@ func TestPartitionDisconnectedEqualComponents(t *testing.T) {
 	m := gen.Mesh(40, 1)
 	g := union(m, gen.Mesh(40, 2))
 	rng := rand.New(rand.NewSource(3))
-	p, err := Partition(g, 2, rng)
+	p, err := Partition(g, 2, rng, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +54,7 @@ func TestPartitionDisconnectedGiantPlusIslands(t *testing.T) {
 	}
 	g := b.Build()
 	rng := rand.New(rand.NewSource(5))
-	p, err := Partition(g, 2, rng)
+	p, err := Partition(g, 2, rng, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func TestPartitionDisconnectedFourParts(t *testing.T) {
 	// 3-component graph exercises bisectAny at inner levels.
 	g := union(union(gen.Mesh(30, 6), gen.Mesh(30, 7)), gen.Mesh(30, 8))
 	rng := rand.New(rand.NewSource(9))
-	p, err := Partition(g, 4, rng)
+	p, err := Partition(g, 4, rng, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestPartitionDisconnectedFourParts(t *testing.T) {
 
 func TestBisectSingleNode(t *testing.T) {
 	b := graph.NewBuilder(1)
-	side, err := Bisect(b.Build(), rand.New(rand.NewSource(1)))
+	side, err := Bisect(b.Build(), rand.New(rand.NewSource(1)), 0)
 	if err != nil || len(side) != 1 || side[0] != 0 {
 		t.Errorf("single-node bisect: %v %v", side, err)
 	}

@@ -61,18 +61,14 @@ const denseThreshold = 400
 // smallest Laplacian eigenvalue. The graph must be connected (otherwise the
 // second eigenvalue is 0 and the vector is a component indicator, useless
 // for bisection); it returns an error if not.
-func Fiedler(g *graph.Graph, rng *rand.Rand) ([]float64, error) {
-	return FiedlerIter(g, rng, 0)
-}
-
-// FiedlerIter is Fiedler with an explicit Lanczos iteration budget: maxIter
-// caps the Krylov dimension of the sparse solve (0 selects the solver
-// default, currently 40). Full reorthogonalization makes each solve cost
-// O(maxIter² · n), so the budget is what bounds spectral bisection's wall
-// time on large graphs — a smaller budget trades Fiedler accuracy (and so
-// split quality) for a hard runtime cap. The dense path below denseThreshold
-// is exact and ignores the budget.
-func FiedlerIter(g *graph.Graph, rng *rand.Rand, maxIter int) ([]float64, error) {
+//
+// maxIter is the Lanczos iteration budget: it caps the Krylov dimension of
+// the sparse solve (0 selects the solver default, currently 40). Full
+// reorthogonalization makes each solve cost O(maxIter² · n), so the budget
+// is what bounds spectral bisection's wall time on large graphs — a smaller
+// budget trades Fiedler accuracy (and so split quality) for a hard runtime
+// cap. The dense path below denseThreshold is exact and ignores the budget.
+func Fiedler(g *graph.Graph, rng *rand.Rand, maxIter int) ([]float64, error) {
 	n := g.NumNodes()
 	if n < 2 {
 		return nil, fmt.Errorf("spectral: graph too small (n=%d)", n)
@@ -108,20 +104,15 @@ func FiedlerIter(g *graph.Graph, rng *rand.Rand, maxIter int) ([]float64, error)
 }
 
 // Bisect splits g into two balanced halves by the median of the Fiedler
-// vector. It returns the side (0 or 1) of each node. Ties at the median are
-// broken by node index so the split is always ⌈n/2⌉/⌊n/2⌋.
-func Bisect(g *graph.Graph, rng *rand.Rand) ([]int, error) {
-	return BisectIter(g, rng, 0)
-}
-
-// BisectIter is Bisect with an explicit Lanczos iteration budget (see
-// FiedlerIter; 0 selects the default).
-func BisectIter(g *graph.Graph, rng *rand.Rand, maxIter int) ([]int, error) {
+// vector computed under the Lanczos budget maxIter (see Fiedler; 0 selects
+// the default). It returns the side (0 or 1) of each node. Ties at the
+// median are broken by node index so the split is always ⌈n/2⌉/⌊n/2⌋.
+func Bisect(g *graph.Graph, rng *rand.Rand, maxIter int) ([]int, error) {
 	n := g.NumNodes()
 	if n == 1 {
 		return []int{0}, nil
 	}
-	f, err := FiedlerIter(g, rng, maxIter)
+	f, err := Fiedler(g, rng, maxIter)
 	if err != nil {
 		return nil, err
 	}
@@ -144,17 +135,11 @@ func BisectIter(g *graph.Graph, rng *rand.Rand, maxIter int) ([]int, error) {
 // parts must be a power of two (RSB is inherently a bisection method; the
 // paper compares against 2, 4, and 8 parts). Disconnected subgraphs that
 // arise during recursion are handled by separating components before
-// bisecting.
-func Partition(g *graph.Graph, parts int, rng *rand.Rand) (*partition.Partition, error) {
-	return PartitionIter(g, parts, rng, 0)
-}
-
-// PartitionIter is Partition with an explicit Lanczos iteration budget
-// applied to every bisection level (see FiedlerIter; 0 selects the default).
-// The budget is what makes RSB's runtime on large graphs a predictable
-// O(levels · maxIter² · n) instead of an accuracy-chasing unknown, and is
-// exposed through algo.Options.LanczosIter.
-func PartitionIter(g *graph.Graph, parts int, rng *rand.Rand, lanczosIter int) (*partition.Partition, error) {
+// bisecting. lanczosIter is the Lanczos budget of every bisection level (see
+// Fiedler; 0 selects the default): it makes RSB's runtime on large graphs a
+// predictable O(levels · lanczosIter² · n) instead of an accuracy-chasing
+// unknown, and is exposed through algo.Options.LanczosIter.
+func Partition(g *graph.Graph, parts int, rng *rand.Rand, lanczosIter int) (*partition.Partition, error) {
 	if parts <= 0 || parts&(parts-1) != 0 {
 		return nil, fmt.Errorf("spectral: parts must be a power of two, got %d", parts)
 	}
@@ -215,7 +200,7 @@ func bisectAny(g *graph.Graph, rng *rand.Rand, lanczosIter int) ([]int, error) {
 	}
 	comp, count := g.Components()
 	if count == 1 {
-		return BisectIter(g, rng, lanczosIter)
+		return Bisect(g, rng, lanczosIter)
 	}
 	items := make([][]int, count)
 	for v, c := range comp {
@@ -272,7 +257,7 @@ func bisectAny(g *graph.Graph, rng *rand.Rand, lanczosIter int) ([]int, error) {
 		sub, orig := g.InducedSubgraph(items[pick])
 		var newItems [][]int
 		if sub.IsConnected() {
-			inner, err := BisectIter(sub, rng, lanczosIter)
+			inner, err := Bisect(sub, rng, lanczosIter)
 			if err != nil {
 				return nil, err
 			}

@@ -54,7 +54,7 @@ func TestFiedlerPathSplitsInHalf(t *testing.T) {
 	}
 	g := b.Build()
 	rng := rand.New(rand.NewSource(1))
-	side, err := Bisect(g, rng)
+	side, err := Bisect(g, rng, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,11 +83,11 @@ func TestFiedlerErrors(t *testing.T) {
 	b := graph.NewBuilder(4)
 	b.AddEdge(0, 1, 1)
 	b.AddEdge(2, 3, 1)
-	if _, err := Fiedler(b.Build(), rng); err == nil {
+	if _, err := Fiedler(b.Build(), rng, 0); err == nil {
 		t.Error("disconnected graph accepted")
 	}
 	// Too small.
-	if _, err := Fiedler(graph.NewBuilder(1).Build(), rng); err == nil {
+	if _, err := Fiedler(graph.NewBuilder(1).Build(), rng, 0); err == nil {
 		t.Error("single node accepted")
 	}
 }
@@ -95,7 +95,7 @@ func TestFiedlerErrors(t *testing.T) {
 func TestFiedlerOrthogonalToOnes(t *testing.T) {
 	g := gen.Mesh(60, 4)
 	rng := rand.New(rand.NewSource(2))
-	f, err := Fiedler(g, rng)
+	f, err := Fiedler(g, rng, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +120,7 @@ func TestPartitionPowersOfTwo(t *testing.T) {
 	g := gen.PaperGraph(78)
 	rng := rand.New(rand.NewSource(5))
 	for _, parts := range []int{1, 2, 4, 8} {
-		p, err := Partition(g, parts, rng)
+		p, err := Partition(g, parts, rng, 0)
 		if err != nil {
 			t.Fatalf("parts=%d: %v", parts, err)
 		}
@@ -150,7 +150,7 @@ func TestPartitionRejectsNonPowerOfTwo(t *testing.T) {
 	g := gen.Mesh(20, 1)
 	rng := rand.New(rand.NewSource(1))
 	for _, parts := range []int{0, 3, 6, -2} {
-		if _, err := Partition(g, parts, rng); err == nil {
+		if _, err := Partition(g, parts, rng, 0); err == nil {
 			t.Errorf("parts=%d accepted", parts)
 		}
 	}
@@ -159,7 +159,7 @@ func TestPartitionRejectsNonPowerOfTwo(t *testing.T) {
 func TestRSBBeatsRandomOnMesh(t *testing.T) {
 	g := gen.PaperGraph(167)
 	rng := rand.New(rand.NewSource(7))
-	p, err := Partition(g, 8, rng)
+	p, err := Partition(g, 8, rng, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +181,7 @@ func TestBisectGrid(t *testing.T) {
 	// RSB on a 8x8 grid must find a cut close to the optimal 8.
 	g := gen.Grid(8, 8)
 	rng := rand.New(rand.NewSource(3))
-	p, err := Partition(g, 2, rng)
+	p, err := Partition(g, 2, rng, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +197,7 @@ func TestLanczosPathUsedForLargeGraphs(t *testing.T) {
 	// 500 nodes exceeds denseThreshold, exercising the sparse path.
 	g := gen.Mesh(500, 11)
 	rng := rand.New(rand.NewSource(13))
-	p, err := Partition(g, 2, rng)
+	p, err := Partition(g, 2, rng, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +248,7 @@ func TestQuickRSBBalance(t *testing.T) {
 		n := 16 + rng.Intn(80)
 		g := gen.Mesh(n, seed)
 		parts := []int{2, 4, 8}[rng.Intn(3)]
-		p, err := Partition(g, parts, rng)
+		p, err := Partition(g, parts, rng, 0)
 		if err != nil {
 			return false
 		}
@@ -280,31 +280,31 @@ func TestQuickRSBBalance(t *testing.T) {
 
 // The Lanczos iteration budget must be honored end to end: a tiny budget
 // still yields a valid, deterministic power-of-two partition (at some split
-// quality cost), and the default budget path is unchanged by passing 0.
+// quality cost), and passing 0 selects the solver default of 40.
 func TestPartitionIterBudget(t *testing.T) {
 	g := gen.Mesh(900, 77) // above denseThreshold: the sparse path runs
-	zero, err := PartitionIter(g, 4, rand.New(rand.NewSource(5)), 0)
+	zero, err := Partition(g, 4, rand.New(rand.NewSource(5)), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := Partition(g, 4, rand.New(rand.NewSource(5)))
+	full, err := Partition(g, 4, rand.New(rand.NewSource(5)), 40)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for v := range zero.Assign {
 		if zero.Assign[v] != full.Assign[v] {
-			t.Fatalf("budget 0 diverged from the default path at node %d", v)
+			t.Fatalf("budget 0 diverged from the default budget 40 at node %d", v)
 		}
 	}
 	for _, budget := range []int{6, 12} {
-		a, err := PartitionIter(g, 4, rand.New(rand.NewSource(5)), budget)
+		a, err := Partition(g, 4, rand.New(rand.NewSource(5)), budget)
 		if err != nil {
 			t.Fatalf("budget %d: %v", budget, err)
 		}
 		if err := a.Validate(g); err != nil {
 			t.Fatalf("budget %d: %v", budget, err)
 		}
-		b, err := PartitionIter(g, 4, rand.New(rand.NewSource(5)), budget)
+		b, err := Partition(g, 4, rand.New(rand.NewSource(5)), budget)
 		if err != nil {
 			t.Fatal(err)
 		}
