@@ -16,6 +16,7 @@ import (
 	"sort"
 	"sync"
 
+	"repro/internal/dpga"
 	"repro/internal/graph"
 	"repro/internal/multilevel"
 	"repro/internal/partition"
@@ -37,10 +38,16 @@ type Options struct {
 	Objective partition.Objective // fitness for the stochastic algorithms
 	Seed      int64               // RNG seed; equal Options give equal results
 
-	// Genetic-algorithm family (dknux, knux, ux, 2pt, multilevel-ga).
-	Generations int // default 200
-	PopSize     int // total population across islands; default 320 (dpga's)
-	Islands     int // subpopulations; default 16 (dpga's), 1 = single population
+	// Genetic-algorithm family (dknux, knux, ux, 2pt, multilevel-ga). Zero
+	// selects the algorithm's default: 200 generations of 320 individuals
+	// over 16 islands (dpga's) for the flat GA, 60 of 64 over 4 for
+	// multilevel-ga's coarse solve. Check refuses an island count that is
+	// not a power of two (bad_islands) and a population above MaxPopSize or
+	// too small to give every island the 2 elites plus one offspring
+	// (bad_pop_size).
+	Generations int
+	PopSize     int // total population across islands
+	Islands     int // subpopulations; 1 = single population
 	EvalWorkers int // parallel fitness evaluation width (0 = auto)
 
 	// Refinement family (kl, fm, multilevel-*).
@@ -199,8 +206,8 @@ func Names() []string {
 
 // RequestError is a request the registry refuses before running anything.
 // Code is the stable machine-readable reason, which partd puts on the wire:
-// unknown_algo, bad_parts, needs_coords, parts_not_power_of_two, or
-// unsupported_objective.
+// unknown_algo, bad_parts, needs_coords, parts_not_power_of_two,
+// unsupported_objective, bad_islands, or bad_pop_size.
 type RequestError struct {
 	Code    string
 	Message string
@@ -213,8 +220,9 @@ func refuse(code, format string, args ...any) *RequestError {
 }
 
 // Check validates a request against the registry without running it: a
-// registered name, opt.Parts in [1, partition.MaxParts], and the
-// algorithm's declared constraints. It deliberately allows more parts than
+// registered name, opt.Parts in [1, partition.MaxParts], the algorithm's
+// declared constraints, and, for the GA family, the population the run
+// would build (see Options.PopSize). It deliberately allows more parts than
 // nodes: the multilevel pipeline runs its inner solver on a coarsest graph
 // of CoarsestSize nodes whatever the part count.
 func Check(g *graph.Graph, name string, opt Options) *RequestError {
@@ -247,5 +255,64 @@ func check(g *graph.Graph, name string, opt Options) (Partitioner, *RequestError
 	case !info.SupportsObjective(opt.Objective):
 		return nil, refuse("unsupported_objective", "%s does not support objective %s", name, opt.Objective.FlagName())
 	}
+	if b, ok := gaBudgets[name]; ok {
+		if re := checkGA(name, b.fill(opt)); re != nil {
+			return nil, re
+		}
+	}
 	return p, nil
+}
+
+// MaxPopSize is the largest total GA population a request may ask for. The
+// GA builds its whole population up front, an assignment vector and cached
+// aggregates per individual, so the ceiling bounds that allocation.
+const MaxPopSize = 1 << 16
+
+// minIslandPop is the smallest island the GA runs: its 2 elites plus one
+// offspring.
+const minIslandPop = 3
+
+// gaBudget is the population a GA-family algorithm runs with where a request
+// leaves the field zero. Check validates against it and the run applies it,
+// so the two cannot disagree.
+type gaBudget struct{ popSize, islands, generations int }
+
+// gaBudgets holds the defaults of every GA-family algorithm: dpga's (the
+// paper's 320 over 16 islands) for the flat GA, and a reduced budget for
+// multilevel-ga, whose GA solves only the small coarsest graph.
+var (
+	flatGA    = gaBudget{popSize: dpga.DefaultPopSize, islands: dpga.DefaultIslands, generations: 200}
+	gaBudgets = map[string]gaBudget{
+		"dknux": flatGA, "knux": flatGA, "ux": flatGA, "2pt": flatGA,
+		"multilevel-ga": {popSize: 64, islands: 4, generations: 60},
+	}
+)
+
+// fill returns opt with b's values in its zero GA fields.
+func (b gaBudget) fill(opt Options) Options {
+	if opt.PopSize == 0 {
+		opt.PopSize = b.popSize
+	}
+	if opt.Islands == 0 {
+		opt.Islands = b.islands
+	}
+	if opt.Generations == 0 {
+		opt.Generations = b.generations
+	}
+	return opt
+}
+
+// checkGA refuses a population the island model cannot run: the islands
+// must form a hypercube, and every island needs minIslandPop members.
+func checkGA(name string, opt Options) *RequestError {
+	switch n := opt.Islands; {
+	case n < 0 || n&(n-1) != 0:
+		return refuse("bad_islands", "%s: islands must be a power of two, got %d", name, n)
+	case opt.PopSize < 0 || opt.PopSize > MaxPopSize:
+		return refuse("bad_pop_size", "%s: pop_size must be in [0, %d], got %d", name, MaxPopSize, opt.PopSize)
+	case opt.PopSize/n < minIslandPop:
+		return refuse("bad_pop_size", "%s: pop_size %d over %d islands leaves %d per island, need at least %d",
+			name, opt.PopSize, n, opt.PopSize/n, minIslandPop)
+	}
+	return nil
 }

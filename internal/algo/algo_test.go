@@ -222,6 +222,56 @@ func TestRunRefusesTooManyParts(t *testing.T) {
 	}
 }
 
+// Check refuses GA populations the island model cannot run, judged after
+// each algorithm's own defaults (320 over 16 islands for the flat GA, 64
+// over 4 for multilevel-ga), and every population it accepts runs. Other
+// algorithms ignore the GA fields.
+func TestCheckGAOptions(t *testing.T) {
+	g := gen.Mesh(120, 3)
+	cases := []struct {
+		algo         string
+		pop, islands int
+		code         string // "" = accepted
+	}{
+		{"dknux", 0, 0, ""},
+		{"dknux", 0, 3, "bad_islands"},
+		{"dknux", 0, -4, "bad_islands"},
+		{"knux", 0, 12, "bad_islands"},
+		{"ux", 100000000, 0, "bad_pop_size"},
+		{"2pt", -1, 1, "bad_pop_size"},
+		{"dknux", 8, 4, "bad_pop_size"},
+		{"dknux", 12, 4, ""},
+		{"dknux", 47, 0, "bad_pop_size"}, // 2 per default island
+		{"dknux", 48, 0, ""},
+		{"dknux", 0, 128, "bad_pop_size"}, // 320 over 128 islands
+		{"dknux", 3, 1, ""},
+		{"dknux", MaxPopSize + 1, 1, "bad_pop_size"},
+		{"multilevel-ga", 0, 0, ""},
+		{"multilevel-ga", 0, 3, "bad_islands"},
+		{"multilevel-ga", 100000000, 0, "bad_pop_size"},
+		{"multilevel-ga", 8, 4, "bad_pop_size"},
+		{"multilevel-ga", 8, 0, "bad_pop_size"},  // 2 per default island
+		{"multilevel-ga", 0, 32, "bad_pop_size"}, // 64 over 32 islands
+		{"multilevel-ga", 12, 0, ""},
+		{"kl", 8, 3, ""},
+		{"multilevel-kl", -1, 3, ""},
+	}
+	for _, c := range cases {
+		opt := Options{Parts: 2, Seed: 1, Generations: 2, PopSize: c.pop, Islands: c.islands}
+		re := Check(g, c.algo, opt)
+		switch {
+		case c.code == "" && re != nil:
+			t.Errorf("%s pop %d islands %d: refused %s (%s)", c.algo, c.pop, c.islands, re.Code, re.Message)
+		case c.code != "" && (re == nil || re.Code != c.code):
+			t.Errorf("%s pop %d islands %d: got %v, want %s", c.algo, c.pop, c.islands, re, c.code)
+		case c.code == "":
+			if _, err := Run(g, c.algo, opt); err != nil {
+				t.Errorf("%s pop %d islands %d: accepted but failed: %v", c.algo, c.pop, c.islands, err)
+			}
+		}
+	}
+}
+
 // More parts than nodes is partd's policy, not a registry constraint: the
 // multilevel pipeline hands its inner solver a coarsest graph of about 64
 // nodes whatever the part count, so Run must keep accepting this request.

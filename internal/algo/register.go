@@ -170,20 +170,13 @@ func registerMultilevel(name, innerName string, refiner multilevel.Refiner, info
 	info.Stochastic = true // heavy-edge matching visits nodes in seeded random order
 	Register(New(info, func(g *graph.Graph, opt Options) (*partition.Partition, error) {
 		inner := func(cg *graph.Graph, parts int, rng *rand.Rand) (*partition.Partition, error) {
-			io := opt
+			// The coarsest graph is small; multilevel-ga's reduced GA
+			// budget is ample there unless the caller asked for a specific
+			// one. The other pipelines have no budget, and their options
+			// pass unchanged.
+			io := gaBudgets[name].fill(opt)
 			io.Parts = parts
 			io.Seed = rng.Int63()
-			// The coarsest graph is small; a reduced GA budget is ample
-			// there unless the caller asked for a specific one.
-			if io.PopSize == 0 {
-				io.PopSize = 64
-			}
-			if io.Generations == 0 {
-				io.Generations = 60
-			}
-			if io.Islands == 0 {
-				io.Islands = 4
-			}
 			// The inner solver may honor fewer objectives than the pipeline
 			// (e.g. the DKNUX GA has no commvol fitness): fall back to the
 			// universal TotalCut for the coarse solve and let the declared
@@ -212,10 +205,7 @@ func registerMultilevel(name, innerName string, refiner multilevel.Refiner, info
 // population is seeded with an IBP partition (the paper's recommended
 // practice); otherwise it starts from random balanced partitions.
 func runGA(g *graph.Graph, operator string, opt Options) (*partition.Partition, error) {
-	gens := opt.Generations
-	if gens == 0 {
-		gens = 200
-	}
+	opt = gaBudgets[operator].fill(opt)
 	var seeds []*partition.Partition
 	if g.HasCoords() {
 		if s, err := ibp.Partition(g, opt.Parts, ibp.ShuffledRowMajor); err == nil {
@@ -256,5 +246,5 @@ func runGA(g *graph.Graph, operator string, opt Options) (*partition.Partition, 
 	if err != nil {
 		return nil, err
 	}
-	return m.Run(gens).Part, nil
+	return m.Run(opt.Generations).Part, nil
 }

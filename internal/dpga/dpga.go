@@ -63,6 +63,13 @@ type Config struct {
 // migrationInterval is the number of generations between migrations.
 const migrationInterval = 5
 
+// The paper's configuration, which New selects for a zero Islands or
+// Base.PopSize: a total population of 320 over 16 islands.
+const (
+	DefaultIslands = 16
+	DefaultPopSize = 320
+)
+
 // Model is a running distributed GA.
 type Model struct {
 	cfg     Config
@@ -77,7 +84,7 @@ type Model struct {
 // island runs on Base.Seed itself.
 func New(g *graph.Graph, cfg Config) (*Model, error) {
 	if cfg.Islands == 0 {
-		cfg.Islands = 16
+		cfg.Islands = DefaultIslands
 	}
 	if n := cfg.Islands; n < 0 || n&(n-1) != 0 {
 		return nil, fmt.Errorf("dpga: hypercube needs a power-of-two island count, got %d", n)
@@ -90,7 +97,7 @@ func New(g *graph.Graph, cfg Config) (*Model, error) {
 	}
 	total := cfg.Base.PopSize
 	if total == 0 {
-		total = 320
+		total = DefaultPopSize
 	}
 	per := total / cfg.Islands
 	if per < 2 {
@@ -172,8 +179,9 @@ func (m *Model) migrate() {
 			}
 		}
 		for _, to := range hypercubeNeighbors(i, n) {
-			// Inject copies the partition, and no engine mutates a
-			// population member in place, so the batch may share it.
+			// Inject copies the partition, and a member stays valid until
+			// its island's next Step, after this barrier, so the batch may
+			// share it.
 			batch = append(batch, migrant{to, best.Part})
 		}
 	}

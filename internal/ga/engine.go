@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 
 	"repro/internal/graph"
 	"repro/internal/kl"
@@ -85,6 +86,11 @@ type Engine struct {
 	pop  []*Individual
 	best *Individual // best ever seen (may have left the population)
 	gen  int
+
+	// free holds the members of the last replaced generation, whose Part
+	// and Eval storage breedOne overwrites for the next offspring. None of
+	// them is referenced by pop, best or the crossover's estimate.
+	free []*Individual
 
 	// estFitness is the fitness of the DKNUX estimate currently held by the
 	// crossover operator; the estimate is replaced only by strictly fitter
@@ -188,28 +194,33 @@ func (e *Engine) record() {
 // (selection, crossover, mutation — everything that consumes the RNG),
 // then a parallel evaluate phase (optional hill climbing and fitness, pure
 // per-individual work spread over Config.EvalWorkers), then generational
-// replacement.
+// replacement. The replaced members go on the free list.
 func (e *Engine) Step() {
 	c := e.cfg
 	next := make([]*Individual, 0, c.PopSize)
 
-	// The elites fittest individuals survive unchanged.
+	// The elites fittest individuals survive unchanged; the old population
+	// is discarded, so they carry over without a copy.
 	elite := e.eliteIndices()
 	for _, i := range elite {
-		next = append(next, e.pop[i].Clone())
+		next = append(next, e.pop[i])
 	}
 
 	// Breed phase: serial on the single rand.Rand, which defines the
 	// bit-reproducible stream.
-	offspring := make([]*Individual, 0, c.PopSize-len(next))
-	for len(next)+len(offspring) < c.PopSize {
-		offspring = append(offspring, e.breedOne())
+	for len(next) < c.PopSize {
+		next = append(next, e.breedOne())
 	}
 
 	// Evaluate phase: pure, parallel across the evaluation workers.
-	e.evaluate(offspring, c.HillClimb)
+	e.evaluate(next[len(elite):], c.HillClimb)
 
-	e.pop = append(next, offspring...)
+	for i, ind := range e.pop {
+		if !slices.Contains(elite, i) {
+			e.free = append(e.free, ind)
+		}
+	}
+	e.pop = next
 	e.gen++
 
 	if f := e.fittest(); f.Fitness > e.best.Fitness {
@@ -219,40 +230,73 @@ func (e *Engine) Step() {
 	e.record()
 }
 
-// breedOne produces one unevaluated offspring: selection, crossover or
-// fitter-parent cloning, then mutation. Cloned offspring inherit their
-// parent's cached aggregates, which mutation updates incrementally;
-// crossover offspring are evaluated from scratch in the evaluate phase.
+// breedOne produces one offspring whose fitness is still its parent's:
+// selection, then crossover or fitter-parent cloning, then mutation. Every
+// offspring starts as a copy of a parent, Part and Eval, in recycled storage
+// when the free list has some. Crossover's child is applied to that copy
+// gene by gene through Eval.Move, in ascending gene order, and so are
+// mutation's flips, so the aggregates stay exact in O(deg) per changed gene
+// instead of a rescan of the graph.
 func (e *Engine) breedOne() *Individual {
 	c := e.cfg
 	a, b := e.pop[tournament(e.pop, e.rng)], e.pop[tournament(e.pop, e.rng)]
-	var ind *Individual
+	var child *partition.Partition
 	if e.rng.Float64() < c.Pc {
-		ind = &Individual{Part: c.Crossover.Cross(e.g, a, b, e.rng)}
-	} else {
-		// No crossover: clone the fitter parent.
-		if b.Fitness > a.Fitness {
-			a = b
+		child = c.Crossover.Cross(e.g, a, b, e.rng)
+	} else if b.Fitness > a.Fitness {
+		a = b // no crossover: clone the fitter parent
+	}
+	ind := e.copyOf(a)
+	if child != nil {
+		for v, q := range child.Assign {
+			if q != ind.Part.Assign[v] {
+				ind.ev.Move(e.g, ind.Part, v, int(q))
+			}
 		}
-		ind = a.Clone()
 	}
 	e.mutate(ind)
 	return ind
 }
 
-// finish completes one offspring: builds the cached aggregates if the breed
-// phase didn't leave any, applies one boundary hill-climbing pass if asked,
-// and recomputes fitness from the (delta-updated) aggregates. finish is
-// pure with respect to the engine: it touches only ind, so any number of
-// finishes may run concurrently.
+// copyOf returns a deep copy of parent, written over a free individual when
+// there is one.
+func (e *Engine) copyOf(parent *Individual) *Individual {
+	n := len(e.free)
+	if n == 0 {
+		return parent.Clone()
+	}
+	ind := e.free[n-1]
+	e.free = e.free[:n-1]
+	copy(ind.Part.Assign, parent.Part.Assign)
+	ind.ev = parent.ev.CloneInto(ind.ev)
+	ind.Fitness = parent.Fitness
+	return ind
+}
+
+// finish completes one offspring: builds the cached aggregates if it has
+// none (only the initial population), applies one boundary hill-climbing
+// pass if asked, and recomputes fitness from the (delta-updated)
+// aggregates. finish is pure with respect to the engine: it touches only
+// ind, so any number of finishes may run concurrently.
 func (e *Engine) finish(ind *Individual, hillClimb bool) {
 	if ind.ev == nil {
-		ind.ev = partition.NewEval(e.g, ind.Part)
+		ind.ev = e.newEval(ind.Part)
 	}
 	if hillClimb {
 		kl.HillClimbEval(e.g, ind.Part, e.cfg.Objective, 1, ind.ev)
 	}
 	ind.Fitness = ind.ev.Fitness(e.g, e.cfg.Objective)
+}
+
+// newEval builds the Eval of a partition that enters the population without
+// a parent (the initial population and migrants): the aggregates, plus the
+// trackers the hill climb reads when the engine climbs. Offspring copy
+// their parent's, so every Eval of an engine tracks the same state.
+func (e *Engine) newEval(p *partition.Partition) *partition.Eval {
+	if e.cfg.HillClimb {
+		return partition.Tracked(e.g, p, nil, e.cfg.Objective, 1)
+	}
+	return partition.NewEval(e.g, p)
 }
 
 // evaluate finishes a batch of offspring over Config.EvalWorkers
@@ -298,19 +342,13 @@ func (e *Engine) eliteIndices() []int {
 	return idx
 }
 
-// mutate flips each gene with probability Pm. When the individual carries
-// cached aggregates (cloned offspring), each flip is applied as an O(deg)
-// delta update so fitness needs no rescan.
+// mutate flips each gene with probability Pm, each flip applied through the
+// individual's Eval as an O(deg) delta update so fitness needs no rescan.
 func (e *Engine) mutate(ind *Individual) {
 	p := ind.Part
 	for i := range p.Assign {
 		if e.rng.Float64() < e.cfg.Pm {
-			to := e.rng.Intn(p.Parts)
-			if ind.ev != nil {
-				ind.ev.Move(e.g, p, i, to)
-			} else {
-				p.Assign[i] = uint16(to)
-			}
+			ind.ev.Move(e.g, p, i, e.rng.Intn(p.Parts))
 		}
 	}
 }
@@ -339,15 +377,19 @@ func (e *Engine) Stats() Stats {
 	}
 }
 
-// Population returns the live population. The dpga package uses this for
-// migration; other callers should treat it as read-only.
+// Population returns the live population. Its members are valid until the
+// next Step, which recycles the storage of every member it replaces: a
+// caller that keeps one longer must Clone it. The dpga package uses this
+// for migration, at a barrier; other callers should treat it as read-only.
 func (e *Engine) Population() []*Individual { return e.pop }
 
-// Inject replaces the worst individual with a copy of ind (evaluated under
-// this engine's objective) if ind is fitter. Used by the distributed model
+// Inject replaces the worst individual with a copy of p (evaluated under
+// this engine's objective) if p is fitter. Used by the distributed model
 // to implement migration; returns whether the migrant was accepted.
 func (e *Engine) Inject(p *partition.Partition) bool {
-	ind := NewIndividual(e.g, p.Clone(), e.cfg.Objective)
+	p = p.Clone()
+	ev := e.newEval(p)
+	ind := &Individual{Part: p, Fitness: ev.Fitness(e.g, e.cfg.Objective), ev: ev}
 	worst := 0
 	for i := range e.pop {
 		if e.pop[i].Fitness < e.pop[worst].Fitness {

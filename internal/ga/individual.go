@@ -14,14 +14,22 @@ import (
 // Individual is one member of the population: a candidate partition plus its
 // cached fitness and per-part aggregates. Fitness is always kept in sync
 // with Part by the engine; operators that modify Part must re-evaluate.
+//
+// On graphs with integer weights the aggregates are exactly those a fresh
+// scan of Part would build. An offspring's are its parent's, moved gene by
+// gene to its own, so on fractional weights they may differ from a fresh
+// scan in the last bits, deterministically for a given run (see
+// partition.Eval.Fitness).
 type Individual struct {
 	Part    *partition.Partition
 	Fitness float64
 
-	// ev caches the part weights and part cuts backing Fitness, so mutation
-	// and hill climbing update fitness incrementally instead of rescanning
-	// the graph. nil means "not evaluated yet" (a freshly bred crossover
-	// child between the breed and evaluate phases of Engine.Step).
+	// ev caches the part weights and part cuts backing Fitness, so
+	// crossover, mutation and hill climbing update fitness incrementally
+	// instead of rescanning the graph; it also tracks the boundary when the
+	// engine hill-climbs. Only a member of the initial population has none
+	// before its first evaluation; every offspring starts with a copy of its
+	// parent's.
 	ev *partition.Eval
 }
 

@@ -13,6 +13,7 @@ package kl
 
 import (
 	"math"
+	"sync"
 
 	"repro/internal/graph"
 	"repro/internal/par"
@@ -53,9 +54,11 @@ type Config struct {
 // partition's cached aggregates (the GA engine keeps one Eval per
 // individual), which every move keeps in sync, so the GA can afford hill
 // climbing on every offspring and read the final fitness straight from ev. A
-// nil ev is rebuilt from p. Under the cut objectives an untracked ev stays
-// untracked, and each pass finds the boundary by scanning p; CommVolume's
-// gains need the Eval's volume counts, which are built here when missing.
+// nil ev is rebuilt from p. Each pass snapshots the boundary from ev when it
+// tracks the boundary set, as the GA's Evals do whenever it climbs; under the
+// cut objectives an untracked ev stays untracked, and each pass finds the
+// boundary by scanning p instead. CommVolume's gains need the Eval's volume
+// counts, which are built here when missing.
 func HillClimbEval(g *graph.Graph, p *partition.Partition, o partition.Objective, maxPasses int, ev *partition.Eval) int {
 	switch {
 	case o == partition.CommVolume:
@@ -73,11 +76,19 @@ func HillClimbEval(g *graph.Graph, p *partition.Partition, o partition.Objective
 	return c.climb(maxPasses)
 }
 
+// snapshots recycles the climb's boundary snapshot buffers: the GA climbs
+// every offspring, so a fresh buffer per pass would be one allocation per
+// child.
+var snapshots = sync.Pool{New: func() any { return new([]int) }}
+
 func (c *climber) climb(maxPasses int) int {
+	snap := snapshots.Get().(*[]int)
+	defer snapshots.Put(snap)
 	moves := 0
 	for pass := 0; maxPasses <= 0 || pass < maxPasses; pass++ {
 		improved := false
-		for _, v := range c.boundary() {
+		*snap = c.boundary(*snap)
+		for _, v := range *snap {
 			if c.tryBestMove(v) {
 				moves++
 				improved = true
@@ -91,12 +102,12 @@ func (c *climber) climb(maxPasses int) int {
 }
 
 // boundary snapshots the boundary at pass start: from the Eval's tracked set
-// in O(b log b) when available, otherwise by the O(V+E) scan. Both yield the
+// into buf when available, otherwise by the O(V+E) scan. Both yield the
 // boundary nodes in increasing order, so the climb visits identical nodes in
 // identical order either way — tracking changes the cost, never the result.
-func (c *climber) boundary() []int {
+func (c *climber) boundary(buf []int) []int {
 	if c.ev.TracksBoundary() {
-		return c.ev.AppendBoundary(nil)
+		return c.ev.AppendBoundary(buf)
 	}
 	return c.p.BoundaryNodes(c.g)
 }

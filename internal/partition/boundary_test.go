@@ -1,7 +1,9 @@
 package partition
 
 import (
+	"math/bits"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/graph"
@@ -51,19 +53,24 @@ func contractedGraph(n int, rng *rand.Rand) *graph.Graph {
 	return graph.Contract(g, coarseOf, nCoarse, 1)
 }
 
-// checkBoundaryMatchesBruteForce drives an Eval through a randomized Move
-// sequence and verifies after every move that the tracked boundary set is
-// exactly the brute-force recomputation (Partition.BoundaryNodes).
-func checkBoundaryMatchesBruteForce(t *testing.T, g *graph.Graph, parts int, rng *rand.Rand) {
+// checkBoundaryMatchesBruteForce drives an Eval of p through a randomized
+// Move sequence and verifies after every move that the tracked boundary set
+// is exactly the brute-force recomputation (Partition.BoundaryNodes). It
+// returns how many of those checks found the boundary sparse enough
+// (b·log2(b) <= n) for AppendBoundary to sort its members rather than scan
+// every node's counter.
+func checkBoundaryMatchesBruteForce(t *testing.T, g *graph.Graph, p *Partition, rng *rand.Rand) (sparse int) {
 	t.Helper()
-	n := g.NumNodes()
-	p := RandomBalanced(n, parts, rng)
+	n, parts := g.NumNodes(), p.Parts
 	ev := Tracked(g, p, nil, TotalCut, 1)
 	if !ev.TracksBoundary() {
 		t.Fatal("Track did not enable boundary tracking")
 	}
 	check := func(step int) {
 		want := p.BoundaryNodes(g)
+		if b := len(want); b*bits.Len(uint(b)) <= n {
+			sparse++
+		}
 		got := ev.AppendBoundary(nil)
 		if len(got) != len(want) {
 			t.Fatalf("step %d: boundary size %d, brute force %d", step, len(got), len(want))
@@ -91,13 +98,14 @@ func checkBoundaryMatchesBruteForce(t *testing.T, g *graph.Graph, parts int, rng
 			t.Fatalf("part %d cut drifted: %v vs fresh %v", q, ev.Cuts[q], fresh.Cuts[q])
 		}
 	}
+	return sparse
 }
 
 func TestBoundaryInvariantRandomGraph(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		g := randomWeightedGraph(60+int(seed)*40, rng, false)
-		checkBoundaryMatchesBruteForce(t, g, 2+int(seed), rng)
+		checkBoundaryMatchesBruteForce(t, g, RandomBalanced(g.NumNodes(), 2+int(seed), rng), rng)
 	}
 }
 
@@ -105,7 +113,7 @@ func TestBoundaryInvariantWeightedGraph(t *testing.T) {
 	for seed := int64(11); seed <= 13; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		g := randomWeightedGraph(80, rng, true)
-		checkBoundaryMatchesBruteForce(t, g, 4, rng)
+		checkBoundaryMatchesBruteForce(t, g, RandomBalanced(g.NumNodes(), 4, rng), rng)
 	}
 }
 
@@ -113,7 +121,27 @@ func TestBoundaryInvariantContractedGraph(t *testing.T) {
 	for seed := int64(21); seed <= 23; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		g := contractedGraph(150, rng)
-		checkBoundaryMatchesBruteForce(t, g, 3, rng)
+		checkBoundaryMatchesBruteForce(t, g, RandomBalanced(g.NumNodes(), 3, rng), rng)
+	}
+}
+
+// A block partition of a long path starts with a handful of boundary nodes,
+// so the walk checks AppendBoundary's sorting route until its random moves
+// make the boundary dense enough for the scanning route.
+func TestBoundaryInvariantSparseBoundary(t *testing.T) {
+	const n, parts = 1500, 4
+	b := graph.NewBuilder(n)
+	for v := 1; v < n; v++ {
+		b.AddEdge(v-1, v, 1)
+	}
+	g := b.Build()
+	p := New(n, parts)
+	for v := range p.Assign {
+		p.Assign[v] = uint16(v * parts / n)
+	}
+	checks := 4*n + 1
+	if sparse := checkBoundaryMatchesBruteForce(t, g, p, rand.New(rand.NewSource(31))); sparse == 0 || sparse == checks {
+		t.Fatalf("%d of %d checks saw a sparse boundary: one AppendBoundary route went unchecked", sparse, checks)
 	}
 }
 
@@ -185,6 +213,49 @@ func TestCloneCopiesBoundaryTracking(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatalf("original boundary[%d] = %d, want %d", i, got[i], want[i])
 		}
+	}
+}
+
+// CloneInto must leave dst exactly ev's copy whatever dst held before: its
+// storage is reused, trackers ev lacks are dropped, and the copy diverges
+// from ev without touching it.
+func TestCloneIntoCopiesEveryTracker(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	g := randomWeightedGraph(60, rng, true)
+	other := randomWeightedGraph(90, rng, false)
+	p := RandomBalanced(g.NumNodes(), 4, rng)
+	ev := Tracked(g, p, nil, CommVolume, 1)
+	dst := Tracked(other, RandomBalanced(other.NumNodes(), 4, rng), nil, CommVolume, 1)
+	cl := ev.CloneInto(dst)
+	if cl != dst {
+		t.Fatal("CloneInto did not return dst")
+	}
+	p2 := p.Clone()
+	for step := 0; step < 300; step++ {
+		v, to := rng.Intn(g.NumNodes()), rng.Intn(4)
+		cl.Move(g, p2, v, to)
+		if !slices.Equal(cl.AppendBoundary(nil), p2.BoundaryNodes(g)) {
+			t.Fatalf("step %d: copied boundary differs from brute force", step)
+		}
+	}
+	if cl.CommVol() != p2.CommVolume(g) {
+		t.Fatalf("copied volume %v, rescan %v", cl.CommVol(), p2.CommVolume(g))
+	}
+	fresh := NewEval(g, p2)
+	if !slices.Equal(cl.Weights, fresh.Weights) || !slices.Equal(cl.Cuts, fresh.Cuts) {
+		t.Fatalf("copied aggregates %v %v, fresh %v %v", cl.Weights, cl.Cuts, fresh.Weights, fresh.Cuts)
+	}
+	if !slices.Equal(ev.AppendBoundary(nil), p.BoundaryNodes(g)) || ev.CommVol() != p.CommVolume(g) {
+		t.Fatal("moves on the copy changed the original")
+	}
+
+	plain := NewEval(g, p).CloneInto(dst)
+	if plain.TracksBoundary() || plain.TracksCommVol() {
+		t.Fatal("CloneInto kept trackers the source does not have")
+	}
+	empty := graph.NewBuilder(0).Build()
+	if !Tracked(empty, New(0, 2), nil, TotalCut, 1).Clone().TracksBoundary() {
+		t.Fatal("clone of an empty graph's tracked Eval lost its tracking")
 	}
 }
 

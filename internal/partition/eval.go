@@ -1,7 +1,8 @@
 package partition
 
 import (
-	"sort"
+	"math/bits"
+	"slices"
 
 	"repro/internal/graph"
 )
@@ -9,8 +10,9 @@ import (
 // Eval caches the per-part aggregates of a partition — part weights W(q) and
 // part cuts C(q) — so that single-node reassignments update the fitness in
 // O(deg(v)) instead of rescanning the whole graph. The GA engine keeps one
-// Eval per individual: crossover offspring pay one fused O(V+E) scan, while
-// mutation and boundary hill climbing apply incremental deltas.
+// Eval per individual: each offspring's starts as a copy of its parent's
+// (CloneInto), and the genes crossover and mutation change, like the moves
+// of boundary hill climbing, apply incremental deltas.
 //
 // An Eval has one lifecycle: NewEval builds the aggregates, Track (or
 // Tracked, which builds only what is missing) adds the trackers an objective
@@ -19,8 +21,8 @@ import (
 // Refiners seed their scans from that set instead of rescanning all n nodes,
 // which is what makes per-level refinement in the multilevel pipeline
 // output-sensitive. Tracking is opt-in because it costs O(n) memory and
-// O(deg) extra work per move; the GA's per-individual Evals never ask for it
-// under the cut objectives.
+// O(deg) extra work per move; the GA's per-individual Evals ask for it only
+// when the GA hill-climbs, the one reader of their boundary.
 //
 // An Eval is only meaningful together with the partition it was built from
 // (or has tracked through Move calls); callers own keeping the pair in sync.
@@ -169,17 +171,29 @@ func (ev *Eval) CommVolDelta(g *graph.Graph, p *Partition, v, to int) float64 {
 // AppendBoundary returns the tracked boundary nodes in increasing order,
 // written into buf (which may be nil): buf's contents are replaced, its
 // capacity is reused, so refiners that snapshot the boundary once per pass
-// recycle one buffer. The cost is O(b log b) in the boundary size b —
-// output-sensitive, never O(n). It panics if tracking is not enabled.
+// recycle one buffer. Of two routes to the same list it takes the cheaper:
+// sorting the b members, O(b log b), while the boundary is sparse, and one
+// pass over the n per-node counters once b·log2(b) exceeds n. Either way the
+// cost is output-sensitive, never more than the sort. It panics if tracking
+// is not enabled.
 func (ev *Eval) AppendBoundary(buf []int) []int {
 	if ev.extDeg == nil {
 		panic("partition: AppendBoundary called on Eval without boundary tracking")
 	}
-	buf = buf[:0]
+	b := len(ev.bnodes)
+	buf = slices.Grow(buf[:0], b)
+	if b*bits.Len(uint(b)) > len(ev.extDeg) {
+		for v, d := range ev.extDeg {
+			if d > 0 {
+				buf = append(buf, v)
+			}
+		}
+		return buf
+	}
 	for _, v := range ev.bnodes {
 		buf = append(buf, int(v))
 	}
-	sort.Ints(buf)
+	slices.Sort(buf)
 	return buf
 }
 
@@ -204,24 +218,42 @@ func (ev *Eval) boundaryRemove(v int) {
 	ev.bpos[v] = 0
 }
 
-// Clone deep-copies the aggregates (and the boundary and comm-volume
-// structures, when tracked).
-func (ev *Eval) Clone() *Eval {
-	out := &Eval{
-		Weights: append([]float64(nil), ev.Weights...),
-		Cuts:    append([]float64(nil), ev.Cuts...),
+// Clone deep-copies the aggregates and every tracker.
+func (ev *Eval) Clone() *Eval { return ev.CloneInto(nil) }
+
+// CloneInto is Clone into dst's storage: it makes dst (allocated when nil) a
+// deep copy of ev — the aggregates and every tracker, the comm-volume counts
+// included, with any tracker ev lacks dropped — reusing dst's slices where
+// their capacity allows, and returns it. The GA engine recycles the Evals of
+// each replaced generation this way.
+func (ev *Eval) CloneInto(dst *Eval) *Eval {
+	if dst == nil {
+		dst = &Eval{}
 	}
-	if ev.extDeg != nil {
-		out.extDeg = append([]int32(nil), ev.extDeg...)
-		out.bnodes = append([]int32(nil), ev.bnodes...)
-		out.bpos = append([]int32(nil), ev.bpos...)
+	dst.Weights = copyInto(dst.Weights, ev.Weights)
+	dst.Cuts = copyInto(dst.Cuts, ev.Cuts)
+	dst.extDeg = copyInto(dst.extDeg, ev.extDeg)
+	dst.bnodes = copyInto(dst.bnodes, ev.bnodes)
+	dst.bpos = copyInto(dst.bpos, ev.bpos)
+	dst.Vols = copyInto(dst.Vols, ev.Vols)
+	dst.nbrCnt = copyInto(dst.nbrCnt, ev.nbrCnt)
+	dst.extParts = copyInto(dst.extParts, ev.extParts)
+	return dst
+}
+
+// copyInto returns a copy of src, in dst's storage when it fits. A nil src
+// stays nil, the mark of a tracker the Eval does not keep, and a non-nil one
+// never becomes nil.
+func copyInto[T any](dst, src []T) []T {
+	if src == nil {
+		return nil
 	}
-	if ev.nbrCnt != nil {
-		out.Vols = append([]float64(nil), ev.Vols...)
-		out.nbrCnt = append([]int32(nil), ev.nbrCnt...)
-		out.extParts = append([]int32(nil), ev.extParts...)
+	if dst == nil || cap(dst) < len(src) {
+		dst = make([]T, len(src))
 	}
-	return out
+	dst = dst[:len(src)]
+	copy(dst, src)
+	return dst
 }
 
 // Move reassigns node v of p to part `to`, updating both the partition and
@@ -354,7 +386,11 @@ func (ev *Eval) MaxCut() float64 {
 // Fitness evaluates objective o from the cached aggregates. For graphs with
 // integer weights the result is exactly Partition.Fitness; for fractional
 // weights it may differ in the last bits (different but fixed summation
-// order), deterministically for a given move history.
+// order), deterministically for a given move history. An Eval that reached
+// its partition through Moves — every GA offspring, copied from its parent
+// and moved to its own genes — sums its cuts in move order, so on fractional
+// weights it may also differ in the last bits from NewEval of the same
+// partition.
 func (ev *Eval) Fitness(g *graph.Graph, o Objective) float64 {
 	switch o {
 	case TotalCut:

@@ -12,6 +12,7 @@ import (
 	"repro/internal/gen"
 	"repro/internal/gio"
 	"repro/internal/graph"
+	"repro/internal/partition"
 	"repro/internal/service"
 )
 
@@ -454,10 +455,15 @@ func TestRuntimeFailureIsReported(t *testing.T) {
 	e := service.New(service.Config{Workers: 1})
 	defer e.Close()
 	g := testGraph(t)
-	// Passes the submit-time constraint checks, but the GA rejects the
-	// configuration at run time (16 islands of 1 individual): the job must
-	// fail cleanly with the error preserved, not take the engine down.
-	info, err := submit(e, stored(g), "dknux", algo.Options{Parts: 2, PopSize: 16, Islands: 16, Generations: 1})
+	// Passes the submit-time constraint checks, but the algorithm fails at
+	// run time: the job must fail cleanly with the error preserved, not take
+	// the engine down.
+	fail := func(*graph.Graph, algo.Options) (*partition.Partition, error) {
+		return nil, errors.New("test-block: failed at run time")
+	}
+	blockBehavior.Store(&fail)
+	t.Cleanup(func() { blockBehavior.Store(nil) })
+	info, err := submit(e, stored(g), "test-block", algo.Options{Parts: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -469,7 +475,7 @@ func TestRuntimeFailureIsReported(t *testing.T) {
 		t.Errorf("JobsFailed %d; want 1", s.JobsFailed)
 	}
 	// Failures are not cached: the same request computes again.
-	again, err := submit(e, stored(g), "dknux", algo.Options{Parts: 2, PopSize: 16, Islands: 16, Generations: 1})
+	again, err := submit(e, stored(g), "test-block", algo.Options{Parts: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

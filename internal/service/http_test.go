@@ -211,6 +211,12 @@ func TestHTTPConstraintViolationsAreStructured4xx(t *testing.T) {
 		{"empty graph", service.PartitionRequest{JobSpec: service.JobSpec{Algo: "kl", Parts: 4}}, "bad_graph"},
 		{"malformed metis", service.PartitionRequest{JobSpec: service.JobSpec{Algo: "kl", Parts: 4}, Graph: "3 9\n2\n1\n\n"}, "bad_graph"},
 		{"malformed edgelist", service.PartitionRequest{JobSpec: service.JobSpec{Algo: "kl", Parts: 2}, Format: "edgelist", Graph: "0 0\n"}, "bad_graph"},
+		{"islands not a power of two", service.PartitionRequest{JobSpec: service.JobSpec{Algo: "dknux", Parts: 2, Islands: 3}, Graph: payload}, "bad_islands"},
+		{"huge population", service.PartitionRequest{JobSpec: service.JobSpec{Algo: "dknux", Parts: 2, PopSize: 100000000}, Graph: payload}, "bad_pop_size"},
+		{"islands too small", service.PartitionRequest{JobSpec: service.JobSpec{Algo: "dknux", Parts: 2, PopSize: 8, Islands: 4}, Graph: payload}, "bad_pop_size"},
+		{"coarse islands not a power of two", service.PartitionRequest{JobSpec: service.JobSpec{Algo: "multilevel-ga", Parts: 2, Islands: 3}, Graph: payload}, "bad_islands"},
+		{"huge coarse population", service.PartitionRequest{JobSpec: service.JobSpec{Algo: "multilevel-ga", Parts: 2, PopSize: 100000000}, Graph: payload}, "bad_pop_size"},
+		{"coarse islands too small", service.PartitionRequest{JobSpec: service.JobSpec{Algo: "multilevel-ga", Parts: 2, PopSize: 8}, Graph: payload}, "bad_pop_size"},
 	}
 	for _, c := range cases {
 		status, data := postPartition(t, ts.URL, c.req)
@@ -220,6 +226,13 @@ func TestHTTPConstraintViolationsAreStructured4xx(t *testing.T) {
 		}
 		if got := decodeErrorCode(t, data); got != c.code {
 			t.Errorf("%s: code %q, want %q (%s)", c.name, got, c.code, data)
+		}
+	}
+	// GA specs that leave pop_size and islands at their defaults still run.
+	for _, name := range []string{"dknux", "multilevel-ga"} {
+		req := service.PartitionRequest{JobSpec: service.JobSpec{Algo: name, Parts: 2, Generations: 2}, Graph: payload, Wait: true}
+		if status, data := postPartition(t, ts.URL, req); status != http.StatusOK || decodeJob(t, data).State != service.StateDone {
+			t.Errorf("default %s spec: status %d: %s", name, status, data)
 		}
 	}
 }
