@@ -82,7 +82,6 @@ func Improve(g *graph.Graph, start *partition.Partition, cfg Config, rng *rand.R
 	if c.Objective == partition.CommVolume {
 		ev.Track(g, cur, c.Objective, 1)
 	}
-	avg := g.TotalNodeWeight() / float64(c.Parts)
 	curFit := ev.Fitness(g, c.Objective)
 	best := cur.Clone()
 	bestFit := curFit
@@ -100,7 +99,7 @@ func Improve(g *graph.Graph, start *partition.Partition, cfg Config, rng *rand.R
 				if to == from {
 					continue
 				}
-				delta := ev.MoveGain(g, cur, c.Objective, avg, v, to)
+				delta := ev.MoveGain(g, cur, c.Objective, v, to)
 				if delta >= 0 || rng.Float64() < math.Exp(delta/temp) {
 					ev.Move(g, cur, v, to)
 					curFit += delta
@@ -123,7 +122,6 @@ func Improve(g *graph.Graph, start *partition.Partition, cfg Config, rng *rand.R
 // picks a temperature at which ~60% of them would be accepted.
 func calibrateTemp(g *graph.Graph, p *partition.Partition, ev *partition.Eval, c Config, rng *rand.Rand) float64 {
 	n := g.NumNodes()
-	avg := g.TotalNodeWeight() / float64(c.Parts)
 	var sum float64
 	uphill := 0
 	for trial := 0; trial < 200 && uphill < 50; trial++ {
@@ -132,7 +130,7 @@ func calibrateTemp(g *graph.Graph, p *partition.Partition, ev *partition.Eval, c
 		if int(p.Assign[v]) == to {
 			continue
 		}
-		if d := ev.MoveGain(g, p, c.Objective, avg, v, to); d < 0 {
+		if d := ev.MoveGain(g, p, c.Objective, v, to); d < 0 {
 			sum -= d
 			uphill++
 		}

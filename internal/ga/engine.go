@@ -73,7 +73,10 @@ func (c *Config) withDefaults() Config {
 // with the initial population (generation 0).
 type Stats struct {
 	BestFitness []float64 // fitness of the best individual found so far
-	BestCut     []float64 // CutSize of that individual
+	// BestCut is that individual's cut weight, read from its cached
+	// aggregates: exactly its CutSize on integer weights, and on fractional
+	// ones within the last bits (see partition.Eval.Fitness).
+	BestCut []float64
 }
 
 // Engine is a single-population generational GA. Create with New, advance
@@ -187,7 +190,7 @@ func (e *Engine) updateEstimate() {
 
 func (e *Engine) record() {
 	e.stats.BestFitness = append(e.stats.BestFitness, e.best.Fitness)
-	e.stats.BestCut = append(e.stats.BestCut, e.best.Part.CutSize(e.g))
+	e.stats.BestCut = append(e.stats.BestCut, e.best.ev.TotalCutWeight()/2)
 }
 
 // Step advances one generation: elitism, then a strictly serial breed phase

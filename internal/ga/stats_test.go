@@ -1,32 +1,68 @@
 package ga
 
 import (
+	"math/rand"
 	"testing"
 
 	"repro/internal/gen"
+	"repro/internal/graph"
 )
 
+// Every generation's BestCut is the best individual's cut, read from its
+// Eval: exactly a fresh CutSize scan, also on integer node and edge weights
+// with hill climbing moving the offspring.
 func TestStatsSeriesLengthsAndBounds(t *testing.T) {
-	g := gen.Mesh(50, 51)
-	e, err := New(g, smallConfig(4, Uniform{}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	e.Run(12)
-	s := e.Stats()
-	want := 13 // generation 0 plus 12 steps
-	if len(s.BestFitness) != want || len(s.BestCut) != want {
-		t.Fatalf("series lengths: fitness=%d cut=%d, want %d",
-			len(s.BestFitness), len(s.BestCut), want)
-	}
-	for i, cut := range s.BestCut {
-		if cut < 0 || cut > float64(g.NumEdges()) {
-			t.Errorf("gen %d: best cut %v out of [0, %d]", i, cut, g.NumEdges())
+	for _, tc := range []struct {
+		name  string
+		g     *graph.Graph
+		climb bool
+	}{
+		{"unit", gen.Mesh(50, 51), false},
+		{"int-weighted/climb", intWeightedMesh(60, 52), true},
+	} {
+		g := tc.g
+		cfg := smallConfig(4, Uniform{})
+		cfg.HillClimb = tc.climb
+		e, err := New(g, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for step := 0; step <= 12; step++ {
+			if step > 0 {
+				e.Step()
+			}
+			s := e.Stats()
+			if last, want := s.BestCut[len(s.BestCut)-1], e.Best().Part.CutSize(g); last != want {
+				t.Fatalf("%s: generation %d best cut %v, want the best individual's %v", tc.name, step, last, want)
+			}
+		}
+		s := e.Stats()
+		want := 13 // generation 0 plus 12 steps
+		if len(s.BestFitness) != want || len(s.BestCut) != want {
+			t.Fatalf("%s: series lengths: fitness=%d cut=%d, want %d",
+				tc.name, len(s.BestFitness), len(s.BestCut), want)
+		}
+		var total float64
+		g.Edges(func(_, _ int, w float64) bool { total += w; return true })
+		for i, cut := range s.BestCut {
+			if cut < 0 || cut > total {
+				t.Errorf("%s: gen %d: best cut %v out of [0, %v]", tc.name, i, cut, total)
+			}
 		}
 	}
-	if last := s.BestCut[want-1]; last != e.Best().Part.CutSize(g) {
-		t.Errorf("last best cut %v, want the best individual's %v", last, e.Best().Part.CutSize(g))
-	}
+}
+
+// intWeightedMesh is a mesh with integer node weights (gen.SkewWeights) and
+// integer edge weights in 1..5.
+func intWeightedMesh(n int, seed int64) *graph.Graph {
+	g := gen.SkewWeights(gen.Mesh(n, seed), seed, 9)
+	rng := rand.New(rand.NewSource(seed))
+	b := graph.FromGraph(g)
+	g.Edges(func(u, v int, _ float64) bool {
+		b.AddEdge(u, v, float64(1+rng.Intn(5)))
+		return true
+	})
+	return b.Build()
 }
 
 // diversity is the population's mean per-gene disagreement with its fittest

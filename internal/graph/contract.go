@@ -2,7 +2,6 @@ package graph
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/par"
 )
@@ -199,7 +198,7 @@ func (s *ContractScratch) Contract(g *Graph, coarseOf []int, nCoarse, workers in
 						}
 					}
 				}
-				sort.Sort(&adjSorter{out.adj[runStart:], out.ew[runStart:]})
+				SortAdjacency(out.adj[runStart:], out.ew[runStart:])
 				out.degOff[c-cLo+1] = int32(len(out.adj))
 			}
 		}
@@ -232,6 +231,7 @@ func (s *ContractScratch) Contract(g *Graph, coarseOf []int, nCoarse, workers in
 		adj:        adj,
 		edgeWeight: ew,
 		nodeWeight: nodeWeight,
+		totalNodeW: sumWeights(nodeWeight),
 		numEdges:   len(adj) / 2,
 	}
 	if cx != nil {

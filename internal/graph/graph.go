@@ -27,6 +27,7 @@ type Graph struct {
 	adj        []int32   // neighbor node indices, sorted within each node
 	edgeWeight []float64 // parallel to adj
 	nodeWeight []float64 // len = n
+	totalNodeW float64   // Σ nodeWeight, summed in node order
 	numEdges   int       // undirected edge count (each {u,v} counted once)
 	coords     []Point   // optional geometric embedding; nil or len = n
 }
@@ -63,10 +64,15 @@ func (g *Graph) EdgeWeights(v int) []float64 {
 // NodeWeight returns the computation weight of node v.
 func (g *Graph) NodeWeight(v int) float64 { return g.nodeWeight[v] }
 
-// TotalNodeWeight returns the sum of all node weights.
-func (g *Graph) TotalNodeWeight() float64 {
+// TotalNodeWeight returns the sum of all node weights, in O(1): every
+// constructor sums them once, in node order.
+func (g *Graph) TotalNodeWeight() float64 { return g.totalNodeW }
+
+// sumWeights returns Σ ws in index order, the order TotalNodeWeight's value
+// is summed in.
+func sumWeights(ws []float64) float64 {
 	var s float64
-	for _, w := range g.nodeWeight {
+	for _, w := range ws {
 		s += w
 	}
 	return s
@@ -283,15 +289,14 @@ func (b *Builder) Build() *Graph {
 	// Sort each adjacency list (weights move with their neighbors).
 	for v := 0; v < n; v++ {
 		lo, hi := offsets[v], offsets[v+1]
-		idx := adj[lo:hi]
-		wts := ew[lo:hi]
-		sort.Sort(&adjSorter{idx, wts})
+		SortAdjacency(adj[lo:hi], ew[lo:hi])
 	}
 	g := &Graph{
 		offsets:    offsets,
 		adj:        adj,
 		edgeWeight: ew,
 		nodeWeight: append([]float64(nil), b.nodeWeight...),
+		totalNodeW: sumWeights(b.nodeWeight),
 		numEdges:   len(b.edges),
 	}
 	if b.hasCoords {
@@ -328,6 +333,7 @@ func FromCSR(offsets, adj []int32, edgeWeight, nodeWeight []float64, coords []Po
 		adj:        adj,
 		edgeWeight: edgeWeight,
 		nodeWeight: nodeWeight,
+		totalNodeW: sumWeights(nodeWeight),
 		numEdges:   len(adj) / 2,
 		coords:     coords,
 	}
@@ -337,11 +343,32 @@ func FromCSR(offsets, adj []int32, edgeWeight, nodeWeight []float64, coords []Po
 	return g, nil
 }
 
+// shortRow is the longest adjacency row SortAdjacency insertion-sorts;
+// longer rows go through sort.Sort.
+const shortRow = 24
+
 // SortAdjacency sorts neighbor indices idx (with parallel weights wts) in
-// increasing order. Deserializers use it to canonicalize each CSR row before
-// handing the arrays to FromCSR.
+// increasing order. Builder and Contract sort every row they emit with it,
+// and deserializers use it to canonicalize each CSR row before handing the
+// arrays to FromCSR. Rows of up to shortRow entries, most rows of a sparse
+// graph, are insertion-sorted in place with no interface calls. Every row
+// Builder and Contract emit has distinct neighbors, so the sorted row is
+// unique whichever way it is sorted (FromCSR rejects a deserialized row with
+// duplicates either way).
 func SortAdjacency(idx []int32, wts []float64) {
-	sort.Sort(&adjSorter{idx, wts})
+	if len(idx) > shortRow {
+		sort.Sort(&adjSorter{idx, wts})
+		return
+	}
+	wts = wts[:len(idx)]
+	for i := 1; i < len(idx); i++ {
+		u, w := idx[i], wts[i]
+		j := i
+		for ; j > 0 && idx[j-1] > u; j-- {
+			idx[j], wts[j] = idx[j-1], wts[j-1]
+		}
+		idx[j], wts[j] = u, w
+	}
 }
 
 type adjSorter struct {

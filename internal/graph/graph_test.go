@@ -3,6 +3,7 @@ package graph
 import (
 	"bytes"
 	"math/rand"
+	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -425,5 +426,72 @@ func TestQuickBFSLipschitz(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TotalNodeWeight is stored at construction; it must equal a fresh sum in
+// node order, bit for bit, for every constructor and for the zero Graph.
+func TestTotalNodeWeightStored(t *testing.T) {
+	rng := rand.New(rand.NewSource(61))
+	fresh := func(g *Graph) float64 {
+		var s float64
+		for v := 0; v < g.NumNodes(); v++ {
+			s += g.NodeWeight(v)
+		}
+		return s
+	}
+	b := NewBuilder(50)
+	for v := 0; v < 50; v++ {
+		b.SetNodeWeight(v, 0.1+rng.Float64()*3) // fractional: summation order shows
+		if v > 0 {
+			b.AddEdge(v, rng.Intn(v), 1)
+		}
+	}
+	b.AddNode(2.5)
+	built := b.Build()
+	induced, _ := built.InducedSubgraph([]int{3, 1, 4, 15, 9, 26})
+	csr, err := FromCSR(append([]int32(nil), built.offsets...), append([]int32(nil), built.adj...),
+		append([]float64(nil), built.edgeWeight...), append([]float64(nil), built.nodeWeight...), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	coarseOf, nCoarse := randomCoarseMap(built.NumNodes(), rng)
+	for name, g := range map[string]*Graph{
+		"zero":     {},
+		"empty":    NewBuilder(0).Build(),
+		"builder":  built,
+		"fromCSR":  csr,
+		"contract": Contract(built, coarseOf, nCoarse, 1),
+		"induced":  induced,
+	} {
+		if got, want := g.TotalNodeWeight(), fresh(g); got != want {
+			t.Errorf("%s: TotalNodeWeight = %v, fresh sum %v", name, got, want)
+		}
+	}
+}
+
+// SortAdjacency's insertion sort of short rows and its sort.Sort of long ones
+// must both give sort.Sort's order, weights moving with their neighbors.
+func TestSortAdjacencyMatchesSortSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(62))
+	for trial := 0; trial < 400; trial++ {
+		n := rng.Intn(201)
+		if trial < 2*shortRow {
+			n = trial % (2*shortRow + 1) // every length around the cutoff
+		}
+		idx := make([]int32, n)
+		wts := make([]float64, n)
+		for i, k := range rng.Perm(4 * (n + 1))[:n] { // distinct, as in every emitted row
+			idx[i], wts[i] = int32(k), rng.Float64()
+		}
+		wantIdx := append([]int32(nil), idx...)
+		wantWts := append([]float64(nil), wts...)
+		sort.Sort(&adjSorter{wantIdx, wantWts})
+		SortAdjacency(idx, wts)
+		for i := range idx {
+			if idx[i] != wantIdx[i] || wts[i] != wantWts[i] {
+				t.Fatalf("len %d: entry %d = (%d, %v), sort.Sort gives (%d, %v)", n, i, idx[i], wts[i], wantIdx[i], wantWts[i])
+			}
+		}
 	}
 }

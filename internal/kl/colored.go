@@ -107,21 +107,66 @@ const (
 // starts (the dedup stamps).
 var sweepPool = sync.Pool{New: func() any { return new(sweeper) }}
 
-// moveCand is one candidate destination of a class member: the target part
-// and the total weight of the member's edges into it, accumulated in
-// first-seen neighbor order (matching the serial climb's candidate order and
-// tie-breaking).
+// moveCand is one candidate destination of a gathered node: the target part
+// and the total weight of the node's edges into it. A gather lists them in
+// first-seen neighbor order, the order both climbs try them in (ties go to
+// the earliest).
 type moveCand struct {
 	to  int32
 	wTo float64
 }
 
-// classScratch is one worker's per-part dedup scratch for candidate
-// accumulation; rows are invalidated by bumping the stamp, never by zeroing.
+// classScratch is the per-part dedup scratch of candidate accumulation, one
+// per sweep worker and one per serial climb; rows are invalidated by bumping
+// the stamp, never by zeroing.
 type classScratch struct {
 	seen  []int32 // seen[q] == stamp: part q already has a candidate slot
 	idx   []int32 // its index within the node's candidate range
 	stamp int32
+}
+
+// reset readies sc for partitions of `parts` parts: rows at least that long,
+// every stamp restarted, so a recycled scratch can never wrap a stamp into a
+// stale seen entry.
+func (sc *classScratch) reset(parts int) {
+	if len(sc.seen) < parts {
+		sc.seen = make([]int32, parts)
+		sc.idx = make([]int32, parts)
+	} else {
+		clear(sc.seen)
+	}
+	sc.stamp = 1
+}
+
+// gather is the one connectivity scan of both climbers: it appends v's
+// foreign parts — its neighbors' parts other than its own — to the empty
+// slice cands, in first-seen neighbor order, each with the total weight of
+// v's edges into it, and returns them with the weight of v's edges into its
+// own part and in total. cands needs room for at most deg(v) entries; with
+// that capacity (the colored sweep passes each member's index-owned range)
+// the gather writes nothing outside it.
+func (sc *classScratch) gather(g *graph.Graph, assign []uint16, v int, cands []moveCand) ([]moveCand, float64, float64) {
+	from := assign[v]
+	var wFrom, wTot float64
+	ws := g.EdgeWeights(v)
+	for i, u := range g.Neighbors(v) {
+		w := ws[i]
+		wTot += w
+		q := assign[u]
+		if q == from {
+			wFrom += w
+			continue
+		}
+		if sc.seen[q] != sc.stamp {
+			sc.seen[q] = sc.stamp
+			sc.idx[q] = int32(len(cands))
+			cands = append(cands, moveCand{to: int32(q), wTo: w})
+		} else {
+			cands[sc.idx[q]].wTo += w
+		}
+	}
+	sc.stamp++
+	return cands, wFrom, wTot
 }
 
 // sweeper carries the state of one colored sweep. All slices are scratch
@@ -163,7 +208,7 @@ type rule interface {
 
 // climb is Climb on this sweeper.
 func (s *sweeper) climb(g *graph.Graph, p *partition.Partition, ev *partition.Eval, cfg Config) int {
-	r := climbRule{o: cfg.Objective, avg: g.TotalNodeWeight() / float64(p.Parts)}
+	r := climbRule{o: cfg.Objective}
 	return s.run(g, p, ev, cfg, cfg.MaxPasses, r)
 }
 
@@ -183,19 +228,12 @@ func (s *sweeper) propagate(g *graph.Graph, p *partition.Partition, ev *partitio
 func (s *sweeper) run(g *graph.Graph, p *partition.Partition, ev *partition.Eval, cfg Config, maxPasses int, r rule) int {
 	s.g, s.p, s.ev = g, p, partition.Tracked(g, p, ev, cfg.Objective, cfg.Workers)
 	s.workers = par.Workers(cfg.Workers)
-	// A recycled sweeper's dedup rows carry stamps from earlier sweeps:
-	// restart them, so a long-lived process can never wrap a stamp into a
-	// stale seen entry, and rebuild them when there are too few or they are
-	// too short for p.Parts.
-	if len(s.scratch) < s.workers || len(s.scratch[0].seen) < p.Parts {
+	// A recycled sweeper's dedup rows carry stamps from earlier sweeps.
+	if len(s.scratch) < s.workers {
 		s.scratch = make([]classScratch, s.workers)
-		for w := range s.scratch {
-			s.scratch[w] = classScratch{seen: make([]int32, p.Parts), idx: make([]int32, p.Parts)}
-		}
 	}
 	for w := range s.scratch {
-		clear(s.scratch[w].seen)
-		s.scratch[w].stamp = 1
+		s.scratch[w].reset(p.Parts)
 	}
 	moves := 0
 	for pass := 0; maxPasses <= 0 || pass < maxPasses; pass++ {
@@ -272,44 +310,13 @@ func (s *sweeper) sweepClass(r rule, members []int32) int {
 		sc := &s.scratch[worker]
 		for j := lo; j < hi; j++ {
 			v := int(members[j])
-			s.gather(sc, j, v)
+			base, end := s.off[j], s.off[j+1]
+			cands, wf, wt := sc.gather(s.g, s.p.Assign, v, s.cands[base:base:end])
+			s.cnt[j], s.wFrom[j], s.wTot[j] = int32(len(cands)), wf, wt
 			s.to[j], s.score[j] = r.eval(s, j, v)
 		}
 	})
 	return r.commit(s, members)
-}
-
-// gather fills class member j's (node v's) candidate range in first-seen
-// neighbor order, using the calling worker's dedup scratch sc, plus the
-// weight of v's edges into its own part and in total.
-func (s *sweeper) gather(sc *classScratch, j, v int) {
-	assign := s.p.Assign
-	from := assign[v]
-	base := int(s.off[j])
-	k := int32(0)
-	var wf, wt float64
-	ws := s.g.EdgeWeights(v)
-	for i, u := range s.g.Neighbors(v) {
-		w := ws[i]
-		wt += w
-		q := assign[u]
-		if q == from {
-			wf += w
-			continue
-		}
-		if sc.seen[q] != sc.stamp {
-			sc.seen[q] = sc.stamp
-			sc.idx[q] = k
-			s.cands[base+int(k)] = moveCand{to: int32(q), wTo: w}
-			k++
-		} else {
-			s.cands[base+int(sc.idx[q])].wTo += w
-		}
-	}
-	sc.stamp++
-	s.cnt[j] = k
-	s.wFrom[j] = wf
-	s.wTot[j] = wt
 }
 
 // candidates returns class member j's gathered candidates.
@@ -320,8 +327,7 @@ func (s *sweeper) candidates(j int) []moveCand {
 // climbRule is Climb's rule: fitness gains through the shared gain
 // definition (partition.Eval.MoveGainFromWeights) under objective o.
 type climbRule struct {
-	o   partition.Objective
-	avg float64 // ideal part weight W/k
+	o partition.Objective
 }
 
 // eval is member j's provisional best move against the class-start
@@ -333,7 +339,7 @@ func (r climbRule) eval(s *sweeper, j, v int) (int32, float64) {
 	bestTo, best := int32(-1), math.Inf(-1)
 	for _, cd := range s.candidates(j) {
 		wOther := wt - wf - cd.wTo
-		if fit := s.ev.MoveGainFromWeights(s.g, s.p, r.o, r.avg, v, int(cd.to), wf, cd.wTo, wOther); fit > best {
+		if fit := s.ev.MoveGainFromWeights(s.g, s.p, r.o, v, int(cd.to), wf, cd.wTo, wOther); fit > best {
 			bestTo, best = cd.to, fit
 		}
 	}
@@ -391,21 +397,11 @@ type scored struct {
 // against the Eval's current state, which is exactly the serial semantics
 // (and still sound under the no-shared-edge guarantee).
 func (r climbRule) commitBest(s *sweeper, j, v int) bool {
-	wf, wt := s.wFrom[j], s.wTot[j]
-	bestTo := -1
-	var bestFit float64
-	for _, cd := range s.candidates(j) {
-		to := int(cd.to)
-		wOther := wt - wf - cd.wTo
-		fit := s.ev.MoveGainFromWeights(s.g, s.p, r.o, r.avg, v, to, wf, cd.wTo, wOther)
-		if fit > 1e-12 && (bestTo < 0 || fit > bestFit) {
-			bestTo, bestFit = to, fit
-		}
-	}
-	if bestTo < 0 {
+	to := bestMove(s.g, s.p, s.ev, r.o, v, s.candidates(j), s.wFrom[j], s.wTot[j])
+	if to < 0 {
 		return false
 	}
-	s.ev.Move(s.g, s.p, v, bestTo)
+	s.ev.Move(s.g, s.p, v, to)
 	return true
 }
 

@@ -14,13 +14,24 @@ import (
 // newClimber returns a climber over p with a freshly built Eval, for probing
 // move deltas directly.
 func newClimber(g *graph.Graph, p *partition.Partition, o partition.Objective) *climber {
-	return &climber{
-		g:   g,
-		p:   p,
-		o:   o,
-		ev:  partition.NewEval(g, p),
-		avg: g.TotalNodeWeight() / float64(p.Parts),
+	c := &climber{g: g, p: p, o: o, ev: partition.NewEval(g, p)}
+	c.sc.reset(p.Parts)
+	return c
+}
+
+// moveDelta is the fitness improvement of moving v to part `to` as the
+// climb computes it: one gather of v's adjacency, then the shared gain
+// definition on the gathered weights. `to` need not be a candidate; v then
+// has no edge weight into it.
+func (c *climber) moveDelta(v, to int) float64 {
+	cands, wFrom, wTot := c.sc.gather(c.g, c.p.Assign, v, nil)
+	var wTo float64
+	for _, cd := range cands {
+		if int(cd.to) == to {
+			wTo = cd.wTo
+		}
 	}
+	return c.ev.MoveGainFromWeights(c.g, c.p, c.o, v, to, wFrom, wTo, wTot-wFrom-wTo)
 }
 
 // TestMoveDeltaMatchesFullEvaluation cross-checks the incremental fitness

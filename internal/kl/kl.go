@@ -9,6 +9,16 @@
 //     (Climb, and Refine, which rebalances after it) and size-constrained
 //     label propagation (Propagate), the cheap refiner of the million-node
 //     levels.
+//
+// Both climbs read a visited node's adjacency once: one gather lists its
+// candidate parts in first-seen neighbor order, each with the weight of the
+// node's edges into it, and every candidate's gain is folded from those
+// weights by the shared gain definition (partition.Eval.MoveGainFromWeights),
+// the weight into the remaining parts being the gathered total minus the
+// two. On integer weights, which every generator, contraction and METIS
+// input has, every gain is exact. On fractional weights a gain may differ in
+// the last bits from one computed by a separate scan per candidate,
+// deterministically for a given input.
 package kl
 
 import (
@@ -50,15 +60,23 @@ type Config struct {
 // evaluates moving the node to every neighboring part and takes the best
 // strictly-improving move. This is exactly the paper's hill-climbing step:
 // offspring are driven to the nearest local optimum of the fitness function.
-// Move deltas are computed incrementally in O(deg(v) + parts) from ev, the
+// One gather of the node's adjacency lists its candidate parts in first-seen
+// neighbor order (ties go to the earliest), with the edge weight into each,
+// and every candidate's gain is folded from those weights and ev, the
 // partition's cached aggregates (the GA engine keeps one Eval per
-// individual), which every move keeps in sync, so the GA can afford hill
-// climbing on every offspring and read the final fitness straight from ev. A
-// nil ev is rebuilt from p. Each pass snapshots the boundary from ev when it
-// tracks the boundary set, as the GA's Evals do whenever it climbs; under the
-// cut objectives an untracked ev stays untracked, and each pass finds the
+// individual), which every move keeps in sync — O(deg(v)) per node plus
+// O(1) per candidate under TotalCut, so the GA can afford hill climbing on
+// every offspring and read the final fitness straight from ev. A nil ev is
+// rebuilt from p. Each pass snapshots the boundary from ev when it tracks
+// the boundary set, as the GA's Evals do whenever it climbs; under the cut
+// objectives an untracked ev stays untracked, and each pass finds the
 // boundary by scanning p instead. CommVolume's gains need the Eval's volume
 // counts, which are built here when missing.
+//
+// On fractional weights its gains may differ in the last bits from those of
+// a climb that rescans the adjacency for every candidate (see the package
+// comment), so a near tie may be decided differently; on integer weights the
+// two climbs are identical move for move.
 func HillClimbEval(g *graph.Graph, p *partition.Partition, o partition.Objective, maxPasses int, ev *partition.Eval) int {
 	switch {
 	case o == partition.CommVolume:
@@ -66,29 +84,38 @@ func HillClimbEval(g *graph.Graph, p *partition.Partition, o partition.Objective
 	case ev == nil:
 		ev = partition.NewEval(g, p)
 	}
-	c := &climber{
-		g:   g,
-		p:   p,
-		o:   o,
-		ev:  ev,
-		avg: g.TotalNodeWeight() / float64(p.Parts),
-	}
-	return c.climb(maxPasses)
+	c := climbers.Get().(*climber)
+	defer climbers.Put(c)
+	return c.climb(g, p, o, ev, maxPasses)
 }
 
-// snapshots recycles the climb's boundary snapshot buffers: the GA climbs
-// every offspring, so a fresh buffer per pass would be one allocation per
-// child.
-var snapshots = sync.Pool{New: func() any { return new([]int) }}
+// climbers recycles the serial climb's buffers: the GA climbs every
+// offspring, so a fresh boundary snapshot, dedup rows and candidate list per
+// climb would be several allocations per child.
+var climbers = sync.Pool{New: func() any { return new(climber) }}
 
-func (c *climber) climb(maxPasses int) int {
-	snap := snapshots.Get().(*[]int)
-	defer snapshots.Put(snap)
+// climber walks a partition together with its cached per-part weights and
+// cuts (partition.Eval) so single-node move gains are incremental, plus the
+// climb's reusable buffers.
+type climber struct {
+	g  *graph.Graph
+	p  *partition.Partition
+	o  partition.Objective
+	ev *partition.Eval
+
+	snap  []int        // the pass's boundary snapshot
+	sc    classScratch // the gather's dedup rows
+	cands []moveCand   // the visited node's candidates
+}
+
+func (c *climber) climb(g *graph.Graph, p *partition.Partition, o partition.Objective, ev *partition.Eval, maxPasses int) int {
+	c.g, c.p, c.o, c.ev = g, p, o, ev
+	c.sc.reset(p.Parts)
 	moves := 0
 	for pass := 0; maxPasses <= 0 || pass < maxPasses; pass++ {
 		improved := false
-		*snap = c.boundary(*snap)
-		for _, v := range *snap {
+		c.snap = c.boundary(c.snap)
+		for _, v := range c.snap {
 			if c.tryBestMove(v) {
 				moves++
 				improved = true
@@ -98,6 +125,7 @@ func (c *climber) climb(maxPasses int) int {
 			break
 		}
 	}
+	c.g, c.p, c.ev = nil, nil, nil
 	return moves
 }
 
@@ -112,56 +140,38 @@ func (c *climber) boundary(buf []int) []int {
 	return c.p.BoundaryNodes(c.g)
 }
 
-// climber walks a partition together with its cached per-part weights and
-// cuts (partition.Eval) so single-node move deltas are incremental.
-type climber struct {
-	g   *graph.Graph
-	p   *partition.Partition
-	o   partition.Objective
-	ev  *partition.Eval
-	avg float64
-}
-
-// moveDelta returns the fitness improvement of moving v to part `to`,
-// computed through the objective-parameterized gain definition shared by
-// every refiner (partition.Eval.MoveGain).
-func (c *climber) moveDelta(v, to int) float64 {
-	return c.ev.MoveGain(c.g, c.p, c.o, c.avg, v, to)
-}
-
 // tryBestMove moves v to the neighboring part that most improves fitness, if
-// any strictly does, updating the cached state. Candidate parts are examined
-// in neighbor order (ties go to the earliest), keeping the climb fully
-// deterministic. The winning move is applied through Eval.Move so the
-// aggregates — and the boundary set, when tracked — stay exact.
+// any strictly does, updating the cached state. The winning move is applied
+// through Eval.Move so the aggregates — and the boundary set, when tracked —
+// stay exact.
 func (c *climber) tryBestMove(v int) bool {
-	from := int(c.p.Assign[v])
-	var tried [8]int // dedup scratch; spills to append for high-degree nodes
-	cand := tried[:0]
+	var wFrom, wTot float64
+	c.cands, wFrom, wTot = c.sc.gather(c.g, c.p.Assign, v, c.cands[:0])
+	to := bestMove(c.g, c.p, c.ev, c.o, v, c.cands, wFrom, wTot)
+	if to < 0 {
+		return false
+	}
+	c.ev.Move(c.g, c.p, v, to)
+	return true
+}
+
+// bestMove returns the candidate destination of v that most improves
+// objective o against ev's current aggregates, or -1 when none strictly
+// does. cands are v's gathered candidates and wFrom, wTot the weight of its
+// edges into its own part and in total; candidates are tried in order, so
+// ties go to the earliest — the climbers' shared tie rule, which keeps them
+// fully deterministic.
+func bestMove(g *graph.Graph, p *partition.Partition, ev *partition.Eval, o partition.Objective, v int, cands []moveCand, wFrom, wTot float64) int {
 	bestTo := -1
 	var bestFit float64
-scan:
-	for _, u := range c.g.Neighbors(v) {
-		to := int(c.p.Assign[u])
-		if to == from {
-			continue
-		}
-		for _, q := range cand {
-			if q == to {
-				continue scan
-			}
-		}
-		cand = append(cand, to)
-		fit := c.moveDelta(v, to)
+	for _, cd := range cands {
+		to := int(cd.to)
+		fit := ev.MoveGainFromWeights(g, p, o, v, to, wFrom, cd.wTo, wTot-wFrom-cd.wTo)
 		if fit > 1e-12 && (bestTo < 0 || fit > bestFit) {
 			bestTo, bestFit = to, fit
 		}
 	}
-	if bestTo < 0 {
-		return false
-	}
-	c.ev.Move(c.g, c.p, v, bestTo)
-	return true
+	return bestTo
 }
 
 // Refine improves a k-way partition in place: the colored boundary climb

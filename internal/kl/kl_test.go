@@ -1,11 +1,14 @@
 package kl
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/gen"
+	"repro/internal/graph"
 	"repro/internal/partition"
 )
 
@@ -96,4 +99,147 @@ func TestQuickHillClimbMonotone(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Error(err)
 	}
+}
+
+// The serial climb gathers each boundary node's adjacency once and folds
+// every candidate's gain from the gathered weights. On integer weights that
+// must reproduce, bit for bit, the climb that rescans the adjacency for each
+// candidate (refClimb): the same partition, move count and Eval state, at
+// part counts whose ideal weight W/k is and is not representable, under
+// every objective, from tracked and untracked Evals, for one pass and to
+// convergence.
+func TestHillClimbMatchesPerCandidateScan(t *testing.T) {
+	for seed := int64(1); seed <= 3; seed++ {
+		g := hubGraph(150+100*int(seed), int(seed), seed)
+		for _, k := range []int{2, 3, 5, 8, 16} {
+			start := partition.RandomBalanced(g.NumNodes(), k, rand.New(rand.NewSource(seed*100+int64(k))))
+			for _, o := range partition.Objectives() {
+				for _, tracked := range []bool{false, true} {
+					for _, maxPasses := range []int{1, 0} {
+						label := fmt.Sprintf("seed %d k=%d %s tracked=%v maxPasses=%d", seed, k, o.FlagName(), tracked, maxPasses)
+						newEval := func(p *partition.Partition) *partition.Eval {
+							if tracked {
+								return partition.Tracked(g, p, nil, o, 1)
+							}
+							return partition.NewEval(g, p)
+						}
+						refP := start.Clone()
+						refEv := newEval(refP)
+						refMoves := refClimb(g, refP, o, maxPasses, refEv)
+						p := start.Clone()
+						ev := newEval(p)
+						moves := HillClimbEval(g, p, o, maxPasses, ev)
+						if moves != refMoves {
+							t.Fatalf("%s: %d moves, reference %d", label, moves, refMoves)
+						}
+						requireSameEval(t, label, g, refP, p, refEv, ev)
+					}
+				}
+			}
+		}
+	}
+}
+
+// refClimb is the reference climb: HillClimbEval's passes, visit order and
+// tie rules, with each candidate part, in first-seen neighbor order, scored
+// by partition.Eval.MoveGain's own scan of v's adjacency.
+func refClimb(g *graph.Graph, p *partition.Partition, o partition.Objective, maxPasses int, ev *partition.Eval) int {
+	if o == partition.CommVolume {
+		ev = partition.Tracked(g, p, ev, o, 1)
+	}
+	moves := 0
+	for pass := 0; maxPasses <= 0 || pass < maxPasses; pass++ {
+		var boundary []int
+		if ev.TracksBoundary() {
+			boundary = ev.AppendBoundary(nil)
+		} else {
+			boundary = p.BoundaryNodes(g)
+		}
+		improved := false
+		for _, v := range boundary {
+			from := int(p.Assign[v])
+			var tried []int
+			bestTo := -1
+			var bestFit float64
+			for _, u := range g.Neighbors(v) {
+				to := int(p.Assign[u])
+				if to == from || slices.Contains(tried, to) {
+					continue
+				}
+				tried = append(tried, to)
+				fit := ev.MoveGain(g, p, o, v, to)
+				if fit > 1e-12 && (bestTo < 0 || fit > bestFit) {
+					bestTo, bestFit = to, fit
+				}
+			}
+			if bestTo >= 0 {
+				ev.Move(g, p, v, bestTo)
+				moves++
+				improved = true
+			}
+		}
+		if !improved {
+			break
+		}
+	}
+	return moves
+}
+
+// requireSameEval checks that p and ev equal the reference pair bit for
+// bit: every assignment, every part's weight and cut, and the trackers the
+// reference keeps.
+func requireSameEval(t *testing.T, label string, g *graph.Graph, refP, p *partition.Partition, refEv, ev *partition.Eval) {
+	t.Helper()
+	if refEv.TracksBoundary() != ev.TracksBoundary() || refEv.TracksCommVol() != ev.TracksCommVol() {
+		t.Fatalf("%s: trackers differ from the reference's", label)
+	}
+	if refEv.TracksBoundary() {
+		requireSameResult(t, label, g, refP, p, refEv, ev)
+	} else {
+		for v := range refP.Assign {
+			if refP.Assign[v] != p.Assign[v] {
+				t.Fatalf("%s: node %d in part %d, reference %d", label, v, p.Assign[v], refP.Assign[v])
+			}
+		}
+		for q := range refEv.Weights {
+			if refEv.Weights[q] != ev.Weights[q] || refEv.Cuts[q] != ev.Cuts[q] {
+				t.Fatalf("%s: part %d aggregates (%v,%v) != reference (%v,%v)",
+					label, q, ev.Weights[q], ev.Cuts[q], refEv.Weights[q], refEv.Cuts[q])
+			}
+		}
+	}
+	if refEv.TracksCommVol() && !slices.Equal(refEv.Vols, ev.Vols) {
+		t.Fatalf("%s: volumes %v != reference %v", label, ev.Vols, refEv.Vols)
+	}
+}
+
+// hubGraph is a random graph with integer node weights 1..9 and edge weights
+// 1..5: a spanning tree, n random extra edges, and `hubs` hubs each adjacent
+// to about a third of the nodes.
+func hubGraph(n, hubs int, seed int64) *graph.Graph {
+	rng := rand.New(rand.NewSource(seed))
+	b := graph.NewBuilder(n)
+	for v := 0; v < n; v++ {
+		b.SetNodeWeight(v, float64(1+rng.Intn(9)))
+	}
+	edge := func(u, v int) {
+		if u != v {
+			b.AddEdge(u, v, float64(1+rng.Intn(5)))
+		}
+	}
+	for v := 1; v < n; v++ {
+		edge(v, rng.Intn(v))
+	}
+	for i := 0; i < n; i++ {
+		edge(rng.Intn(n), rng.Intn(n))
+	}
+	for h := 0; h < hubs; h++ {
+		hub := rng.Intn(n)
+		for v := 0; v < n; v++ {
+			if rng.Intn(3) == 0 {
+				edge(hub, v)
+			}
+		}
+	}
+	return b.Build()
 }

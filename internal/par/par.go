@@ -30,6 +30,8 @@ func Workers(w int) int {
 // selects GOMAXPROCS). Chunks are claimed dynamically from an atomic
 // counter, so load balances automatically; worker is a stable index in
 // [0, workers) identifying the executing goroutine, for per-worker scratch.
+// The caller, worker 0, always runs the first chunk: it is claimed before
+// any goroutine starts.
 //
 // fn must confine its writes to state owned by [lo, hi) (plus worker-indexed
 // scratch): under that contract the result is identical for every worker
@@ -47,28 +49,22 @@ func For(workers, n int, fn func(worker, lo, hi int)) {
 	// to balance uneven chunk costs.
 	chunk := (n + 4*workers - 1) / (4 * workers)
 	var next atomic.Int64
-	run := func(worker int) {
-		for {
-			lo := int(next.Add(int64(chunk))) - chunk
-			if lo >= n {
-				return
-			}
-			hi := lo + chunk
-			if hi > n {
-				hi = n
-			}
-			fn(worker, lo, hi)
+	claim := func() int { return int(next.Add(int64(chunk))) - chunk }
+	run := func(worker, lo int) {
+		for ; lo < n; lo = claim() {
+			fn(worker, lo, min(lo+chunk, n))
 		}
 	}
+	first := claim()
 	var wg sync.WaitGroup
 	wg.Add(workers - 1)
 	for i := 1; i < workers; i++ {
 		go func(worker int) {
 			defer wg.Done()
-			run(worker)
+			run(worker, claim())
 		}(i)
 	}
-	run(0)
+	run(0, first)
 	wg.Wait()
 }
 

@@ -9,31 +9,33 @@ import "repro/internal/graph"
 // two methods, so the gain arithmetic of each objective exists exactly once
 // in the codebase.
 //
-// The floating-point expressions of the TotalCut and WorstCut cases are the
-// refiners' historical ones, verbatim: float addition is not associative, so
-// re-grouping `-(imbDelta + dFrom + dTo)` would change last bits and break
-// the bit-identity contract every committed edge-cut baseline pins.
+// The imbalance term is computed in closed form: of Σ_q (W(q) − W/k)² only
+// the W(from) and W(to) terms change, and the ideal weight W/k cancels out
+// of their difference, leaving 2·w(v)·(W(to) − W(from) + w(v)). On integer
+// weights every quantity here is an integer, so the gain is exact at any
+// part count k, whether or not W/k is representable, and every caller gets
+// the same bits however it gathered the edge-weight triple. On fractional
+// weights the gathered sums carry rounding, so callers that accumulate the
+// triple differently may differ in the last bits.
 
 // MoveGainFromWeights returns the fitness improvement of moving v to part
 // `to` under objective o — positive means the move strictly improves the
 // objective — for callers that already hold the weight of v's edges into its
 // current part (wFrom), into `to` (wTo), and into every other part (wOther).
-// avg is the ideal part weight W/k. The weight triple parameterization is
-// what lets the colored climber precompute the expensive O(deg) scan in
-// parallel and fold it with the current aggregates at commit time.
+// The weight triple parameterization is what lets the climbers gather the
+// O(deg) scan once per node, for all of its candidate parts, and fold it
+// with the current aggregates at commit time.
 //
 // For CommVolume the edge-weight triple is irrelevant (the volume counts
 // parts, not edge weight); the gain is computed from the tracked
 // per-(node, part) counts with one O(deg) scan, so it always reflects the
 // Eval's current state. Comm-volume tracking must be enabled.
-func (ev *Eval) MoveGainFromWeights(g *graph.Graph, p *Partition, o Objective, avg float64, v, to int, wFrom, wTo, wOther float64) float64 {
+func (ev *Eval) MoveGainFromWeights(g *graph.Graph, p *Partition, o Objective, v, to int, wFrom, wTo, wOther float64) float64 {
 	from := int(p.Assign[v])
 
 	// Imbalance delta: only W(from) and W(to) change.
 	wv := g.NodeWeight(v)
-	before := sq(ev.Weights[from]-avg) + sq(ev.Weights[to]-avg)
-	after := sq(ev.Weights[from]-wv-avg) + sq(ev.Weights[to]+wv-avg)
-	imbDelta := after - before
+	imbDelta := 2 * wv * (ev.Weights[to] - ev.Weights[from] + wv)
 
 	switch o {
 	case TotalCut:
@@ -72,9 +74,9 @@ func (ev *Eval) MoveGainFromWeights(g *graph.Graph, p *Partition, o Objective, a
 }
 
 // MoveGain is MoveGainFromWeights with the weight triple computed here, by
-// one scan of v's adjacency — the form the serial climber uses, O(deg + parts)
-// per candidate.
-func (ev *Eval) MoveGain(g *graph.Graph, p *Partition, o Objective, avg float64, v, to int) float64 {
+// one scan of v's adjacency — the form for scoring a single candidate, as
+// simulated annealing's proposals do, O(deg + parts).
+func (ev *Eval) MoveGain(g *graph.Graph, p *Partition, o Objective, v, to int) float64 {
 	from := int(p.Assign[v])
 	var wFrom, wTo, wOther float64
 	if o != CommVolume { // the volume gain never consults edge weights
@@ -90,7 +92,5 @@ func (ev *Eval) MoveGain(g *graph.Graph, p *Partition, o Objective, avg float64,
 			}
 		}
 	}
-	return ev.MoveGainFromWeights(g, p, o, avg, v, to, wFrom, wTo, wOther)
+	return ev.MoveGainFromWeights(g, p, o, v, to, wFrom, wTo, wOther)
 }
-
-func sq(x float64) float64 { return x * x }
