@@ -55,7 +55,7 @@ func main() {
 		workers = flag.Int("evalworkers", 0, "GA width: islands stepped at once, or offspring evaluated at once for a single population (0 = auto; results are identical for any value)")
 
 		doBench   = flag.Bool("bench", false, "run the machine-readable benchmark suite instead of tables/figures")
-		suite     = flag.String("suite", "small", "benchmark suite: small | scale | scale100k | scale1M | scale10M | diverse | weighted | fmpar (width-labeled parallel-FM report)")
+		suite     = flag.String("suite", "small", "benchmark suite: small | scale | scale100k | scale1M | scale10M | diverse | weighted")
 		inPath    = flag.String("in", "", "benchmark a graph file instead of a generated suite (format from extension, or -informat)")
 		inFormat  = flag.String("informat", "auto", "input graph format for -in: auto | metis | edgelist | text")
 		parts     = flag.Int("parts", 8, "part count for -in")
@@ -229,14 +229,7 @@ func runBench(cfg benchRun) {
 		}
 		cases = kept
 	}
-	// The fmpar suite measures the parallel-FM pipeline width vs width; the
-	// full deterministic set (flat refiners at 1M nodes, run twice) would
-	// multiply its runtime for nothing the report gates on.
-	fmparMode := cfg.suite == "fmpar" && cfg.inPath == ""
 	names := bench.DefaultJSONAlgos()
-	if fmparMode {
-		names = []string{"multilevel-fm"}
-	}
 	if cfg.algoCSV != "" {
 		names = nil
 		for _, n := range strings.Split(cfg.algoCSV, ",") {
@@ -304,27 +297,12 @@ func runBench(cfg benchRun) {
 	for _, o := range objectives {
 		oOpt := opt
 		oOpt.Objective = o
-		var r *bench.Report
-		if fmparMode {
-			// Width-labeled rows ("algo@w1" vs "algo@w4"): each width is its
-			// own series under the (case, algo, objective) comparison keys,
-			// so one artifact archives both the quality identity and the
-			// per-width timing/phase breakdown.
-			r = bench.RunJSONWidths(suiteName, cases, names, oOpt, cfg.repeat, []int{1, 4})
-		} else {
-			r = bench.RunJSON(suiteName, cases, names, oOpt, cfg.repeat)
-		}
+		r := bench.RunJSON(suiteName, cases, names, oOpt, cfg.repeat)
 		if rep == nil {
 			rep = r
 		} else {
 			rep.Results = append(rep.Results, r.Results...)
 		}
-	}
-	if fmparMode {
-		// In-run determinism gate: every width of one (case, algo, objective)
-		// must report identical quality — the Workers bit-identity contract,
-		// checked before the artifact is written or compared.
-		checkWidthIdentity(rep)
 	}
 	for _, r := range rep.Results {
 		obj := r.Objective
@@ -388,33 +366,6 @@ func runBench(cfg benchRun) {
 		}
 		fmt.Printf("no cut regressions beyond %.0f%% vs %s\n", 100*cfg.tol, cfg.baseline)
 	}
-}
-
-// checkWidthIdentity fails the run if two "@wN"-labeled rows of the same
-// (case, algo, objective) disagree on the optimized metric: worker width
-// leaked into a result, which no tolerance excuses.
-func checkWidthIdentity(rep *bench.Report) {
-	first := map[string]bench.Result{}
-	for _, r := range rep.Results {
-		if r.Error != "" {
-			continue
-		}
-		base := r.Algo
-		if i := strings.LastIndex(base, "@w"); i >= 0 {
-			base = base[:i]
-		}
-		k := r.Case + "\x00" + base + "\x00" + r.Objective
-		prev, seen := first[k]
-		if !seen {
-			first[k] = r
-			continue
-		}
-		if r.Metric() != prev.Metric() {
-			fail(fmt.Errorf("width determinism violated on %s/%s: %s %v (%s) != %v (%s)",
-				r.Case, base, r.MetricName(), r.Metric(), r.Algo, prev.Metric(), prev.Algo))
-		}
-	}
-	fmt.Println("cross-width quality identical for every (case, algo, objective)")
 }
 
 func fail(err error) {

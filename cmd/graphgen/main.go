@@ -1,6 +1,6 @@
-// Command graphgen emits benchmark graphs in the text format of package
-// graph, so external tools (or future runs) can consume the exact meshes the
-// experiments use.
+// Command graphgen emits benchmark graphs in the native text format of
+// package gio, so external tools (or future runs) can consume the exact
+// meshes the experiments use.
 //
 // Usage:
 //

@@ -5,8 +5,8 @@
 // The public surface lives in the internal packages (this repository is a
 // self-contained reproduction, not an importable SDK):
 //
-//   - internal/graph       CSR graphs, builders, traversal, native text I/O
-//   - internal/gio         METIS and edge-list readers and writers
+//   - internal/graph       CSR graphs, builders (Builder, FromEdges), traversal
+//   - internal/gio         METIS, edge-list and native text readers and writers
 //   - internal/geometry    Delaunay triangulation for mesh generation
 //   - internal/gen         the deterministic benchmark mesh suite and
 //     non-convex FEM domains (L-shape, annulus)
@@ -25,7 +25,7 @@
 //   - internal/greedy      region-grow / scattered / strip baselines
 //   - internal/incremental incremental repartitioning with the seeded GA
 //   - internal/multilevel  heavy-edge-matching contraction (paper §5 outlook)
-//   - internal/metrics     halo volumes, load ratios, migration cost
+//   - internal/metrics     halo volumes, load ratios, surface-to-volume
 //   - internal/viz         SVG rendering of partitioned meshes
 //   - internal/bench       regenerates every table and figure of the paper
 //   - internal/paperdata   the paper's published numbers, for comparisons

@@ -55,10 +55,8 @@ type Result struct {
 	// baselines, which therefore parse and compare unchanged.
 	BytesAlloc int64 `json:"bytes_alloc,omitempty"`
 	Allocs     int64 `json:"allocs,omitempty"`
-	// Workers is the execution width the measurement was pinned to; omitted
-	// (zero) when the runner left it auto. The width-labeled reports
-	// (RunJSONWidths) pin it alongside the "@wN" algo label, which is what
-	// makes a committed width-vs-width artifact self-describing.
+	// Workers is the execution width the measurement was pinned to (the
+	// -workers flag); omitted (zero) when the runner left it auto.
 	Workers int `json:"workers,omitempty"`
 	// The refine_*_ns fields break a multilevel run's refine phase down by
 	// refiner family (multilevel.Stats of the last measured run): total,
@@ -188,26 +186,12 @@ func Scale100kSuite() []Case {
 // refinement paths differently than the RGG's uniform locality. This is the
 // scale where the V-cycle is allocation- and bandwidth-bound rather than
 // compute-bound; the committed BENCH_scale1M.json gates the arena layer in CI
-// (multilevel-kl only — flat refiners take minutes at this size).
+// (multilevel-kl and multilevel-fm only — flat refiners take minutes at this
+// size).
 func Scale1MSuite() []Case {
 	return []Case{
 		{Name: "rgg-1000000-p8", Graph: gen.RandomGeometric(rand.New(rand.NewSource(gen.SuiteSeed+1000000)), 1000000, 0.0016), Parts: 8},
 		{Name: "powerlaw-1000000-p8", Graph: gen.PowerLaw(1000000, 4, gen.SuiteSeed+1000001), Parts: 8},
-	}
-}
-
-// FMParSuite is the parallel-FM measurement pair: the scale100k and scale1M
-// RGG cases (same generators and seeds, so cuts are comparable across
-// artifacts), both above the multilevel pipeline's 50k-node colored-FM
-// switch, so multilevel-fm refines through the deterministic-parallel
-// colored schedule (fm.RefineColored) on every uncoarsened level that
-// matters. The committed BENCH_fmpar.json runs it width-labeled
-// (RunJSONWidths, Workers 1 vs 4): the @w1/@w4 rows pin cross-width cut
-// identity and record the refine_fm_ns breakdown the speedup claim reads.
-func FMParSuite() []Case {
-	return []Case{
-		{Name: "rgg-100000-p8", Graph: gen.RandomGeometric(rand.New(rand.NewSource(gen.SuiteSeed+100000)), 100000, 0.005), Parts: 8},
-		{Name: "rgg-1000000-p8", Graph: gen.RandomGeometric(rand.New(rand.NewSource(gen.SuiteSeed+1000000)), 1000000, 0.0016), Parts: 8},
 	}
 }
 
@@ -238,10 +222,8 @@ func SuiteByName(name string) ([]Case, error) {
 		return DiverseSuite(), nil
 	case "weighted":
 		return WeightedSuite(), nil
-	case "fmpar":
-		return FMParSuite(), nil
 	default:
-		return nil, fmt.Errorf("bench: unknown suite %q (available: small, scale, scale100k, scale1M, scale10M, diverse, weighted, fmpar)", name)
+		return nil, fmt.Errorf("bench: unknown suite %q (available: small, scale, scale100k, scale1M, scale10M, diverse, weighted)", name)
 	}
 }
 
@@ -321,32 +303,6 @@ func RunJSON(suiteName string, cases []Case, algos []string, opt algo.Options, r
 				res.Balance = p.Balance(c.Graph)
 			}
 			rep.Results = append(rep.Results, res)
-		}
-	}
-	return rep
-}
-
-// RunJSONWidths measures the suite once per worker width — pinning Workers
-// and EvalWorkers — and labels each result's algo "<name>@w<N>", so the
-// (case, algo, objective)-keyed comparison gates treat every width as its
-// own series. The bit-identity contract makes the @wN rows of one algo carry
-// identical quality metrics (anything else is a determinism bug — the fmpar
-// runner enforces it); what differs, and what this report exists to archive,
-// is the timing and phase-breakdown columns.
-func RunJSONWidths(suiteName string, cases []Case, algos []string, opt algo.Options, repeat int, widths []int) *Report {
-	var rep *Report
-	for _, w := range widths {
-		o := opt
-		o.Workers = w
-		o.EvalWorkers = w
-		r := RunJSON(suiteName, cases, algos, o, repeat)
-		for i := range r.Results {
-			r.Results[i].Algo = fmt.Sprintf("%s@w%d", r.Results[i].Algo, w)
-		}
-		if rep == nil {
-			rep = r
-		} else {
-			rep.Results = append(rep.Results, r.Results...)
 		}
 	}
 	return rep

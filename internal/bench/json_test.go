@@ -24,6 +24,15 @@ func TestRunJSONSmokeAndRoundTrip(t *testing.T) {
 			t.Errorf("%s/%s has implausible fields: %+v", r.Case, r.Algo, r)
 		}
 	}
+	// The multilevel row carries the V-cycle's refine breakdown, bounded by
+	// its total; the flat rows leave it zero.
+	if ml := rep.Results[2]; ml.RefineFMNS <= 0 || ml.RefineLPNS+ml.RefineClimbNS+ml.RefineFMNS > ml.RefineNS {
+		t.Errorf("multilevel-kl refine breakdown: total %d, lp %d, climb %d, fm %d",
+			ml.RefineNS, ml.RefineLPNS, ml.RefineClimbNS, ml.RefineFMNS)
+	}
+	if kl := rep.Results[1]; kl.RefineNS != 0 {
+		t.Errorf("flat kl row carries refine_ns %d", kl.RefineNS)
+	}
 	var buf bytes.Buffer
 	if err := rep.WriteJSON(&buf); err != nil {
 		t.Fatal(err)

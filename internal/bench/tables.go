@@ -244,8 +244,3 @@ func Table6(opt Options) Table {
 	}
 	return t
 }
-
-// AllTables regenerates Tables 1–6.
-func AllTables(opt Options) []Table {
-	return []Table{Table1(opt), Table2(opt), Table3(opt), Table4(opt), Table5(opt), Table6(opt)}
-}

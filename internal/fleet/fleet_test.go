@@ -200,6 +200,23 @@ func TestStickyRoutingUploadOnce(t *testing.T) {
 	}
 }
 
+// A text upload whose header claims 2^24 nodes over a 17-byte body is a
+// bad_graph at the router as at a shard: the router's routing parse refuses
+// it without allocating for the claim, and no shard stores anything.
+func TestRouterRefusesHugeTextHeader(t *testing.T) {
+	_, router, shards := bootFleet(t, 2, false)
+	status, data := doJSON(t, http.MethodPut, router.URL+"/v1/graphs",
+		service.GraphPutRequest{Format: "text", Graph: "graph 16777216 0\n"})
+	if status != http.StatusBadRequest || decodeErrorCode(t, data) != "bad_graph" {
+		t.Fatalf("status %d: %s", status, data)
+	}
+	for _, s := range shards {
+		if st := s.store.Stats(); st.Graphs != 0 || st.Parses != 0 {
+			t.Fatalf("shard %s: %d graphs, %d parses after a refused upload", s.name, st.Graphs, st.Parses)
+		}
+	}
+}
+
 // Job ids are shard-qualified end to end: submit, poll (wait), cancel.
 func TestJobRoutingAndCancel(t *testing.T) {
 	_, router, _ := bootFleet(t, 3, false)

@@ -40,25 +40,6 @@ func Grid(rows, cols int) *graph.Graph {
 	return b.Build()
 }
 
-// Torus returns the rows x cols grid with wraparound edges. Used by tests
-// that need a vertex-transitive graph with known optimal bisections.
-func Torus(rows, cols int) *graph.Graph {
-	if rows < 3 || cols < 3 {
-		panic(fmt.Sprintf("gen: torus needs >= 3x3, got %dx%d", rows, cols))
-	}
-	b := graph.NewBuilder(rows * cols)
-	id := func(r, c int) int { return r*cols + c }
-	for r := 0; r < rows; r++ {
-		for c := 0; c < cols; c++ {
-			v := id(r, c)
-			b.SetCoord(v, graph.Point{X: float64(c), Y: float64(r)})
-			b.AddEdge(v, id(r, (c+1)%cols), 1)
-			b.AddEdge(v, id((r+1)%rows, c), 1)
-		}
-	}
-	return b.Build()
-}
-
 // RandomGeometric returns a random geometric graph: n uniform points in the
 // unit square, nodes within distance radius connected. Isolated components
 // are stitched to the nearest node of the giant component so the result is

@@ -40,18 +40,6 @@ func TestGridPanics(t *testing.T) {
 	Grid(0, 3)
 }
 
-func TestTorusIsRegular(t *testing.T) {
-	g := Torus(4, 5)
-	if g.NumNodes() != 20 || g.NumEdges() != 40 {
-		t.Fatalf("torus: %d nodes %d edges", g.NumNodes(), g.NumEdges())
-	}
-	for v := 0; v < g.NumNodes(); v++ {
-		if g.Degree(v) != 4 {
-			t.Fatalf("node %d degree %d, want 4", v, g.Degree(v))
-		}
-	}
-}
-
 func TestMeshDeterministic(t *testing.T) {
 	a := Mesh(100, 42)
 	b := Mesh(100, 42)

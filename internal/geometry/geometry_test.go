@@ -34,19 +34,6 @@ func TestInCircle(t *testing.T) {
 	}
 }
 
-func TestCircumcenter(t *testing.T) {
-	c, ok := Circumcenter(Point{1, 0}, Point{0, 1}, Point{-1, 0})
-	if !ok {
-		t.Fatal("well-formed triangle reported degenerate")
-	}
-	if math.Abs(c.X) > 1e-12 || math.Abs(c.Y) > 1e-12 {
-		t.Errorf("circumcenter = %v, want origin", c)
-	}
-	if _, ok := Circumcenter(Point{0, 0}, Point{1, 1}, Point{2, 2}); ok {
-		t.Error("collinear points have a circumcenter")
-	}
-}
-
 func TestBounds(t *testing.T) {
 	bb := Bounds([]Point{{1, 5}, {-2, 3}, {4, -1}})
 	if bb.Min != (Point{-2, -1}) || bb.Max != (Point{4, 5}) {

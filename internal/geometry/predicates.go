@@ -24,9 +24,6 @@ func (p Point) Dist2(q Point) float64 {
 	return dx*dx + dy*dy
 }
 
-// Dist returns the Euclidean distance between p and q.
-func (p Point) Dist(q Point) float64 { return math.Sqrt(p.Dist2(q)) }
-
 // Orient returns a positive value if a, b, c are in counter-clockwise order,
 // negative if clockwise, and zero if collinear. It is the standard 2x2
 // determinant; inputs from the mesh generators are random floats, so exact
@@ -46,21 +43,6 @@ func InCircle(a, b, c, d Point) bool {
 		(bx*bx+by*by)*(ax*cy-cx*ay) +
 		(cx*cx+cy*cy)*(ax*by-bx*ay)
 	return det > 0
-}
-
-// Circumcenter returns the center of the circle through a, b, c, and whether
-// it is well-defined (false when the points are nearly collinear).
-func Circumcenter(a, b, c Point) (Point, bool) {
-	d := 2 * Orient(a, b, c)
-	if math.Abs(d) < 1e-18 {
-		return Point{}, false
-	}
-	a2 := a.X*a.X + a.Y*a.Y
-	b2 := b.X*b.X + b.Y*b.Y
-	c2 := c.X*c.X + c.Y*c.Y
-	ux := (a2*(b.Y-c.Y) + b2*(c.Y-a.Y) + c2*(a.Y-b.Y)) / d
-	uy := (a2*(c.X-b.X) + b2*(a.X-c.X) + c2*(b.X-a.X)) / d
-	return Point{ux, uy}, true
 }
 
 // BBox is an axis-aligned bounding box.

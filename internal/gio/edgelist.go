@@ -21,11 +21,11 @@ import (
 const MaxEdgeListNode = 1<<24 - 1
 
 // ReadEdgeList parses an edge list, accumulating the endpoint triples in
-// flat slices and counting-sorting them into CSR — no adjacency map. Self
-// loops, negative ids, ids above MaxEdgeListNode, ids above 2^20 that are
-// too sparse for the edge count (the CSR arrays are sized by max id + 1),
-// duplicate edges (in either orientation), and non-positive weights are
-// errors.
+// flat slices that graph.FromEdges counting-sorts into CSR — no adjacency
+// map. Self loops, negative ids, ids above MaxEdgeListNode, ids above 2^20
+// that are too sparse for the edge count (the CSR arrays are sized by max
+// id + 1), duplicate edges (in either orientation), and non-positive weights
+// are errors.
 func ReadEdgeList(r io.Reader) (*graph.Graph, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 1<<24)
@@ -57,7 +57,7 @@ func ReadEdgeList(r io.Reader) (*graph.Graph, error) {
 		}
 		w := 1.0
 		if tok, ok = f.next(); ok {
-			w, err = parseWeight(tok)
+			w, err = parseFinite(tok)
 			if err != nil || w <= 0 {
 				return nil, fmt.Errorf("gio: edge list line %d: bad weight %q", lineNo, tok)
 			}
@@ -91,41 +91,11 @@ func ReadEdgeList(r io.Reader) (*graph.Graph, error) {
 		return nil, fmt.Errorf("gio: edge list: node id %d too sparse for %d edges (ids above %d must satisfy max id < 2*edges + 64)", n-1, len(us), 1<<20)
 	}
 
-	// Counting sort into CSR: degree pass, prefix sum, fill, per-row sort.
-	m := len(us)
-	offsets := make([]int32, n+1)
-	for i := 0; i < m; i++ {
-		offsets[us[i]+1]++
-		offsets[vs[i]+1]++
-	}
-	for v := 0; v < n; v++ {
-		offsets[v+1] += offsets[v]
-	}
-	adj := make([]int32, 2*m)
-	ew := make([]float64, 2*m)
-	cursor := make([]int32, n)
-	copy(cursor, offsets[:n])
-	for i := 0; i < m; i++ {
-		u, v, w := us[i], vs[i], ws[i]
-		adj[cursor[u]], ew[cursor[u]] = v, w
-		cursor[u]++
-		adj[cursor[v]], ew[cursor[v]] = u, w
-		cursor[v]++
-	}
 	nw := make([]float64, n)
 	for v := range nw {
 		nw[v] = 1
 	}
-	for v := 0; v < n; v++ {
-		row := adj[offsets[v]:offsets[v+1]]
-		graph.SortAdjacency(row, ew[offsets[v]:offsets[v+1]])
-		for i := 1; i < len(row); i++ {
-			if row[i-1] == row[i] {
-				return nil, fmt.Errorf("gio: edge list: duplicate edge {%d,%d}", v, row[i])
-			}
-		}
-	}
-	g, err := graph.FromCSR(offsets, adj, ew, nw, nil)
+	g, err := graph.FromEdges(us, vs, ws, nw, nil)
 	if err != nil {
 		return nil, fmt.Errorf("gio: edge list: %w", err)
 	}

@@ -87,6 +87,60 @@ func TestEdgeListRejectsMalformed(t *testing.T) {
 	}
 }
 
+// Every malformed text input must produce an error, not a bad graph and not
+// a panic. Each case breaks exactly one rule of the format.
+func TestReadTextRejectsMalformed(t *testing.T) {
+	const two = "graph 2 1\nnode 0 1\nnode 1 1\n"
+	cases := map[string]string{
+		// Header problems.
+		"empty":              "",
+		"comments only":      "# nothing\n",
+		"no header":          "node 0 1\n",
+		"edge before header": "edge 0 1 1\ngraph 2 1\nnode 0 1\nnode 1 1\n",
+		"dup header":         "graph 1 0\ngraph 1 0\nnode 0 1\n",
+		"short header":       "graph 1\nnode 0 1\n",
+		"extra header field": "graph 3 1 foo\n",
+		"coords and more":    "graph 1 0 coords x\nnode 0 1 0 0\n",
+		"negative count":     "graph -1 0\n",
+		"node count bound":   "graph 268435457 0\n",
+		"edge count bound":   "graph 2 1073741825\n",
+		"unknown":            "graph 1 0\nnode 0 1\nfrobnicate\n",
+
+		// Node lines.
+		"missing node lines": "graph 3 0\n",
+		"out of order ids":   "graph 2 0\nnode 1 1\nnode 0 1\n",
+		"repeated id":        "graph 2 0\nnode 0 1\nnode 0 1\n",
+		"node past n":        "graph 1 0\nnode 0 1\nnode 1 1\n",
+		"bad weight":         "graph 1 0\nnode 0 abc\n",
+		"nan node weight":    "graph 1 0\nnode 0 NaN\n",
+		"inf node weight":    "graph 1 0\nnode 0 +Inf\n",
+		"negative node wt":   "graph 1 0\nnode 0 -1\n",
+		"missing coords":     "graph 1 0 coords\nnode 0 1\n",
+		"unwanted coords":    "graph 1 0\nnode 0 1 2 3\n",
+		"nan coordinate":     "graph 1 0 coords\nnode 0 1 NaN 0\n",
+		"inf coordinate":     "graph 1 0 coords\nnode 0 1 0 -Inf\n",
+
+		// Edge lines.
+		"bad edge range":    two + "edge 0 5 1\n",
+		"negative end":      two + "edge -1 0 1\n",
+		"self loop":         two + "edge 1 1 1\n",
+		"zero edge weight":  two + "edge 0 1 0\n",
+		"neg edge weight":   two + "edge 0 1 -4\n",
+		"nan edge weight":   two + "edge 0 1 NaN\n",
+		"missing edge wt":   two + "edge 0 1\n",
+		"edge extra field":  two + "edge 0 1 1 1\n",
+		"edge past m":       two + "edge 0 1 1\nedge 1 0 1\n",
+		"duplicate":         "graph 2 2\nnode 0 1\nnode 1 1\nedge 0 1 1\nedge 0 1 1\n",
+		"duplicate flipped": "graph 2 2\nnode 0 1\nnode 1 1\nedge 0 1 1\nedge 1 0 2\n",
+		"missing edge line": two,
+	}
+	for name, in := range cases {
+		if g, err := ReadText(strings.NewReader(in)); err == nil {
+			t.Errorf("%s: accepted (graph: %d nodes %d edges)", name, g.NumNodes(), g.NumEdges())
+		}
+	}
+}
+
 func TestReadPartitionRejectsMalformed(t *testing.T) {
 	cases := map[string]struct {
 		in    string

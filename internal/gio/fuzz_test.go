@@ -104,3 +104,52 @@ func FuzzReadEdgeList(f *testing.F) {
 		}
 	})
 }
+
+// FuzzReadText holds the native text reader, which partd feeds untrusted
+// uploads and peer transfers, to the same no-panic / validates contract, and
+// to a stronger round trip: re-reading WriteText's output of an accepted
+// graph must give back the same text, byte for byte.
+func FuzzReadText(f *testing.F) {
+	seeds := []string{
+		"",
+		"graph 0 0\n",
+		"graph 1 0\nnode 0 1\n",
+		"graph 3 2\nnode 0 1\nnode 1 2.5\nnode 2 0\nedge 0 1 1\nedge 2 1 0.125\n",
+		"graph 2 1 coords\nnode 0 1 0.5 -1e-300\nnode 1 -0 3 4\nedge 1 0 7\n",
+		"# comment\n\ngraph 2 1\nnode 0 1\n# mid\nnode 1 1\nedge 0 1 1\n",
+		"graph 2 1\nedge 0 1 1\nnode 0 1\nnode 1 1\n",             // edges before nodes
+		"graph 2 2\nnode 0 1\nnode 1 1\nedge 0 1 1\nedge 1 0 2\n", // duplicate flipped
+		"graph 2 1\nnode 0 1\nnode 1 1\nedge 0 1 -4\n",
+		"graph 1 0\nnode 0 NaN\n",
+		"graph 3 1 foo\n",
+		"graph 2 0\nnode 1 1\nnode 0 1\n",
+		"graph 16777216 0\n", // allocation-bomb header
+		"graph 268435456 1073741824 coords\n",
+	}
+	for _, s := range seeds {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		g, err := ReadText(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		if verr := g.Validate(); verr != nil {
+			t.Fatalf("accepted graph fails Validate: %v\ninput: %q", verr, data)
+		}
+		var once, twice bytes.Buffer
+		if werr := WriteText(&once, g); werr != nil {
+			t.Fatalf("write failed: %v", werr)
+		}
+		g2, rerr := ReadText(bytes.NewReader(once.Bytes()))
+		if rerr != nil {
+			t.Fatalf("round trip rejected own output: %v\noutput: %q", rerr, once.String())
+		}
+		if werr := WriteText(&twice, g2); werr != nil {
+			t.Fatalf("second write failed: %v", werr)
+		}
+		if !bytes.Equal(once.Bytes(), twice.Bytes()) {
+			t.Fatalf("WriteText(ReadText(x)) is not a fixed point:\n%q\n%q", once.String(), twice.String())
+		}
+	})
+}

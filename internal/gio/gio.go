@@ -12,18 +12,24 @@
 //   - edge list ("edgelist"): one "u v [weight]" line per undirected edge,
 //     0-indexed, with '#'/'%' comments. The node count is inferred as the
 //     maximum endpoint + 1, so trailing isolated nodes are not representable.
-//   - native text ("text"): the repository's own format (see package graph),
-//     the only one that carries coordinates.
+//   - native text ("text"): the repository's own format (see text.go), the
+//     only one that carries coordinates, and the only one that round-trips
+//     every bit of a graph: the partd fleet moves stored graphs between
+//     shards in it.
 //
 // Partition vectors use the METIS convention: one part id per line, line i
 // holding the part of node i.
 //
-// The METIS and edge-list readers are streaming: they parse straight into
-// the CSR arrays (offsets/adjacency/weights) and hand them to graph.FromCSR,
-// never materializing an intermediate adjacency map. This is what lets the
-// partd service accept large uploaded graphs without tripling their memory
-// footprint, and it is 3-5x faster than the Builder path the old
-// graph.ReadMETIS used.
+// All three readers stream: they parse line by line into flat arrays and
+// never materialize an intermediate adjacency map. METIS lists every row in
+// full, so its reader appends the rows straight into CSR and hands them to
+// graph.FromCSR; the edge-list and text readers list each edge once and
+// hand their endpoint triples to graph.FromEdges, the one counting sort into
+// CSR. This is what lets the partd service accept large uploaded graphs
+// without tripling their memory footprint. Every reader takes untrusted
+// uploads, so none sizes its arrays from a header's claimed counts (METIS
+// presizes at most 2^20 entries per array from its header): memory tracks
+// the bytes actually received, and each reader has a fuzz target.
 package gio
 
 import (
@@ -108,7 +114,7 @@ func ReadGraph(f Format, r io.Reader) (*graph.Graph, error) {
 	case FormatEdgeList:
 		return ReadEdgeList(r)
 	case FormatText:
-		return graph.Read(r)
+		return ReadText(r)
 	default:
 		return nil, fmt.Errorf("gio: cannot read format %v from a stream", f)
 	}
@@ -122,8 +128,7 @@ func WriteGraph(f Format, w io.Writer, g *graph.Graph) error {
 	case FormatEdgeList:
 		return WriteEdgeList(w, g)
 	case FormatText:
-		_, err := g.WriteTo(w)
-		return err
+		return WriteText(w, g)
 	default:
 		return fmt.Errorf("gio: cannot write format %v", f)
 	}

@@ -60,7 +60,7 @@ func ReadMETIS(r io.Reader) (*graph.Graph, error) {
 			if !ok {
 				return nil, fmt.Errorf("gio: METIS vertex %d: missing vertex weight", v+1)
 			}
-			wv, err = parseWeight(tok)
+			wv, err = parseFinite(tok)
 			if err != nil || wv < 0 {
 				return nil, fmt.Errorf("gio: METIS vertex %d: bad vertex weight %q", v+1, tok)
 			}
@@ -84,7 +84,7 @@ func ReadMETIS(r io.Reader) (*graph.Graph, error) {
 				if !ok {
 					return nil, fmt.Errorf("gio: METIS vertex %d: neighbor %d missing edge weight", v+1, u)
 				}
-				w, err = parseWeight(tok)
+				w, err = parseFinite(tok)
 				if err != nil || w <= 0 {
 					return nil, fmt.Errorf("gio: METIS vertex %d: bad edge weight %q", v+1, tok)
 				}
@@ -240,10 +240,11 @@ func writableWeight(w float64) bool {
 	return w == math.Trunc(w) && math.Abs(w) <= 1<<53
 }
 
-// parseWeight parses a METIS weight. The format specifies integers; floats
-// are tolerated on input for interop, but NaN and infinities are rejected
-// (they would silently poison every downstream metric).
-func parseWeight(tok string) (float64, error) {
+// parseFinite parses a weight or coordinate. METIS specifies integer
+// weights; floats are tolerated on input for interop, but every reader
+// rejects NaN and infinities (they would silently poison every downstream
+// metric).
+func parseFinite(tok string) (float64, error) {
 	w, err := strconv.ParseFloat(tok, 64)
 	if err != nil {
 		return 0, err

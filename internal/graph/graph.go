@@ -9,11 +9,15 @@
 //
 // A Graph is immutable after construction. Mutation (needed by the
 // incremental-partitioning workloads) goes through Builder, which accumulates
-// edges and emits a fresh CSR snapshot.
+// edges and emits a fresh CSR snapshot. Builder.Build and the edge-list-shaped
+// readers in internal/gio share one assembly into CSR, FromEdges, a counting
+// sort whose output is valid by construction; FromCSR takes rows that are
+// already in CSR form (the METIS reader's) and validates them.
 package graph
 
 import (
 	"fmt"
+	"math"
 	"sort"
 )
 
@@ -125,8 +129,9 @@ func (g *Graph) Edges(fn func(u, v int, w float64) bool) {
 
 // Validate checks structural invariants: sorted adjacency, symmetric edges
 // with matching weights, no self loops, offsets monotone. It returns a
-// descriptive error for the first violation found. Graphs emitted by Builder
-// always validate; this exists to check hand-built or deserialized inputs.
+// descriptive error for the first violation found. Graphs emitted by
+// FromEdges (and so by Builder) always validate; this exists to check
+// hand-built or deserialized inputs.
 func (g *Graph) Validate() error {
 	n := g.NumNodes()
 	if len(g.nodeWeight) != n {
@@ -266,46 +271,92 @@ func (b *Builder) HasEdge(u, v int) bool {
 
 // Build emits an immutable CSR snapshot of the accumulated graph.
 func (b *Builder) Build() *Graph {
-	n := len(b.nodeWeight)
-	deg := make([]int32, n)
-	for k := range b.edges {
-		deg[k.u]++
-		deg[k.v]++
+	us := make([]int32, 0, len(b.edges))
+	vs := make([]int32, 0, len(b.edges))
+	ws := make([]float64, 0, len(b.edges))
+	for k, w := range b.edges {
+		us, vs, ws = append(us, k.u), append(vs, k.v), append(ws, w)
+	}
+	var coords []Point
+	if b.hasCoords {
+		coords = make([]Point, len(b.nodeWeight))
+		copy(coords, b.coords)
+	}
+	// AddEdge refuses self loops and out-of-range ends, and the map holds
+	// each edge once, so FromEdges cannot fail here.
+	g, err := FromEdges(us, vs, ws, append([]float64(nil), b.nodeWeight...), coords)
+	if err != nil {
+		panic(err)
+	}
+	return g
+}
+
+// FromEdges assembles a Graph from an edge list: edge i joins us[i] and
+// vs[i], in either orientation, with weight ws[i]. The node count n is
+// len(nodeWeight), and coords is nil or has one entry per node; FromEdges
+// takes ownership of both, and only reads us, vs and ws.
+//
+// It counting-sorts every edge into both endpoints' rows and sorts each row
+// with SortAdjacency, so the result is symmetric and strictly sorted by
+// construction and meets everything Validate checks without a second pass.
+// Self loops, endpoints outside [0, n), and an edge listed twice (in either
+// orientation) are errors. This is the one assembly into CSR for every
+// edge-list-shaped input: Builder.Build and gio's edge-list and text readers.
+func FromEdges(us, vs []int32, ws, nodeWeight []float64, coords []Point) (*Graph, error) {
+	n, m := len(nodeWeight), len(us)
+	if len(vs) != m || len(ws) != m {
+		return nil, fmt.Errorf("graph: FromEdges got %d/%d/%d endpoints and weights", len(us), len(vs), len(ws))
+	}
+	if coords != nil && len(coords) != n {
+		return nil, fmt.Errorf("graph: %d coords for %d nodes", len(coords), n)
+	}
+	if 2*m > math.MaxInt32 {
+		return nil, fmt.Errorf("graph: %d edges overflow the int32 adjacency offsets", m)
 	}
 	offsets := make([]int32, n+1)
-	for v := 0; v < n; v++ {
-		offsets[v+1] = offsets[v] + deg[v]
+	for i := range us {
+		u, v := us[i], vs[i]
+		if u == v {
+			return nil, fmt.Errorf("graph: self loop at node %d", u)
+		}
+		if u < 0 || v < 0 || int(u) >= n || int(v) >= n {
+			return nil, fmt.Errorf("graph: edge {%d,%d} out of range (n=%d)", u, v, n)
+		}
+		offsets[u+1]++
+		offsets[v+1]++
 	}
-	adj := make([]int32, offsets[n])
-	ew := make([]float64, offsets[n])
+	for v := 0; v < n; v++ {
+		offsets[v+1] += offsets[v]
+	}
+	adj := make([]int32, 2*m)
+	ew := make([]float64, 2*m)
 	cursor := make([]int32, n)
 	copy(cursor, offsets[:n])
-	for k, w := range b.edges {
-		adj[cursor[k.u]], ew[cursor[k.u]] = k.v, w
-		cursor[k.u]++
-		adj[cursor[k.v]], ew[cursor[k.v]] = k.u, w
-		cursor[k.v]++
+	for i := range us {
+		u, v, w := us[i], vs[i], ws[i]
+		adj[cursor[u]], ew[cursor[u]] = v, w
+		cursor[u]++
+		adj[cursor[v]], ew[cursor[v]] = u, w
+		cursor[v]++
 	}
-	// Sort each adjacency list (weights move with their neighbors).
 	for v := 0; v < n; v++ {
-		lo, hi := offsets[v], offsets[v+1]
-		SortAdjacency(adj[lo:hi], ew[lo:hi])
+		row := adj[offsets[v]:offsets[v+1]]
+		SortAdjacency(row, ew[offsets[v]:offsets[v+1]])
+		for i := 1; i < len(row); i++ {
+			if row[i-1] == row[i] {
+				return nil, fmt.Errorf("graph: duplicate edge {%d,%d}", v, row[i])
+			}
+		}
 	}
-	g := &Graph{
+	return &Graph{
 		offsets:    offsets,
 		adj:        adj,
 		edgeWeight: ew,
-		nodeWeight: append([]float64(nil), b.nodeWeight...),
-		totalNodeW: sumWeights(b.nodeWeight),
-		numEdges:   len(b.edges),
-	}
-	if b.hasCoords {
-		g.coords = append([]Point(nil), b.coords...)
-		for len(g.coords) < n {
-			g.coords = append(g.coords, Point{})
-		}
-	}
-	return g
+		nodeWeight: nodeWeight,
+		totalNodeW: sumWeights(nodeWeight),
+		numEdges:   m,
+		coords:     coords,
+	}, nil
 }
 
 // FromCSR assembles a Graph directly from CSR arrays, taking ownership of
@@ -315,10 +366,10 @@ func (b *Builder) Build() *Graph {
 // stored from both endpoints with equal weight) — FromCSR validates the
 // result and rejects anything malformed rather than repairing it.
 //
-// This is the entry point for streaming deserializers (internal/gio) that
-// build the CSR arrays without going through Builder's edge map; it is O(m
-// log deg) for the validation pass and allocates nothing beyond the Graph
-// header.
+// This is the entry point for the METIS reader (internal/gio), whose input
+// lists every row in full; it is O(m log deg) for the validation pass and
+// allocates nothing beyond the Graph header. Inputs that list each edge once
+// go through FromEdges instead.
 func FromCSR(offsets, adj []int32, edgeWeight, nodeWeight []float64, coords []Point) (*Graph, error) {
 	if len(offsets) == 0 {
 		return nil, fmt.Errorf("graph: FromCSR needs offsets of length n+1, got 0")
@@ -348,13 +399,13 @@ func FromCSR(offsets, adj []int32, edgeWeight, nodeWeight []float64, coords []Po
 const shortRow = 24
 
 // SortAdjacency sorts neighbor indices idx (with parallel weights wts) in
-// increasing order. Builder and Contract sort every row they emit with it,
-// and deserializers use it to canonicalize each CSR row before handing the
-// arrays to FromCSR. Rows of up to shortRow entries, most rows of a sparse
-// graph, are insertion-sorted in place with no interface calls. Every row
-// Builder and Contract emit has distinct neighbors, so the sorted row is
-// unique whichever way it is sorted (FromCSR rejects a deserialized row with
-// duplicates either way).
+// increasing order. FromEdges and Contract sort every row they emit with it,
+// and the METIS reader uses it to canonicalize each CSR row before handing
+// the arrays to FromCSR. Rows of up to shortRow entries, most rows of a
+// sparse graph, are insertion-sorted in place with no interface calls. Every
+// row FromEdges and Contract emit has distinct neighbors, so the sorted row
+// is unique whichever way it is sorted (FromEdges and FromCSR reject a row
+// with duplicates either way).
 func SortAdjacency(idx []int32, wts []float64) {
 	if len(idx) > shortRow {
 		sort.Sort(&adjSorter{idx, wts})

@@ -1,10 +1,8 @@
 package graph
 
 import (
-	"bytes"
 	"math/rand"
 	"sort"
-	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -286,98 +284,6 @@ func TestInducedSubgraph(t *testing.T) {
 	}
 }
 
-func TestIOGoldenRoundTrip(t *testing.T) {
-	b := NewBuilder(3)
-	b.AddEdge(0, 1, 1.5)
-	b.AddEdge(1, 2, 2)
-	b.SetNodeWeight(2, 3)
-	b.SetCoord(0, Point{0.5, 1})
-	b.SetCoord(1, Point{1, 2})
-	b.SetCoord(2, Point{2, 0})
-	g := b.Build()
-
-	var buf bytes.Buffer
-	if _, err := g.WriteTo(&buf); err != nil {
-		t.Fatalf("WriteTo: %v", err)
-	}
-	g2, err := Read(&buf)
-	if err != nil {
-		t.Fatalf("Read: %v", err)
-	}
-	var buf2 bytes.Buffer
-	if _, err := g2.WriteTo(&buf2); err != nil {
-		t.Fatalf("WriteTo 2: %v", err)
-	}
-	if buf2.String() == "" || g2.NumNodes() != 3 || g2.NumEdges() != 2 {
-		t.Fatal("round trip lost data")
-	}
-	if g2.Coord(2) != (Point{2, 0}) || g2.NodeWeight(2) != 3 {
-		t.Error("node attributes lost in round trip")
-	}
-}
-
-func TestReadRejectsMalformed(t *testing.T) {
-	cases := map[string]string{
-		"empty":          "",
-		"no header":      "node 0 1\n",
-		"dup header":     "graph 1 0\ngraph 1 0\n",
-		"bad node id":    "graph 2 0\nnode 9 1\n",
-		"bad edge range": "graph 2 1\nedge 0 5 1\n",
-		"self loop":      "graph 2 1\nedge 1 1 1\n",
-		"unknown":        "graph 1 0\nfrobnicate\n",
-		"bad weight":     "graph 1 0\nnode 0 abc\n",
-	}
-	for name, in := range cases {
-		if _, err := Read(strings.NewReader(in)); err == nil {
-			t.Errorf("%s: Read accepted malformed input", name)
-		}
-	}
-}
-
-func TestReadSkipsCommentsAndBlanks(t *testing.T) {
-	in := "# a comment\n\ngraph 2 1\n# another\nnode 0 1\nnode 1 1\nedge 0 1 1\n"
-	g, err := Read(strings.NewReader(in))
-	if err != nil {
-		t.Fatalf("Read: %v", err)
-	}
-	if g.NumEdges() != 1 {
-		t.Errorf("edges = %d", g.NumEdges())
-	}
-}
-
-// Property: for any random graph, serialize→parse is the identity on
-// structure and weights.
-func TestQuickIORoundTrip(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 2 + rng.Intn(25)
-		g := randomGraph(rng, n, 0.3)
-		var buf bytes.Buffer
-		if _, err := g.WriteTo(&buf); err != nil {
-			return false
-		}
-		g2, err := Read(&buf)
-		if err != nil {
-			return false
-		}
-		if g2.NumNodes() != g.NumNodes() || g2.NumEdges() != g.NumEdges() {
-			return false
-		}
-		ok := true
-		g.Edges(func(u, v int, w float64) bool {
-			if g2.EdgeWeightBetween(u, v) != w {
-				ok = false
-				return false
-			}
-			return true
-		})
-		return ok
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Error(err)
-	}
-}
-
 // Property: Build always emits a graph that passes Validate, and degree sums
 // equal twice the edge count.
 func TestQuickBuildValidates(t *testing.T) {
@@ -494,4 +400,35 @@ func TestSortAdjacencyMatchesSortSort(t *testing.T) {
 			}
 		}
 	}
+}
+
+func TestValidateCatchesCorruption(t *testing.T) {
+	b := NewBuilder(3)
+	b.AddEdge(0, 1, 1)
+	b.AddEdge(1, 2, 2)
+	g := b.Build()
+
+	// Corrupt in targeted ways and check Validate notices each.
+	corrupt := func(name string, mutate func(*Graph)) {
+		t.Helper()
+		c := &Graph{
+			offsets:    append([]int32(nil), g.offsets...),
+			adj:        append([]int32(nil), g.adj...),
+			edgeWeight: append([]float64(nil), g.edgeWeight...),
+			nodeWeight: append([]float64(nil), g.nodeWeight...),
+			numEdges:   g.numEdges,
+		}
+		mutate(c)
+		if err := c.Validate(); err == nil {
+			t.Errorf("%s: Validate accepted corrupted graph", name)
+		}
+	}
+	corrupt("edge count", func(c *Graph) { c.numEdges = 7 })
+	corrupt("node weights", func(c *Graph) { c.nodeWeight = c.nodeWeight[:1] })
+	corrupt("asymmetric weight", func(c *Graph) { c.edgeWeight[0] = 99 })
+	corrupt("out of range neighbor", func(c *Graph) { c.adj[0] = 77 })
+	corrupt("self loop", func(c *Graph) {
+		// Make node 1's first neighbor itself.
+		c.adj[c.offsets[1]] = 1
+	})
 }

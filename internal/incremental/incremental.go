@@ -33,12 +33,12 @@ type Config struct {
 	// population across islands (dpga divides it).
 	Options algo.Options
 
-	// SeedCopies is how many distinct balance-repaired extensions of the old
-	// partition seed the population; default 8.
-	SeedCopies int
-
 	HillClimb bool // apply boundary hill climbing to offspring
 }
+
+// seedCopies is how many distinct balance-repaired extensions of the old
+// partition seed the population, after the deterministic one.
+const seedCopies = 8
 
 // Repartition repairs oldPart (a partition of the original graph) for the
 // grown graph using the DKNUX GA. The grown graph must contain the original
@@ -47,10 +47,6 @@ func Repartition(grown *graph.Graph, oldPart *partition.Partition, cfg Config) (
 	o := cfg.Options
 	if o.Generations == 0 {
 		o.Generations = 80
-	}
-	seedCopies := cfg.SeedCopies
-	if seedCopies == 0 {
-		seedCopies = 8
 	}
 	if o.Parts == 0 {
 		o.Parts = oldPart.Parts

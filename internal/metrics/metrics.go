@@ -1,10 +1,11 @@
 // Package metrics computes the decomposition-quality numbers a parallel
 // solver actually experiences: per-processor halo (communication) volumes,
-// neighbor counts (message counts), surface-to-volume ratios, and data
-// migration cost between successive partitions. These translate the
-// abstract cut/imbalance objectives of the paper into the quantities its
-// introduction motivates ("the computational load on each node is roughly
-// the same, while inter-processor communication is minimized").
+// neighbor counts (message counts) and surface-to-volume ratios; the data
+// migration between successive partitions is incremental.MovedNodes. These
+// translate the abstract cut/imbalance objectives of the paper into the
+// quantities its introduction motivates ("the computational load on each
+// node is roughly the same, while inter-processor communication is
+// minimized").
 package metrics
 
 import (
@@ -93,25 +94,6 @@ func Analyze(g *graph.Graph, p *partition.Partition) (*Report, error) {
 		}
 	}
 	return r, nil
-}
-
-// Migration quantifies the cost of switching from partition old to new on
-// the same (or grown) graph: the node weight that must move between
-// processors. New nodes (beyond old's length) are counted as moved — they
-// must be placed somewhere.
-func Migration(g *graph.Graph, old, new *partition.Partition) (movedNodes int, movedWeight float64) {
-	n := g.NumNodes()
-	for v := 0; v < n; v++ {
-		moved := v >= len(old.Assign)
-		if !moved && v < len(new.Assign) && old.Assign[v] != new.Assign[v] {
-			moved = true
-		}
-		if moved {
-			movedNodes++
-			movedWeight += g.NodeWeight(v)
-		}
-	}
-	return movedNodes, movedWeight
 }
 
 // Format renders the report as aligned text.

@@ -52,28 +52,6 @@ func TestAnalyzeRejectsInvalid(t *testing.T) {
 	}
 }
 
-func TestMigration(t *testing.T) {
-	g := gen.Mesh(20, 2)
-	a := partition.New(20, 2)
-	b := a.Clone()
-	if n, w := Migration(g, a, b); n != 0 || w != 0 {
-		t.Errorf("identical partitions: %d moved, %v weight", n, w)
-	}
-	b.Assign[3] = 1
-	b.Assign[7] = 1
-	if n, _ := Migration(g, a, b); n != 2 {
-		t.Errorf("moved = %d, want 2", n)
-	}
-	// Grown graph: new nodes count as moved.
-	rng := rand.New(rand.NewSource(1))
-	grown := gen.Refine(g, 5, rng)
-	ext := partition.ExtendMajorityNeighbor(a, grown)
-	n, _ := Migration(grown, a, ext)
-	if n != 5 {
-		t.Errorf("grown migration = %d, want 5 (the new nodes)", n)
-	}
-}
-
 func TestFormatAndCompare(t *testing.T) {
 	g := gen.PaperGraph(78)
 	rng := rand.New(rand.NewSource(3))

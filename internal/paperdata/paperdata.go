@@ -111,25 +111,3 @@ func Winner(table int, group string, partIdx int) string {
 		return "tie"
 	}
 }
-
-// DKNUXWins counts, over a whole paper table, the cells where DKNUX is
-// strictly better, strictly worse, and tied/absent against RSB.
-func DKNUXWins(table int) (wins, losses, other int) {
-	t, ok := Tables[table]
-	if !ok {
-		return 0, 0, 0
-	}
-	for group := range t.Values {
-		for i := range t.Parts {
-			switch Winner(table, group, i) {
-			case "DKNUX":
-				wins++
-			case "RSB":
-				losses++
-			default:
-				other++
-			}
-		}
-	}
-	return wins, losses, other
-}

@@ -282,25 +282,6 @@ func (p *Partition) Fitness(g *graph.Graph, o Objective) float64 {
 	}
 }
 
-// FitnessWeighted evaluates the paper's general composite objective of §2,
-// −(Σ_q I(q) + α·cost), where cost is Σ_q C(q) (TotalCut) or max_q C(q)
-// (WorstCut) and α expresses the relative importance of communication
-// versus balance. Fitness is the α = 1 special case used in all of the
-// paper's experiments; the general form supports machines where
-// communication is relatively more or less expensive than computation.
-func (p *Partition) FitnessWeighted(g *graph.Graph, o Objective, alpha float64) float64 {
-	switch o {
-	case TotalCut:
-		return -(p.ImbalanceSq(g) + alpha*2*p.CutSize(g))
-	case WorstCut:
-		return -(p.ImbalanceSq(g) + alpha*p.MaxPartCut(g))
-	case CommVolume:
-		return -(p.ImbalanceSq(g) + alpha*p.CommVolume(g))
-	default:
-		panic(fmt.Sprintf("partition: unknown objective %d", int(o)))
-	}
-}
-
 // BoundaryNodes returns every node with at least one neighbor in another
 // part, in increasing order. These are the only nodes whose reassignment can
 // reduce the cut, so hill climbing and KL examine exactly this set.

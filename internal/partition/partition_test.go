@@ -254,42 +254,6 @@ func TestExtendMajorityNeighborDeterministic(t *testing.T) {
 	}
 }
 
-func TestFitnessWeighted(t *testing.T) {
-	g := gen.Mesh(40, 4)
-	rng := rand.New(rand.NewSource(9))
-	p := RandomBalanced(40, 4, rng)
-	// alpha=1 must agree with Fitness exactly.
-	for _, o := range []Objective{TotalCut, WorstCut} {
-		if p.FitnessWeighted(g, o, 1) != p.Fitness(g, o) {
-			t.Errorf("%v: FitnessWeighted(1) != Fitness", o)
-		}
-	}
-	// alpha=0 leaves only the balance term; a balanced partition scores 0.
-	if got := p.FitnessWeighted(g, TotalCut, 0); got != -p.ImbalanceSq(g) {
-		t.Errorf("alpha=0 fitness = %v, want pure balance term", got)
-	}
-	// Fitness decreases monotonically in alpha for a partition with cut > 0.
-	prev := p.FitnessWeighted(g, TotalCut, 0)
-	for _, a := range []float64{0.5, 1, 2, 10} {
-		cur := p.FitnessWeighted(g, TotalCut, a)
-		if cur >= prev {
-			t.Errorf("fitness not decreasing in alpha at %v: %v >= %v", a, cur, prev)
-		}
-		prev = cur
-	}
-}
-
-func TestFitnessWeightedPanicsOnBadObjective(t *testing.T) {
-	g := gen.Mesh(10, 1)
-	p := New(10, 2)
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic")
-		}
-	}()
-	p.FitnessWeighted(g, Objective(9), 1)
-}
-
 // Property: CutSize is exactly half of Σ_q PartCuts(q) for unit and weighted
 // edges; fitness decreases when imbalance or cut grows.
 func TestQuickCutConsistency(t *testing.T) {

@@ -11,64 +11,51 @@ import (
 	"testing"
 
 	"repro/internal/gen"
+	"repro/internal/gio"
 	"repro/internal/graph"
 	"repro/internal/ring"
 	"repro/internal/service"
 )
 
-// --- binary codec ---
+// --- peer transfer codec ---
 
-func roundTrip(t *testing.T, g *graph.Graph) *graph.Graph {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := service.WriteGraphBinary(&buf, g); err != nil {
-		t.Fatal(err)
-	}
-	back, err := service.ReadGraphBinary(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return back
-}
-
-// The binary codec must be hash-faithful: that is its entire reason to exist.
-func TestGraphBinaryRoundTripHashIdentity(t *testing.T) {
+// Peer fetch moves stored graphs in the native text format, so the format
+// must be hash-faithful: what a shard decodes must re-hash to the address
+// it asked for.
+func TestGraphTextRoundTripHashIdentity(t *testing.T) {
 	for _, g := range []*graph.Graph{
 		gen.Mesh(500, 23),                        // coordinates present
 		gen.SkewWeights(gen.Mesh(300, 5), 7, 10), // non-uniform weights
 		gen.Grid(8, 9),
 		gen.PowerLaw(3000, 3, 1), // no coordinates
-		gen.Grid(300, 300),       // arrays outgrow the decoder's first reservation
+		gen.Grid(300, 300),       // larger than the writer's 1 MiB buffer
 	} {
-		back := roundTrip(t, g)
+		var buf bytes.Buffer
+		if err := gio.WriteText(&buf, g); err != nil {
+			t.Fatal(err)
+		}
+		back, err := gio.ReadText(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if got, want := service.GraphHash(back), service.GraphHash(g); got != want {
 			t.Fatalf("round trip changed content hash: %s -> %s", want, got)
-		}
-		if back.NumNodes() != g.NumNodes() || back.NumEdges() != g.NumEdges() {
-			t.Fatalf("round trip changed shape: %d/%d -> %d/%d",
-				g.NumNodes(), g.NumEdges(), back.NumNodes(), back.NumEdges())
-		}
-		if back.HasCoords() != g.HasCoords() {
-			t.Fatal("round trip changed coords presence")
 		}
 	}
 }
 
-func TestGraphBinaryRejectsCorruption(t *testing.T) {
-	var buf bytes.Buffer
-	if err := service.WriteGraphBinary(&buf, gen.Grid(4, 4)); err != nil {
-		t.Fatal(err)
+// A text upload is untrusted: a header claiming 2^24 nodes over a 17-byte
+// body is a bad_graph, refused without allocating for the claim, and
+// nothing is stored.
+func TestPutTextHugeHeaderRefused(t *testing.T) {
+	ts, _ := newTestServerOpts(t, service.Config{Workers: 1})
+	status, data := doJSON(t, http.MethodPut, ts.URL+"/v1/graphs",
+		map[string]any{"format": "text", "graph": "graph 16777216 0\n"})
+	if status != http.StatusBadRequest || decodeErrorCode(t, data) != "bad_graph" {
+		t.Fatalf("status %d: %s", status, data)
 	}
-	good := buf.Bytes()
-	for name, mutate := range map[string]func([]byte) []byte{
-		"bad magic":  func(b []byte) []byte { c := append([]byte(nil), b...); c[0] = 'X'; return c },
-		"truncated":  func(b []byte) []byte { return b[:len(b)-3] },
-		"trailing":   func(b []byte) []byte { return append(append([]byte(nil), b...), 0) },
-		"node count": func(b []byte) []byte { c := append([]byte(nil), b...); c[4] = 0xff; return c },
-	} {
-		if _, err := service.ReadGraphBinary(bytes.NewReader(mutate(good))); err == nil {
-			t.Errorf("%s: decoder accepted corrupt payload", name)
-		}
+	if st := getStats(t, ts.URL); st.Store.Graphs != 0 {
+		t.Fatalf("store holds %d graphs after a refused upload", st.Store.Graphs)
 	}
 }
 
@@ -291,8 +278,8 @@ func TestPeerFetchCompletesForeignJob(t *testing.T) {
 // the job must fail graph_not_found rather than run on the wrong graph.
 func TestPeerFetchRejectsHashMismatch(t *testing.T) {
 	evil := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/x-partd-graph")
-		_ = service.WriteGraphBinary(w, gen.Grid(3, 3)) // not the requested graph
+		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+		_ = gio.WriteText(w, gen.Grid(3, 3)) // not the requested graph
 	}))
 	t.Cleanup(evil.Close)
 
@@ -322,12 +309,16 @@ func TestPeerFetchRejectsHashMismatch(t *testing.T) {
 	}
 }
 
-// GET /v1/graphs/{hash}?export=bin round-trips through the real endpoint.
-func TestGraphExportBinEndpoint(t *testing.T) {
+// GET /v1/graphs/{hash}?export=text round-trips through the real endpoint;
+// the retired binary export is an unknown name.
+func TestGraphExportTextEndpoint(t *testing.T) {
 	ts, _ := newTestServerOpts(t, service.Config{Workers: 1})
-	payload := metisPayload(t, 90)
+	var text bytes.Buffer
+	if err := gio.WriteText(&text, gen.Mesh(90, 4)); err != nil { // coordinates: only text keeps them
+		t.Fatal(err)
+	}
 	status, data := doJSON(t, http.MethodPut, ts.URL+"/v1/graphs",
-		map[string]any{"format": "metis", "graph": payload})
+		map[string]any{"format": "text", "graph": text.String()})
 	if status != http.StatusCreated {
 		t.Fatalf("upload: status %d: %s", status, data)
 	}
@@ -335,7 +326,7 @@ func TestGraphExportBinEndpoint(t *testing.T) {
 	if err := json.Unmarshal(data, &put); err != nil {
 		t.Fatal(err)
 	}
-	resp, err := http.Get(ts.URL + "/v1/graphs/" + put.Hash + "?export=bin")
+	resp, err := http.Get(ts.URL + "/v1/graphs/" + put.Hash + "?export=text")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -343,19 +334,25 @@ func TestGraphExportBinEndpoint(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("export status %d", resp.StatusCode)
 	}
-	if ct := resp.Header.Get("Content-Type"); ct != "application/x-partd-graph" {
+	if ct := resp.Header.Get("Content-Type"); ct != "text/plain; charset=utf-8" {
 		t.Fatalf("content type %q", ct)
 	}
-	g, err := service.ReadGraphBinary(resp.Body)
+	if h := resp.Header.Get("X-Graph-Hash"); h != put.Hash {
+		t.Fatalf("X-Graph-Hash %q, want %q", h, put.Hash)
+	}
+	g, err := gio.ReadText(resp.Body)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := service.GraphHash(g); got != put.Hash {
 		t.Fatalf("exported graph hashes to %s, want %s", got, put.Hash)
 	}
-	// Unknown export names are a structured 400.
-	status, data = doJSON(t, http.MethodGet, ts.URL+"/v1/graphs/"+put.Hash+"?export=tar", nil)
-	if status != http.StatusBadRequest || decodeErrorCode(t, data) != "bad_export" {
-		t.Fatalf("bad export: status %d: %s", status, data)
+	// Unknown export names, the retired "bin" among them, are a structured
+	// 400.
+	for _, name := range []string{"bin", "tar"} {
+		status, data = doJSON(t, http.MethodGet, ts.URL+"/v1/graphs/"+put.Hash+"?export="+name, nil)
+		if status != http.StatusBadRequest || decodeErrorCode(t, data) != "bad_export" {
+			t.Fatalf("export=%s: status %d: %s", name, status, data)
+		}
 	}
 }

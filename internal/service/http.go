@@ -365,9 +365,9 @@ func (s *httpServer) handleGraphPut(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleGraphGet is GET /v1/graphs/{hash}: stored-graph metadata, or with
-// ?export= the graph content itself — "bin" is the canonical hash-faithful
-// binary (what peer-fetch transfers), "metis" a human-readable export that
-// drops coordinates.
+// ?export= the graph content itself — "text" is the native text format,
+// which round-trips every hashed bit (what peer-fetch transfers), "metis" an
+// interchange export that drops coordinates.
 func (s *httpServer) handleGraphGet(w http.ResponseWriter, r *http.Request) {
 	hash := r.PathValue("hash")
 	if re := ValidateGraphRef(hash); re != nil {
@@ -383,17 +383,17 @@ func (s *httpServer) handleGraphGet(w http.ResponseWriter, r *http.Request) {
 	switch export := r.URL.Query().Get("export"); export {
 	case "":
 		WriteJSON(w, http.StatusOK, sg)
-	case "bin":
-		w.Header().Set("Content-Type", "application/x-partd-graph")
-		w.Header().Set("X-Graph-Hash", sg.Hash)
-		_ = WriteGraphBinary(w, sg.Graph) // mid-stream failure means a dead conn; nothing to report
-	case "metis":
+	case "text", "metis":
+		f := gio.FormatText
+		if export == "metis" {
+			f = gio.FormatMETIS
+		}
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		w.Header().Set("X-Graph-Hash", sg.Hash)
-		_ = gio.WriteGraph(gio.FormatMETIS, w, sg.Graph)
+		_ = gio.WriteGraph(f, w, sg.Graph) // mid-stream failure means a dead conn; nothing to report
 	default:
 		WriteError(w, http.StatusBadRequest, "bad_export",
-			fmt.Sprintf("unknown export %q (want bin or metis)", export))
+			fmt.Sprintf("unknown export %q (want text or metis)", export))
 	}
 }
 

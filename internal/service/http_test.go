@@ -325,7 +325,7 @@ func TestHTTPStats(t *testing.T) {
 func TestHTTPTextFormatCarriesCoords(t *testing.T) {
 	ts, _ := newTestServer(t, service.Config{Workers: 1})
 	var buf bytes.Buffer
-	if _, err := gen.Mesh(150, 9).WriteTo(&buf); err != nil {
+	if err := gio.WriteText(&buf, gen.Mesh(150, 9)); err != nil {
 		t.Fatal(err)
 	}
 	status, data := postPartition(t, ts.URL, service.PartitionRequest{

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/gio"
 	"repro/internal/graph"
 	"repro/internal/ring"
 )
@@ -15,10 +16,11 @@ import (
 // before a membership change — by the ring's minimal-disruption property,
 // that previous owner is exactly the next replica in ring order. The fetcher
 // walks the key's replica list (skipping this shard itself), asks each peer
-// for the graph in the canonical binary format, and hands back the first
-// graph whose re-computed content hash matches the request. Rebalancing after
-// adding a shard is therefore transparent: keys migrate on first use, pulled
-// rather than pushed, with no coordinator.
+// for the graph in the native text format (which round-trips every hashed
+// bit), and hands back the first graph whose re-computed content hash
+// matches the request. Rebalancing after adding a shard is therefore
+// transparent: keys migrate on first use, pulled rather than pushed, with no
+// coordinator.
 type PeerFetcher struct {
 	ring   *ring.Ring
 	addrs  map[string]string // member name -> host:port
@@ -107,7 +109,7 @@ func (p *PeerFetcher) Fetch(hash string) (*graph.Graph, error) {
 
 func (p *PeerFetcher) fetchFrom(name, hash string) (*graph.Graph, error) {
 	req, err := http.NewRequest(http.MethodGet,
-		"http://"+p.addrs[name]+"/v1/graphs/"+hash+"?export=bin", nil)
+		"http://"+p.addrs[name]+"/v1/graphs/"+hash+"?export=text", nil)
 	if err != nil {
 		return nil, err
 	}
@@ -122,7 +124,7 @@ func (p *PeerFetcher) fetchFrom(name, hash string) (*graph.Graph, error) {
 	if resp.StatusCode != http.StatusOK {
 		return nil, fmt.Errorf("peer %s: status %d for graph %s", name, resp.StatusCode, hash)
 	}
-	g, err := ReadGraphBinary(resp.Body)
+	g, err := gio.ReadText(resp.Body)
 	if err != nil {
 		return nil, fmt.Errorf("peer %s: %w", name, err)
 	}

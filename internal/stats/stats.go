@@ -72,25 +72,6 @@ func MeanSeries(series [][]float64) []float64 {
 	return out
 }
 
-// MinSeries takes the element-wise minimum of several series (ragged
-// lengths allowed).
-func MinSeries(series [][]float64) []float64 {
-	var out []float64
-	var seen []bool
-	for _, s := range series {
-		for i, v := range s {
-			if i >= len(out) {
-				out = append(out, v)
-				seen = append(seen, true)
-			} else if !seen[i] || v < out[i] {
-				out[i] = v
-				seen[i] = true
-			}
-		}
-	}
-	return out
-}
-
 // Downsample keeps every stride-th element (plus the last), turning a long
 // per-generation series into a printable figure column.
 func Downsample(s []float64, stride int) []float64 {
