@@ -64,7 +64,7 @@ func main() {
 		jsonPath  = flag.String("json", "", "write the benchmark report as JSON to this file")
 		baseline  = flag.String("baseline", "", "compare cuts against this baseline report; exit 1 on regression")
 		tol       = flag.Float64("tol", 0.10, "allowed relative cut increase vs the baseline")
-		exact     = flag.Bool("exact", false, "require cuts identical to the baseline in both directions (the determinism gate)")
+		exact     = flag.Bool("exact", false, "require every quality field (cut, max_part_cut, comm_volume, imbalance_sq, balance) identical to the baseline in both directions (the determinism gate)")
 		repeat    = flag.Int("repeat", 1, "timing repetitions per (case, algorithm) pair")
 		objective = flag.String("objective", "cut", "comma-separated objectives to benchmark: cut | maxcut | commvol (algorithms lacking one produce error rows)")
 		mlWorkers = flag.Int("workers", 0, "parallel V-cycle goroutines: coarsening, contraction, projection, and colored refinement (0 = auto; results are identical for any value)")
@@ -346,13 +346,13 @@ func runBench(cfg benchRun) {
 		}
 		if cfg.exact {
 			if diffs := bench.CompareExact(base, rep); len(diffs) > 0 {
-				fmt.Fprintf(os.Stderr, "experiments: %d cut difference(s) vs %s:\n", len(diffs), cfg.baseline)
+				fmt.Fprintf(os.Stderr, "experiments: %d quality difference(s) vs %s:\n", len(diffs), cfg.baseline)
 				for _, d := range diffs {
 					fmt.Fprintln(os.Stderr, "  ", d)
 				}
 				os.Exit(1)
 			}
-			fmt.Printf("cuts identical to %s\n", cfg.baseline)
+			fmt.Printf("quality fields identical to %s\n", cfg.baseline)
 			return
 		}
 		regs := bench.Compare(base, rep, cfg.tol)

@@ -51,9 +51,6 @@ func main() {
 				Seed:        13,
 			},
 			Islands: islands,
-			CrossoverFactory: func(int) ga.Crossover {
-				return ga.NewDKNUX(seed)
-			},
 		})
 		if err != nil {
 			log.Fatal(err)

@@ -50,9 +50,6 @@ func main() {
 			Seed:    42,
 		},
 		Islands: 16,
-		CrossoverFactory: func(island int) ga.Crossover {
-			return ga.NewDKNUX(seed)
-		},
 	})
 	if err != nil {
 		log.Fatal(err)

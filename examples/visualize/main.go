@@ -50,8 +50,7 @@ func main() {
 			Seeds:   []*partition.Partition{ibpPart},
 			Seed:    17,
 		},
-		Islands:          16,
-		CrossoverFactory: func(int) ga.Crossover { return ga.NewDKNUX(ibpPart) },
+		Islands: 16,
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -46,8 +46,7 @@ func main() {
 			Seeds:   []*partition.Partition{rsb},
 			Seed:    9,
 		},
-		Islands:          16,
-		CrossoverFactory: func(int) ga.Crossover { return ga.NewDKNUX(rsb) },
+		Islands: 16,
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -41,8 +41,7 @@ func main() {
 				Seeds:     []*partition.Partition{rsb},
 				Seed:      11,
 			},
-			Islands:          16,
-			CrossoverFactory: func(int) ga.Crossover { return ga.NewDKNUX(rsb) },
+			Islands: 16,
 		})
 		if err != nil {
 			log.Fatal(err)

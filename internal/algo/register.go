@@ -212,24 +212,6 @@ func runGA(g *graph.Graph, operator string, opt Options) (*partition.Partition, 
 			seeds = append(seeds, s)
 		}
 	}
-	estimate := func(i int) *partition.Partition {
-		if len(seeds) > 0 {
-			return seeds[i%len(seeds)]
-		}
-		return partition.RandomBalanced(g.NumNodes(), opt.Parts, rand.New(rand.NewSource(opt.Seed+int64(i))))
-	}
-	mkOp := func(i int) ga.Crossover {
-		switch operator {
-		case "dknux":
-			return ga.NewDKNUX(estimate(i))
-		case "knux":
-			return ga.NewKNUX(estimate(i))
-		case "ux":
-			return ga.Uniform{}
-		default: // "2pt"
-			return ga.KPoint{K: 2}
-		}
-	}
 	m, err := dpga.New(g, dpga.Config{
 		Base: ga.Config{
 			Parts:       opt.Parts,
@@ -239,9 +221,9 @@ func runGA(g *graph.Graph, operator string, opt Options) (*partition.Partition, 
 			EvalWorkers: opt.EvalWorkers,
 			Seed:        opt.Seed,
 		},
-		Islands:          opt.Islands,
-		CrossoverFactory: mkOp,
-		Stop:             opt.stop(),
+		Islands:  opt.Islands,
+		Operator: operator,
+		Stop:     opt.stop(),
 	})
 	if err != nil {
 		return nil, err

@@ -131,9 +131,6 @@ func Speedup(opt Options) Figure {
 				Seed:        opt.Seed,
 			},
 			Islands: islands,
-			CrossoverFactory: func(island int) ga.Crossover {
-				return ga.NewDKNUX(ibpSeed)
-			},
 		})
 		if err != nil {
 			panic(fmt.Sprintf("bench: %v", err))

@@ -462,15 +462,16 @@ func Compare(baseline, current *Report, tol float64) []Regression {
 	return out
 }
 
-// CompareExact diffs current against baseline and reports every shared
-// (case, algo) pair whose cut differs at all — in either direction — plus
-// pairs that succeed in one report and error in the other. It is the
+// CompareExact diffs current against baseline and reports every quality
+// field of a shared (case, algo) pair that differs at all — cut,
+// max_part_cut, comm_volume, imbalance_sq or balance, in either direction —
+// plus pairs that succeed in one report and error in the other. It is the
 // determinism gate: a run with Workers > 1 must reproduce a single-worker
-// run's cuts exactly, so even an improvement is a failure here (it would
-// mean the worker count leaked into the result). Pairs present in only one
-// report are ignored, as are timing fields; but if the reports share no
-// pairs at all, that is reported as a failure — a gate that compared
-// nothing must not pass.
+// run exactly, so even an improvement is a failure here (it would mean the
+// worker count leaked into the result). Pairs present in only one report
+// are ignored, as are timing fields; but if the reports share no pairs at
+// all, that is reported as a failure — a gate that compared nothing must
+// not pass.
 func CompareExact(baseline, current *Report) []string {
 	type key struct{ c, a, o string }
 	cur := map[key]Result{}
@@ -494,8 +495,21 @@ func CompareExact(baseline, current *Report) []string {
 			out = append(out, fmt.Sprintf("%s: baseline %s %.0f, current FAILED (%s)", label, b.MetricName(), b.Metric(), c.Error))
 		case b.Error != "" && c.Error == "":
 			out = append(out, fmt.Sprintf("%s: baseline FAILED (%s), current %s %.0f", label, b.Error, c.MetricName(), c.Metric()))
-		case b.Error == "" && c.Error == "" && b.Metric() != c.Metric():
-			out = append(out, fmt.Sprintf("%s: %s %v != baseline %v", label, b.MetricName(), c.Metric(), b.Metric()))
+		case b.Error == "" && c.Error == "":
+			for _, f := range []struct {
+				name string
+				b, c float64
+			}{
+				{"cut", b.Cut, c.Cut},
+				{"max_part_cut", b.MaxPartCut, c.MaxPartCut},
+				{"comm_volume", b.CommVolume, c.CommVolume},
+				{"imbalance_sq", b.ImbalanceSq, c.ImbalanceSq},
+				{"balance", b.Balance, c.Balance},
+			} {
+				if f.b != f.c {
+					out = append(out, fmt.Sprintf("%s: %s %v != baseline %v", label, f.name, f.c, f.b))
+				}
+			}
 		}
 	}
 	if shared == 0 {

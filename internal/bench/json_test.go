@@ -192,3 +192,35 @@ func TestCompareZeroCutBaseline(t *testing.T) {
 		t.Error("nonzero cut against zero baseline must regress")
 	}
 }
+
+// CompareExact pins every quality field, not just the objective's metric:
+// a change to any one of them, on a cut or a maxcut row, is one diff that
+// names the field, and so is a row that fails on one side only.
+func TestCompareExactChecksEveryQualityField(t *testing.T) {
+	row := Result{Case: "a", Algo: "dknux", Cut: 10, MaxPartCut: 6, CommVolume: 14, ImbalanceSq: 0.5, Balance: 1.02}
+	for _, obj := range []string{"", "maxcut"} {
+		row.Objective = obj
+		base := report(row)
+		for field, set := range map[string]func(*Result){
+			"cut":          func(r *Result) { r.Cut-- },
+			"max_part_cut": func(r *Result) { r.MaxPartCut++ },
+			"comm_volume":  func(r *Result) { r.CommVolume = 0 },
+			"imbalance_sq": func(r *Result) { r.ImbalanceSq += 1e-12 },
+			"balance":      func(r *Result) { r.Balance = 1 },
+			"FAILED":       func(r *Result) { r.Error = "boom" },
+		} {
+			cur := row
+			set(&cur)
+			diffs := CompareExact(base, report(cur))
+			if len(diffs) != 1 || !strings.Contains(diffs[0], field) {
+				t.Errorf("objective %q, %s changed: diffs %q", obj, field, diffs)
+			}
+			// Timing fields are never compared.
+			cur = row
+			cur.WallNS, cur.NsPerOp, cur.BytesAlloc = 5, 5, 5
+			if diffs := CompareExact(base, report(cur)); len(diffs) != 0 {
+				t.Errorf("objective %q: timing fields compared: %q", obj, diffs)
+			}
+		}
+	}
+}

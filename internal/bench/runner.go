@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"math/rand"
 
 	"repro/internal/dpga"
 	"repro/internal/ga"
@@ -44,13 +43,6 @@ func runOnce(g *graph.Graph, parts int, obj partition.Objective,
 			Seed:        runSeed,
 		},
 		Islands: opt.Islands,
-		CrossoverFactory: func(island int) ga.Crossover {
-			if len(seeds) > 0 {
-				return ga.NewDKNUX(seeds[island%len(seeds)])
-			}
-			rng := rand.New(rand.NewSource(runSeed + int64(island)))
-			return ga.NewDKNUX(partition.RandomBalanced(g.NumNodes(), parts, rng))
-		},
 	})
 	if err != nil {
 		panic(fmt.Sprintf("bench: %v", err))

@@ -7,6 +7,7 @@ import (
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/ibp"
+	"repro/internal/incremental"
 	"repro/internal/partition"
 	"repro/internal/spectral"
 )
@@ -89,20 +90,12 @@ func Table2(opt Options) Table {
 
 // incrementalSeeds builds the GA seeds for an incremental case: the old
 // partition (of the base graph, computed by RSB) extended to the grown
-// graph with balance maintained, plus the deterministic majority-neighbor
-// extension.
+// graph by incremental.Seeds. det is its first seed, the deterministic
+// majority-neighbor extension.
 func incrementalSeeds(base, grown *graph.Graph, parts int, opt Options, caseSeed int64) (seeds []*partition.Partition, det *partition.Partition) {
 	old := rsbPartition(base, parts, opt.Seed)
-	rng := rand.New(rand.NewSource(caseSeed))
-	// The deterministic extension goes first so it always enters the
-	// population even when islands are smaller than the seed list; the GA
-	// can then never return a lower fitness than the baseline.
-	det = partition.ExtendMajorityNeighbor(old, grown)
-	seeds = append(seeds, det)
-	for i := 0; i < 8; i++ {
-		seeds = append(seeds, partition.ExtendRandomBalanced(old, grown, rng))
-	}
-	return seeds, det
+	seeds = incremental.Seeds(old, grown, rand.New(rand.NewSource(caseSeed)))
+	return seeds, seeds[0]
 }
 
 // withHillClimb applies the reproduction policy for experiments whose

@@ -6,8 +6,11 @@
 // its best individual to its hypercube neighbors.
 //
 // dpga is the one driver of the paper's GA: a single island is exactly the
-// single-population engine, ga.New(Base).Run. Islands advance independently
-// between migrations and step concurrently over internal/par; results are
+// single-population engine, ga.New(Base).Run. Every island builds its own
+// crossover operator from Config.Operator by one rule: DKNUX (or KNUX) over
+// the seed Base.Seeds[i%len(Seeds)], or with no seeds over a random balanced
+// estimate drawn from Base.Seed+i. Islands advance independently between
+// migrations and step concurrently over internal/par; results are
 // bit-identical at every width because every island owns its RNG and its
 // crossover operator, migration happens at a barrier, and evaluation is
 // pure.
@@ -43,14 +46,15 @@ type Config struct {
 	// several islands, that many islands step at once and each evaluates
 	// its offspring serially; a single island evaluates its offspring at
 	// that width. Every width gives bit-identical results. Base.Crossover
-	// must be nil: operators come from CrossoverFactory.
+	// must be nil: operators come from Operator.
 	Base    ga.Config
 	Islands int // hypercube subpopulations, a power of two; default 16 (paper)
 
-	// CrossoverFactory builds island i's crossover operator (required).
-	// Every island gets its own instance, so per-run operator state (the
-	// KNUX/DKNUX estimate) is never shared by concurrently stepping islands.
-	CrossoverFactory func(island int) ga.Crossover
+	// Operator names the crossover by its registry name: "dknux" (the zero
+	// value), "knux", "ux" or "2pt". Every island gets its own instance (see
+	// crossover), so per-run operator state (the DKNUX estimate) is never
+	// shared by concurrently stepping islands.
+	Operator string
 
 	// Stop, when non-nil, is polled at every migration barrier (the model's
 	// only serial checkpoint): Run returns the best individual found so far
@@ -70,12 +74,34 @@ const (
 	DefaultPopSize = 320
 )
 
+// crossover builds island i's operator. KNUX and DKNUX take the island's
+// seed as their estimate, seeds dealt round-robin, or without seeds a random
+// balanced partition drawn from Base.Seed+i, so islands start from distinct
+// estimates either way.
+func (c *Config) crossover(g *graph.Graph, i int) ga.Crossover {
+	switch c.Operator {
+	case "ux":
+		return ga.Uniform{}
+	case "2pt":
+		return ga.KPoint{K: 2}
+	}
+	var est *partition.Partition
+	if seeds := c.Base.Seeds; len(seeds) > 0 {
+		est = seeds[i%len(seeds)]
+	} else {
+		est = partition.RandomBalanced(g.NumNodes(), c.Base.Parts, rand.New(rand.NewSource(c.Base.Seed+int64(i))))
+	}
+	if c.Operator == "knux" {
+		return ga.NewKNUX(est)
+	}
+	return ga.NewDKNUX(est)
+}
+
 // Model is a running distributed GA.
 type Model struct {
 	cfg     Config
 	width   int // islands stepped at once within an epoch
 	islands []*ga.Engine
-	gen     int
 }
 
 // New validates cfg and builds the islands. With several islands each
@@ -90,10 +116,15 @@ func New(g *graph.Graph, cfg Config) (*Model, error) {
 		return nil, fmt.Errorf("dpga: hypercube needs a power-of-two island count, got %d", n)
 	}
 	if cfg.Base.Crossover != nil {
-		return nil, fmt.Errorf("dpga: Base.Crossover would be shared by concurrent islands; set CrossoverFactory")
+		return nil, fmt.Errorf("dpga: Base.Crossover would be shared by concurrent islands; name the Operator")
 	}
-	if cfg.CrossoverFactory == nil {
-		return nil, fmt.Errorf("dpga: CrossoverFactory is required")
+	switch cfg.Operator {
+	case "", "dknux", "knux", "ux", "2pt":
+	default:
+		return nil, fmt.Errorf("dpga: unknown crossover operator %q (want dknux, knux, ux or 2pt)", cfg.Operator)
+	}
+	if cfg.Base.Parts <= 0 {
+		return nil, fmt.Errorf("dpga: Parts must be positive, got %d", cfg.Base.Parts)
 	}
 	total := cfg.Base.PopSize
 	if total == 0 {
@@ -107,7 +138,7 @@ func New(g *graph.Graph, cfg Config) (*Model, error) {
 	for i := 0; i < cfg.Islands; i++ {
 		ic := cfg.Base
 		ic.PopSize = per
-		ic.Crossover = cfg.CrossoverFactory(i)
+		ic.Crossover = cfg.crossover(g, i)
 		ic.EvalWorkers = m.width
 		if cfg.Islands > 1 {
 			// The islands themselves fill the width.
@@ -156,7 +187,6 @@ func (m *Model) epoch(steps int) {
 			}
 		}
 	})
-	m.gen += steps
 }
 
 // migrate sends a copy of each island's fittest individual, the first on
@@ -200,9 +230,3 @@ func (m *Model) Best() *ga.Individual {
 	}
 	return best
 }
-
-// Generation returns the number of generations completed.
-func (m *Model) Generation() int { return m.gen }
-
-// Islands exposes the underlying engines (read-only use).
-func (m *Model) Islands() []*ga.Engine { return m.islands }

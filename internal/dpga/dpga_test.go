@@ -40,13 +40,13 @@ func TestHypercubeNeighbors(t *testing.T) {
 func TestHypercubeValidate(t *testing.T) {
 	g := gen.Mesh(40, 1)
 	for _, n := range []int{1, 2, 16} {
-		cfg := Config{Base: baseConfig(2), Islands: n, CrossoverFactory: uniform}
+		cfg := Config{Base: baseConfig(2), Islands: n, Operator: "ux"}
 		if _, err := New(g, cfg); err != nil {
 			t.Errorf("%d islands: %v", n, err)
 		}
 	}
 	for _, n := range []int{-4, 3, 6, 12} {
-		cfg := Config{Base: baseConfig(2), Islands: n, CrossoverFactory: uniform}
+		cfg := Config{Base: baseConfig(2), Islands: n, Operator: "ux"}
 		if _, err := New(g, cfg); err == nil {
 			t.Errorf("hypercube accepted %d islands", n)
 		}
@@ -61,36 +61,39 @@ func baseConfig(parts int) ga.Config {
 	}
 }
 
-// uniform is a CrossoverFactory for tests that need no per-island state.
-func uniform(int) ga.Crossover { return ga.Uniform{} }
-
 func TestNewValidation(t *testing.T) {
 	g := gen.Mesh(40, 1)
-	// No crossover anywhere.
-	if _, err := New(g, Config{Base: baseConfig(2), Islands: 4}); err == nil {
-		t.Error("config without crossover accepted")
+	// An operator outside the registry's GA family.
+	for _, op := range []string{"DKNUX", "1pt", "uniform"} {
+		if _, err := New(g, Config{Base: baseConfig(2), Islands: 4, Operator: op}); err == nil {
+			t.Errorf("operator %q accepted", op)
+		}
+	}
+	// No parts to draw a random estimate over.
+	if _, err := New(g, Config{Base: baseConfig(0), Islands: 4}); err == nil {
+		t.Error("zero parts accepted")
 	}
 	// Too many islands for the population.
-	if _, err := New(g, Config{Base: baseConfig(2), Islands: 64, CrossoverFactory: uniform}); err == nil {
+	if _, err := New(g, Config{Base: baseConfig(2), Islands: 64, Operator: "ux"}); err == nil {
 		t.Error("1-individual islands accepted")
 	}
 	// Hypercube with non-power-of-two.
-	if _, err := New(g, Config{Base: baseConfig(2), Islands: 6, CrossoverFactory: uniform}); err == nil {
+	if _, err := New(g, Config{Base: baseConfig(2), Islands: 6, Operator: "ux"}); err == nil {
 		t.Error("6-island hypercube accepted")
 	}
 }
 
 // A Base.Crossover would be one operator stepped by every island at once —
 // a data race for operators with per-run state (DKNUX's estimate) — so New
-// refuses it even alongside a factory.
+// refuses it whatever the Operator.
 func TestNewRejectsSharedCrossover(t *testing.T) {
 	g := gen.Mesh(40, 1)
 	est := partition.RandomBalanced(40, 2, rand.New(rand.NewSource(1)))
-	for _, factory := range []func(int) ga.Crossover{nil, uniform} {
-		cfg := Config{Base: baseConfig(2), Islands: 4, CrossoverFactory: factory}
+	for _, op := range []string{"", "ux"} {
+		cfg := Config{Base: baseConfig(2), Islands: 4, Operator: op}
 		cfg.Base.Crossover = ga.NewDKNUX(est)
 		if _, err := New(g, cfg); err == nil {
-			t.Errorf("shared Base.Crossover accepted (factory set: %v)", factory != nil)
+			t.Errorf("shared Base.Crossover accepted (operator %q)", op)
 		}
 	}
 }
@@ -99,17 +102,17 @@ func TestPaperConfiguration(t *testing.T) {
 	// Paper: total population 320, 16 subpopulations, 4-d hypercube.
 	g := gen.Mesh(50, 2)
 	cfg := Config{
-		Base:             ga.Config{Parts: 4, Seed: 1},
-		CrossoverFactory: uniform,
+		Base:     ga.Config{Parts: 4, Seed: 1},
+		Operator: "ux",
 	}
 	m, err := New(g, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(m.Islands()) != 16 {
-		t.Fatalf("%d islands", len(m.Islands()))
+	if len(m.islands) != 16 {
+		t.Fatalf("%d islands", len(m.islands))
 	}
-	for _, e := range m.Islands() {
+	for _, e := range m.islands {
 		if len(e.Population()) != 20 {
 			t.Fatalf("island population %d, want 320/16 = 20", len(e.Population()))
 		}
@@ -119,9 +122,9 @@ func TestPaperConfiguration(t *testing.T) {
 func TestRunImprovesAndCounts(t *testing.T) {
 	g := gen.Mesh(60, 3)
 	cfg := Config{
-		Base:             ga.Config{Parts: 4, PopSize: 64, Seed: 5},
-		Islands:          4,
-		CrossoverFactory: uniform,
+		Base:     ga.Config{Parts: 4, PopSize: 64, Seed: 5},
+		Islands:  4,
+		Operator: "ux",
 	}
 	m, err := New(g, cfg)
 	if err != nil {
@@ -129,8 +132,11 @@ func TestRunImprovesAndCounts(t *testing.T) {
 	}
 	first := m.Best().Fitness
 	m.Run(12)
-	if m.Generation() != 12 {
-		t.Errorf("generation = %d, want 12", m.Generation())
+	for i, e := range m.islands {
+		// One Stats entry per generation, the initial population included.
+		if n := len(e.Stats().BestFitness) - 1; n != 12 {
+			t.Errorf("island %d stepped %d generations, want 12", i, n)
+		}
 	}
 	if m.Best().Fitness < first {
 		t.Error("best regressed over run")
@@ -140,7 +146,8 @@ func TestRunImprovesAndCounts(t *testing.T) {
 // TestParallelMatchesSequential is the width table: for every island count,
 // every width reproduces width 1 — the final best and every island's Stats —
 // because islands own their RNGs and operators, migrate at barriers, and
-// evaluate purely.
+// evaluate purely. Without seeds each island's DKNUX starts from its own
+// random estimate.
 func TestParallelMatchesSequential(t *testing.T) {
 	g := gen.Mesh(50, 4)
 	type result struct {
@@ -151,16 +158,12 @@ func TestParallelMatchesSequential(t *testing.T) {
 		m, err := New(g, Config{
 			Base:    ga.Config{Parts: 4, PopSize: 64, HillClimb: true, EvalWorkers: width, Seed: 9},
 			Islands: islands,
-			CrossoverFactory: func(island int) ga.Crossover {
-				rng := rand.New(rand.NewSource(int64(100 + island)))
-				return ga.NewDKNUX(partition.RandomBalanced(g.NumNodes(), 4, rng))
-			},
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		r := result{best: m.Run(10).Part.Assign}
-		for _, e := range m.Islands() {
+		for _, e := range m.islands {
 			r.island = append(r.island, e.Stats())
 		}
 		return r
@@ -177,10 +180,11 @@ func TestParallelMatchesSequential(t *testing.T) {
 
 // One island is the single-population GA: the same engine, seed and
 // operator as ga.New(base).Run, so the final assignment and the whole Stats
-// trajectory must match bit for bit.
+// trajectory must match bit for bit. Without seeds, island 0's DKNUX
+// estimate is the random balanced partition drawn from Base.Seed.
 func TestOneIslandIsSinglePopulation(t *testing.T) {
 	g := gen.PaperGraph(144)
-	est := partition.RandomBalanced(g.NumNodes(), 8, rand.New(rand.NewSource(5)))
+	est := partition.RandomBalanced(g.NumNodes(), 8, rand.New(rand.NewSource(29)))
 	for _, obj := range []partition.Objective{partition.TotalCut, partition.WorstCut} {
 		base := ga.Config{Parts: 8, Objective: obj, PopSize: 48, HillClimb: true, Seed: 29}
 
@@ -192,11 +196,7 @@ func TestOneIslandIsSinglePopulation(t *testing.T) {
 		}
 		want := e.Run(15)
 
-		m, err := New(g, Config{
-			Base:             base,
-			Islands:          1,
-			CrossoverFactory: func(int) ga.Crossover { return ga.NewDKNUX(est) },
-		})
+		m, err := New(g, Config{Base: base, Islands: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -204,7 +204,7 @@ func TestOneIslandIsSinglePopulation(t *testing.T) {
 		if !reflect.DeepEqual(want.Part.Assign, got.Part.Assign) || want.Fitness != got.Fitness {
 			t.Errorf("%s: one-island best differs from ga.New(base).Run", obj.FlagName())
 		}
-		if !reflect.DeepEqual(e.Stats(), m.Islands()[0].Stats()) {
+		if !reflect.DeepEqual(e.Stats(), m.islands[0].Stats()) {
 			t.Errorf("%s: one-island Stats differ from ga.New(base).Run", obj.FlagName())
 		}
 	}
@@ -216,17 +216,17 @@ func TestOneIslandPollsStopEveryGeneration(t *testing.T) {
 	g := gen.Mesh(40, 5)
 	polls := 0
 	m, err := New(g, Config{
-		Base:             ga.Config{Parts: 2, PopSize: 16, Seed: 3},
-		Islands:          1,
-		CrossoverFactory: uniform,
-		Stop:             func() bool { polls++; return polls > 3 },
+		Base:     ga.Config{Parts: 2, PopSize: 16, Seed: 3},
+		Islands:  1,
+		Operator: "ux",
+		Stop:     func() bool { polls++; return polls > 3 },
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	m.Run(20)
-	if m.Generation() != 3 {
-		t.Errorf("stopped after %d generations, want 3", m.Generation())
+	if n := len(m.islands[0].Stats().BestFitness) - 1; n != 3 {
+		t.Errorf("stopped after %d generations, want 3", n)
 	}
 }
 
@@ -237,8 +237,8 @@ func TestRunLeavesNoGoroutines(t *testing.T) {
 	g := gen.Mesh(60, 6)
 	before := runtime.NumGoroutine()
 	m, err := New(g, Config{
-		Base:             ga.Config{Parts: 4, PopSize: 64, Seed: 7},
-		CrossoverFactory: uniform,
+		Base:     ga.Config{Parts: 4, PopSize: 64, Seed: 7},
+		Operator: "ux",
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -262,9 +262,9 @@ func TestRunLeavesNoGoroutines(t *testing.T) {
 func TestMigrationSpreadsBest(t *testing.T) {
 	g := gen.PaperGraph(98)
 	m, err := New(g, Config{
-		Base:             ga.Config{Parts: 4, PopSize: 48, Seed: 31},
-		Islands:          4,
-		CrossoverFactory: uniform,
+		Base:     ga.Config{Parts: 4, PopSize: 48, Seed: 31},
+		Islands:  4,
+		Operator: "ux",
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -277,17 +277,17 @@ func TestMigrationSpreadsBest(t *testing.T) {
 		}
 		return best
 	}
-	before := make([]float64, len(m.Islands()))
-	for i, e := range m.Islands() {
+	before := make([]float64, len(m.islands))
+	for i, e := range m.islands {
 		before[i] = fittest(e)
 	}
 	if slices.Min(before) == slices.Max(before) {
 		t.Fatalf("islands already agree before migration (%v); the check would be vacuous", before)
 	}
 	m.migrate()
-	for i, e := range m.Islands() {
+	for i, e := range m.islands {
 		after := fittest(e)
-		for _, j := range hypercubeNeighbors(i, len(m.Islands())) {
+		for _, j := range hypercubeNeighbors(i, len(m.islands)) {
 			if after < before[j] {
 				t.Errorf("island %d fittest %v after migration, below neighbor %d's %v", i, after, j, before[j])
 			}
@@ -295,27 +295,54 @@ func TestMigrationSpreadsBest(t *testing.T) {
 	}
 }
 
-func TestCrossoverFactoryPerIslandState(t *testing.T) {
-	// DKNUX holds mutable per-run state; the factory must give each island
-	// its own instance.
+// DKNUX holds mutable per-run state, so every island gets its own operator
+// and its own copy of its estimate: the island's seed, dealt round-robin,
+// or without seeds the random balanced partition drawn from Base.Seed plus
+// the island index.
+func TestCrossoverPerIslandState(t *testing.T) {
 	g := gen.Mesh(40, 6)
 	rng := rand.New(rand.NewSource(7))
-	made := map[ga.Crossover]bool{}
-	cfg := Config{
-		Base:    ga.Config{Parts: 2, PopSize: 32, Seed: 3},
-		Islands: 4,
-		CrossoverFactory: func(island int) ga.Crossover {
-			op := ga.NewDKNUX(partition.RandomBalanced(40, 2, rng))
-			made[op] = true
-			return op
-		},
+	seeds := []*partition.Partition{partition.RandomBalanced(40, 2, rng), partition.RandomBalanced(40, 2, rng)}
+	type estimator interface {
+		ga.Crossover
+		Estimate() *partition.Partition
 	}
-	m, err := New(g, cfg)
+	for _, op := range []string{"", "dknux", "knux"} {
+		for _, seeded := range []bool{false, true} {
+			cfg := Config{Base: ga.Config{Parts: 2, Seed: 3}, Operator: op}
+			if seeded {
+				cfg.Base.Seeds = seeds
+			}
+			made := map[*partition.Partition]bool{}
+			for i := 0; i < 4; i++ {
+				x, ok := cfg.crossover(g, i).(estimator)
+				if !ok || (op == "knux") != (x.Name() == "KNUX") {
+					t.Fatalf("operator %q island %d: got %T", op, i, x)
+				}
+				est := x.Estimate()
+				want := partition.RandomBalanced(40, 2, rand.New(rand.NewSource(3+int64(i))))
+				if seeded {
+					want = seeds[i%len(seeds)]
+				}
+				if !slices.Equal(est.Assign, want.Assign) {
+					t.Errorf("operator %q seeded=%v island %d: estimate does not follow the rule", op, seeded, i)
+				}
+				if est == want || made[est] {
+					t.Errorf("operator %q seeded=%v island %d: estimate is shared", op, seeded, i)
+				}
+				made[est] = true
+			}
+		}
+	}
+	for op, want := range map[string]ga.Crossover{"ux": ga.Uniform{}, "2pt": ga.KPoint{K: 2}} {
+		cfg := Config{Base: ga.Config{Parts: 2, Seeds: seeds}, Operator: op}
+		if got := cfg.crossover(g, 1); got != want {
+			t.Errorf("operator %q: got %#v, want %#v", op, got, want)
+		}
+	}
+	m, err := New(g, Config{Base: ga.Config{Parts: 2, PopSize: 32, Seed: 3}, Islands: 4})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if len(made) != 4 {
-		t.Errorf("factory called %d times, want 4", len(made))
 	}
 	m.Run(6)
 }

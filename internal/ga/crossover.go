@@ -157,29 +157,9 @@ func NewDKNUX(estimate *partition.Partition) *DKNUX {
 func (d *DKNUX) Name() string { return "DKNUX" }
 
 // SetEstimate replaces the estimate with a clone of best. The engine calls
-// this on every global-best improvement, realizing the paper's "continually
-// updates the estimate I to be the current best solution".
+// this on every global-best improvement that is fitter than the estimate,
+// realizing the paper's "continually updates the estimate I to be the
+// current best solution".
 func (d *DKNUX) SetEstimate(best *partition.Partition) {
 	d.estimate = best.Clone()
 }
-
-// EstimateUpdater is implemented by operators whose heuristic estimate should
-// track the best solution (DKNUX). The engine feeds every new global best to
-// it — but only when that best is fitter than the operator's current
-// estimate, so a strong heuristic seed (e.g. IBP) is never displaced by a
-// weaker early-population best.
-type EstimateUpdater interface {
-	SetEstimate(best *partition.Partition)
-}
-
-// EstimateProvider exposes an operator's current estimate so the engine can
-// score it before deciding whether a new best should replace it.
-type EstimateProvider interface {
-	Estimate() *partition.Partition
-}
-
-var (
-	_ EstimateUpdater  = (*DKNUX)(nil)
-	_ EstimateProvider = (*DKNUX)(nil)
-	_ EstimateProvider = (*KNUX)(nil)
-)

@@ -88,7 +88,6 @@ type Engine struct {
 
 	pop  []*Individual
 	best *Individual // best ever seen (may have left the population)
-	gen  int
 
 	// free holds the members of the last replaced generation, whose Part
 	// and Eval storage breedOne overwrites for the next offspring. None of
@@ -132,8 +131,8 @@ func New(g *graph.Graph, cfg Config) (*Engine, error) {
 		rng:        rand.New(rand.NewSource(c.Seed)),
 		estFitness: math.Inf(-1),
 	}
-	if prov, ok := c.Crossover.(EstimateProvider); ok {
-		if est := prov.Estimate(); est != nil && len(est.Assign) == g.NumNodes() && est.Parts == c.Parts {
+	if d, ok := c.Crossover.(*DKNUX); ok {
+		if est := d.Estimate(); len(est.Assign) == g.NumNodes() && est.Parts == c.Parts {
 			e.estFitness = est.Fitness(g, c.Objective)
 		}
 	}
@@ -178,14 +177,16 @@ func (e *Engine) fittest() *Individual {
 	return best
 }
 
+// updateEstimate hands a new best to a DKNUX operator, but only when it is
+// fitter than the operator's current estimate, so a strong heuristic seed
+// (e.g. IBP) is never displaced by a weaker early-population best.
 func (e *Engine) updateEstimate() {
-	if e.best.Fitness <= e.estFitness {
-		return // current estimate is at least as good; keep the knowledge
+	d, ok := e.cfg.Crossover.(*DKNUX)
+	if !ok || e.best.Fitness <= e.estFitness {
+		return // not DKNUX, or its estimate is at least as good
 	}
-	if up, ok := e.cfg.Crossover.(EstimateUpdater); ok {
-		up.SetEstimate(e.best.Part)
-		e.estFitness = e.best.Fitness
-	}
+	d.SetEstimate(e.best.Part)
+	e.estFitness = e.best.Fitness
 }
 
 func (e *Engine) record() {
@@ -224,7 +225,6 @@ func (e *Engine) Step() {
 		}
 	}
 	e.pop = next
-	e.gen++
 
 	if f := e.fittest(); f.Fitness > e.best.Fitness {
 		e.best = f.Clone()
@@ -367,9 +367,6 @@ func (e *Engine) Run(generations int) *Individual {
 
 // Best returns a clone of the best individual found so far.
 func (e *Engine) Best() *Individual { return e.best.Clone() }
-
-// Generation returns the number of Step calls so far.
-func (e *Engine) Generation() int { return e.gen }
 
 // Stats returns the recorded per-generation trajectory (entry 0 is the
 // initial population). The returned value shares no state with the engine.

@@ -242,18 +242,20 @@ func TestInject(t *testing.T) {
 	}
 }
 
+// Stats holds one entry per generation, the initial population included,
+// so its length counts the Steps taken.
 func TestGenerationCounter(t *testing.T) {
 	g := gen.Mesh(30, 11)
 	e, err := New(g, smallConfig(2, Uniform{}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e.Generation() != 0 {
-		t.Errorf("initial generation %d", e.Generation())
+	if n := len(e.Stats().BestFitness); n != 1 {
+		t.Errorf("initial Stats hold %d generations, want 1", n)
 	}
 	e.Run(5)
-	if e.Generation() != 5 {
-		t.Errorf("after 5 steps: %d", e.Generation())
+	if n := len(e.Stats().BestFitness); n != 6 {
+		t.Errorf("after 5 steps Stats hold %d generations, want 6", n)
 	}
 }
 

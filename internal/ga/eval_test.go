@@ -76,7 +76,7 @@ func checkPopulation(t *testing.T, e *Engine, exact bool) {
 		claimInd(who, ind)
 	}
 	claimInd("best", e.best)
-	if prov, ok := e.cfg.Crossover.(EstimateProvider); ok {
+	if prov, ok := e.cfg.Crossover.(interface{ Estimate() *partition.Partition }); ok {
 		est := prov.Estimate()
 		claim("estimate", est, &est.Assign[0])
 	}

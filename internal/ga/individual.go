@@ -3,7 +3,10 @@
 // crossover operators (one-point, two-point, k-point, uniform), the paper's
 // knowledge-based operators KNUX and DKNUX, mutation, selection, optional
 // boundary hill climbing, and the single-population engine that the
-// distributed-population model (package dpga) runs as each island.
+// distributed-population model (package dpga) runs as each island, with an
+// operator dpga builds from its name. KNUX keeps its estimate for the whole
+// run; the engine hands a DKNUX operator every new best that is fitter than
+// its current estimate.
 package ga
 
 import (

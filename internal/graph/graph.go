@@ -176,8 +176,8 @@ func (g *Graph) Validate() error {
 }
 
 // Builder accumulates nodes and edges and produces an immutable Graph.
-// Duplicate edge insertions keep the last weight. The zero value is ready to
-// use.
+// Duplicate edge insertions keep the last weight. Create one with NewBuilder
+// or FromGraph: the zero value has no edge map, and AddEdge on it panics.
 type Builder struct {
 	nodeWeight []float64
 	coords     []Point

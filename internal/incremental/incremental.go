@@ -40,6 +40,22 @@ type Config struct {
 // partition seed the population, after the deterministic one.
 const seedCopies = 8
 
+// Seeds is the seed pool of §3.5 for the grown graph: several independent
+// balance-repaired extensions of old ("the previous partitioning can itself
+// be used ... by randomly assigning new graph nodes ... while at the same
+// time ensuring that balance is maintained"), drawn from rng. The
+// deterministic majority-neighbor extension comes first, so it enters the
+// population even under tiny island sizes: the GA can then never be worse
+// than the baseline it is compared against.
+func Seeds(old *partition.Partition, grown *graph.Graph, rng *rand.Rand) []*partition.Partition {
+	seeds := make([]*partition.Partition, 0, seedCopies+1)
+	seeds = append(seeds, partition.ExtendMajorityNeighbor(old, grown))
+	for i := 0; i < seedCopies; i++ {
+		seeds = append(seeds, partition.ExtendRandomBalanced(old, grown, rng))
+	}
+	return seeds
+}
+
 // Repartition repairs oldPart (a partition of the original graph) for the
 // grown graph using the DKNUX GA. The grown graph must contain the original
 // nodes with unchanged indices (as gen.Refine guarantees).
@@ -58,35 +74,17 @@ func Repartition(grown *graph.Graph, oldPart *partition.Partition, cfg Config) (
 		return nil, fmt.Errorf("incremental: old partition covers %d nodes, grown graph has %d",
 			len(oldPart.Assign), grown.NumNodes())
 	}
-	rng := rand.New(rand.NewSource(o.Seed))
-
-	// Seed population: several independent balance-repaired extensions of
-	// the old partition (§3.5: "the previous partitioning can itself be used
-	// ... by randomly assigning new graph nodes ... while at the same time
-	// ensuring that balance is maintained").
-	// The deterministic extension seeds the pool first, so it enters the
-	// population even under tiny island sizes: the GA can then never be
-	// worse than the baseline it is compared against.
-	seeds := make([]*partition.Partition, 0, seedCopies+1)
-	seeds = append(seeds, partition.ExtendMajorityNeighbor(oldPart, grown))
-	for i := 0; i < seedCopies; i++ {
-		seeds = append(seeds, partition.ExtendRandomBalanced(oldPart, grown, rng))
-	}
-
 	m, err := dpga.New(grown, dpga.Config{
 		Base: ga.Config{
 			Parts:       o.Parts,
 			Objective:   o.Objective,
 			PopSize:     o.PopSize,
-			Seeds:       seeds,
+			Seeds:       Seeds(oldPart, grown, rand.New(rand.NewSource(o.Seed))),
 			HillClimb:   cfg.HillClimb,
 			EvalWorkers: o.EvalWorkers,
 			Seed:        o.Seed,
 		},
 		Islands: o.Islands,
-		CrossoverFactory: func(island int) ga.Crossover {
-			return ga.NewDKNUX(seeds[island%len(seeds)])
-		},
 	})
 	if err != nil {
 		return nil, err

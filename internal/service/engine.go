@@ -40,6 +40,8 @@ import (
 	"context"
 	"fmt"
 	"runtime/debug"
+	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -285,10 +287,16 @@ func New(cfg Config) *Engine {
 
 // restore seeds the job table from a previous run's terminal records. The id
 // sequence resumes past the largest restored id, so new jobs never collide
-// with restored ones.
+// with restored ones. A record whose id this engine could not have issued
+// (see jobSeq) is dropped: it could wrap the sequence onto restored ids.
 func (e *Engine) restore(records []JobInfo) {
 	for _, rec := range records {
-		if rec.ID == "" || !rec.State.terminal() {
+		n, ok := jobSeq(rec.ID)
+		if !ok {
+			continue
+		}
+		e.seq = max(e.seq, n)
+		if !rec.State.terminal() {
 			continue
 		}
 		if _, dup := e.jobs[rec.ID]; dup {
@@ -318,12 +326,17 @@ func (e *Engine) restore(records []JobInfo) {
 		}
 		e.jobs[j.id] = j
 		e.jobOrder = append(e.jobOrder, j.id)
-		var n uint64
-		if _, err := fmt.Sscanf(rec.ID, "j%d", &n); err == nil && n > e.seq {
-			e.seq = n
-		}
 	}
 	e.evictJobHistoryLocked() // every restored job is terminal
+}
+
+// jobSeq returns the sequence number of a job id: "j" and decimal digits
+// below 2^63, so that 2^63 further jobs fit before the counter could wrap
+// onto an id it has issued. Every id newJobLocked makes qualifies.
+func jobSeq(id string) (uint64, bool) {
+	digits, ok := strings.CutPrefix(id, "j")
+	n, err := strconv.ParseUint(digits, 10, 63)
+	return n, ok && err == nil
 }
 
 // closedChan is a pre-closed channel shared by everything that is born
