@@ -52,6 +52,13 @@ func Grid(rows, cols int) *graph.Graph {
 // predicates, so the result is bit-identical to the pair scan's.
 func RandomGeometric(rng *rand.Rand, n int, radius float64) *graph.Graph {
 	pts := randomWellSpacedPoints(rng, n)
+	return connect(geometricGraph(pts, radius), pts)
+}
+
+// geometricGraph joins the points within radius of each other, unit
+// weights, with the points as coordinates.
+func geometricGraph(pts []geometry.Point, radius float64) *graph.Graph {
+	n := len(pts)
 	b := graph.NewBuilder(n)
 	for i := 0; i < n; i++ {
 		b.SetCoord(i, graph.Point{X: pts[i].X, Y: pts[i].Y})
@@ -67,7 +74,7 @@ func RandomGeometric(rng *rand.Rand, n int, radius float64) *graph.Graph {
 			})
 		}
 	}
-	return connect(b.Build(), pts)
+	return b.Build()
 }
 
 // gridGeom is the square-cell geometry shared by the point grids below:
@@ -332,6 +339,8 @@ func (g *insertGrid) forNearby(p geometry.Point, fn func(j int)) {
 // a grid ring search per outside node and tracks connectivity in a
 // union-find instead of rebuilding the graph per join, so stitching a
 // 100k-node graph with hundreds of pockets costs milliseconds, not minutes.
+// The joins are collected first and the graph is assembled once, from g's
+// edges plus the joins, by graph.FromEdges.
 func connect(g *graph.Graph, pts []geometry.Point) *graph.Graph {
 	comp, count := g.Components()
 	if count <= 1 {
@@ -350,7 +359,7 @@ func connect(g *graph.Graph, pts []geometry.Point) *graph.Graph {
 	}
 	n := len(pts)
 	grid := newBucketGrid(pts, 1/(2*math.Sqrt(float64(n))+1))
-	b := graph.FromGraph(g)
+	var joinV, joinU []int32
 	for joins := count - 1; joins > 0; joins-- {
 		root := find(comp[0])
 		bestV, bestU, bestD := -1, -1, math.Inf(1)
@@ -369,8 +378,29 @@ func connect(g *graph.Graph, pts []geometry.Point) *graph.Graph {
 		if bestU < 0 {
 			break
 		}
-		b.AddEdge(bestV, bestU, 1)
+		joinV, joinU = append(joinV, int32(bestV)), append(joinU, int32(bestU))
 		parent[find(comp[bestU])] = root
 	}
-	return b.Build()
+
+	m := g.NumEdges() + len(joinV)
+	us, vs, ws := make([]int32, 0, m), make([]int32, 0, m), make([]float64, 0, m)
+	g.Edges(func(u, v int, w float64) bool {
+		us, vs, ws = append(us, int32(u)), append(vs, int32(v)), append(ws, w)
+		return true
+	})
+	for i := range joinV {
+		us, vs, ws = append(us, joinV[i]), append(vs, joinU[i]), append(ws, 1)
+	}
+	nw := make([]float64, n)
+	coords := make([]graph.Point, n)
+	for v := range nw {
+		nw[v], coords[v] = g.NodeWeight(v), g.Coord(v)
+	}
+	// Each join links two components, so it repeats no edge of g or of an
+	// earlier join, and FromEdges cannot fail.
+	out, err := graph.FromEdges(us, vs, ws, nw, coords)
+	if err != nil {
+		panic(err)
+	}
+	return out
 }

@@ -1,10 +1,16 @@
 package gen
 
 import (
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
+
+	"repro/internal/geometry"
+	"repro/internal/graph"
+	"repro/internal/service"
 )
 
 func TestGridStructure(t *testing.T) {
@@ -150,6 +156,90 @@ func TestRandomGeometricMatchesPairScan(t *testing.T) {
 	}
 	if missing > 20 {
 		t.Errorf("%d beyond-radius edges; stitching should add only a handful", missing)
+	}
+}
+
+// refConnect is connect as it was before it built through graph.FromEdges:
+// each join went into a copy of g made by graph.FromGraph, whose edge map
+// Build then assembled. TestConnectMatchesFromGraphReference holds connect
+// to it.
+func refConnect(g *graph.Graph, pts []geometry.Point) *graph.Graph {
+	comp, count := g.Components()
+	if count <= 1 {
+		return g
+	}
+	parent := make([]int, count)
+	for i := range parent {
+		parent[i] = i
+	}
+	var find func(int) int
+	find = func(c int) int {
+		if parent[c] != c {
+			parent[c] = find(parent[c])
+		}
+		return parent[c]
+	}
+	n := len(pts)
+	grid := newBucketGrid(pts, 1/(2*math.Sqrt(float64(n))+1))
+	b := graph.FromGraph(g)
+	for joins := count - 1; joins > 0; joins-- {
+		root := find(comp[0])
+		bestV, bestU, bestD := -1, -1, math.Inf(1)
+		for u := 0; u < n; u++ {
+			if find(comp[u]) == root {
+				continue
+			}
+			v, d := grid.nearest(pts[u], pts, func(j int) bool { return find(comp[j]) == root })
+			if v < 0 {
+				continue
+			}
+			if d < bestD || (d == bestD && (v < bestV || (v == bestV && u < bestU))) {
+				bestV, bestU, bestD = v, u, d
+			}
+		}
+		if bestU < 0 {
+			break
+		}
+		b.AddEdge(bestV, bestU, 1)
+		parent[find(comp[bestU])] = root
+	}
+	return b.Build()
+}
+
+// connect must give the FromGraph-based reference's graph bit for bit —
+// the same content hash and CSR arrays — on random geometric graphs whose
+// radius leaves from 3 to 38 components to stitch.
+func TestConnectMatchesFromGraphReference(t *testing.T) {
+	cases := []struct {
+		n      int
+		radius float64
+		seed   int64
+	}{
+		{60, 0.08, 1}, {500, 0.05, 2}, {2000, 0.025, 3}, {2000, 0.03, 3},
+	}
+	for _, c := range cases {
+		pts := randomWellSpacedPoints(rand.New(rand.NewSource(c.seed)), c.n)
+		g := geometricGraph(pts, c.radius)
+		if _, count := g.Components(); count < 2 {
+			t.Fatalf("n=%d radius=%v: %d component, nothing to stitch", c.n, c.radius, count)
+		}
+		got, want := connect(g, pts), refConnect(g, pts)
+		if !got.IsConnected() {
+			t.Errorf("n=%d radius=%v: not connected", c.n, c.radius)
+		}
+		if gh, wh := service.GraphHash(got), service.GraphHash(want); gh != wh {
+			t.Errorf("n=%d radius=%v: GraphHash %s, reference %s", c.n, c.radius, gh, wh)
+		}
+		if got.NumEdges() != want.NumEdges() || got.TotalNodeWeight() != want.TotalNodeWeight() {
+			t.Fatalf("n=%d radius=%v: %d edges, weight %v; reference %d, %v", c.n, c.radius,
+				got.NumEdges(), got.TotalNodeWeight(), want.NumEdges(), want.TotalNodeWeight())
+		}
+		for v := 0; v < c.n; v++ {
+			if !slices.Equal(got.Neighbors(v), want.Neighbors(v)) || !slices.Equal(got.EdgeWeights(v), want.EdgeWeights(v)) ||
+				got.NodeWeight(v) != want.NodeWeight(v) || got.Coord(v) != want.Coord(v) {
+				t.Fatalf("n=%d radius=%v: node %d differs from the reference", c.n, c.radius, v)
+			}
+		}
 	}
 }
 

@@ -35,21 +35,19 @@ func ReadEdgeList(r io.Reader) (*graph.Graph, error) {
 	lineNo := 0
 	for sc.Scan() {
 		lineNo++
-		f := fielder{s: sc.Text()}
-		tok, ok := f.next()
-		if !ok || tok[0] == '#' || tok[0] == '%' {
+		f := fielder{s: sc.Bytes()}
+		u, tok, ok := f.nextInt()
+		if tok == nil || tok[0] == '#' || tok[0] == '%' {
 			continue
 		}
-		u, err := strconv.Atoi(tok)
-		if err != nil || u < 0 || u > MaxEdgeListNode {
+		if !ok || u < 0 || u > MaxEdgeListNode {
 			return nil, fmt.Errorf("gio: edge list line %d: bad endpoint %q", lineNo, tok)
 		}
-		tok, ok = f.next()
-		if !ok {
+		v, tok, ok := f.nextInt()
+		if tok == nil {
 			return nil, fmt.Errorf("gio: edge list line %d: missing second endpoint", lineNo)
 		}
-		v, err := strconv.Atoi(tok)
-		if err != nil || v < 0 || v > MaxEdgeListNode {
+		if !ok || v < 0 || v > MaxEdgeListNode {
 			return nil, fmt.Errorf("gio: edge list line %d: bad endpoint %q", lineNo, tok)
 		}
 		if u == v {
@@ -57,7 +55,8 @@ func ReadEdgeList(r io.Reader) (*graph.Graph, error) {
 		}
 		w := 1.0
 		if tok, ok = f.next(); ok {
-			w, err = parseFinite(tok)
+			var err error
+			w, err = parseWeight(tok)
 			if err != nil || w <= 0 {
 				return nil, fmt.Errorf("gio: edge list line %d: bad weight %q", lineNo, tok)
 			}
@@ -123,7 +122,7 @@ func WriteEdgeList(w io.Writer, g *graph.Graph) error {
 		buf = strconv.AppendInt(buf, int64(v), 10)
 		if wt != 1 {
 			buf = append(buf, ' ')
-			buf = strconv.AppendFloat(buf, wt, 'g', -1, 64)
+			buf = appendWeight(buf, wt)
 		}
 		buf = append(buf, '\n')
 		if _, err := bw.Write(buf); err != nil {

@@ -28,15 +28,26 @@
 // CSR. This is what lets the partd service accept large uploaded graphs
 // without tripling their memory footprint. Every reader takes untrusted
 // uploads, so none sizes its arrays from a header's claimed counts (METIS
-// presizes at most 2^20 entries per array from its header): memory tracks
-// the bytes actually received, and each reader has a fuzz target.
+// presizes at most 2^20 entries per array from its header, and growth
+// doubles toward a header's count but never past twice what arrived):
+// memory tracks the bytes actually received, and each reader has a fuzz
+// target.
+//
+// Reading is linear in the input and allocates nothing per line. The
+// readers tokenize the scanner's bytes in place (tokens.go): no line or
+// token becomes a string, and integers and weights parse under exactly
+// strconv's grammar (FuzzTokens pins it). graph.FromCSR's validation of
+// METIS rows is one linear pass, so its work does not depend on the
+// degrees.
 package gio
 
 import (
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 
 	"repro/internal/graph"
@@ -47,6 +58,19 @@ import (
 // the syscall count in the hundreds where the 4 KiB bufio default would make
 // hundreds of thousands of writes.
 const writeBufSize = 1 << 20
+
+// appendWeight appends w exactly as strconv.AppendFloat(buf, w, 'g', -1,
+// 64) does. An integral w of magnitude below 1e6, other than -0, prints the
+// same through strconv.AppendInt, which is several times faster; that is
+// every weight of most graphs. (From 1e6 on, 'g' switches to an exponent,
+// and -0 keeps its sign.) The writers format node and edge weights with
+// it; coordinates go through AppendFloat.
+func appendWeight(buf []byte, w float64) []byte {
+	if w == math.Trunc(w) && math.Abs(w) < 1e6 && (w != 0 || !math.Signbit(w)) {
+		return strconv.AppendInt(buf, int64(w), 10)
+	}
+	return strconv.AppendFloat(buf, w, 'g', -1, 64)
+}
 
 // Format identifies an on-disk graph encoding.
 type Format int

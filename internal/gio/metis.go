@@ -2,6 +2,7 @@ package gio
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 	"math"
@@ -30,17 +31,17 @@ func ReadMETIS(r io.Reader) (*graph.Graph, error) {
 	if err != nil {
 		return nil, fmt.Errorf("gio: METIS header: %w", err)
 	}
-	n, m, hasVW, hasEW, err := parseMETISHeader(line)
+	n, m, hasVW, hasEW, err := parseMETISHeader(string(line))
 	if err != nil {
 		return nil, err
 	}
 
 	// Stream vertex lines into CSR. Degrees are not declared per vertex, so
-	// adjacency grows by append; the 2m count from the header presizes it
-	// exactly for well-formed inputs. Presizing is capped so a forged header
-	// claiming a billion nodes over a ten-byte body fails on the missing
-	// vertex lines instead of allocating gigabytes up front — the reader is
-	// fed untrusted uploads by the partd service.
+	// adjacency grows as lines arrive, toward the header's 2m entries.
+	// Presizing is capped so a forged header claiming a billion nodes over
+	// a ten-byte body fails on the missing vertex lines instead of
+	// allocating gigabytes up front — the reader is fed untrusted uploads
+	// by the partd service.
 	offsets := make([]int32, 1, capHint(n+1))
 	adj := make([]int32, 0, capHint(2*m))
 	var ew []float64
@@ -48,6 +49,7 @@ func ReadMETIS(r io.Reader) (*graph.Graph, error) {
 		ew = make([]float64, 0, capHint(2*m))
 	}
 	nw := make([]float64, 0, capHint(n))
+	sorted := true // every row so far lists its neighbors in strictly increasing order
 	for v := 0; v < n; v++ {
 		line, err := nextMETISLine(sc)
 		if err != nil {
@@ -60,41 +62,44 @@ func ReadMETIS(r io.Reader) (*graph.Graph, error) {
 			if !ok {
 				return nil, fmt.Errorf("gio: METIS vertex %d: missing vertex weight", v+1)
 			}
-			wv, err = parseFinite(tok)
+			wv, err = parseWeight(tok)
 			if err != nil || wv < 0 {
 				return nil, fmt.Errorf("gio: METIS vertex %d: bad vertex weight %q", v+1, tok)
 			}
 		}
-		nw = append(nw, wv)
-		for {
-			tok, ok := f.next()
-			if !ok {
+		nw = append(grow(nw, n), wv)
+		for prev := -1; ; {
+			u, tok, ok := f.nextInt()
+			if tok == nil {
 				break
 			}
-			u, err := strconv.Atoi(tok)
-			if err != nil || u < 1 || u > n {
+			if !ok || u < 1 || u > n {
 				return nil, fmt.Errorf("gio: METIS vertex %d: bad neighbor %q (neighbors are 1-indexed in [1,%d])", v+1, tok, n)
 			}
 			if u-1 == v {
 				return nil, fmt.Errorf("gio: METIS vertex %d: self loop", v+1)
 			}
+			if u <= prev {
+				sorted = false
+			}
+			prev = u
 			w := 1.0
 			if hasEW {
 				tok, ok := f.next()
 				if !ok {
 					return nil, fmt.Errorf("gio: METIS vertex %d: neighbor %d missing edge weight", v+1, u)
 				}
-				w, err = parseFinite(tok)
+				w, err = parseWeight(tok)
 				if err != nil || w <= 0 {
 					return nil, fmt.Errorf("gio: METIS vertex %d: bad edge weight %q", v+1, tok)
 				}
 			}
-			adj = append(adj, int32(u-1))
+			adj = append(grow(adj, 2*m), int32(u-1))
 			if hasEW {
-				ew = append(ew, w)
+				ew = append(grow(ew, 2*m), w)
 			}
 		}
-		offsets = append(offsets, int32(len(adj)))
+		offsets = append(grow(offsets, n+1), int32(len(adj)))
 	}
 	if len(adj) != 2*m {
 		return nil, fmt.Errorf("gio: METIS header claims %d edges, vertex lines list %d edge endpoints (want %d)", m, len(adj), 2*m)
@@ -106,13 +111,13 @@ func ReadMETIS(r io.Reader) (*graph.Graph, error) {
 		}
 	}
 
-	// Canonicalize rows; FromCSR's validation pass then enforces the
+	// Canonicalize rows, unless every row already came strictly sorted (as
+	// WriteMETIS writes them); FromCSR's validation pass then enforces the
 	// format's remaining contract (strictly sorted rows rule out duplicate
 	// neighbors, and every edge must appear from both endpoints with equal
-	// weight). One validation pass, not two — it is the dominant
-	// non-parsing cost on large uploads. Its errors carry 0-indexed node
-	// ids, hence the wrapping.
-	for v := 0; v < n; v++ {
+	// weight). One linear validation pass, not two. Its errors carry
+	// 0-indexed node ids, hence the wrapping.
+	for v := 0; v < n && !sorted; v++ {
 		graph.SortAdjacency(adj[offsets[v]:offsets[v+1]], ew[offsets[v]:offsets[v+1]])
 	}
 	g, err := graph.FromCSR(offsets, adj, ew, nw, nil)
@@ -217,18 +222,18 @@ func parseMETISHeader(line string) (n, m int, hasVW, hasEW bool, err error) {
 // nextMETISLine returns the next non-comment line. METIS treats an empty
 // vertex line as "no neighbors", so only '%' comments are skipped and empty
 // lines are returned as-is.
-func nextMETISLine(sc *bufio.Scanner) (string, error) {
+func nextMETISLine(sc *bufio.Scanner) ([]byte, error) {
 	for sc.Scan() {
-		line := sc.Text()
-		if strings.HasPrefix(strings.TrimSpace(line), "%") {
+		line := sc.Bytes()
+		if bytes.HasPrefix(bytes.TrimSpace(line), []byte("%")) {
 			continue
 		}
 		return line, nil
 	}
 	if err := sc.Err(); err != nil {
-		return "", err
+		return nil, err
 	}
-	return "", io.ErrUnexpectedEOF
+	return nil, io.ErrUnexpectedEOF
 }
 
 // writableWeight reports whether w can be emitted as a METIS integer:
@@ -239,44 +244,6 @@ func nextMETISLine(sc *bufio.Scanner) (string, error) {
 func writableWeight(w float64) bool {
 	return w == math.Trunc(w) && math.Abs(w) <= 1<<53
 }
-
-// parseFinite parses a weight or coordinate. METIS specifies integer
-// weights; floats are tolerated on input for interop, but every reader
-// rejects NaN and infinities (they would silently poison every downstream
-// metric).
-func parseFinite(tok string) (float64, error) {
-	w, err := strconv.ParseFloat(tok, 64)
-	if err != nil {
-		return 0, err
-	}
-	if math.IsNaN(w) || math.IsInf(w, 0) {
-		return 0, fmt.Errorf("gio: non-finite weight %q", tok)
-	}
-	return w, nil
-}
-
-// fielder iterates whitespace-separated tokens of a line without allocating
-// a field slice — the inner loop of the streaming parsers.
-type fielder struct {
-	s string
-	i int
-}
-
-func (f *fielder) next() (string, bool) {
-	for f.i < len(f.s) && isSpace(f.s[f.i]) {
-		f.i++
-	}
-	if f.i >= len(f.s) {
-		return "", false
-	}
-	start := f.i
-	for f.i < len(f.s) && !isSpace(f.s[f.i]) {
-		f.i++
-	}
-	return f.s[start:f.i], true
-}
-
-func isSpace(c byte) bool { return c == ' ' || c == '\t' || c == '\r' }
 
 // capHint bounds a header-derived preallocation size. Slices still grow to
 // whatever the input actually contains; this only keeps a forged header from

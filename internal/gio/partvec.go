@@ -37,13 +37,13 @@ func ReadPartition(r io.Reader, parts int) (*partition.Partition, error) {
 	lineNo := 0
 	for sc.Scan() {
 		lineNo++
-		f := fielder{s: sc.Text()}
+		f := fielder{s: sc.Bytes()}
 		tok, ok := f.next()
 		if !ok || tok[0] == '#' || tok[0] == '%' {
 			continue
 		}
-		q, err := strconv.Atoi(tok)
-		if err != nil || q < 0 || q >= 1<<16 {
+		q, ok := atoi(tok)
+		if !ok || q < 0 || q >= 1<<16 {
 			return nil, fmt.Errorf("gio: partition line %d: bad part id %q", lineNo, tok)
 		}
 		if parts > 0 && q >= parts {

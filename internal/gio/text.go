@@ -41,8 +41,9 @@ const (
 // edge listed twice, which graph.FromEdges reports by its ends.
 //
 // Nothing is presized from the header: the arrays grow only with the lines
-// received, so a short upload claiming 2^28 nodes fails on its missing node
-// lines having allocated next to nothing.
+// received (doubling toward the header's counts), so a short upload
+// claiming 2^28 nodes fails on its missing node lines having allocated next
+// to nothing.
 func ReadText(r io.Reader) (*graph.Graph, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
@@ -56,10 +57,10 @@ func ReadText(r io.Reader) (*graph.Graph, error) {
 	errorf := func(format string, args ...any) error {
 		return fmt.Errorf("gio: text line %d: "+format, append([]any{lineNo}, args...)...)
 	}
-	var toks [6]string // one more than the longest line has
+	var toks [6][]byte // one more than the longest line has
 	for sc.Scan() {
 		lineNo++
-		f := fielder{s: sc.Text()}
+		f := fielder{s: sc.Bytes()}
 		k := 0
 		for ; k < len(toks); k++ {
 			var ok bool
@@ -70,22 +71,22 @@ func ReadText(r io.Reader) (*graph.Graph, error) {
 		if k == 0 || toks[0][0] == '#' {
 			continue
 		}
-		if n < 0 && toks[0] != "graph" {
+		if n < 0 && string(toks[0]) != "graph" {
 			return nil, errorf("%q before the graph header", toks[0])
 		}
-		switch toks[0] {
+		switch string(toks[0]) {
 		case "graph":
 			if n >= 0 {
 				return nil, errorf("duplicate header")
 			}
-			if k != 3 && (k != 4 || toks[3] != "coords") {
+			if k != 3 && (k != 4 || string(toks[3]) != "coords") {
 				return nil, errorf("header must be \"graph <nodes> <edges> [coords]\"")
 			}
-			var err error
-			if n, err = strconv.Atoi(toks[1]); err != nil || n < 0 || n > maxTextNodes {
+			var ok bool
+			if n, ok = atoi(toks[1]); !ok || n < 0 || n > maxTextNodes {
 				return nil, errorf("bad node count %q (want 0..%d)", toks[1], maxTextNodes)
 			}
-			if m, err = strconv.Atoi(toks[2]); err != nil || m < 0 || m > maxTextEdges {
+			if m, ok = atoi(toks[2]); !ok || m < 0 || m > maxTextEdges {
 				return nil, errorf("bad edge count %q (want 0..%d)", toks[2], maxTextEdges)
 			}
 			hasCoords = k == 4
@@ -100,21 +101,21 @@ func ReadText(r io.Reader) (*graph.Graph, error) {
 			if len(nw) == n {
 				return nil, errorf("node line past the header's %d nodes", n)
 			}
-			if id, err := strconv.Atoi(toks[1]); err != nil || id != len(nw) {
+			if id, ok := atoi(toks[1]); !ok || id != len(nw) {
 				return nil, errorf("node id %q out of order (want %d)", toks[1], len(nw))
 			}
-			w, err := parseFinite(toks[2])
+			w, err := parseWeight(toks[2])
 			if err != nil || w < 0 {
 				return nil, errorf("bad node weight %q (want finite, >= 0)", toks[2])
 			}
-			nw = append(nw, w)
+			nw = append(grow(nw, n), w)
 			if hasCoords {
-				x, err1 := parseFinite(toks[3])
-				y, err2 := parseFinite(toks[4])
+				x, err1 := parseWeight(toks[3])
+				y, err2 := parseWeight(toks[4])
 				if err1 != nil || err2 != nil {
 					return nil, errorf("bad coordinates %q %q", toks[3], toks[4])
 				}
-				coords = append(coords, graph.Point{X: x, Y: y})
+				coords = append(grow(coords, n), graph.Point{X: x, Y: y})
 			}
 		case "edge":
 			if k != 4 {
@@ -123,16 +124,16 @@ func ReadText(r io.Reader) (*graph.Graph, error) {
 			if len(us) == m {
 				return nil, errorf("edge line past the header's %d edges", m)
 			}
-			u, err1 := strconv.Atoi(toks[1])
-			v, err2 := strconv.Atoi(toks[2])
-			if err1 != nil || err2 != nil || u < 0 || v < 0 || u >= n || v >= n || u == v {
+			u, ok1 := atoi(toks[1])
+			v, ok2 := atoi(toks[2])
+			if !ok1 || !ok2 || u < 0 || v < 0 || u >= n || v >= n || u == v {
 				return nil, errorf("edge {%s,%s} needs two distinct ends in [0,%d)", toks[1], toks[2], n)
 			}
-			w, err := parseFinite(toks[3])
+			w, err := parseWeight(toks[3])
 			if err != nil || w <= 0 {
 				return nil, errorf("bad edge weight %q (want finite, > 0)", toks[3])
 			}
-			us, vs, ws = append(us, int32(u)), append(vs, int32(v)), append(ws, w)
+			us, vs, ws = append(grow(us, m), int32(u)), append(grow(vs, m), int32(v)), append(grow(ws, m), w)
 		default:
 			return nil, errorf("unknown directive %q", toks[0])
 		}
@@ -174,20 +175,17 @@ func WriteText(w io.Writer, g *graph.Graph) error {
 	if _, err := bw.Write(buf); err != nil {
 		return err
 	}
-	appendG := func(buf []byte, f float64) []byte {
-		return strconv.AppendFloat(buf, f, 'g', -1, 64)
-	}
 	for v := 0; v < g.NumNodes(); v++ {
 		buf = append(buf[:0], "node "...)
 		buf = strconv.AppendInt(buf, int64(v), 10)
 		buf = append(buf, ' ')
-		buf = appendG(buf, g.NodeWeight(v))
+		buf = appendWeight(buf, g.NodeWeight(v))
 		if g.HasCoords() {
 			p := g.Coord(v)
 			buf = append(buf, ' ')
-			buf = appendG(buf, p.X)
+			buf = strconv.AppendFloat(buf, p.X, 'g', -1, 64)
 			buf = append(buf, ' ')
-			buf = appendG(buf, p.Y)
+			buf = strconv.AppendFloat(buf, p.Y, 'g', -1, 64)
 		}
 		buf = append(buf, '\n')
 		if _, err := bw.Write(buf); err != nil {
@@ -201,7 +199,7 @@ func WriteText(w io.Writer, g *graph.Graph) error {
 		buf = append(buf, ' ')
 		buf = strconv.AppendInt(buf, int64(v), 10)
 		buf = append(buf, ' ')
-		buf = appendG(buf, wt)
+		buf = appendWeight(buf, wt)
 		buf = append(buf, '\n')
 		if _, err := bw.Write(buf); err != nil {
 			outerErr = err

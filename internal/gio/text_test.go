@@ -1,9 +1,12 @@
 package gio
 
 import (
+	"bytes"
 	"errors"
+	"math"
 	"math/rand"
 	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -183,5 +186,28 @@ func TestReadTextAllocationTracksInput(t *testing.T) {
 		if least >= 1<<20 {
 			t.Errorf("%q: refusing it allocated %d bytes, want under 1 MiB", in, least)
 		}
+	}
+}
+
+// appendWeight must print every weight byte for byte as AppendFloat's
+// shortest 'g' form does: every integer across its AppendInt range and one
+// past either end, where 'g' turns to an exponent, then signed zeros,
+// fractions, large and non-finite values.
+func TestAppendWeightMatchesAppendFloat(t *testing.T) {
+	var got, want []byte
+	check := func(w float64) {
+		got = appendWeight(got[:0], w)
+		want = strconv.AppendFloat(want[:0], w, 'g', -1, 64)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("appendWeight(%v) = %q, AppendFloat gives %q", w, got, want)
+		}
+	}
+	for i := -1e6 - 1; i <= 1e6+1; i++ {
+		check(i)
+	}
+	for _, w := range []float64{0, math.Copysign(0, -1), 0.5, -0.5, 1e-7, 999999.5,
+		1e21, -1e21, 1 << 53, math.MaxFloat64, -math.MaxFloat64, math.SmallestNonzeroFloat64,
+		math.Inf(1), math.Inf(-1), math.NaN()} {
+		check(w)
 	}
 }

@@ -127,11 +127,23 @@ func (g *Graph) Edges(fn func(u, v int, w float64) bool) {
 	}
 }
 
-// Validate checks structural invariants: sorted adjacency, symmetric edges
-// with matching weights, no self loops, offsets monotone. It returns a
-// descriptive error for the first violation found. Graphs emitted by
-// FromEdges (and so by Builder) always validate; this exists to check
-// hand-built or deserialized inputs.
+// Validate checks structural invariants: offsets monotone, no self loops,
+// neighbors in range, strictly sorted adjacency, every edge stored from
+// both endpoints with equal weight, and an edge count matching the
+// adjacency. It returns a descriptive error for the first violation found.
+// Graphs emitted by FromEdges (and so by Builder) always validate; this
+// exists to check hand-built or deserialized inputs.
+//
+// Symmetry is checked in one pass over the rows in increasing order, in
+// O(n+m) time whatever the degrees, with one int32 cursor per node as its
+// only scratch: one probe per undirected edge, where a binary search per
+// entry would cost Σ deg·log deg. cursor[u] walks the entries of row u that
+// lie below u, which a sorted row holds as a prefix: an entry u > v in row
+// v must find v, with the same weight, under cursor[u], and advances it.
+// When row u is reached, the entries its cursor passed are checked, and the
+// rest of the row must lie above u. A probe reads no row end: a cursor runs
+// past the end of row u only by matching an entry of a later row, which
+// means row u lacks that edge, and that is caught when row u is reached.
 func (g *Graph) Validate() error {
 	n := g.NumNodes()
 	if len(g.nodeWeight) != n {
@@ -143,25 +155,54 @@ func (g *Graph) Validate() error {
 	if len(g.adj) != len(g.edgeWeight) {
 		return fmt.Errorf("graph: adjacency/weight length mismatch %d != %d", len(g.adj), len(g.edgeWeight))
 	}
+	// Every row must lie inside adj before any cursor reads ahead into it.
+	if g.offsets[0] < 0 || int(g.offsets[n]) > len(g.adj) {
+		return fmt.Errorf("graph: offsets span [%d,%d], adjacency has %d entries", g.offsets[0], g.offsets[n], len(g.adj))
+	}
 	for v := 0; v < n; v++ {
 		if g.offsets[v] > g.offsets[v+1] {
 			return fmt.Errorf("graph: offsets not monotone at node %d", v)
 		}
-		nbrs := g.Neighbors(v)
-		for i, u := range nbrs {
-			if int(u) == v {
-				return fmt.Errorf("graph: self loop at node %d", v)
-			}
+	}
+	cursor := make([]int32, n)
+	copy(cursor, g.offsets[:n])
+	for v := 0; v < n; v++ {
+		lo, hi := g.offsets[v], g.offsets[v+1]
+		if cursor[v] > hi {
+			// A row before v matched an entry past the end of row v.
+			return fmt.Errorf("graph: edge %d->%d has no reverse", g.adj[hi], v)
+		}
+		// Row v's entries up to cursor[v] were matched by the rows before v
+		// that list v, in increasing order: each is a neighbor below v, in
+		// range, sorted, with its reverse and an equal weight. The rest of
+		// the row must lie above v.
+		for i := cursor[v]; i < hi; i++ {
+			u := g.adj[i]
 			if u < 0 || int(u) >= n {
 				return fmt.Errorf("graph: node %d has out-of-range neighbor %d", v, u)
 			}
-			if i > 0 && nbrs[i-1] >= u {
+			if i > lo && g.adj[i-1] >= u {
 				return fmt.Errorf("graph: adjacency of node %d not strictly sorted", v)
 			}
-			if !g.HasEdge(int(u), v) {
+			if int(u) == v {
+				return fmt.Errorf("graph: self loop at node %d", v)
+			}
+			if int(u) < v {
+				// Row u came and went without listing v.
 				return fmt.Errorf("graph: edge %d->%d has no reverse", v, u)
 			}
-			if g.EdgeWeightBetween(int(u), v) != g.EdgeWeights(v)[i] {
+			c := cursor[u]
+			if int(c) < len(g.adj) && g.adj[c] == int32(v) && g.edgeWeight[c] == g.edgeWeight[i] {
+				cursor[u] = c + 1
+				continue
+			}
+			switch {
+			case c >= g.offsets[u+1] || g.adj[c] > int32(v):
+				return fmt.Errorf("graph: edge %d->%d has no reverse", v, u)
+			case g.adj[c] < int32(v):
+				// Row adj[c] < v came and went without listing u.
+				return fmt.Errorf("graph: edge %d->%d has no reverse", u, g.adj[c])
+			default:
 				return fmt.Errorf("graph: asymmetric weight on edge {%d,%d}", v, u)
 			}
 		}
@@ -367,8 +408,8 @@ func FromEdges(us, vs []int32, ws, nodeWeight []float64, coords []Point) (*Graph
 // result and rejects anything malformed rather than repairing it.
 //
 // This is the entry point for the METIS reader (internal/gio), whose input
-// lists every row in full; it is O(m log deg) for the validation pass and
-// allocates nothing beyond the Graph header. Inputs that list each edge once
+// lists every row in full; its validation pass is O(n+m) and allocates one
+// int32 per node beyond the Graph header. Inputs that list each edge once
 // go through FromEdges instead.
 func FromCSR(offsets, adj []int32, edgeWeight, nodeWeight []float64, coords []Point) (*Graph, error) {
 	if len(offsets) == 0 {

@@ -431,4 +431,33 @@ func TestValidateCatchesCorruption(t *testing.T) {
 		// Make node 1's first neighbor itself.
 		c.adj[c.offsets[1]] = 1
 	})
+
+	// Hand-built rows that break only the symmetry or order rules: each
+	// has an even entry count and a matching edge count.
+	fromRows := func(rows ...[]int32) *Graph {
+		c := &Graph{offsets: []int32{0}, nodeWeight: make([]float64, len(rows))}
+		for _, row := range rows {
+			c.adj = append(c.adj, row...)
+			c.offsets = append(c.offsets, int32(len(c.adj)))
+		}
+		c.edgeWeight = make([]float64, len(c.adj))
+		c.numEdges = len(c.adj) / 2
+		return c
+	}
+	for name, c := range map[string]*Graph{
+		// {0,1} is whole; {0,2} and {1,3} lost their higher end's entry.
+		"dropped reverse entry": fromRows([]int32{1, 2}, []int32{0, 3}, nil, nil),
+		// Only the higher ends list {0,1} and {2,3}.
+		"hi-lo-only edge": fromRows(nil, []int32{0}, nil, []int32{2}),
+		// Symmetric, but node 0 lists its neighbors out of order.
+		"unsorted row": fromRows([]int32{2, 1}, []int32{0}, []int32{0}),
+		// Nodes 2 and 6 lack their entries for 1 and 5, and the entries
+		// that follow their rows (3's 1 and 7's 5) would stand in for them.
+		"entry past a row's end": fromRows([]int32{2}, []int32{2, 3}, []int32{0}, []int32{1},
+			[]int32{6}, []int32{6, 7}, []int32{4}, []int32{5}),
+	} {
+		if err := c.Validate(); err == nil {
+			t.Errorf("%s: Validate accepted corrupted graph", name)
+		}
+	}
 }

@@ -38,21 +38,26 @@ const DefaultJobLogMax = 1024
 // OpenJobLog opens (creating if needed) the JSONL job log at path, bounded
 // to maxRecords (<= 0 selects DefaultJobLogMax). It returns the restored
 // records — the newest maxRecords terminal jobs from previous runs, oldest
-// first — and compacts the file on open, so a crashed or long-lived
-// predecessor cannot hand the new process an oversized log.
+// first — and compacts the file on open when it must, so a crashed or
+// long-lived predecessor cannot hand the new process an oversized log. A
+// clean log (at most maxRecords records, no skipped line, and empty or
+// ending in a newline) is appended to as it stands.
 func OpenJobLog(path string, maxRecords int) (*JobLog, []JobInfo, error) {
 	if maxRecords <= 0 {
 		maxRecords = DefaultJobLogMax
 	}
 	l := &JobLog{path: path, max: maxRecords}
-	records := l.readAll()
+	records, clean := l.readAll()
 	if len(records) > maxRecords {
 		records = records[len(records)-maxRecords:]
+		clean = false
 	}
-	if err := l.rewrite(records); err != nil {
-		return nil, nil, fmt.Errorf("service: job log %s: %w", path, err)
+	if !clean {
+		if err := l.rewrite(records); err != nil {
+			return nil, nil, fmt.Errorf("service: job log %s: %w", path, err)
+		}
 	}
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND|os.O_CREATE, 0o644)
 	if err != nil {
 		return nil, nil, fmt.Errorf("service: job log %s: %w", path, err)
 	}
@@ -62,29 +67,57 @@ func OpenJobLog(path string, maxRecords int) (*JobLog, []JobInfo, error) {
 	return l, records, nil
 }
 
+// maxJobLogLine bounds one line of the job log. A longer line is skipped
+// like a malformed one; the records after it are kept.
+const maxJobLogLine = 4 << 20
+
 // readAll parses every well-formed record in the file; malformed lines (a
-// torn final write from a crash) are skipped, never fatal — the log is an
-// availability nicety and must not block a restart.
-func (l *JobLog) readAll() []JobInfo {
+// torn final write from a crash) and lines over maxJobLogLine are skipped,
+// never fatal — the log is an availability nicety and must not block a
+// restart. clean reports that the file could be appended to as it stands:
+// it is missing, or it was read to the end without skipping a line and is
+// empty or ends in a newline (so an append cannot join a torn record).
+func (l *JobLog) readAll() (out []JobInfo, clean bool) {
 	f, err := os.Open(l.path)
 	if err != nil {
-		return nil
+		return nil, os.IsNotExist(err)
 	}
 	defer f.Close()
-	var out []JobInfo
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 64<<10), 4<<20)
-	for sc.Scan() {
-		var rec JobInfo
-		if err := json.Unmarshal(sc.Bytes(), &rec); err == nil && rec.ID != "" {
-			out = append(out, rec)
+	r := bufio.NewReaderSize(f, 64<<10)
+	clean = true
+	var line []byte
+	long := false // the current line has passed maxJobLogLine
+	for {
+		chunk, err := r.ReadSlice('\n')
+		if len(line)+len(chunk) > maxJobLogLine {
+			long = true
 		}
+		if !long {
+			line = append(line, chunk...)
+		}
+		if err == bufio.ErrBufferFull {
+			continue
+		}
+		if long || len(line) > 0 {
+			var rec JobInfo
+			if !long && json.Unmarshal(line, &rec) == nil && rec.ID != "" {
+				out = append(out, rec)
+			} else {
+				clean = false
+			}
+		}
+		if err != nil {
+			// The last line ends at the end of the file: unless it is
+			// empty, its newline is missing.
+			return out, clean && err == io.EOF && !long && len(line) == 0
+		}
+		line, long = line[:0], false
 	}
-	return out
 }
 
 // rewrite replaces the file's contents with exactly records, atomically via
-// a rename so a crash mid-compaction leaves the old log intact.
+// a synced temporary file and a rename, so a crash mid-compaction leaves
+// the old log intact.
 func (l *JobLog) rewrite(records []JobInfo) error {
 	tmp := l.path + ".tmp"
 	f, err := os.Create(tmp)
@@ -100,6 +133,10 @@ func (l *JobLog) rewrite(records []JobInfo) error {
 		}
 	}
 	if err := w.Flush(); err != nil {
+		f.Close()
+		return err
+	}
+	if err := f.Sync(); err != nil {
 		f.Close()
 		return err
 	}
@@ -145,7 +182,7 @@ func (l *JobLog) Append(info JobInfo) {
 // it for append. l.mu must be held.
 func (l *JobLog) compactLocked() {
 	l.f.Close()
-	records := l.readAll()
+	records, _ := l.readAll()
 	if len(records) > l.max {
 		records = records[len(records)-l.max:]
 	}

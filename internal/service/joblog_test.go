@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"regexp"
 	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/algo"
@@ -155,4 +156,73 @@ func FuzzJobLogReplay(f *testing.F) {
 			}
 		}
 	})
+}
+
+// A line over the 4 MiB line bound used to end the replay, and the rewrite
+// on open then deleted every record after it. It is now skipped like a
+// malformed line, and the records on both sides of it survive, on disk too.
+func TestJobLogKeepsRecordsAfterOverlongLine(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "jobs.jsonl")
+	data := `{"id":"j00000001","state":"done","algo":"kl"}` + "\n" +
+		`{"id":"j00000002","state":"failed","algo":"kl","error":"` + strings.Repeat("x", 5<<20) + `"}` + "\n" +
+		`{"id":"j00000003","state":"done","algo":"fm"}` + "\n"
+	if err := os.WriteFile(path, []byte(data), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	ids := func(recs []service.JobInfo) []string {
+		var out []string
+		for _, r := range recs {
+			out = append(out, r.ID)
+		}
+		return out
+	}
+	want := []string{"j00000001", "j00000003"}
+	for open := 1; open <= 2; open++ {
+		l, restored, err := service.OpenJobLog(path, 100)
+		if err != nil {
+			t.Fatal(err)
+		}
+		l.Close()
+		if got := ids(restored); !reflect.DeepEqual(got, want) {
+			t.Fatalf("open %d restored %v, want %v", open, got, want)
+		}
+	}
+	onDisk, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lines := strings.Count(string(onDisk), "\n"); lines != 2 || len(onDisk) > 1<<10 {
+		t.Errorf("log holds %d lines in %d bytes after the rewrite, want the 2 records", lines, len(onDisk))
+	}
+}
+
+// Opening a log that needs no compaction (within the bound, no malformed
+// line, ending in a newline) must append to the file as it stands rather
+// than rewrite it through a temporary file and a rename.
+func TestOpenJobLogLeavesCleanLogInPlace(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "jobs.jsonl")
+	data := []byte(`{"id":"j00000001","state":"done","algo":"kl"}` + "\n" +
+		`{"id":"j00000002","state":"done","algo":"fm"}` + "\n")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	before, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, restored, err := service.OpenJobLog(path, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l.Close()
+	after, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !os.SameFile(before, after) {
+		t.Error("OpenJobLog replaced a clean log with a new file")
+	}
+	if got, _ := os.ReadFile(path); len(restored) != 2 || string(got) != string(data) {
+		t.Errorf("restored %d records and left %q, want 2 and the file unchanged", len(restored), got)
+	}
 }
