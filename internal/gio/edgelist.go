@@ -36,17 +36,19 @@ func ReadEdgeList(r io.Reader) (*graph.Graph, error) {
 	for sc.Scan() {
 		lineNo++
 		f := fielder{s: sc.Bytes()}
-		u, tok, ok := f.nextInt()
-		if tok == nil || tok[0] == '#' || tok[0] == '%' {
+		tok, ok := f.next()
+		if !ok || tok[0] == '#' || tok[0] == '%' {
 			continue
 		}
+		u, ok := atoi(tok)
 		if !ok || u < 0 || u > MaxEdgeListNode {
 			return nil, fmt.Errorf("gio: edge list line %d: bad endpoint %q", lineNo, tok)
 		}
-		v, tok, ok := f.nextInt()
-		if tok == nil {
+		tok, ok = f.next()
+		if !ok {
 			return nil, fmt.Errorf("gio: edge list line %d: missing second endpoint", lineNo)
 		}
+		v, ok := atoi(tok)
 		if !ok || v < 0 || v > MaxEdgeListNode {
 			return nil, fmt.Errorf("gio: edge list line %d: bad endpoint %q", lineNo, tok)
 		}

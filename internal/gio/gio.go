@@ -28,17 +28,17 @@
 // CSR. This is what lets the partd service accept large uploaded graphs
 // without tripling their memory footprint. Every reader takes untrusted
 // uploads, so none sizes its arrays from a header's claimed counts (METIS
-// presizes at most 2^20 entries per array from its header, and growth
-// doubles toward a header's count but never past twice what arrived):
-// memory tracks the bytes actually received, and each reader has a fuzz
-// target.
+// presizes at most 2^20 entries per array from its header): memory tracks
+// the bytes actually received, and each reader has a fuzz target.
 //
-// Reading is linear in the input and allocates nothing per line. The
-// readers tokenize the scanner's bytes in place (tokens.go): no line or
-// token becomes a string, and integers and weights parse under exactly
-// strconv's grammar (FuzzTokens pins it). graph.FromCSR's validation of
-// METIS rows is one linear pass, so its work does not depend on the
-// degrees.
+// Tokenizing allocates nothing per line. The readers tokenize the
+// scanner's bytes in place (tokens.go): no line or token becomes a string,
+// and integers and weights parse under exactly strconv's grammar
+// (FuzzTokens pins it). graph.FromCSR's validation of METIS rows is one
+// O(n+m) pass whatever the degrees. Sorting is not linear: the METIS reader
+// and graph.FromEdges (behind the edge-list and text readers) sort every
+// row with graph.SortAdjacency, which comparison-sorts a row longer than
+// 24 entries, so a hub's row costs O(d log d).
 package gio
 
 import (

@@ -37,11 +37,11 @@ func ReadMETIS(r io.Reader) (*graph.Graph, error) {
 	}
 
 	// Stream vertex lines into CSR. Degrees are not declared per vertex, so
-	// adjacency grows as lines arrive, toward the header's 2m entries.
-	// Presizing is capped so a forged header claiming a billion nodes over
-	// a ten-byte body fails on the missing vertex lines instead of
-	// allocating gigabytes up front — the reader is fed untrusted uploads
-	// by the partd service.
+	// adjacency grows by append; the 2m count from the header presizes it
+	// exactly for well-formed inputs. Presizing is capped so a forged header
+	// claiming a billion nodes over a ten-byte body fails on the missing
+	// vertex lines instead of allocating gigabytes up front — the reader is
+	// fed untrusted uploads by the partd service.
 	offsets := make([]int32, 1, capHint(n+1))
 	adj := make([]int32, 0, capHint(2*m))
 	var ew []float64
@@ -49,7 +49,6 @@ func ReadMETIS(r io.Reader) (*graph.Graph, error) {
 		ew = make([]float64, 0, capHint(2*m))
 	}
 	nw := make([]float64, 0, capHint(n))
-	sorted := true // every row so far lists its neighbors in strictly increasing order
 	for v := 0; v < n; v++ {
 		line, err := nextMETISLine(sc)
 		if err != nil {
@@ -67,22 +66,19 @@ func ReadMETIS(r io.Reader) (*graph.Graph, error) {
 				return nil, fmt.Errorf("gio: METIS vertex %d: bad vertex weight %q", v+1, tok)
 			}
 		}
-		nw = append(grow(nw, n), wv)
-		for prev := -1; ; {
-			u, tok, ok := f.nextInt()
-			if tok == nil {
+		nw = append(nw, wv)
+		for {
+			tok, ok := f.next()
+			if !ok {
 				break
 			}
+			u, ok := atoi(tok)
 			if !ok || u < 1 || u > n {
 				return nil, fmt.Errorf("gio: METIS vertex %d: bad neighbor %q (neighbors are 1-indexed in [1,%d])", v+1, tok, n)
 			}
 			if u-1 == v {
 				return nil, fmt.Errorf("gio: METIS vertex %d: self loop", v+1)
 			}
-			if u <= prev {
-				sorted = false
-			}
-			prev = u
 			w := 1.0
 			if hasEW {
 				tok, ok := f.next()
@@ -94,12 +90,12 @@ func ReadMETIS(r io.Reader) (*graph.Graph, error) {
 					return nil, fmt.Errorf("gio: METIS vertex %d: bad edge weight %q", v+1, tok)
 				}
 			}
-			adj = append(grow(adj, 2*m), int32(u-1))
+			adj = append(adj, int32(u-1))
 			if hasEW {
-				ew = append(grow(ew, 2*m), w)
+				ew = append(ew, w)
 			}
 		}
-		offsets = append(grow(offsets, n+1), int32(len(adj)))
+		offsets = append(offsets, int32(len(adj)))
 	}
 	if len(adj) != 2*m {
 		return nil, fmt.Errorf("gio: METIS header claims %d edges, vertex lines list %d edge endpoints (want %d)", m, len(adj), 2*m)
@@ -111,13 +107,12 @@ func ReadMETIS(r io.Reader) (*graph.Graph, error) {
 		}
 	}
 
-	// Canonicalize rows, unless every row already came strictly sorted (as
-	// WriteMETIS writes them); FromCSR's validation pass then enforces the
+	// Canonicalize rows; FromCSR's validation pass then enforces the
 	// format's remaining contract (strictly sorted rows rule out duplicate
 	// neighbors, and every edge must appear from both endpoints with equal
-	// weight). One linear validation pass, not two. Its errors carry
-	// 0-indexed node ids, hence the wrapping.
-	for v := 0; v < n && !sorted; v++ {
+	// weight). One validation pass, not two. Its errors carry 0-indexed node
+	// ids, hence the wrapping.
+	for v := 0; v < n; v++ {
 		graph.SortAdjacency(adj[offsets[v]:offsets[v+1]], ew[offsets[v]:offsets[v+1]])
 	}
 	g, err := graph.FromCSR(offsets, adj, ew, nw, nil)

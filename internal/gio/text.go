@@ -41,9 +41,8 @@ const (
 // edge listed twice, which graph.FromEdges reports by its ends.
 //
 // Nothing is presized from the header: the arrays grow only with the lines
-// received (doubling toward the header's counts), so a short upload
-// claiming 2^28 nodes fails on its missing node lines having allocated next
-// to nothing.
+// received, so a short upload claiming 2^28 nodes fails on its missing node
+// lines having allocated next to nothing.
 func ReadText(r io.Reader) (*graph.Graph, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
@@ -108,14 +107,14 @@ func ReadText(r io.Reader) (*graph.Graph, error) {
 			if err != nil || w < 0 {
 				return nil, errorf("bad node weight %q (want finite, >= 0)", toks[2])
 			}
-			nw = append(grow(nw, n), w)
+			nw = append(nw, w)
 			if hasCoords {
 				x, err1 := parseWeight(toks[3])
 				y, err2 := parseWeight(toks[4])
 				if err1 != nil || err2 != nil {
 					return nil, errorf("bad coordinates %q %q", toks[3], toks[4])
 				}
-				coords = append(grow(coords, n), graph.Point{X: x, Y: y})
+				coords = append(coords, graph.Point{X: x, Y: y})
 			}
 		case "edge":
 			if k != 4 {
@@ -133,7 +132,7 @@ func ReadText(r io.Reader) (*graph.Graph, error) {
 			if err != nil || w <= 0 {
 				return nil, errorf("bad edge weight %q (want finite, > 0)", toks[3])
 			}
-			us, vs, ws = append(grow(us, m), int32(u)), append(grow(vs, m), int32(v)), append(grow(ws, m), w)
+			us, vs, ws = append(us, int32(u)), append(vs, int32(v)), append(ws, w)
 		default:
 			return nil, errorf("unknown directive %q", toks[0])
 		}

@@ -35,54 +35,7 @@ func (f *fielder) next() ([]byte, bool) {
 	return f.s[start:f.i], true
 }
 
-// nextInt returns the next token, as next does, with its value as atoi
-// reads it; tok is nil once the line has no more tokens. A token of 1 to 18
-// digits, which cannot overflow, is valued in the same pass that finds its
-// end; any other token goes through atoi.
-func (f *fielder) nextInt() (n int, tok []byte, ok bool) {
-	s, i := f.s, f.i
-	for i < len(s) && isSpace(s[i]) {
-		i++
-	}
-	if i == len(s) {
-		f.i = i
-		return 0, nil, false
-	}
-	start := i
-	var u uint64
-	for ; i < len(s) && s[i]-'0' <= 9; i++ {
-		u = u*10 + uint64(s[i]-'0')
-	}
-	if k := i - start; k > 0 && k <= 18 && (i == len(s) || isSpace(s[i])) {
-		f.i = i
-		return int(u), s[start:i], true
-	}
-	f.i = start
-	tok, _ = f.next()
-	n, ok = atoi(tok)
-	return n, tok, ok
-}
-
 func isSpace(c byte) bool { return c == ' ' || c == '\t' || c == '\r' }
-
-// grow returns s with room for at least one more element. A full slice's
-// capacity doubles, or grows to want, the count a header declares, when
-// that is nearer: append grows a large slice by about 1.25x, so an array
-// millions of entries long would be copied several more times on its way
-// there. The capacity stays within twice the length, which the lines
-// received back, so a forged header cannot inflate it.
-func grow[T any](s []T, want int) []T {
-	if len(s) < cap(s) {
-		return s
-	}
-	c := max(2*len(s), 1)
-	if want > len(s) && want < c {
-		c = want
-	}
-	t := make([]T, len(s), c)
-	copy(t, s)
-	return t
-}
 
 // atoi parses tok as strconv.Atoi(string(tok)) would, without making a
 // string: an optional sign, then one or more decimal digits, within int's

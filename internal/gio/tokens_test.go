@@ -13,10 +13,9 @@ import (
 // FuzzTokens pins the readers' token grammar to the standard library's: on
 // any bytes, atoi accepts exactly when strconv.Atoi does and parseWeight
 // exactly when parseFinite does, with the same value (to the bit, so -0
-// stays -0); and splitting the bytes as a line with nextInt gives next's
-// tokens, each valued as Atoi values it. The METIS, edge-list and text
-// readers take every integer and weight through these, so this covers the
-// token grammar of all three at once.
+// stays -0). The METIS, edge-list and text readers take every integer and
+// weight through these, so this covers the token grammar of all three at
+// once.
 func FuzzTokens(f *testing.F) {
 	seeds := []string{
 		"", "0", "-0", "+0", "+", "-", "--1", "+-1", "007", "123", "-123",
@@ -43,21 +42,6 @@ func FuzzTokens(f *testing.F) {
 		wwant, err := parseFinite(s)
 		if (werr == nil) != (err == nil) || (werr == nil && math.Float64bits(w) != math.Float64bits(wwant)) {
 			t.Fatalf("parseWeight(%q) = %v, %v; parseFinite gives %v, %v", s, w, werr, wwant, err)
-		}
-		a, b := fielder{s: data}, fielder{s: data}
-		for {
-			tok, more := a.next()
-			n, itok, ok := b.nextInt()
-			if more != (itok != nil) || !bytes.Equal(tok, itok) {
-				t.Fatalf("line %q: next gives %q, nextInt %q", s, tok, itok)
-			}
-			if !more {
-				break
-			}
-			want, err := strconv.Atoi(string(tok))
-			if ok != (err == nil) || (ok && n != want) {
-				t.Fatalf("nextInt on %q gives %d, %v; strconv.Atoi gives %d, %v", tok, n, ok, want, err)
-			}
 		}
 	})
 }
