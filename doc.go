@@ -5,7 +5,8 @@
 // The public surface lives in the internal packages (this repository is a
 // self-contained reproduction, not an importable SDK):
 //
-//   - internal/graph       CSR graphs, builders (Builder, FromEdges), traversal
+//   - internal/graph       CSR graphs, one edge-list constructor (FromEdges,
+//     which Builder feeds), traversal
 //   - internal/gio         METIS, edge-list and native text readers and writers
 //   - internal/geometry    Delaunay triangulation for mesh generation
 //   - internal/gen         the deterministic benchmark mesh suite and

@@ -57,7 +57,11 @@ func TestStatsSeriesLengthsAndBounds(t *testing.T) {
 func intWeightedMesh(n int, seed int64) *graph.Graph {
 	g := gen.SkewWeights(gen.Mesh(n, seed), seed, 9)
 	rng := rand.New(rand.NewSource(seed))
-	b := graph.FromGraph(g)
+	b := graph.NewBuilder(n)
+	for v := 0; v < n; v++ {
+		b.SetNodeWeight(v, g.NodeWeight(v))
+		b.SetCoord(v, g.Coord(v))
+	}
 	g.Edges(func(u, v int, _ float64) bool {
 		b.AddEdge(u, v, float64(1+rng.Intn(5)))
 		return true

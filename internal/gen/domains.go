@@ -93,29 +93,27 @@ func DomainMesh(d Domain, n int, seed int64) *graph.Graph {
 	if err != nil {
 		panic(fmt.Sprintf("gen: domain triangulation failed: %v", err))
 	}
-	b := graph.NewBuilder(n)
-	for i, p := range pts {
-		b.SetCoord(i, graph.Point{X: p.X, Y: p.Y})
-	}
+	// Keep the triangles whose centroid lies in the domain; the others span
+	// the hole or notch.
+	kept := tr.Triangles[:0]
 	for _, t := range tr.Triangles {
 		c := geometry.Point{
 			X: (pts[t.A].X + pts[t.B].X + pts[t.C].X) / 3,
 			Y: (pts[t.A].Y + pts[t.B].Y + pts[t.C].Y) / 3,
 		}
-		if !d.Contains(c) {
-			continue // triangle spans the hole/notch: drop it
+		if d.Contains(c) {
+			kept = append(kept, t)
 		}
-		addEdgeOnce(b, t.A, t.B)
-		addEdgeOnce(b, t.B, t.C)
-		addEdgeOnce(b, t.C, t.A)
+	}
+	tr.Triangles = kept
+	b := graph.NewBuilder(n)
+	for i, p := range pts {
+		b.SetCoord(i, graph.Point{X: p.X, Y: p.Y})
+	}
+	for _, e := range tr.Edges() {
+		b.AddEdge(e[0], e[1], 1)
 	}
 	return connect(b.Build(), pts)
-}
-
-func addEdgeOnce(b *graph.Builder, u, v int) {
-	if !b.HasEdge(u, v) {
-		b.AddEdge(u, v, 1)
-	}
 }
 
 // domainPoints draws n well-spaced points inside d by rejection sampling.

@@ -223,23 +223,23 @@ func (g *bucketGrid) forNearby(p geometry.Point, fn func(j int)) {
 	})
 }
 
-// SkewWeights returns a copy of g whose node weights are drawn from a
-// Zipf distribution on [1, maxWeight] — a few heavy nodes among many unit
-// ones, the shape of adaptive-refinement and multi-physics workloads. The
-// structure, edge weights, and coordinates are untouched; weights are
-// integral so the result serializes to METIS. Deterministic for a fixed
-// seed.
+// SkewWeights returns g with node weights drawn from a Zipf distribution on
+// [1, maxWeight] — a few heavy nodes among many unit ones, the shape of
+// adaptive-refinement and multi-physics workloads. The result shares g's
+// structure, edge weights, and coordinates instead of copying them, so it
+// costs O(n); weights are integral so the result serializes to METIS.
+// Deterministic for a fixed seed.
 func SkewWeights(g *graph.Graph, seed int64, maxWeight int) *graph.Graph {
 	if maxWeight < 1 {
 		panic(fmt.Sprintf("gen: SkewWeights with maxWeight %d", maxWeight))
 	}
 	rng := rand.New(rand.NewSource(seed))
 	zipf := rand.NewZipf(rng, 1.5, 1, uint64(maxWeight-1))
-	b := graph.FromGraph(g)
-	for v := 0; v < g.NumNodes(); v++ {
-		b.SetNodeWeight(v, float64(1+zipf.Uint64()))
+	w := make([]float64, g.NumNodes())
+	for v := range w {
+		w[v] = float64(1 + zipf.Uint64())
 	}
-	return b.Build()
+	return g.WithNodeWeights(w)
 }
 
 // Mesh returns a Delaunay triangulation of n well-spaced random points in the

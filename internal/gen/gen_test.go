@@ -159,10 +159,9 @@ func TestRandomGeometricMatchesPairScan(t *testing.T) {
 	}
 }
 
-// refConnect is connect as it was before it built through graph.FromEdges:
-// each join went into a copy of g made by graph.FromGraph, whose edge map
-// Build then assembled. TestConnectMatchesFromGraphReference holds connect
-// to it.
+// refConnect is connect as it was before it collected its joins: each join
+// goes straight into a Builder holding a copy of g, which Build then
+// assembles. TestConnectMatchesFromGraphReference holds connect to it.
 func refConnect(g *graph.Graph, pts []geometry.Point) *graph.Graph {
 	comp, count := g.Components()
 	if count <= 1 {
@@ -181,7 +180,12 @@ func refConnect(g *graph.Graph, pts []geometry.Point) *graph.Graph {
 	}
 	n := len(pts)
 	grid := newBucketGrid(pts, 1/(2*math.Sqrt(float64(n))+1))
-	b := graph.FromGraph(g)
+	b := graph.NewBuilder(n)
+	for v := 0; v < n; v++ {
+		b.SetNodeWeight(v, g.NodeWeight(v))
+		b.SetCoord(v, g.Coord(v))
+	}
+	g.Edges(func(u, v int, w float64) bool { b.AddEdge(u, v, w); return true })
 	for joins := count - 1; joins > 0; joins-- {
 		root := find(comp[0])
 		bestV, bestU, bestD := -1, -1, math.Inf(1)
@@ -206,7 +210,7 @@ func refConnect(g *graph.Graph, pts []geometry.Point) *graph.Graph {
 	return b.Build()
 }
 
-// connect must give the FromGraph-based reference's graph bit for bit —
+// connect must give the reference's graph bit for bit —
 // the same content hash and CSR arrays — on random geometric graphs whose
 // radius leaves from 3 to 38 components to stitch.
 func TestConnectMatchesFromGraphReference(t *testing.T) {

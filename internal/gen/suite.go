@@ -123,15 +123,25 @@ func Refine(g *graph.Graph, k int, rng *rand.Rand) *graph.Graph {
 	for v := n; v < n+k; v++ {
 		b.SetCoord(v, graph.Point{X: pts[v].X, Y: pts[v].Y})
 	}
-	// Old edges with both endpoints outside the region survive verbatim.
+	edges := tr.Edges() // sorted, each with u < v
+	triHas := func(u, v int) bool {
+		i := sort.Search(len(edges), func(i int) bool {
+			return edges[i][0] > u || (edges[i][0] == u && edges[i][1] >= v)
+		})
+		return i < len(edges) && edges[i] == [2]int{u, v}
+	}
+	// Old edges outside the region survive verbatim. An old edge with one
+	// end in the region survives unless the triangulation has it too: then
+	// the triangulation's copy, of weight 1, stands for it.
 	g.Edges(func(u, v int, w float64) bool {
-		if !inRegion(pts[u]) || !inRegion(pts[v]) {
+		inU, inV := inRegion(pts[u]), inRegion(pts[v])
+		if (!inU && !inV) || (inU != inV && !triHas(u, v)) {
 			b.AddEdge(u, v, w)
 		}
 		return true
 	})
-	// New triangulation supplies all edges touching the region.
-	for _, e := range tr.Edges() {
+	// The triangulation supplies every edge touching the region.
+	for _, e := range edges {
 		if inRegion(pts[e[0]]) || inRegion(pts[e[1]]) {
 			b.AddEdge(e[0], e[1], 1)
 		}

@@ -60,7 +60,7 @@ type contractMark struct {
 // bit-identical for all inputs and worker counts.
 //
 // This is the hot path of multilevel coarsening, so it builds the CSR arrays
-// directly instead of going through Builder's edge map: one counting-sort
+// directly instead of going through an edge list: one counting-sort
 // pass groups members by coarse node, then a stamped-scratch accumulation
 // merges each coarse node's neighborhood in O(deg) without hashing. The
 // per-coarse-node merges are independent, so they run on `workers`

@@ -16,12 +16,16 @@ func contractTestGraph(n int, rng *rand.Rand, coords bool) *Graph {
 			b.SetCoord(v, Point{X: rng.Float64(), Y: rng.Float64()})
 		}
 	}
+	seen := map[[2]int]bool{} // each edge once: Build refuses a repeat
 	for v := 1; v < n; v++ {
-		b.AddEdge(v, rng.Intn(v), float64(1+rng.Intn(5))) // spanning tree
+		u := rng.Intn(v) // spanning tree
+		seen[[2]int{u, v}] = true
+		b.AddEdge(v, u, float64(1+rng.Intn(5)))
 	}
 	for i := 0; i < 2*n; i++ {
 		u, v := rng.Intn(n), rng.Intn(n)
-		if u != v && !b.HasEdge(u, v) {
+		if e := [2]int{min(u, v), max(u, v)}; u != v && !seen[e] {
+			seen[e] = true
 			b.AddEdge(u, v, float64(1+rng.Intn(5)))
 		}
 	}

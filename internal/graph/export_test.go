@@ -1,14 +1,14 @@
 package graph
 
 // RefBuild is Builder.Build as it was before Build went through FromEdges:
-// its own counting sort over the edge map. The oracle tests hold Build and
-// FromEdges to it.
+// its own counting sort, over the Builder's edge list. The oracle tests hold
+// Build and FromEdges to it.
 func RefBuild(b *Builder) *Graph {
 	n := len(b.nodeWeight)
 	deg := make([]int32, n)
-	for k := range b.edges {
-		deg[k.u]++
-		deg[k.v]++
+	for i := range b.us {
+		deg[b.us[i]]++
+		deg[b.vs[i]]++
 	}
 	offsets := make([]int32, n+1)
 	for v := 0; v < n; v++ {
@@ -18,11 +18,12 @@ func RefBuild(b *Builder) *Graph {
 	ew := make([]float64, offsets[n])
 	cursor := make([]int32, n)
 	copy(cursor, offsets[:n])
-	for k, w := range b.edges {
-		adj[cursor[k.u]], ew[cursor[k.u]] = k.v, w
-		cursor[k.u]++
-		adj[cursor[k.v]], ew[cursor[k.v]] = k.u, w
-		cursor[k.v]++
+	for i, w := range b.ws {
+		u, v := b.us[i], b.vs[i]
+		adj[cursor[u]], ew[cursor[u]] = v, w
+		cursor[u]++
+		adj[cursor[v]], ew[cursor[v]] = u, w
+		cursor[v]++
 	}
 	// Sort each adjacency list (weights move with their neighbors).
 	for v := 0; v < n; v++ {
@@ -35,13 +36,10 @@ func RefBuild(b *Builder) *Graph {
 		edgeWeight: ew,
 		nodeWeight: append([]float64(nil), b.nodeWeight...),
 		totalNodeW: sumWeights(b.nodeWeight),
-		numEdges:   len(b.edges),
+		numEdges:   len(b.us),
 	}
-	if b.hasCoords {
+	if b.coords != nil {
 		g.coords = append([]Point(nil), b.coords...)
-		for len(g.coords) < n {
-			g.coords = append(g.coords, Point{})
-		}
 	}
 	return g
 }

@@ -7,12 +7,14 @@
 // their time streaming over adjacency lists; CSR keeps those scans contiguous
 // and allocation-free.
 //
-// A Graph is immutable after construction. Mutation (needed by the
-// incremental-partitioning workloads) goes through Builder, which accumulates
-// edges and emits a fresh CSR snapshot. Builder.Build and the edge-list-shaped
-// readers in internal/gio share one assembly into CSR, FromEdges, a counting
-// sort whose output is valid by construction; FromCSR takes rows that are
-// already in CSR form (the METIS reader's) and validates them.
+// A Graph is immutable after construction. Every edge list is assembled
+// into CSR by FromEdges, a counting sort whose output is valid by
+// construction, under one rule: each edge is given once. Builder records a
+// generator's node weights, coordinates and edges and hands them to
+// FromEdges, as do the edge-list-shaped readers in internal/gio. FromCSR
+// takes rows that are already in CSR form (the METIS reader's) and validates
+// them, and WithNodeWeights gives a graph new node weights and shares the
+// rest.
 package graph
 
 import (
@@ -216,57 +218,25 @@ func (g *Graph) Validate() error {
 	return nil
 }
 
-// Builder accumulates nodes and edges and produces an immutable Graph.
-// Duplicate edge insertions keep the last weight. Create one with NewBuilder
-// or FromGraph: the zero value has no edge map, and AddEdge on it panics.
+// Builder records a graph's node weights, coordinates and edge list, and
+// Build assembles them with FromEdges. Each edge is given once: Build panics
+// on an edge given twice, in either orientation, as AddEdge does on a self
+// loop. Create one with NewBuilder.
 type Builder struct {
 	nodeWeight []float64
 	coords     []Point
-	hasCoords  bool
-	edges      map[edgeKey]float64
+	us, vs     []int32
+	ws         []float64
 }
 
-type edgeKey struct{ u, v int32 } // u < v
-
-// NewBuilder returns a Builder pre-sized for n nodes with unit weights and no
-// coordinates. More nodes may be added later.
+// NewBuilder returns a Builder for n nodes with unit weights and no
+// coordinates.
 func NewBuilder(n int) *Builder {
-	b := &Builder{
-		nodeWeight: make([]float64, n),
-		edges:      make(map[edgeKey]float64),
-	}
+	b := &Builder{nodeWeight: make([]float64, n)}
 	for i := range b.nodeWeight {
 		b.nodeWeight[i] = 1
 	}
 	return b
-}
-
-// FromGraph returns a Builder initialized with a copy of g, for incremental
-// modification.
-func FromGraph(g *Graph) *Builder {
-	b := NewBuilder(g.NumNodes())
-	copy(b.nodeWeight, g.nodeWeight)
-	if g.coords != nil {
-		b.hasCoords = true
-		b.coords = append([]Point(nil), g.coords...)
-	}
-	g.Edges(func(u, v int, w float64) bool {
-		b.edges[edgeKey{int32(u), int32(v)}] = w
-		return true
-	})
-	return b
-}
-
-// NumNodes returns the current node count.
-func (b *Builder) NumNodes() int { return len(b.nodeWeight) }
-
-// AddNode appends a node with weight w and returns its index.
-func (b *Builder) AddNode(w float64) int {
-	b.nodeWeight = append(b.nodeWeight, w)
-	if b.hasCoords {
-		b.coords = append(b.coords, Point{})
-	}
-	return len(b.nodeWeight) - 1
 }
 
 // SetNodeWeight sets the weight of node v.
@@ -275,19 +245,15 @@ func (b *Builder) SetNodeWeight(v int, w float64) { b.nodeWeight[v] = w }
 // SetCoord attaches coordinate p to node v, enabling the geometric embedding.
 // Once any coordinate is set, all nodes carry one (zero-valued by default).
 func (b *Builder) SetCoord(v int, p Point) {
-	if !b.hasCoords {
-		b.hasCoords = true
+	if b.coords == nil {
 		b.coords = make([]Point, len(b.nodeWeight))
-	}
-	for len(b.coords) < len(b.nodeWeight) {
-		b.coords = append(b.coords, Point{})
 	}
 	b.coords[v] = p
 }
 
-// AddEdge inserts undirected edge {u,v} with weight w. Inserting an existing
-// edge overwrites its weight. Self loops and out-of-range endpoints panic:
-// they are programming errors in generators, not recoverable input errors.
+// AddEdge records undirected edge {u,v} with weight w. Self loops and
+// out-of-range endpoints panic: they are programming errors in generators,
+// not recoverable input errors.
 func (b *Builder) AddEdge(u, v int, w float64) {
 	if u == v {
 		panic(fmt.Sprintf("graph: self loop at node %d", u))
@@ -295,37 +261,17 @@ func (b *Builder) AddEdge(u, v int, w float64) {
 	if u < 0 || v < 0 || u >= len(b.nodeWeight) || v >= len(b.nodeWeight) {
 		panic(fmt.Sprintf("graph: edge {%d,%d} out of range (n=%d)", u, v, len(b.nodeWeight)))
 	}
-	if u > v {
-		u, v = v, u
-	}
-	b.edges[edgeKey{int32(u), int32(v)}] = w
+	b.us, b.vs, b.ws = append(b.us, int32(u)), append(b.vs, int32(v)), append(b.ws, w)
 }
 
-// HasEdge reports whether {u,v} has been inserted.
-func (b *Builder) HasEdge(u, v int) bool {
-	if u > v {
-		u, v = v, u
-	}
-	_, ok := b.edges[edgeKey{int32(u), int32(v)}]
-	return ok
-}
-
-// Build emits an immutable CSR snapshot of the accumulated graph.
+// Build emits an immutable CSR snapshot of the recorded graph. It panics if
+// an edge was given twice.
 func (b *Builder) Build() *Graph {
-	us := make([]int32, 0, len(b.edges))
-	vs := make([]int32, 0, len(b.edges))
-	ws := make([]float64, 0, len(b.edges))
-	for k, w := range b.edges {
-		us, vs, ws = append(us, k.u), append(vs, k.v), append(ws, w)
-	}
 	var coords []Point
-	if b.hasCoords {
-		coords = make([]Point, len(b.nodeWeight))
-		copy(coords, b.coords)
+	if b.coords != nil {
+		coords = append([]Point(nil), b.coords...)
 	}
-	// AddEdge refuses self loops and out-of-range ends, and the map holds
-	// each edge once, so FromEdges cannot fail here.
-	g, err := FromEdges(us, vs, ws, append([]float64(nil), b.nodeWeight...), coords)
+	g, err := FromEdges(b.us, b.vs, b.ws, append([]float64(nil), b.nodeWeight...), coords)
 	if err != nil {
 		panic(err)
 	}
@@ -340,9 +286,10 @@ func (b *Builder) Build() *Graph {
 // It counting-sorts every edge into both endpoints' rows and sorts each row
 // with SortAdjacency, so the result is symmetric and strictly sorted by
 // construction and meets everything Validate checks without a second pass.
-// Self loops, endpoints outside [0, n), and an edge listed twice (in either
-// orientation) are errors. This is the one assembly into CSR for every
-// edge-list-shaped input: Builder.Build and gio's edge-list and text readers.
+// Each edge is given once: self loops, endpoints outside [0, n), and an
+// edge given twice (in either orientation) are errors. This is the one
+// assembly into CSR for every edge-list-shaped input: Builder.Build, gen's
+// component stitching, and gio's edge-list and text readers.
 func FromEdges(us, vs []int32, ws, nodeWeight []float64, coords []Point) (*Graph, error) {
 	n, m := len(nodeWeight), len(us)
 	if len(vs) != m || len(ws) != m {
@@ -433,6 +380,19 @@ func FromCSR(offsets, adj []int32, edgeWeight, nodeWeight []float64, coords []Po
 		return nil, err
 	}
 	return g, nil
+}
+
+// WithNodeWeights returns a graph with g's structure, edge weights and
+// coordinates and with node weights w, which it takes ownership of. The
+// result shares g's CSR and coordinate arrays, which is safe because graphs
+// are immutable, so it costs O(n). It panics if len(w) is not NumNodes().
+func (g *Graph) WithNodeWeights(w []float64) *Graph {
+	if len(w) != g.NumNodes() {
+		panic(fmt.Sprintf("graph: %d node weights for %d nodes", len(w), g.NumNodes()))
+	}
+	h := *g
+	h.nodeWeight, h.totalNodeW = w, sumWeights(w)
+	return &h
 }
 
 // shortRow is the longest adjacency row SortAdjacency insertion-sorts;

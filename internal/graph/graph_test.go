@@ -71,24 +71,15 @@ func TestBuilderBasic(t *testing.T) {
 	}
 }
 
-func TestBuilderDuplicateEdgeKeepsLastWeight(t *testing.T) {
-	b := NewBuilder(2)
-	b.AddEdge(0, 1, 1)
-	b.AddEdge(1, 0, 7)
-	g := b.Build()
-	if g.NumEdges() != 1 {
-		t.Fatalf("NumEdges = %d, want 1", g.NumEdges())
-	}
-	if w := g.EdgeWeightBetween(0, 1); w != 7 {
-		t.Errorf("weight = %v, want 7 (last insertion wins)", w)
-	}
-}
-
 func TestBuilderPanics(t *testing.T) {
 	for name, fn := range map[string]func(){
 		"self loop":    func() { NewBuilder(2).AddEdge(1, 1, 1) },
 		"out of range": func() { NewBuilder(2).AddEdge(0, 5, 1) },
 		"negative":     func() { NewBuilder(2).AddEdge(-1, 0, 1) },
+		// Each edge is given once; Build refuses a repeat in either
+		// orientation, whatever its weight.
+		"duplicate":         func() { buildTwice(0, 1, 0, 1) },
+		"duplicate flipped": func() { buildTwice(0, 1, 1, 0) },
 	} {
 		t.Run(name, func(t *testing.T) {
 			defer func() {
@@ -99,6 +90,16 @@ func TestBuilderPanics(t *testing.T) {
 			fn()
 		})
 	}
+}
+
+// buildTwice builds a 3-node path 2-0-1 whose edge {0,1} is given twice, as
+// {a,b} and then {c,d}.
+func buildTwice(a, b, c, d int) *Graph {
+	bld := NewBuilder(3)
+	bld.AddEdge(a, b, 1)
+	bld.AddEdge(2, 0, 1)
+	bld.AddEdge(c, d, 7)
+	return bld.Build()
 }
 
 func TestNeighborsSortedAndSymmetric(t *testing.T) {
@@ -146,38 +147,8 @@ func TestEdgesEarlyStop(t *testing.T) {
 	}
 }
 
-func TestFromGraphRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	g := randomGraph(rng, 30, 0.15)
-	g2 := FromGraph(g).Build()
-	if g2.NumNodes() != g.NumNodes() || g2.NumEdges() != g.NumEdges() {
-		t.Fatalf("round trip changed size: %d/%d vs %d/%d",
-			g2.NumNodes(), g2.NumEdges(), g.NumNodes(), g.NumEdges())
-	}
-	g.Edges(func(u, v int, w float64) bool {
-		if g2.EdgeWeightBetween(u, v) != w {
-			t.Errorf("edge {%d,%d} weight changed", u, v)
-		}
-		return true
-	})
-}
-
-func TestFromGraphExtend(t *testing.T) {
-	g := path(3)
-	b := FromGraph(g)
-	nv := b.AddNode(2)
-	b.AddEdge(nv, 0, 1)
-	g2 := b.Build()
-	if g2.NumNodes() != 4 || g2.NumEdges() != 3 {
-		t.Fatalf("extended graph: %d nodes %d edges", g2.NumNodes(), g2.NumEdges())
-	}
-	if g2.NodeWeight(3) != 2 {
-		t.Errorf("new node weight = %v, want 2", g2.NodeWeight(3))
-	}
-}
-
 func TestCoords(t *testing.T) {
-	b := NewBuilder(2)
+	b := NewBuilder(3)
 	b.AddEdge(0, 1, 1)
 	b.SetCoord(0, Point{1, 2})
 	b.SetCoord(1, Point{3, 4})
@@ -188,6 +159,9 @@ func TestCoords(t *testing.T) {
 	if g.Coord(1) != (Point{3, 4}) {
 		t.Errorf("Coord(1) = %v", g.Coord(1))
 	}
+	if g.Coord(2) != (Point{}) {
+		t.Errorf("Coord(2) = %v; a node never given a coordinate sits at zero", g.Coord(2))
+	}
 	g2 := path(2)
 	defer func() {
 		if recover() == nil {
@@ -195,16 +169,6 @@ func TestCoords(t *testing.T) {
 		}
 	}()
 	g2.Coord(0)
-}
-
-func TestCoordsAfterAddNode(t *testing.T) {
-	b := NewBuilder(1)
-	b.SetCoord(0, Point{1, 1})
-	b.AddNode(1) // node added after coords enabled
-	g := b.Build()
-	if g.Coord(1) != (Point{}) {
-		t.Errorf("late node coord = %v, want zero", g.Coord(1))
-	}
 }
 
 func TestBFSLevels(t *testing.T) {
@@ -346,14 +310,14 @@ func TestTotalNodeWeightStored(t *testing.T) {
 		}
 		return s
 	}
-	b := NewBuilder(50)
+	b := NewBuilder(51) // node 50 is isolated
 	for v := 0; v < 50; v++ {
 		b.SetNodeWeight(v, 0.1+rng.Float64()*3) // fractional: summation order shows
 		if v > 0 {
 			b.AddEdge(v, rng.Intn(v), 1)
 		}
 	}
-	b.AddNode(2.5)
+	b.SetNodeWeight(50, 2.5)
 	built := b.Build()
 	induced, _ := built.InducedSubgraph([]int{3, 1, 4, 15, 9, 26})
 	csr, err := FromCSR(append([]int32(nil), built.offsets...), append([]int32(nil), built.adj...),

@@ -92,10 +92,13 @@ func (g *Graph) PseudoPeripheral(start int) int {
 // ids (the inverse of the implicit relabeling). Node weights, edge weights,
 // and coordinates are preserved.
 func (g *Graph) InducedSubgraph(nodes []int) (*Graph, []int) {
-	toNew := make(map[int]int, len(nodes))
+	toNew := make([]int32, g.NumNodes()) // -1: not in the subgraph
+	for v := range toNew {
+		toNew[v] = -1
+	}
 	orig := make([]int, len(nodes))
 	for i, v := range nodes {
-		toNew[v] = i
+		toNew[v] = int32(i)
 		orig[i] = v
 	}
 	b := NewBuilder(len(nodes))
@@ -108,7 +111,7 @@ func (g *Graph) InducedSubgraph(nodes []int) (*Graph, []int) {
 	for i, v := range nodes {
 		ws := g.EdgeWeights(v)
 		for k, u := range g.Neighbors(v) {
-			if j, ok := toNew[int(u)]; ok && j > i {
+			if j := int(toNew[u]); j > i {
 				b.AddEdge(i, j, ws[k])
 			}
 		}

@@ -222,9 +222,10 @@ func hubGraph(n, hubs int, seed int64) *graph.Graph {
 	for v := 0; v < n; v++ {
 		b.SetNodeWeight(v, float64(1+rng.Intn(9)))
 	}
+	last := map[[2]int]float64{} // a pair drawn twice keeps its last weight
 	edge := func(u, v int) {
 		if u != v {
-			b.AddEdge(u, v, float64(1+rng.Intn(5)))
+			last[[2]int{min(u, v), max(u, v)}] = float64(1 + rng.Intn(5))
 		}
 	}
 	for v := 1; v < n; v++ {
@@ -240,6 +241,9 @@ func hubGraph(n, hubs int, seed int64) *graph.Graph {
 				edge(hub, v)
 			}
 		}
+	}
+	for e, w := range last { // the built graph does not depend on edge order
+		b.AddEdge(e[0], e[1], w)
 	}
 	return b.Build()
 }

@@ -32,16 +32,14 @@ func TestRefineHandlesDisconnectedOverweightPart(t *testing.T) {
 	// An overweight part with NO boundary nodes (its own component) forces
 	// the arbitrary-node fallback in rebalance.
 	m1 := gen.Mesh(30, 22)
-	b := graph.FromGraph(m1)
-	// Second component of 10 isolated-chain nodes, all in part 0 below.
-	first := -1
-	for i := 0; i < 10; i++ {
-		v := b.AddNode(1)
-		if first < 0 {
-			first = v
-		} else {
-			b.AddEdge(v-1, v, 1)
-		}
+	b := graph.NewBuilder(40)
+	for v := 0; v < 30; v++ {
+		b.SetCoord(v, m1.Coord(v))
+	}
+	m1.Edges(func(u, v int, w float64) bool { b.AddEdge(u, v, w); return true })
+	// Second component: a chain of 10 nodes, all in part 0 below.
+	for v := 31; v < 40; v++ {
+		b.AddEdge(v-1, v, 1)
 	}
 	g := b.Build()
 	p := partition.New(g.NumNodes(), 2)
@@ -77,12 +75,16 @@ func TestRebalanceBalancesWeightNotCount(t *testing.T) {
 			b.SetNodeWeight(v, 10)
 		}
 	}
+	seen := map[[2]int]bool{} // each edge once: Build refuses a repeat
 	for v := 1; v < n; v++ {
-		b.AddEdge(v, rng.Intn(v), 1)
+		u := rng.Intn(v)
+		seen[[2]int{u, v}] = true
+		b.AddEdge(v, u, 1)
 	}
 	for i := 0; i < n; i++ {
 		u, v := rng.Intn(n), rng.Intn(n)
-		if u != v && !b.HasEdge(u, v) {
+		if e := [2]int{min(u, v), max(u, v)}; u != v && !seen[e] {
+			seen[e] = true
 			b.AddEdge(u, v, 1)
 		}
 	}

@@ -77,12 +77,16 @@ func TestHierarchyInvariantsWeightedGraph(t *testing.T) {
 	for v := 0; v < 300; v++ {
 		b.SetNodeWeight(v, float64(1+rng.Intn(7)))
 	}
+	seen := map[[2]int]bool{} // each edge once: Build refuses a repeat
 	for v := 1; v < 300; v++ {
-		b.AddEdge(v, rng.Intn(v), float64(1+rng.Intn(9)))
+		u := rng.Intn(v)
+		seen[[2]int{u, v}] = true
+		b.AddEdge(v, u, float64(1+rng.Intn(9)))
 	}
 	for i := 0; i < 500; i++ {
 		u, v := rng.Intn(300), rng.Intn(300)
-		if u != v && !b.HasEdge(u, v) {
+		if e := [2]int{min(u, v), max(u, v)}; u != v && !seen[e] {
+			seen[e] = true
 			b.AddEdge(u, v, float64(1+rng.Intn(9)))
 		}
 	}

@@ -24,12 +24,16 @@ func randomWeightedGraph(n int, rng *rand.Rand, weighted bool) *graph.Graph {
 		}
 		return 1
 	}
+	seen := map[[2]int]bool{} // each edge once: Build refuses a repeat
 	for v := 1; v < n; v++ {
-		b.AddEdge(v, rng.Intn(v), w())
+		u := rng.Intn(v)
+		seen[[2]int{u, v}] = true
+		b.AddEdge(v, u, w())
 	}
 	for i := 0; i < 2*n; i++ {
 		u, v := rng.Intn(n), rng.Intn(n)
-		if u != v && !b.HasEdge(u, v) {
+		if e := [2]int{min(u, v), max(u, v)}; u != v && !seen[e] {
+			seen[e] = true
 			b.AddEdge(u, v, w())
 		}
 	}

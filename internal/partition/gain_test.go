@@ -16,7 +16,11 @@ func TestMoveGainExactAtInexactIdeal(t *testing.T) {
 	const k = 3
 	g := gen.SkewWeights(gen.Mesh(400, 23), 23, 9)
 	rng := rand.New(rand.NewSource(22))
-	b := graph.FromGraph(g)
+	b := graph.NewBuilder(g.NumNodes())
+	for v := 0; v < g.NumNodes(); v++ {
+		b.SetNodeWeight(v, g.NodeWeight(v))
+		b.SetCoord(v, g.Coord(v))
+	}
 	g.Edges(func(u, v int, _ float64) bool {
 		b.AddEdge(u, v, float64(1+rng.Intn(5)))
 		return true

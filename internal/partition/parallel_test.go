@@ -22,12 +22,16 @@ func randomTestGraph(n int, seed int64) *graph.Graph {
 	for v := 0; v < n; v++ {
 		b.SetNodeWeight(v, float64(1+rng.Intn(9)))
 	}
+	seen := map[[2]int]bool{} // each edge once: Build refuses a repeat
 	for v := 1; v < n; v++ {
-		b.AddEdge(v, rng.Intn(v), float64(1+rng.Intn(7)))
+		u := rng.Intn(v)
+		seen[[2]int{u, v}] = true
+		b.AddEdge(v, u, float64(1+rng.Intn(7)))
 	}
 	for i := 0; i < 3*n; i++ {
 		u, v := rng.Intn(n), rng.Intn(n)
-		if u != v && !b.HasEdge(u, v) {
+		if e := [2]int{min(u, v), max(u, v)}; u != v && !seen[e] {
+			seen[e] = true
 			b.AddEdge(u, v, float64(1+rng.Intn(7)))
 		}
 	}

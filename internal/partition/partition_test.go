@@ -228,9 +228,10 @@ func TestExtendRandomBalancedKeepsOldAssignments(t *testing.T) {
 func TestExtendMajorityNeighbor(t *testing.T) {
 	// Path 0-1-2 grown with node 3 attached to node 2: majority rule must
 	// put 3 in 2's part.
-	b := graph.FromGraph(pathGraph(3))
-	nv := b.AddNode(1)
-	b.AddEdge(nv, 2, 1)
+	b := graph.NewBuilder(4)
+	b.AddEdge(0, 1, 1)
+	b.AddEdge(1, 2, 1)
+	b.AddEdge(3, 2, 1)
 	g := b.Build()
 	old := New(3, 2)
 	old.Assign[2] = 1

@@ -45,12 +45,14 @@ func TestPartitionDisconnectedGiantPlusIslands(t *testing.T) {
 	// One giant mesh plus several tiny components: the giant must be split
 	// spectrally and the small components packed to restore balance.
 	giant := gen.Mesh(60, 4)
-	b := graph.FromGraph(giant)
+	b := graph.NewBuilder(66)
+	for v := 0; v < 60; v++ {
+		b.SetCoord(v, giant.Coord(v))
+	}
+	giant.Edges(func(u, v int, w float64) bool { b.AddEdge(u, v, w); return true })
 	// Add 3 isolated edges (6 nodes in 3 components).
-	for i := 0; i < 3; i++ {
-		u := b.AddNode(1)
-		v := b.AddNode(1)
-		b.AddEdge(u, v, 1)
+	for u := 60; u < 66; u += 2 {
+		b.AddEdge(u, u+1, 1)
 	}
 	g := b.Build()
 	rng := rand.New(rand.NewSource(5))
