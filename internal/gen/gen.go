@@ -340,7 +340,7 @@ func (g *insertGrid) forNearby(p geometry.Point, fn func(j int)) {
 // union-find instead of rebuilding the graph per join, so stitching a
 // 100k-node graph with hundreds of pockets costs milliseconds, not minutes.
 // The joins are collected first and the graph is assembled once, from g's
-// edges plus the joins, by graph.FromEdges.
+// edges plus the joins.
 func connect(g *graph.Graph, pts []geometry.Point) *graph.Graph {
 	comp, count := g.Components()
 	if count <= 1 {
@@ -359,7 +359,7 @@ func connect(g *graph.Graph, pts []geometry.Point) *graph.Graph {
 	}
 	n := len(pts)
 	grid := newBucketGrid(pts, 1/(2*math.Sqrt(float64(n))+1))
-	var joinV, joinU []int32
+	var links [][2]int // each join: {inside node, outside node}
 	for joins := count - 1; joins > 0; joins-- {
 		root := find(comp[0])
 		bestV, bestU, bestD := -1, -1, math.Inf(1)
@@ -378,29 +378,20 @@ func connect(g *graph.Graph, pts []geometry.Point) *graph.Graph {
 		if bestU < 0 {
 			break
 		}
-		joinV, joinU = append(joinV, int32(bestV)), append(joinU, int32(bestU))
+		links = append(links, [2]int{bestV, bestU})
 		parent[find(comp[bestU])] = root
 	}
 
-	m := g.NumEdges() + len(joinV)
-	us, vs, ws := make([]int32, 0, m), make([]int32, 0, m), make([]float64, 0, m)
-	g.Edges(func(u, v int, w float64) bool {
-		us, vs, ws = append(us, int32(u)), append(vs, int32(v)), append(ws, w)
-		return true
-	})
-	for i := range joinV {
-		us, vs, ws = append(us, joinV[i]), append(vs, joinU[i]), append(ws, 1)
+	b := graph.NewBuilder(n)
+	for v := 0; v < n; v++ {
+		b.SetNodeWeight(v, g.NodeWeight(v))
+		b.SetCoord(v, g.Coord(v))
 	}
-	nw := make([]float64, n)
-	coords := make([]graph.Point, n)
-	for v := range nw {
-		nw[v], coords[v] = g.NodeWeight(v), g.Coord(v)
-	}
+	g.Edges(func(u, v int, w float64) bool { b.AddEdge(u, v, w); return true })
 	// Each join links two components, so it repeats no edge of g or of an
-	// earlier join, and FromEdges cannot fail.
-	out, err := graph.FromEdges(us, vs, ws, nw, coords)
-	if err != nil {
-		panic(err)
+	// earlier join.
+	for _, j := range links {
+		b.AddEdge(j[0], j[1], 1)
 	}
-	return out
+	return b.Build()
 }

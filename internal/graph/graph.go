@@ -267,11 +267,9 @@ func (b *Builder) AddEdge(u, v int, w float64) {
 // Build emits an immutable CSR snapshot of the recorded graph. It panics if
 // an edge was given twice.
 func (b *Builder) Build() *Graph {
-	var coords []Point
-	if b.coords != nil {
-		coords = append([]Point(nil), b.coords...)
-	}
-	g, err := FromEdges(b.us, b.vs, b.ws, append([]float64(nil), b.nodeWeight...), coords)
+	// Copies, so later Builder edits cannot reach the graph; a nil coords
+	// stays nil.
+	g, err := FromEdges(b.us, b.vs, b.ws, append([]float64(nil), b.nodeWeight...), append([]Point(nil), b.coords...))
 	if err != nil {
 		panic(err)
 	}
@@ -288,8 +286,8 @@ func (b *Builder) Build() *Graph {
 // construction and meets everything Validate checks without a second pass.
 // Each edge is given once: self loops, endpoints outside [0, n), and an
 // edge given twice (in either orientation) are errors. This is the one
-// assembly into CSR for every edge-list-shaped input: Builder.Build, gen's
-// component stitching, and gio's edge-list and text readers.
+// assembly into CSR for every edge-list-shaped input: Builder.Build and
+// gio's edge-list and text readers.
 func FromEdges(us, vs []int32, ws, nodeWeight []float64, coords []Point) (*Graph, error) {
 	n, m := len(nodeWeight), len(us)
 	if len(vs) != m || len(ws) != m {

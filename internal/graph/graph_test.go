@@ -171,6 +171,25 @@ func TestCoords(t *testing.T) {
 	g2.Coord(0)
 }
 
+// WithNodeWeights replaces only the node weights: the structure is g's, g
+// keeps its own weights, and a weight vector of the wrong length panics.
+func TestWithNodeWeights(t *testing.T) {
+	g := path(3)
+	h := g.WithNodeWeights([]float64{0.5, 2, 3})
+	if h.NodeWeight(0) != 0.5 || h.TotalNodeWeight() != 5.5 || g.NodeWeight(0) != 1 || g.TotalNodeWeight() != 3 {
+		t.Errorf("weights: h %v (total %v), g %v (total %v)", h.NodeWeight(0), h.TotalNodeWeight(), g.NodeWeight(0), g.TotalNodeWeight())
+	}
+	if h.NumEdges() != 2 || !h.HasEdge(0, 1) || !h.HasEdge(1, 2) || h.Validate() != nil {
+		t.Errorf("structure changed: %d edges", h.NumEdges())
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("2 weights for 3 nodes: no panic")
+		}
+	}()
+	g.WithNodeWeights([]float64{1, 1})
+}
+
 func TestBFSLevels(t *testing.T) {
 	g := path(5)
 	level := g.BFS(0)
@@ -326,13 +345,18 @@ func TestTotalNodeWeightStored(t *testing.T) {
 		t.Fatal(err)
 	}
 	coarseOf, nCoarse := randomCoarseMap(built.NumNodes(), rng)
+	reversed := make([]float64, built.NumNodes())
+	for v := range reversed {
+		reversed[v] = built.NodeWeight(len(reversed) - 1 - v)
+	}
 	for name, g := range map[string]*Graph{
-		"zero":     {},
-		"empty":    NewBuilder(0).Build(),
-		"builder":  built,
-		"fromCSR":  csr,
-		"contract": Contract(built, coarseOf, nCoarse, 1),
-		"induced":  induced,
+		"zero":       {},
+		"empty":      NewBuilder(0).Build(),
+		"builder":    built,
+		"fromCSR":    csr,
+		"contract":   Contract(built, coarseOf, nCoarse, 1),
+		"induced":    induced,
+		"reweighted": built.WithNodeWeights(reversed),
 	} {
 		if got, want := g.TotalNodeWeight(), fresh(g); got != want {
 			t.Errorf("%s: TotalNodeWeight = %v, fresh sum %v", name, got, want)
