@@ -148,7 +148,7 @@ func TestEdgesEarlyStop(t *testing.T) {
 }
 
 func TestCoords(t *testing.T) {
-	b := NewBuilder(3)
+	b := NewBuilder(2)
 	b.AddEdge(0, 1, 1)
 	b.SetCoord(0, Point{1, 2})
 	b.SetCoord(1, Point{3, 4})
@@ -159,9 +159,6 @@ func TestCoords(t *testing.T) {
 	if g.Coord(1) != (Point{3, 4}) {
 		t.Errorf("Coord(1) = %v", g.Coord(1))
 	}
-	if g.Coord(2) != (Point{}) {
-		t.Errorf("Coord(2) = %v; a node never given a coordinate sits at zero", g.Coord(2))
-	}
 	g2 := path(2)
 	defer func() {
 		if recover() == nil {
@@ -169,6 +166,18 @@ func TestCoords(t *testing.T) {
 		}
 	}()
 	g2.Coord(0)
+}
+
+// A node that is given edges after coordinates are enabled, but never a
+// coordinate of its own, sits at zero.
+func TestCoordsAfterAddNode(t *testing.T) {
+	b := NewBuilder(2)
+	b.SetCoord(0, Point{1, 1})
+	b.AddEdge(0, 1, 1)
+	g := b.Build()
+	if g.Coord(1) != (Point{}) {
+		t.Errorf("late node coord = %v, want zero", g.Coord(1))
+	}
 }
 
 // WithNodeWeights replaces only the node weights: the structure is g's, g
