@@ -84,7 +84,7 @@ func init() {
 
 	Register(New(Info{
 		Name:        "fm",
-		Description: "flat Fiduccia–Mattheyses: region-growing start, bucket-gain passes",
+		Description: "flat Fiduccia–Mattheyses: region-growing start, gain-heap passes",
 		Objectives:  []partition.Objective{partition.WorstCut},
 	}, func(g *graph.Graph, opt Options) (*partition.Partition, error) {
 		p, err := greedy.RegionGrow(g, opt.Parts)

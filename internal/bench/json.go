@@ -64,11 +64,17 @@ type Result struct {
 	// passes. Omitted (zero) for non-multilevel algorithms and for
 	// pre-instrumentation baselines; like every timing field they are
 	// environment-dependent and never gated.
-	RefineNS      int64  `json:"refine_ns,omitempty"`
-	RefineLPNS    int64  `json:"refine_lp_ns,omitempty"`
-	RefineClimbNS int64  `json:"refine_climb_ns,omitempty"`
-	RefineFMNS    int64  `json:"refine_fm_ns,omitempty"`
-	Error         string `json:"error,omitempty"` // non-empty if the algorithm rejected the case
+	RefineNS      int64 `json:"refine_ns,omitempty"`
+	RefineLPNS    int64 `json:"refine_lp_ns,omitempty"`
+	RefineClimbNS int64 `json:"refine_climb_ns,omitempty"`
+	RefineFMNS    int64 `json:"refine_fm_ns,omitempty"`
+	// FM's deterministic work counters of the same run (multilevel.Stats):
+	// moves made, moves kept and passes. Unlike the timings they depend only
+	// on the inputs, so the moves a pass rolls back show at any width.
+	FMMoves  int    `json:"fm_moves,omitempty"`
+	FMKept   int    `json:"fm_kept,omitempty"`
+	FMPasses int    `json:"fm_passes,omitempty"`
+	Error    string `json:"error,omitempty"` // non-empty if the algorithm rejected the case
 }
 
 // Metric returns the result's value of the objective it optimized — Cut for
@@ -289,6 +295,7 @@ func RunJSON(suiteName string, cases []Case, algos []string, opt algo.Options, r
 			res.RefineLPNS = mstats.RefineLP.Nanoseconds()
 			res.RefineClimbNS = mstats.RefineClimb.Nanoseconds()
 			res.RefineFMNS = mstats.RefineFM.Nanoseconds()
+			res.FMMoves, res.FMKept, res.FMPasses = mstats.FMMoves, mstats.FMKept, mstats.FMPasses
 			// TotalAlloc/Mallocs are monotonic, so the delta is exactly what
 			// the measured runs allocated (GC frees never subtract from it).
 			res.BytesAlloc = int64(msAfter.TotalAlloc-msBefore.TotalAlloc) / int64(repeat)

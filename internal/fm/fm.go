@@ -1,9 +1,17 @@
-// Package fm implements Fiduccia–Mattheyses-style k-way refinement with
-// bucket-sorted gains: the linear-time counterpart of package kl's simple
-// hill climber. One FM pass moves each node at most once, always the
-// highest-gain legal move (respecting a balance constraint), and keeps the
-// best prefix of the move sequence — so it can climb out of local optima
-// that pure steepest-descent cannot.
+// Package fm implements Fiduccia–Mattheyses-style k-way refinement: the
+// move-ahead counterpart of package kl's simple hill climber. One FM pass
+// moves each node at most once, always the highest-gain legal move
+// (respecting a balance constraint) popped from a binary max-heap with lazy
+// deletion (stale entries are skipped on pop), and keeps the best prefix of
+// the move sequence — so it can climb out of local optima that pure
+// steepest-descent cannot.
+//
+// Under the TotalCut objective a heap pass ends once it has run 100 moves
+// past its best prefix, as METIS ends its passes: the tail after the best
+// prefix is rolled back, and on 5000-node meshes a full-length pass keeps 6%
+// of its moves. Under WorstCut a pass runs until its heap is empty, because
+// the worst part's cut stays flat over most moves, so counting fruitless
+// moves would end passes that are still making progress.
 //
 // The paper's GA uses boundary hill climbing (kl.HillClimbEval); FM is the
 // stronger refinement used by the multilevel pipeline (the paper's "prior
@@ -31,10 +39,10 @@ type Config struct {
 	// speed knob: both schedules are bit-identical at every width.
 	Workers int
 	// Objective selects which cost the best-prefix selection minimizes. The
-	// zero value (TotalCut) is the historical FM, byte for byte: moves pop in
-	// cut-gain order and the kept prefix maximizes cumulative cut reduction.
-	// WorstCut keeps the same pop order (the cut gain is a visit-order
-	// heuristic there) but scores each applied move by the max_q C(q) delta
+	// zero value (TotalCut) is classic FM: moves pop in cut-gain order, the
+	// kept prefix maximizes cumulative cut reduction, and a heap pass ends
+	// 100 moves past its best prefix. WorstCut keeps the same pop order (the
+	// cut gain is a visit-order heuristic there) but scores each applied move by the max_q C(q) delta
 	// it causes, so the kept prefix is the one that most reduced the worst
 	// part's cut. CommVolume is not supported: FM's lazily-materialized
 	// connectivity rows go stale on locked neighbors, which the cut deltas
@@ -65,6 +73,20 @@ type Scratch struct {
 	s scratch
 }
 
+// Counts are deterministic work counters of the refinements a Scratch has
+// served, summed over both schedules since the Scratch was made. They depend
+// only on the inputs, never on Workers, so a caller can hold them to exact
+// values the way it holds cuts; a caller measuring one run subtracts the
+// counts it read before the run.
+type Counts struct {
+	Passes int // passes started
+	Moves  int // moves committed to a pass's log, kept or rolled back
+	Kept   int // moves in the kept best prefixes, applied through the Eval
+}
+
+// Counts returns the work counters of every refinement served so far.
+func (s *Scratch) Counts() Counts { return s.s.counts }
+
 // Reserve grows the scratch's buffers for an (n, parts) refinement without
 // running one. Callers that refine a hierarchy from coarse to fine — where
 // every level's natural grow step would reallocate the Theta(n*parts)
@@ -77,8 +99,9 @@ func (s *Scratch) Reserve(n, parts int) {
 
 // Refine improves p in place with serial-heap FM passes, minimizing the
 // objective subject to the balance constraint, and returns the total
-// improvement. Every move kept by a pass is applied through ev, so ev stays
-// exactly in sync with p at O(deg) per kept move and never needs a rescan;
+// improvement. Under TotalCut each pass ends 100 moves past its best prefix
+// (see the package comment). Every move kept by a pass is applied through
+// ev, so ev stays exactly in sync with p at O(deg) per kept move and never needs a rescan;
 // the multilevel pipeline relies on this to carry one Eval across FM
 // refinement at every uncoarsening level. A nil ev is built from p.
 //
@@ -105,6 +128,9 @@ type refinement struct {
 	stop    func() bool
 	minSize int // node-count balance bounds every kept move respects
 	maxSize int
+	// fruitless ends a heap pass once its log runs this many moves past the
+	// best prefix: fruitlessMoves under TotalCut, unlimited under WorstCut.
+	fruitless int
 
 	// The current pass's best-prefix state, advanced by commit: the
 	// cumulative score of the moves logged so far (s.log), and the best
@@ -114,45 +140,69 @@ type refinement struct {
 	cmax         runningMax // WorstCut: max over the tentative cuts s.cuts
 }
 
-// refine is the pass loop both schedules share. It rejects CommVolume,
-// applies the MaxPasses default, prepares ev with partition.Tracked (so a
-// nil ev is built from p), derives the balance bounds — every part's node
-// count within ceil(2% of ideal)+1 nodes of the ideal n/parts — checks out
-// the scratch, and runs pass until one gains nothing, Stop fires, or
-// MaxPasses is reached.
+// fruitlessMoves is how far past its best prefix a TotalCut heap pass may
+// run before it ends. It is a flat 100 rather than METIS's
+// min(max(1% of n, 15), 100): the 1%-of-n floor shortened passes on small
+// levels and moved cuts, while 100 left the cuts of the probed meshes and
+// random geometric graphs unchanged.
+const fruitlessMoves = 100
+
+// refine is the pass loop both schedules share: newRefinement's setup, then
+// run.
 func refine(g *graph.Graph, p *partition.Partition, ev *partition.Eval, cfg Config, pass func(*refinement) (gain float64, stopped bool)) float64 {
+	r := newRefinement(g, p, ev, cfg)
+	if r == nil {
+		return 0
+	}
+	return r.run(cfg.MaxPasses, pass)
+}
+
+// newRefinement rejects CommVolume, prepares ev with partition.Tracked (so a
+// nil ev is built from p), derives the balance bounds — every part's node
+// count within ceil(2% of ideal)+1 nodes of the ideal n/parts — and checks
+// out the scratch. It returns nil when there is nothing to refine.
+func newRefinement(g *graph.Graph, p *partition.Partition, ev *partition.Eval, cfg Config) *refinement {
 	if cfg.Objective == partition.CommVolume {
 		panic("fm: CommVolume objective is not supported (use the kl refiners)")
 	}
-	maxPasses := cfg.MaxPasses
-	if maxPasses <= 0 {
-		maxPasses = 16
-	}
 	n := g.NumNodes()
 	if n == 0 || p.Parts < 2 {
-		return 0
+		return nil
 	}
 	ev = partition.Tracked(g, p, ev, cfg.Objective, cfg.Workers)
 	ideal := float64(n) / float64(p.Parts)
 	slack := int(math.Ceil(ideal/50)) + 1
 	r := &refinement{
-		g:       g,
-		p:       p,
-		ev:      ev,
-		o:       cfg.Objective,
-		workers: par.Workers(cfg.Workers),
-		stop:    cfg.Stop,
-		minSize: max(int(math.Floor(ideal))-slack, 0),
-		maxSize: int(math.Ceil(ideal)) + slack,
+		g:         g,
+		p:         p,
+		ev:        ev,
+		o:         cfg.Objective,
+		workers:   par.Workers(cfg.Workers),
+		stop:      cfg.Stop,
+		minSize:   max(int(math.Floor(ideal))-slack, 0),
+		maxSize:   int(math.Ceil(ideal)) + slack,
+		fruitless: math.MaxInt,
+	}
+	if cfg.Objective == partition.TotalCut {
+		r.fruitless = fruitlessMoves
 	}
 	r.s = new(scratch)
 	if cfg.Scratch != nil {
 		r.s = &cfg.Scratch.s
 	}
 	r.s.grow(n, p.Parts)
+	return r
+}
+
+// run applies the MaxPasses default and runs pass until one gains nothing,
+// Stop fires, or maxPasses is reached.
+func (r *refinement) run(maxPasses int, pass func(*refinement) (gain float64, stopped bool)) float64 {
+	if maxPasses <= 0 {
+		maxPasses = 16
+	}
 	var total float64
 	for i := 0; i < maxPasses; i++ {
-		if cfg.Stop != nil && cfg.Stop() {
+		if r.stop != nil && r.stop() {
 			break
 		}
 		gain, stopped := pass(r)
@@ -185,6 +235,7 @@ type scratch struct {
 	seeds     []int     // boundary snapshot buffer, one per pass
 	cuts      []float64 // WorstCut: tentative per-part cuts along the pass's move sequence
 	sizes     []int     // live part sizes along the pass's move sequence
+	counts    Counts    // work done through this scratch, never reset
 
 	// Colored-pass (RefineColored) state, grown by growPar only when the
 	// parallel refiner runs; see fmpar.go. The generation counters are
@@ -345,6 +396,7 @@ func (m *runningMax) cur() float64 {
 func (r *refinement) startPass() {
 	s := r.s
 	s.pass++
+	s.counts.Passes++
 	copy(s.work.Assign, r.p.Assign)
 	clear(s.sizes)
 	for _, q := range s.work.Assign {
@@ -403,6 +455,8 @@ func (r *refinement) commit(v, from, to int, gain float64) {
 // keep applies the pass's best prefix through ev, in pass order, and
 // returns its score.
 func (r *refinement) keep() float64 {
+	r.s.counts.Moves += len(r.s.log)
+	r.s.counts.Kept += r.bestK
 	for _, m := range r.s.log[:r.bestK] {
 		r.ev.Move(r.g, r.p, m.v, m.to)
 	}
@@ -466,7 +520,11 @@ func (h *candHeap) pop() cand {
 }
 
 // heapPass runs one FM pass and returns the improvement kept; the kept
-// moves are applied through ev so it tracks p. It never stops mid-pass.
+// moves are applied through ev so it tracks p. It ignores Stop mid-pass, and
+// ends when the heap is empty or the log runs r.fruitless moves past the best
+// prefix. The moves before that stop are the full-length pass's, so whenever
+// the full-length pass reaches its best prefix without such a fruitless run,
+// both keep the same moves.
 //
 // conn[v*parts+q] — the total weight of v's edges into part q, against the
 // pass's working assignment — is materialized lazily: a node's row is
@@ -554,6 +612,9 @@ func (r *refinement) heapPass() (float64, bool) {
 			continue
 		}
 		r.commit(v, from, c.to, c.gain)
+		if len(s.log)-r.bestK > r.fruitless {
+			break
+		}
 		// Update neighbors' connectivity and re-queue them. A neighbor whose
 		// row is not yet materialized needs no delta: its lazy scan already
 		// sees v in its new part.

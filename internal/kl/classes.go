@@ -32,8 +32,10 @@ type Classes struct {
 	order   []int32 // set indices 0..len(order)-1 by descending prio
 	high    []int32 // colors >= 64 around the index being colored
 	scanned int     // adjacency entries the last Group call scanned
-	// keyed is sortByPrio's sort scratch.
-	keyed []prioIndex
+	// sorted is 0..len(sorted)-1 by descending prio, for the largest set
+	// size sorted so far; keyed is its sort scratch.
+	sorted []int32
+	keyed  []prioIndex
 }
 
 // prioIndex is one set index with its precomputed priority, the sort key of
@@ -154,21 +156,33 @@ func (cs *Classes) firstFit(g adjacency, nodes []int) int {
 
 // sortByPrio fills cs.order with 0..n-1 by descending prio. The order is a
 // function of n alone, so consecutive calls of one size — every full tile of
-// a sweep — reuse it.
+// a sweep — reuse it. And since prio is a fixed key per index, the order of
+// 0..n-1 is the order of any larger range with the indices >= n dropped: only
+// a size larger than any before sorts (into cs.sorted), and every other size
+// filters that order in one linear pass.
 func (cs *Classes) sortByPrio(n int) {
 	if len(cs.order) == n {
 		return
 	}
-	keyed := slices.Grow(cs.keyed[:0], n)
-	for i := 0; i < n; i++ {
-		keyed = append(keyed, prioIndex{key: prio(i), i: int32(i)})
+	if n > len(cs.sorted) {
+		keyed := slices.Grow(cs.keyed[:0], n)
+		for i := 0; i < n; i++ {
+			keyed = append(keyed, prioIndex{key: prio(i), i: int32(i)})
+		}
+		slices.SortFunc(keyed, func(a, b prioIndex) int { return cmp.Compare(b.key, a.key) })
+		cs.keyed = keyed
+		cs.sorted = ensureInt32(cs.sorted, n)
+		for k, e := range keyed {
+			cs.sorted[k] = e.i
+		}
 	}
-	slices.SortFunc(keyed, func(a, b prioIndex) int { return cmp.Compare(b.key, a.key) })
-	cs.keyed = keyed
-	cs.order = ensureInt32(cs.order, n)
-	for k, e := range keyed {
-		cs.order[k] = e.i
+	order := slices.Grow(cs.order[:0], n)
+	for _, i := range cs.sorted {
+		if int(i) < n {
+			order = append(order, i)
+		}
 	}
+	cs.order = order
 }
 
 // prio is a splitmix64-style finalizer: a bijection on 64-bit integers, so

@@ -96,7 +96,7 @@ func TestQuickHillClimbMonotone(t *testing.T) {
 		HillClimbEval(g, p, o, 3, nil)
 		return p.Fitness(g, o) >= before && p.Validate(g) == nil
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 20, Rand: rand.New(rand.NewSource(17))}); err != nil {
 		t.Error(err)
 	}
 }

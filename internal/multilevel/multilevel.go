@@ -217,7 +217,7 @@ type Config struct {
 	// <= 0 selects GOMAXPROCS. The result is bit-identical for every value.
 	Workers int
 	// Objective selects the cost the uncoarsening refiners drive down. The
-	// zero value (TotalCut) is the historical edge-cut pipeline, bit for bit.
+	// zero value (TotalCut) is the edge-cut pipeline.
 	// WorstCut steers every refiner by the max_q C(q) delta. CommVolume
 	// routes refinement entirely through the KL climbers (FM does not support
 	// it) and rebuilds the per-(node, part) neighbor counts at every level —
@@ -258,6 +258,13 @@ type Stats struct {
 	RefineLP    time.Duration // kl.Propagate on levels of at least lpMinNodes
 	RefineClimb time.Duration // kl climbs + rebalance
 	RefineFM    time.Duration // fm.Refine / fm.RefineColored
+
+	// FM's deterministic work counters over the run (fm.Counts): moves
+	// committed to a pass's log, moves kept in the best prefixes, and passes.
+	// They depend only on the inputs, never on Workers or the clock.
+	FMMoves  int
+	FMKept   int
+	FMPasses int
 
 	CoarsenBytes     uint64 // bytes allocated during hierarchy construction
 	CoarseSolveBytes uint64 // ... during the coarse solve
@@ -472,6 +479,7 @@ func Partition(g *graph.Graph, cfg Config, inner Partitioner) (*partition.Partit
 	// level as the hierarchy unwinds would reallocate at nearly every step
 	// for about twice the finest level's bytes.
 	hs.fm.Reserve(g.NumNodes(), c.Parts)
+	fmBefore := hs.fm.Counts()
 
 	for i := len(levels) - 1; i >= 0; i-- {
 		lvl := levels[i]
@@ -557,6 +565,10 @@ func Partition(g *graph.Graph, cfg Config, inner Partitioner) (*partition.Partit
 		p = fine
 	}
 	if c.Stats != nil {
+		fmAfter := hs.fm.Counts()
+		stats.FMMoves = fmAfter.Moves - fmBefore.Moves
+		stats.FMKept = fmAfter.Kept - fmBefore.Kept
+		stats.FMPasses = fmAfter.Passes - fmBefore.Passes
 		*c.Stats = stats
 	}
 	if err := p.Validate(g); err != nil {

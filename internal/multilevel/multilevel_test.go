@@ -183,7 +183,7 @@ func TestQuickCoarsenConservation(t *testing.T) {
 		})
 		return coarseW <= fineW+1e-9
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 15}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 15, Rand: rand.New(rand.NewSource(21))}); err != nil {
 		t.Error(err)
 	}
 }
@@ -365,5 +365,33 @@ func TestPartitionStats(t *testing.T) {
 	}
 	if st.RefineLP+st.RefineClimb+st.RefineFM > st.Refine {
 		t.Errorf("refine breakdown exceeds total: %+v", st)
+	}
+}
+
+// FM's work counters are per run and deterministic: under TotalCut every
+// heap pass ends at most 101 moves past its best prefix, so the moves made
+// exceed the moves kept by at most 101 per pass, and every width (and a rerun
+// on the pooled arena) counts the same work.
+func TestPartitionFMCounts(t *testing.T) {
+	g := gen.Mesh(5000, 101)
+	for _, ref := range []Refiner{RefineKLFM, RefineFM} {
+		counts := func(workers int) [3]int {
+			var st Stats
+			if _, err := Partition(g, Config{Parts: 8, Seed: 3, Refiner: ref, Workers: workers, Stats: &st}, klInner); err != nil {
+				t.Fatalf("%v workers=%d: %v", ref, workers, err)
+			}
+			return [3]int{st.FMMoves, st.FMKept, st.FMPasses}
+		}
+		base := counts(1)
+		moves, kept, passes := base[0], base[1], base[2]
+		if passes == 0 || kept > moves || moves > kept+101*passes {
+			t.Errorf("%v: %d moves, %d kept, %d passes: want kept <= moves <= kept + 101*passes", ref, moves, kept, passes)
+		}
+		for _, workers := range []int{4, 1} {
+			if got := counts(workers); got != base {
+				t.Errorf("%v workers=%d: counts (moves, kept, passes) %v, reference %v", ref, workers, got, base)
+			}
+		}
+		t.Logf("%v: %d moves, %d kept, %d passes", ref, moves, kept, passes)
 	}
 }
