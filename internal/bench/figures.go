@@ -10,6 +10,7 @@ import (
 	"repro/internal/ga"
 	"repro/internal/gen"
 	"repro/internal/ibp"
+	"repro/internal/incremental"
 	"repro/internal/partition"
 	"repro/internal/stats"
 )
@@ -177,10 +178,9 @@ func IncrementalConvergence(opt Options) Figure {
 			var seeds []*partition.Partition
 			est := partition.RandomBalanced(grown.NumNodes(), parts, rng)
 			if v.seeded {
-				seeds = append(seeds, partition.ExtendMajorityNeighbor(old, grown))
-				for i := 0; i < 4; i++ {
-					seeds = append(seeds, partition.ExtendRandomBalanced(old, grown, rng))
-				}
+				// The §3.5 pool Tables 3 and 6 seed from; its first seed is
+				// the deterministic majority-neighbor extension.
+				seeds = incremental.Seeds(old, grown, rng)
 				est = seeds[0]
 			}
 			e, err := ga.New(grown, ga.Config{

@@ -58,6 +58,18 @@ type Result struct {
 	// Workers is the execution width the measurement was pinned to (the
 	// -workers flag); omitted (zero) when the runner left it auto.
 	Workers int `json:"workers,omitempty"`
+	// The V-cycle's phases of a multilevel run (multilevel.Stats of the last
+	// measured run): coarsening, the coarse solve and projection, timed, and
+	// the hierarchy's depth and the edges it holds over all its graphs, the
+	// input and the coarsest included. The counts depend only on the inputs,
+	// never on the width; like every field here they are omitted (zero) for
+	// non-multilevel algorithms and pre-instrumentation baselines, and only
+	// the timings vary from run to run.
+	CoarsenNS      int64 `json:"coarsen_ns,omitempty"`
+	CoarseSolveNS  int64 `json:"coarse_solve_ns,omitempty"`
+	ProjectNS      int64 `json:"project_ns,omitempty"`
+	Levels         int   `json:"levels,omitempty"`
+	HierarchyEdges int   `json:"hierarchy_edges,omitempty"`
 	// The refine_*_ns fields break a multilevel run's refine phase down by
 	// refiner family (multilevel.Stats of the last measured run): total,
 	// label-propagation sweeps, KL colored climbs + rebalance, and FM
@@ -291,6 +303,10 @@ func RunJSON(suiteName string, cases []Case, algos []string, opt algo.Options, r
 			res.NsPerOp = res.WallNS / int64(repeat)
 			res.Repeat = repeat
 			res.Workers = opt.Workers
+			res.CoarsenNS = mstats.Coarsen.Nanoseconds()
+			res.CoarseSolveNS = mstats.CoarseSolve.Nanoseconds()
+			res.ProjectNS = mstats.Project.Nanoseconds()
+			res.Levels, res.HierarchyEdges = mstats.Levels, mstats.HierarchyEdges
 			res.RefineNS = mstats.Refine.Nanoseconds()
 			res.RefineLPNS = mstats.RefineLP.Nanoseconds()
 			res.RefineClimbNS = mstats.RefineClimb.Nanoseconds()

@@ -30,8 +30,12 @@ func TestRunJSONSmokeAndRoundTrip(t *testing.T) {
 		t.Errorf("multilevel-kl refine breakdown: total %d, lp %d, climb %d, fm %d",
 			ml.RefineNS, ml.RefineLPNS, ml.RefineClimbNS, ml.RefineFMNS)
 	}
-	if kl := rep.Results[1]; kl.RefineNS != 0 {
-		t.Errorf("flat kl row carries refine_ns %d", kl.RefineNS)
+	if ml := rep.Results[2]; ml.CoarsenNS <= 0 || ml.Levels <= 0 || ml.HierarchyEdges <= ml.Edges {
+		t.Errorf("multilevel-kl V-cycle fields: coarsen %d ns, %d levels, %d hierarchy edges over a %d-edge input",
+			ml.CoarsenNS, ml.Levels, ml.HierarchyEdges, ml.Edges)
+	}
+	if kl := rep.Results[1]; kl.RefineNS != 0 || kl.CoarsenNS != 0 || kl.HierarchyEdges != 0 {
+		t.Errorf("flat kl row carries V-cycle fields: refine_ns %d, coarsen_ns %d, hierarchy_edges %d", kl.RefineNS, kl.CoarsenNS, kl.HierarchyEdges)
 	}
 	var buf bytes.Buffer
 	if err := rep.WriteJSON(&buf); err != nil {

@@ -35,10 +35,12 @@
 // scanner's bytes in place (tokens.go): no line or token becomes a string,
 // and integers and weights parse under exactly strconv's grammar
 // (FuzzTokens pins it). graph.FromCSR's validation of METIS rows is one
-// O(n+m) pass whatever the degrees. Sorting is not linear: the METIS reader
-// and graph.FromEdges (behind the edge-list and text readers) sort every
-// row with graph.SortAdjacency, which comparison-sorts a row longer than
-// 24 entries, so a hub's row costs O(d log d).
+// O(n+m) pass whatever the degrees. The METIS reader and graph.FromEdges
+// (behind the edge-list and text readers) sort every row with a
+// graph.RowSorter: a hub's row whose neighbors lie within a narrow id range
+// is placed in one linear pass, and only a long row spread across the id
+// range, or one that repeats a neighbor, is comparison-sorted, in
+// O(d log d).
 package gio
 
 import (

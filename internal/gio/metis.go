@@ -107,13 +107,15 @@ func ReadMETIS(r io.Reader) (*graph.Graph, error) {
 		}
 	}
 
-	// Canonicalize rows; FromCSR's validation pass then enforces the
-	// format's remaining contract (strictly sorted rows rule out duplicate
-	// neighbors, and every edge must appear from both endpoints with equal
-	// weight). One validation pass, not two. Its errors carry 0-indexed node
-	// ids, hence the wrapping.
+	// Canonicalize rows with one RowSorter, whose scratch serves every row;
+	// FromCSR's validation pass then enforces the format's remaining
+	// contract (strictly sorted rows rule out duplicate neighbors, and every
+	// edge must appear from both endpoints with equal weight). One
+	// validation pass, not two. Its errors carry 0-indexed node ids, hence
+	// the wrapping.
+	var rows graph.RowSorter
 	for v := 0; v < n; v++ {
-		graph.SortAdjacency(adj[offsets[v]:offsets[v+1]], ew[offsets[v]:offsets[v+1]])
+		rows.Sort(adj[offsets[v]:offsets[v+1]], ew[offsets[v]:offsets[v+1]])
 	}
 	g, err := graph.FromCSR(offsets, adj, ew, nw, nil)
 	if err != nil {

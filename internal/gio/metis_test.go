@@ -2,11 +2,15 @@ package gio
 
 import (
 	"bytes"
+	"fmt"
+	"math/bits"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
 
+	"repro/internal/gen"
 	"repro/internal/graph"
 )
 
@@ -255,5 +259,84 @@ func TestQuickMETISRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25, Rand: rand.New(rand.NewSource(9))}); err != nil {
 		t.Error(err)
+	}
+}
+
+// Reading a power-law graph from METIS rows listed in shuffled order, with
+// edge weights, must give exactly the graph FromEdges assembles from its
+// edge list. Its rows lie on every path of the row sort: short rows, long
+// rows over a narrow id span (the hubs) and long rows spread over the whole
+// id range.
+func TestMETISPowerLawMatchesFromEdges(t *testing.T) {
+	const n = 20000
+	pl := gen.PowerLaw(n, 4, 5)
+	rng := rand.New(rand.NewSource(5))
+	var us, vs []int32
+	var ws []float64
+	pl.Edges(func(u, v int, _ float64) bool {
+		us, vs, ws = append(us, int32(u)), append(vs, int32(v)), append(ws, float64(1+rng.Intn(9)))
+		return true
+	})
+	type entry struct {
+		u int32
+		w float64
+	}
+	rows := make([][]entry, n)
+	for i := range us {
+		rows[us[i]] = append(rows[us[i]], entry{vs[i], ws[i]})
+		rows[vs[i]] = append(rows[vs[i]], entry{us[i], ws[i]})
+	}
+	var text strings.Builder
+	fmt.Fprintf(&text, "%d %d 1\n", n, len(us))
+	var short, dense, sparse int
+	for _, row := range rows {
+		rng.Shuffle(len(row), func(i, j int) { row[i], row[j] = row[j], row[i] })
+		lo, hi := int32(n), int32(-1)
+		for i, e := range row {
+			if i > 0 {
+				text.WriteByte(' ')
+			}
+			fmt.Fprintf(&text, "%d %g", e.u+1, e.w)
+			lo, hi = min(lo, e.u), max(hi, e.u)
+		}
+		text.WriteByte('\n')
+		// The row sort's dense rule: a bitset of at most d·⌈log2 d⌉ words.
+		switch d := len(row); {
+		case d <= 24:
+			short++
+		case (int(hi-lo)+64)/64 <= d*bits.Len(uint(d-1)):
+			dense++
+		default:
+			sparse++
+		}
+	}
+	if short == 0 || dense == 0 || sparse == 0 {
+		t.Fatalf("rows short/dense/sparse = %d/%d/%d; want every kind", short, dense, sparse)
+	}
+	got, err := ReadMETIS(strings.NewReader(text.String()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng.Shuffle(len(us), func(i, j int) {
+		us[i], us[j] = us[j], us[i]
+		vs[i], vs[j] = vs[j], vs[i]
+		ws[i], ws[j] = ws[j], ws[i]
+	})
+	nw := make([]float64, n)
+	for v := range nw {
+		nw[v] = 1
+	}
+	want, err := graph.FromEdges(us, vs, ws, nw, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.NumNodes() != want.NumNodes() || got.NumEdges() != want.NumEdges() {
+		t.Fatalf("read %d nodes, %d edges; FromEdges %d, %d", got.NumNodes(), got.NumEdges(), want.NumNodes(), want.NumEdges())
+	}
+	for v := 0; v < n; v++ {
+		if !slices.Equal(got.Neighbors(v), want.Neighbors(v)) || !slices.Equal(got.EdgeWeights(v), want.EdgeWeights(v)) ||
+			got.NodeWeight(v) != want.NodeWeight(v) {
+			t.Fatalf("node %d: read row %v %v, FromEdges row %v %v", v, got.Neighbors(v), got.EdgeWeights(v), want.Neighbors(v), want.EdgeWeights(v))
+		}
 	}
 }

@@ -48,11 +48,12 @@ type contractChunk struct {
 	degOff []int32
 }
 
-// contractMark is one worker's stamped-scratch pair: mark[cu] == stamp of
-// the coarse node currently being merged means cu already has a slot in its
-// adjacency run.
+// contractMark is one worker's scratch: the stamped pair, where mark[cu] ==
+// stamp of the coarse node currently being merged means cu already has a
+// slot in its adjacency run, and the sorter of the merged runs.
 type contractMark struct {
 	mark, slot []int32
+	rows       RowSorter
 }
 
 // Contract is Contract(g, coarseOf, nCoarse, workers) drawing every working
@@ -62,12 +63,15 @@ type contractMark struct {
 // This is the hot path of multilevel coarsening, so it builds the CSR arrays
 // directly instead of going through an edge list: one counting-sort
 // pass groups members by coarse node, then a stamped-scratch accumulation
-// merges each coarse node's neighborhood in O(deg) without hashing. The
-// per-coarse-node merges are independent, so they run on `workers`
+// merges each coarse node's neighborhood in O(deg) without hashing, and the
+// worker's RowSorter sorts the merged row. Coarse rows of power-law graphs
+// are long hub rows over a few thousand coarse ids, so the sorter's dense
+// path places them in one linear pass instead of comparison-sorting them.
+// The per-coarse-node merges are independent, so they run on `workers`
 // goroutines (<= 0 selects GOMAXPROCS) over disjoint coarse-node ranges;
-// every merge writes only its own chunk's buffers, so the result is
-// bit-identical for every worker count. The result is identical to the
-// Builder-based construction.
+// every merge writes only its own chunk's buffers, and a sorted row of
+// distinct ids is unique, so the result is bit-identical for every worker
+// count. The result is identical to the Builder-based construction.
 func (s *ContractScratch) Contract(g *Graph, coarseOf []int, nCoarse, workers int) *Graph {
 	n := g.NumNodes()
 	if len(coarseOf) != n {
@@ -198,7 +202,7 @@ func (s *ContractScratch) Contract(g *Graph, coarseOf []int, nCoarse, workers in
 						}
 					}
 				}
-				SortAdjacency(out.adj[runStart:], out.ew[runStart:])
+				m.rows.Sort(out.adj[runStart:], out.ew[runStart:])
 				out.degOff[c-cLo+1] = int32(len(out.adj))
 			}
 		}

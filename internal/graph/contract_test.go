@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -33,7 +34,8 @@ func contractTestGraph(n int, rng *rand.Rand, coords bool) *Graph {
 }
 
 // contractViaBuilder is the straightforward map-based reference
-// implementation Contract must match exactly.
+// implementation Contract must match exactly. It assembles the coarse graph
+// with RefBuild, so no RowSorter takes part in it.
 func contractViaBuilder(g *Graph, coarseOf []int, nCoarse int) *Graph {
 	b := NewBuilder(nCoarse)
 	wsum := make([]float64, nCoarse)
@@ -73,7 +75,7 @@ func contractViaBuilder(g *Graph, coarseOf []int, nCoarse int) *Graph {
 	for e, w := range acc {
 		b.AddEdge(e[0], e[1], w)
 	}
-	return b.Build()
+	return RefBuild(b)
 }
 
 func randomCoarseMap(n int, rng *rand.Rand) ([]int, int) {
@@ -133,6 +135,100 @@ func TestContractMatchesBuilderReference(t *testing.T) {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 		graphsEqual(t, fast, contractViaBuilder(g, coarseOf, nCoarse))
+	}
+}
+
+// powerLawTestGraph grows a preferential-attachment graph: each node after
+// the first k+1 links to k distinct earlier nodes picked in proportion to
+// their degree, so a few hubs end up with long rows.
+func powerLawTestGraph(n, k int, rng *rand.Rand) *Graph {
+	b := NewBuilder(n)
+	var ends []int // every edge's endpoints: a degree-proportional urn
+	for v := 1; v <= k; v++ {
+		b.AddEdge(0, v, 1)
+		ends = append(ends, 0, v)
+	}
+	for v := k + 1; v < n; v++ {
+		picked := map[int]bool{}
+		for len(picked) < k {
+			picked[ends[rng.Intn(len(ends))]] = true
+		}
+		for u := range picked {
+			b.AddEdge(v, u, float64(1+rng.Intn(5)))
+			ends = append(ends, v, u)
+		}
+	}
+	return b.Build()
+}
+
+// starsTestGraph joins node i to degrees[i] distinct nodes drawn from the
+// whole range, each edge once.
+func starsTestGraph(n int, degrees []int, rng *rand.Rand) *Graph {
+	b := NewBuilder(n)
+	seen := map[[2]int]bool{}
+	for c, d := range degrees {
+		for added := 0; added < d; {
+			u := rng.Intn(n)
+			if e := [2]int{min(u, c), max(u, c)}; u != c && !seen[e] {
+				seen[e] = true
+				b.AddEdge(c, u, float64(1+rng.Intn(5)))
+				added++
+			}
+		}
+	}
+	return b.Build()
+}
+
+// Contract must match the reference on hub-heavy graphs at every width,
+// with coarse rows on every path of its RowSorter: short rows, long rows
+// within the dense rule and long rows past it.
+func TestContractMatchesRefBuildOnHubs(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	type tcase struct {
+		name     string
+		g        *Graph
+		coarseOf []int
+		nCoarse  int
+	}
+	var cases []tcase
+	pl := powerLawTestGraph(3000, 4, rng)
+	for _, nc := range []int{300, 1500} {
+		coarseOf := make([]int, pl.NumNodes())
+		for v := range coarseOf {
+			coarseOf[v] = v % nc
+		}
+		rng.Shuffle(len(coarseOf), func(i, j int) { coarseOf[i], coarseOf[j] = coarseOf[j], coarseOf[i] })
+		cases = append(cases, tcase{fmt.Sprintf("powerlaw/%d", nc), pl, coarseOf, nc})
+	}
+	// Nodes 0, 2 and 4 are the centers, each its own pair: star 0 spreads
+	// 30 leaves over 20,000 coarse ids, past the dense rule, and stars 2 and
+	// 4 are dense hubs.
+	stars := starsTestGraph(40000, []int{30, 0, 400, 0, 3000}, rng)
+	pairs := make([]int, stars.NumNodes())
+	for v := range pairs {
+		pairs[v] = v / 2
+	}
+	cases = append(cases, tcase{"stars/pairs", stars, pairs, stars.NumNodes() / 2})
+	var kinds [3]int
+	for _, c := range cases {
+		ref := contractViaBuilder(c.g, c.coarseOf, c.nCoarse)
+		for v := 0; v < ref.NumNodes(); v++ {
+			if row := ref.Neighbors(v); len(row) > 0 {
+				kinds[rowKind(len(row), int(row[len(row)-1]-row[0])+1)]++
+			}
+		}
+		var s ContractScratch
+		for _, workers := range []int{1, 2, 4} {
+			got := s.Contract(c.g, c.coarseOf, c.nCoarse, workers)
+			if err := got.Validate(); err != nil {
+				t.Fatalf("%s at width %d: %v", c.name, workers, err)
+			}
+			graphsEqual(t, got, ref)
+			graphsEqual(t, Contract(c.g, c.coarseOf, c.nCoarse, workers), ref)
+		}
+	}
+	if kinds[rowShort] == 0 || kinds[rowDense] == 0 || kinds[rowSparse] == 0 {
+		t.Errorf("coarse rows short/dense/sparse = %v; want every kind", kinds)
 	}
 }
 

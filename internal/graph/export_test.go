@@ -1,5 +1,10 @@
 package graph
 
+import (
+	"cmp"
+	"slices"
+)
+
 // RefBuild is Builder.Build as it was before Build went through FromEdges:
 // its own counting sort, over the Builder's edge list. The oracle tests hold
 // Build and FromEdges to it.
@@ -28,7 +33,7 @@ func RefBuild(b *Builder) *Graph {
 	// Sort each adjacency list (weights move with their neighbors).
 	for v := 0; v < n; v++ {
 		lo, hi := offsets[v], offsets[v+1]
-		SortAdjacency(adj[lo:hi], ew[lo:hi])
+		refSortRow(adj[lo:hi], ew[lo:hi])
 	}
 	g := &Graph{
 		offsets:    offsets,
@@ -47,4 +52,22 @@ func RefBuild(b *Builder) *Graph {
 // Raw exposes g's arrays to the oracle tests.
 func Raw(g *Graph) (offsets, adj []int32, edgeWeight, nodeWeight []float64, coords []Point) {
 	return g.offsets, g.adj, g.edgeWeight, g.nodeWeight, g.coords
+}
+
+// refSortRow is the row sort the oracle tests hold RowSorter to: the
+// standard library's stable sort of (id, weight) pairs by id. On a row of
+// distinct ids every correct sort gives its result.
+func refSortRow(idx []int32, wts []float64) {
+	type entry struct {
+		u int32
+		w float64
+	}
+	es := make([]entry, len(idx))
+	for i := range idx {
+		es[i] = entry{idx[i], wts[i]}
+	}
+	slices.SortStableFunc(es, func(a, b entry) int { return cmp.Compare(a.u, b.u) })
+	for i, e := range es {
+		idx[i], wts[i] = e.u, e.w
+	}
 }

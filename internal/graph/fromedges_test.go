@@ -151,3 +151,82 @@ func TestFromEdgesRefuses(t *testing.T) {
 		}
 	}
 }
+
+// FromEdges must reject an edge list that repeats an edge with the error it
+// always gave: the first node, ascending, whose row holds a repeat, and the
+// smallest id repeated there. The repeats land on every path of the row
+// sort: node 0's row is a dense hub (ids 2..601), node 1's holds 30 ids
+// spread over the whole range (past the dense rule), and the other rows are
+// short.
+func TestFromEdgesRefusesDuplicatesOnEveryRowKind(t *testing.T) {
+	const n = 20000
+	rng := rand.New(rand.NewSource(31))
+	for trial := 0; trial < 60; trial++ {
+		var us, vs []int32
+		seen := map[[2]int32]bool{}
+		add := func(u, v int32) {
+			if e := [2]int32{min(u, v), max(u, v)}; u != v && !seen[e] {
+				seen[e] = true
+				us, vs = append(us, u), append(vs, v)
+			}
+		}
+		for v := int32(2); v < 602; v++ {
+			add(0, v)
+		}
+		for len(us) < 630 {
+			add(1, int32(2+rng.Intn(n-2)))
+		}
+		for len(us) < 8000 {
+			add(int32(2+rng.Intn(n-2)), int32(2+rng.Intn(n-2)))
+		}
+		// Repeat one to three edges of the kind this trial is about, in a
+		// random orientation at a random position.
+		for k := 0; k <= rng.Intn(3); k++ {
+			var i int
+			switch trial % 3 {
+			case 0:
+				i = rng.Intn(600)
+			case 1:
+				i = 600 + rng.Intn(30)
+			default:
+				i = 630 + rng.Intn(len(us)-630)
+			}
+			u, v := us[i], vs[i]
+			if rng.Intn(2) == 0 {
+				u, v = v, u
+			}
+			at := rng.Intn(len(us) + 1)
+			us, vs = slices.Insert(us, at, u), slices.Insert(vs, at, v)
+		}
+		// The reference error: counted rows, scanned in ascending order.
+		count := make([]map[int32]int, n)
+		for i := range us {
+			for _, e := range [][2]int32{{us[i], vs[i]}, {vs[i], us[i]}} {
+				if count[e[0]] == nil {
+					count[e[0]] = map[int32]int{}
+				}
+				count[e[0]][e[1]]++
+			}
+		}
+		want := ""
+		for v := 0; v < n && want == ""; v++ {
+			var reps []int32
+			for u, c := range count[v] {
+				if c > 1 {
+					reps = append(reps, u)
+				}
+			}
+			if len(reps) > 0 {
+				want = fmt.Sprintf("graph: duplicate edge {%d,%d}", v, slices.Min(reps))
+			}
+		}
+		ws := make([]float64, len(us))
+		for i := range ws {
+			ws[i] = float64(1 + rng.Intn(5))
+		}
+		_, err := graph.FromEdges(us, vs, ws, make([]float64, n), nil)
+		if err == nil || err.Error() != want {
+			t.Fatalf("trial %d: FromEdges error %v, want %q", trial, err, want)
+		}
+	}
+}

@@ -2,7 +2,6 @@ package graph
 
 import (
 	"math/rand"
-	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -369,32 +368,6 @@ func TestTotalNodeWeightStored(t *testing.T) {
 	} {
 		if got, want := g.TotalNodeWeight(), fresh(g); got != want {
 			t.Errorf("%s: TotalNodeWeight = %v, fresh sum %v", name, got, want)
-		}
-	}
-}
-
-// SortAdjacency's insertion sort of short rows and its sort.Sort of long ones
-// must both give sort.Sort's order, weights moving with their neighbors.
-func TestSortAdjacencyMatchesSortSort(t *testing.T) {
-	rng := rand.New(rand.NewSource(62))
-	for trial := 0; trial < 400; trial++ {
-		n := rng.Intn(201)
-		if trial < 2*shortRow {
-			n = trial % (2*shortRow + 1) // every length around the cutoff
-		}
-		idx := make([]int32, n)
-		wts := make([]float64, n)
-		for i, k := range rng.Perm(4 * (n + 1))[:n] { // distinct, as in every emitted row
-			idx[i], wts[i] = int32(k), rng.Float64()
-		}
-		wantIdx := append([]int32(nil), idx...)
-		wantWts := append([]float64(nil), wts...)
-		sort.Sort(&adjSorter{wantIdx, wantWts})
-		SortAdjacency(idx, wts)
-		for i := range idx {
-			if idx[i] != wantIdx[i] || wts[i] != wantWts[i] {
-				t.Fatalf("len %d: entry %d = (%d, %v), sort.Sort gives (%d, %v)", n, i, idx[i], wts[i], wantIdx[i], wantWts[i])
-			}
 		}
 	}
 }

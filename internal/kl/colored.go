@@ -43,9 +43,7 @@
 package kl
 
 import (
-	"cmp"
 	"math"
-	"slices"
 	"sync"
 
 	"repro/internal/graph"
@@ -192,7 +190,8 @@ type sweeper struct {
 	to    []int32
 	score []float64
 
-	order []scored // Climb's class commit order
+	order    []keyedMember // Climb's class commit order
+	orderTmp []keyedMember // its sort scratch
 }
 
 // rule is what a sweep does with a color class once its members'
@@ -353,23 +352,15 @@ func (r climbRule) eval(s *sweeper, j, v int) (int32, float64) {
 // the live aggregates at its commit slot, so correctness and the
 // strict-improvement rule are unchanged — only the order in which members
 // get their slot.
+//
+// Members are ascending within a class, so their indices j are the id
+// tie-break: the order is a stable sort of the members by gainKey, whose
+// integer order is the gains' descending order under cmp.Compare (NaN
+// last, -0 tied with +0). The order is total, hence one fixed point for any
+// width.
 func (r climbRule) commit(s *sweeper, members []int32) int {
-	// Members are ascending within a class, so comparing the j indices is
-	// the id tie-break; the order is total (indices are distinct), hence one
-	// fixed point for the sort and any width.
-	order := s.order[:0]
-	for j := range members {
-		order = append(order, scored{score: s.score[j], j: int32(j)})
-	}
-	slices.SortFunc(order, func(a, b scored) int {
-		if c := cmp.Compare(b.score, a.score); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.j, b.j)
-	})
-	s.order = order
 	moves := 0
-	for _, o := range order {
+	for _, o := range s.commitOrder(len(members)) {
 		if r.commitBest(s, int(o.j), int(members[o.j])) {
 			moves++
 		}
@@ -377,11 +368,16 @@ func (r climbRule) commit(s *sweeper, members []int32) int {
 	return moves
 }
 
-// scored is one class member j in Climb's commit sort, keyed by its
-// provisional gain.
-type scored struct {
-	score float64
-	j     int32
+// commitOrder returns class members 0..m-1 in Climb's commit order, by their
+// gains in s.score.
+func (s *sweeper) commitOrder(m int) []keyedMember {
+	order := s.order[:0]
+	for j, score := range s.score[:m] {
+		order = append(order, keyedMember{key: gainKey(score), j: int32(j)})
+	}
+	s.order = order
+	s.orderTmp = sortStable(order, s.orderTmp)
+	return order
 }
 
 // commitBest folds class member j's gathered edge weights with the current

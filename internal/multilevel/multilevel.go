@@ -251,6 +251,11 @@ type Stats struct {
 	Project     time.Duration // assignment projection + boundary rebuilds
 	Refine      time.Duration // per-level refinement (climb, FM, rebalance)
 
+	// HierarchyEdges is the edges the hierarchy holds: every level's graph,
+	// the input included, plus the coarsest. Like the FM counters below it
+	// depends only on the inputs.
+	HierarchyEdges int
+
 	// Refine broken down by refiner family, so benchmarks can attribute the
 	// uncoarsening wall time to the label-propagation sweeps, the KL colored
 	// climbs (including rebalance), and the FM passes individually. The three
@@ -447,6 +452,10 @@ func Partition(g *graph.Graph, cfg Config, inner Partitioner) (*partition.Partit
 	stats.Levels = len(levels)
 	stats.Coarsen = time.Since(start)
 	stats.CoarsenBytes = allocSnap(meter) - alloc
+	stats.HierarchyEdges = coarsest.NumEdges()
+	for _, l := range levels {
+		stats.HierarchyEdges += l.Graph.NumEdges()
+	}
 
 	// Partition the coarsest graph.
 	start = time.Now()

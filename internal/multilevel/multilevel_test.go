@@ -366,32 +366,46 @@ func TestPartitionStats(t *testing.T) {
 	if st.RefineLP+st.RefineClimb+st.RefineFM > st.Refine {
 		t.Errorf("refine breakdown exceeds total: %+v", st)
 	}
+	// HierarchyEdges counts the hierarchy BuildHierarchy builds from the
+	// run's seed.
+	levels, coarsest := BuildHierarchy(g, 64, maxLevels, rand.New(rand.NewSource(1)), 1)
+	edges := coarsest.NumEdges()
+	for _, l := range levels {
+		edges += l.Graph.NumEdges()
+	}
+	if st.Levels != len(levels) || st.HierarchyEdges != edges {
+		t.Errorf("Stats reports %d levels and %d hierarchy edges; BuildHierarchy gives %d and %d",
+			st.Levels, st.HierarchyEdges, len(levels), edges)
+	}
 }
 
 // FM's work counters are per run and deterministic: under TotalCut every
 // heap pass ends at most 101 moves past its best prefix, so the moves made
 // exceed the moves kept by at most 101 per pass, and every width (and a rerun
-// on the pooled arena) counts the same work.
+// on the pooled arena) counts the same work, and builds the same hierarchy.
 func TestPartitionFMCounts(t *testing.T) {
 	g := gen.Mesh(5000, 101)
 	for _, ref := range []Refiner{RefineKLFM, RefineFM} {
-		counts := func(workers int) [3]int {
+		counts := func(workers int) [5]int {
 			var st Stats
 			if _, err := Partition(g, Config{Parts: 8, Seed: 3, Refiner: ref, Workers: workers, Stats: &st}, klInner); err != nil {
 				t.Fatalf("%v workers=%d: %v", ref, workers, err)
 			}
-			return [3]int{st.FMMoves, st.FMKept, st.FMPasses}
+			return [5]int{st.FMMoves, st.FMKept, st.FMPasses, st.Levels, st.HierarchyEdges}
 		}
 		base := counts(1)
 		moves, kept, passes := base[0], base[1], base[2]
 		if passes == 0 || kept > moves || moves > kept+101*passes {
 			t.Errorf("%v: %d moves, %d kept, %d passes: want kept <= moves <= kept + 101*passes", ref, moves, kept, passes)
 		}
+		if base[3] == 0 || base[4] <= g.NumEdges() {
+			t.Errorf("%v: %d levels holding %d edges, input %d edges", ref, base[3], base[4], g.NumEdges())
+		}
 		for _, workers := range []int{4, 1} {
 			if got := counts(workers); got != base {
-				t.Errorf("%v workers=%d: counts (moves, kept, passes) %v, reference %v", ref, workers, got, base)
+				t.Errorf("%v workers=%d: counts (moves, kept, passes, levels, hierarchy edges) %v, reference %v", ref, workers, got, base)
 			}
 		}
-		t.Logf("%v: %d moves, %d kept, %d passes", ref, moves, kept, passes)
+		t.Logf("%v: %d moves, %d kept, %d passes, %d levels, %d hierarchy edges", ref, moves, kept, passes, base[3], base[4])
 	}
 }
