@@ -64,7 +64,7 @@ func main() {
 		jsonPath  = flag.String("json", "", "write the benchmark report as JSON to this file")
 		baseline  = flag.String("baseline", "", "compare cuts against this baseline report; exit 1 on regression")
 		tol       = flag.Float64("tol", 0.10, "allowed relative cut increase vs the baseline")
-		exact     = flag.Bool("exact", false, "require every quality field (cut, max_part_cut, comm_volume, imbalance_sq, balance) identical to the baseline in both directions (the determinism gate)")
+		exact     = flag.Bool("exact", false, "require every quality field (cut, max_part_cut, comm_volume, imbalance_sq, balance), and the deterministic counters a baseline row carries (levels, hierarchy_edges, fm_moves, fm_kept, fm_passes), identical to the baseline in both directions (the determinism gate)")
 		repeat    = flag.Int("repeat", 1, "timing repetitions per (case, algorithm) pair")
 		objective = flag.String("objective", "cut", "comma-separated objectives to benchmark: cut | maxcut | commvol (algorithms lacking one produce error rows)")
 		mlWorkers = flag.Int("workers", 0, "parallel V-cycle goroutines: coarsening, contraction, projection, and colored refinement (0 = auto; results are identical for any value)")
@@ -182,8 +182,9 @@ type benchRun struct {
 }
 
 // runBench executes a JSON benchmark suite, optionally writes the artifact,
-// and optionally gates against a baseline report: with -exact, any cut
-// difference in either direction fails (the Workers determinism gate);
+// and optionally gates against a baseline report: with -exact, any
+// difference in a quality field or in a deterministic counter the baseline
+// row carries fails, in either direction (the Workers determinism gate);
 // otherwise any (case, algo) cut — or a case's best cut — regressing beyond
 // tol fails.
 func runBench(cfg benchRun) {
@@ -352,7 +353,7 @@ func runBench(cfg benchRun) {
 				}
 				os.Exit(1)
 			}
-			fmt.Printf("quality fields identical to %s\n", cfg.baseline)
+			fmt.Printf("quality fields and counters identical to %s\n", cfg.baseline)
 			return
 		}
 		regs := bench.Compare(base, rep, cfg.tol)

@@ -488,9 +488,13 @@ func Compare(baseline, current *Report, tol float64) []Regression {
 // CompareExact diffs current against baseline and reports every quality
 // field of a shared (case, algo) pair that differs at all — cut,
 // max_part_cut, comm_volume, imbalance_sq or balance, in either direction —
-// plus pairs that succeed in one report and error in the other. It is the
-// determinism gate: a run with Workers > 1 must reproduce a single-worker
-// run exactly, so even an improvement is a failure here (it would mean the
+// plus pairs that succeed in one report and error in the other. Where the
+// baseline row carries the V-cycle's deterministic counters (nonzero
+// levels, hierarchy_edges, fm_moves, fm_kept or fm_passes), each of them
+// must match too; older and non-multilevel rows carry none, so for them
+// only the quality fields are compared. It is the determinism gate: a run
+// with Workers > 1 must reproduce a single-worker run exactly, work counts
+// included, so even an improvement is a failure here (it would mean the
 // worker count leaked into the result). Pairs present in only one report
 // are ignored, as are timing fields; but if the reports share no pairs at
 // all, that is reported as a failure — a gate that compared nothing must
@@ -531,6 +535,20 @@ func CompareExact(baseline, current *Report) []string {
 			} {
 				if f.b != f.c {
 					out = append(out, fmt.Sprintf("%s: %s %v != baseline %v", label, f.name, f.c, f.b))
+				}
+			}
+			for _, f := range []struct {
+				name string
+				b, c int
+			}{
+				{"levels", b.Levels, c.Levels},
+				{"hierarchy_edges", b.HierarchyEdges, c.HierarchyEdges},
+				{"fm_moves", b.FMMoves, c.FMMoves},
+				{"fm_kept", b.FMKept, c.FMKept},
+				{"fm_passes", b.FMPasses, c.FMPasses},
+			} {
+				if f.b != 0 && f.b != f.c {
+					out = append(out, fmt.Sprintf("%s: %s %d != baseline %d", label, f.name, f.c, f.b))
 				}
 			}
 		}

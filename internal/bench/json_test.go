@@ -228,3 +228,42 @@ func TestCompareExactChecksEveryQualityField(t *testing.T) {
 		}
 	}
 }
+
+// Where the baseline row carries the V-cycle's deterministic counters, each
+// must match exactly: a counter that moves is one diff naming it, even with
+// every quality field equal.
+func TestCompareExactChecksCounters(t *testing.T) {
+	row := Result{Case: "a", Algo: "multilevel-fm", Cut: 10, Balance: 1,
+		Levels: 15, HierarchyEdges: 3187049, FMMoves: 60374, FMKept: 59000, FMPasses: 40}
+	base := report(row)
+	for field, set := range map[string]func(*Result){
+		"levels":          func(r *Result) { r.Levels-- },
+		"hierarchy_edges": func(r *Result) { r.HierarchyEdges++ },
+		"fm_moves":        func(r *Result) { r.FMMoves++ },
+		"fm_kept":         func(r *Result) { r.FMKept-- },
+		"fm_passes":       func(r *Result) { r.FMPasses = 0 },
+	} {
+		cur := row
+		set(&cur)
+		diffs := CompareExact(base, report(cur))
+		if len(diffs) != 1 || !strings.Contains(diffs[0], field) {
+			t.Errorf("%s changed: diffs %q", field, diffs)
+		}
+	}
+}
+
+// A baseline row without counters (an older row, or a non-multilevel
+// algorithm) compares its quality fields only, whatever counters the
+// current row carries.
+func TestCompareExactSkipsCountersAbsentFromBaseline(t *testing.T) {
+	row := Result{Case: "a", Algo: "multilevel-kl", Cut: 10, Balance: 1}
+	cur := row
+	cur.Levels, cur.HierarchyEdges, cur.FMMoves, cur.FMKept, cur.FMPasses = 15, 3187049, 60374, 59000, 40
+	if diffs := CompareExact(report(row), report(cur)); len(diffs) != 0 {
+		t.Errorf("counters absent from the baseline were compared: %q", diffs)
+	}
+	cur.Cut++
+	if diffs := CompareExact(report(row), report(cur)); len(diffs) != 1 || !strings.Contains(diffs[0], "cut") {
+		t.Errorf("cut changed on a row without counters: diffs %q", diffs)
+	}
+}

@@ -22,7 +22,6 @@ import (
 	"math"
 
 	"repro/internal/graph"
-	"repro/internal/kl"
 	"repro/internal/par"
 	"repro/internal/partition"
 )
@@ -32,11 +31,10 @@ type Config struct {
 	// MaxPasses caps the number of full FM passes; 0 means until no pass
 	// improves (at most 16, a safety bound).
 	MaxPasses int
-	// Workers bounds the goroutines of each pass's data-parallel half (<= 0
-	// selects GOMAXPROCS): Refine's heap seeding — the connectivity-row
-	// materialization and best-candidate scan over the whole boundary — and
-	// RefineColored's per-class gain evaluation and row updates. A pure
-	// speed knob: both schedules are bit-identical at every width.
+	// Workers bounds the goroutines of each pass's heap seeding — the
+	// connectivity-row materialization and best-candidate scan over the
+	// whole boundary (<= 0 selects GOMAXPROCS). A pure speed knob: results
+	// are bit-identical at every width.
 	Workers int
 	// Objective selects which cost the best-prefix selection minimizes. The
 	// zero value (TotalCut) is classic FM: moves pop in cut-gain order, the
@@ -48,13 +46,12 @@ type Config struct {
 	// connectivity rows go stale on locked neighbors, which the cut deltas
 	// tolerate but distinct-part counting does not — the registry's declared
 	// objective constraints route commvol to the KL refiners instead, and
-	// both refiners panic if handed it anyway.
+	// Refine panics if handed it anyway.
 	Objective partition.Objective
-	// Stop, when non-nil, is polled before each pass (RefineColored also
-	// polls it between color rounds); a refinement whose Stop reports true
-	// returns early with the gain applied so far. Every exit applies the
-	// kept moves through ev, so early return yields a valid, just less
-	// refined, partition.
+	// Stop, when non-nil, is polled before each pass, never inside one; a
+	// refinement whose Stop reports true returns early with the gain of the
+	// passes it finished. Every pass applies its kept moves through ev, so
+	// early return yields a valid, just less refined, partition.
 	Stop func() bool
 	// Scratch, when non-nil, supplies the refinement's working memory —
 	// the Theta(n*parts) connectivity table, the gain heap, the move log —
@@ -74,10 +71,9 @@ type Scratch struct {
 }
 
 // Counts are deterministic work counters of the refinements a Scratch has
-// served, summed over both schedules since the Scratch was made. They depend
-// only on the inputs, never on Workers, so a caller can hold them to exact
-// values the way it holds cuts; a caller measuring one run subtracts the
-// counts it read before the run.
+// served since it was made. They depend only on the inputs, never on
+// Workers, so a caller can hold them to exact values the way it holds cuts;
+// a caller measuring one run subtracts the counts it read before the run.
 type Counts struct {
 	Passes int // passes started
 	Moves  int // moves committed to a pass's log, kept or rolled back
@@ -113,11 +109,14 @@ func (s *Scratch) Reserve(n, parts int) {
 // part-size count) per pass, with the Theta(n*parts) connectivity storage
 // allocated once per refinement and reset lazily between passes.
 func Refine(g *graph.Graph, p *partition.Partition, ev *partition.Eval, cfg Config) float64 {
-	return refine(g, p, ev, cfg, (*refinement).heapPass)
+	r := newRefinement(g, p, ev, cfg)
+	if r == nil {
+		return 0
+	}
+	return r.run(cfg.MaxPasses)
 }
 
-// refinement is the setup one Refine or RefineColored call shares across its
-// passes.
+// refinement is the setup one Refine call shares across its passes.
 type refinement struct {
 	g       *graph.Graph
 	p       *partition.Partition
@@ -146,16 +145,6 @@ type refinement struct {
 // levels and moved cuts, while 100 left the cuts of the probed meshes and
 // random geometric graphs unchanged.
 const fruitlessMoves = 100
-
-// refine is the pass loop both schedules share: newRefinement's setup, then
-// run.
-func refine(g *graph.Graph, p *partition.Partition, ev *partition.Eval, cfg Config, pass func(*refinement) (gain float64, stopped bool)) float64 {
-	r := newRefinement(g, p, ev, cfg)
-	if r == nil {
-		return 0
-	}
-	return r.run(cfg.MaxPasses, pass)
-}
 
 // newRefinement rejects CommVolume, prepares ev with partition.Tracked (so a
 // nil ev is built from p), derives the balance bounds — every part's node
@@ -194,9 +183,9 @@ func newRefinement(g *graph.Graph, p *partition.Partition, ev *partition.Eval, c
 	return r
 }
 
-// run applies the MaxPasses default and runs pass until one gains nothing,
-// Stop fires, or maxPasses is reached.
-func (r *refinement) run(maxPasses int, pass func(*refinement) (gain float64, stopped bool)) float64 {
+// run applies the MaxPasses default and runs heap passes until one gains
+// nothing, Stop fires, or maxPasses is reached.
+func (r *refinement) run(maxPasses int) float64 {
 	if maxPasses <= 0 {
 		maxPasses = 16
 	}
@@ -205,9 +194,9 @@ func (r *refinement) run(maxPasses int, pass func(*refinement) (gain float64, st
 		if r.stop != nil && r.stop() {
 			break
 		}
-		gain, stopped := pass(r)
+		gain := r.heapPass()
 		total += gain
-		if stopped || gain <= 0 {
+		if gain <= 0 {
 			break
 		}
 	}
@@ -236,25 +225,6 @@ type scratch struct {
 	cuts      []float64 // WorstCut: tentative per-part cuts along the pass's move sequence
 	sizes     []int     // live part sizes along the pass's move sequence
 	counts    Counts    // work done through this scratch, never reset
-
-	// Colored-pass (RefineColored) state, grown by growPar only when the
-	// parallel refiner runs; see fmpar.go. The generation counters are
-	// monotonic for the same reason pass is: stale marks — even ones
-	// uncovered by regrowth — can never equal a future generation.
-	classes   kl.Classes          // per-round coloring of the frontier
-	merger    par.Merger[parCand] // per-class deterministic candidate merge
-	frontier  []int               // current round's eligible nodes, ascending
-	next      []int               // next round's frontier under construction
-	nextMark  []int32             // nextMark[v] == nextGen: already in next
-	nextGen   int32
-	movedV    []int32 // nodes committed by the current class batch
-	movedMark []int32 // movedMark[v] == movedGen: v moved in this batch
-	movedGen  int32
-	movedFrom []uint16 // the batch's move endpoints, keyed by node
-	movedTo   []uint16
-	affected  []int32 // movers' neighbors with live rows, dedup'd per batch
-	affMark   []int32 // affMark[v] == affGen: already in affected
-	affGen    int32
 }
 
 // grow resizes the scratch for an (n, parts) refinement, reusing capacity.
@@ -312,9 +282,9 @@ func (s *scratch) ensureConn(g *graph.Graph, work *partition.Partition, parts, v
 }
 
 // bestOf scans v's (already materialized) connectivity row for the best
-// candidate move — shared by the serial pass's heap traffic and the parallel
-// pass's candidate evaluation, so the candidate-selection rules exist exactly
-// once.
+// candidate move: the part v touches, other than its own, that v has the
+// most edge weight into, or -1 if v touches no other part. It reads only
+// the row, so concurrent calls are safe.
 func (s *scratch) bestOf(work *partition.Partition, parts, v int) (int32, float64) {
 	from := int(work.Assign[v])
 	row := s.conn[v*parts : (v+1)*parts]
@@ -390,9 +360,9 @@ func (m *runningMax) cur() float64 {
 	return 0
 }
 
-// startPass begins a pass of either schedule: a fresh pass stamp, the
-// working assignment and part sizes copied from p, an empty move log, and
-// under WorstCut the tentative per-part cuts copied from ev.
+// startPass begins a pass: a fresh pass stamp, the working assignment and
+// part sizes copied from p, an empty move log, and under WorstCut the
+// tentative per-part cuts copied from ev.
 func (r *refinement) startPass() {
 	s := r.s
 	s.pass++
@@ -416,15 +386,15 @@ func (r *refinement) legal(from, to int) bool {
 	return r.s.sizes[from]-1 >= r.minSize && r.s.sizes[to]+1 <= r.maxSize
 }
 
-// commit is the move step both schedules share. It locks v, moves it from
-// part from to part to in the working assignment and part sizes, scores the
-// move, logs it, and advances the best prefix. The score is the cut gain
-// passed in, except under WorstCut: there it is the drop of max_q C(q) over
-// the tentative cuts, read from v's connectivity row, and the cut gain that
-// ordered the pops or commits is only a visit-order heuristic. v's row is
-// current, because it keys on v's neighbors' parts, which v's own move does
-// not touch; and only C(from) and C(to) change, because v's cut edges into
-// any third part stay cut on both sides.
+// commit is a pass's move step. It locks v, moves it from part from to part
+// to in the working assignment and part sizes, scores the move, logs it, and
+// advances the best prefix. The score is the cut gain passed in, except
+// under WorstCut: there it is the drop of max_q C(q) over the tentative
+// cuts, read from v's connectivity row, and the cut gain that ordered the
+// pops is only a visit-order heuristic. v's row is current, because it keys
+// on v's neighbors' parts, which v's own move does not touch; and only
+// C(from) and C(to) change, because v's cut edges into any third part stay
+// cut on both sides.
 func (r *refinement) commit(v, from, to int, gain float64) {
 	s, parts := r.s, r.p.Parts
 	s.lockPass[v] = s.pass
@@ -538,9 +508,8 @@ func (h *candHeap) pop() cand {
 // assignment and every node owns its own row, so they are computed over
 // the workers; the candidates are then pushed serially in ascending node
 // order — the exact heap a serial seed loop builds. The pop/commit loop
-// that follows stays serial (each move reorders the heap the next pop
-// reads); RefineColored is the schedule that parallelizes it.
-func (r *refinement) heapPass() (float64, bool) {
+// that follows stays serial: each move reorders the heap the next pop reads.
+func (r *refinement) heapPass() float64 {
 	g, ev, s := r.g, r.ev, r.s
 	parts := r.p.Parts
 
@@ -631,5 +600,5 @@ func (r *refinement) heapPass() (float64, bool) {
 			pushBest(int(u))
 		}
 	}
-	return r.keep(), false
+	return r.keep()
 }

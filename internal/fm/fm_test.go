@@ -136,6 +136,18 @@ func TestQuickRefineInvariants(t *testing.T) {
 	}
 }
 
+// pairContract halves a graph by contracting consecutive node pairs — a
+// cheap stand-in for a real matching that still produces what the multilevel
+// pipeline feeds FM: summed node weights and merged weighted edges.
+func pairContract(g *graph.Graph) *graph.Graph {
+	n := g.NumNodes()
+	coarseOf := make([]int, n)
+	for v := range coarseOf {
+		coarseOf[v] = v / 2
+	}
+	return graph.Contract(g, coarseOf, (n+1)/2, 1)
+}
+
 // workersGraphs are the graph families the width tests run on: a mesh, skew
 // node weights, and a contracted coarse level.
 func workersGraphs() []struct {
@@ -203,4 +215,54 @@ func requireWorkersBitIdentical(t *testing.T, refine func(*graph.Graph, *partiti
 // sequence — and the final partition — is bit-identical.
 func TestRefineWorkersBitIdentical(t *testing.T) {
 	requireWorkersBitIdentical(t, Refine, partition.TotalCut)
+}
+
+// Stop is polled before each pass: poll 1 stops before the first pass, and
+// poll k after k-1 passes. Every stop must leave the reported gain equal to
+// the realized cut drop, and the partition and the Eval threaded through the
+// passes exactly in sync.
+func TestRefineStopBetweenPasses(t *testing.T) {
+	g := gen.Mesh(900, 51)
+	rng := rand.New(rand.NewSource(52))
+	for polls := 1; polls <= 6; polls++ {
+		p := partition.RandomBalanced(g.NumNodes(), 8, rng)
+		before := p.CutSize(g)
+		ev := partition.Tracked(g, p, nil, partition.TotalCut, 1)
+		calls := 0
+		stop := func() bool {
+			calls++
+			return calls >= polls
+		}
+		gain := Refine(g, p, ev, Config{Workers: 4, Stop: stop})
+		if calls != polls {
+			t.Fatalf("polls=%d: refinement ended after %d polls, before Stop fired", polls, calls)
+		}
+		if err := p.Validate(g); err != nil {
+			t.Fatalf("polls=%d: invalid partition after stop: %v", polls, err)
+		}
+		if d := (before - p.CutSize(g)) - gain; math.Abs(d) > 1e-9 {
+			t.Fatalf("polls=%d: reported gain %v != realized %v", polls, gain, before-p.CutSize(g))
+		}
+		// The Eval must agree with a from-scratch rebuild: weights, cuts,
+		// and the tracked boundary.
+		fresh := partition.Tracked(g, p, nil, partition.TotalCut, 1)
+		for q := range fresh.Cuts {
+			if ev.Cuts[q] != fresh.Cuts[q] {
+				t.Fatalf("polls=%d: ev.Cuts[%d] = %v, rebuild %v", polls, q, ev.Cuts[q], fresh.Cuts[q])
+			}
+			if ev.Weights[q] != fresh.Weights[q] {
+				t.Fatalf("polls=%d: ev.Weights[%d] = %v, rebuild %v", polls, q, ev.Weights[q], fresh.Weights[q])
+			}
+		}
+		got := ev.AppendBoundary(nil)
+		want := fresh.AppendBoundary(nil)
+		if len(got) != len(want) {
+			t.Fatalf("polls=%d: boundary size %d, rebuild %d", polls, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("polls=%d: boundary[%d] = %d, rebuild %d", polls, i, got[i], want[i])
+			}
+		}
+	}
 }

@@ -69,3 +69,41 @@ func TestRefineCommVolPanics(t *testing.T) {
 	}()
 	Refine(g, p, nil, Config{Objective: partition.CommVolume})
 }
+
+// The incremental worst-part maximum must track a full re-scan through any
+// sequence of cut updates, including ties appearing and the unique maximum
+// dropping (the rescan path). The heap pass scores WorstCut moves with it in
+// place of two O(parts) scans per move, so the kept prefix must be what a
+// scan would have produced.
+func TestRunningMaxMatchesScanOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(61))
+	for trial := 0; trial < 50; trial++ {
+		parts := 2 + rng.Intn(14)
+		cuts := make([]float64, parts)
+		for q := range cuts {
+			cuts[q] = float64(rng.Intn(6)) // small range: frequent ties
+		}
+		var m runningMax
+		m.reset(cuts)
+		scan := func() float64 {
+			best := math.Inf(-1)
+			for _, c := range cuts {
+				if c > best {
+					best = c
+				}
+			}
+			if best > 0 {
+				return best
+			}
+			return 0
+		}
+		for step := 0; step < 200; step++ {
+			q := rng.Intn(parts)
+			d := float64(rng.Intn(9) - 4)
+			m.apply(cuts, q, d)
+			if got, want := m.cur(), scan(); got != want {
+				t.Fatalf("trial %d step %d: running max %v, scan %v (cuts %v)", trial, step, got, want, cuts)
+			}
+		}
+	}
+}

@@ -60,7 +60,7 @@ type passRecord struct {
 func lockstep(a, b *refinement, check func(pass int, ra, rb passRecord) bool) {
 	record := func(r *refinement) passRecord {
 		start := slices.Clone(r.p.Assign)
-		gain, _ := r.heapPass()
+		gain := r.heapPass()
 		return passRecord{start: start, log: slices.Clone(r.s.log), bestK: r.bestK, gain: gain}
 	}
 	for pass := 0; pass < 16; pass++ {
@@ -112,8 +112,8 @@ func TestHeapPassEndsFruitlessMovesPastBest(t *testing.T) {
 		start := partition.RandomBalanced(tc.g.NumNodes(), tc.parts, rand.New(rand.NewSource(int64(tc.parts))))
 		r := newRefinement(tc.g, start, nil, Config{Scratch: &scratch})
 		var want Counts
-		r.run(0, func(r *refinement) (float64, bool) {
-			gain, stop := r.heapPass()
+		for pass := 0; pass < 16; pass++ {
+			gain := r.heapPass()
 			if len(r.s.log) > r.bestK+fruitlessMoves+1 {
 				t.Errorf("%s: pass ended %d moves past its best prefix %d", tc.name, len(r.s.log)-r.bestK, r.bestK)
 			}
@@ -123,8 +123,10 @@ func TestHeapPassEndsFruitlessMovesPastBest(t *testing.T) {
 			want.Passes++
 			want.Moves += len(r.s.log)
 			want.Kept += r.bestK
-			return gain, stop
-		})
+			if gain <= 0 {
+				break
+			}
+		}
 		if got := scratch.Counts(); got != want {
 			t.Errorf("%s: counts %+v, passes logged %+v", tc.name, got, want)
 		}

@@ -4,11 +4,9 @@ import (
 	"cmp"
 	"math/bits"
 	"slices"
-
-	"repro/internal/graph"
 )
 
-// Classes groups a node set by a deterministic proper coloring of the set's
+// classes groups a node set by a deterministic proper coloring of the set's
 // induced subgraph: first-fit greedy in descending hashed-priority order,
 // which yields exactly the coloring Jones–Plassmann rounds over the same
 // priorities would (a node takes its color once all its higher-priority
@@ -16,14 +14,13 @@ import (
 // the smallest one absent among its higher-priority neighbors either way).
 // Two nodes of one color class share no edge, so their candidate moves can
 // be gain-evaluated concurrently against class-start state without one move
-// invalidating another's deltas — the shared scheduling substrate of the
-// colored boundary sweep (per tile, under both Climb and Propagate) and the
-// colored FM pass (per round, package fm).
+// invalidating another's deltas — the scheduling substrate of the colored
+// boundary sweep (per tile, under both Climb and Propagate).
 //
-// The zero value is ready to use. The slices returned by Group alias the
-// scratch and are valid until the next call; a Classes is not safe for
+// The zero value is ready to use. The slices returned by group alias the
+// scratch and are valid until the next call; a classes is not safe for
 // concurrent use.
-type Classes struct {
+type classes struct {
 	bIndex  []int32 // graph node -> 1 + position in the current set; 0 = absent
 	members []int32 // set nodes grouped by color, ascending within a class
 	off     []int32 // members[off[c]:off[c+1]] = color class c
@@ -31,7 +28,7 @@ type Classes struct {
 	color   []int32 // color per set index; -1 until first-fit reaches it
 	order   []int32 // set indices 0..len(order)-1 by descending prio
 	high    []int32 // colors >= 64 around the index being colored
-	scanned int     // adjacency entries the last Group call scanned
+	scanned int     // adjacency entries the last group call scanned
 	// sorted is 0..len(sorted)-1 by descending prio, for the largest set
 	// size sorted so far; keyed is its sort scratch.
 	sorted []int32
@@ -45,31 +42,24 @@ type prioIndex struct {
 	i   int32
 }
 
-// adjacency is what Group colors over: *graph.Graph in production, raw
+// adjacency is what group colors over: *graph.Graph in production, raw
 // adjacency lists (self-loops, duplicate entries) in the oracle tests.
 type adjacency interface {
 	NumNodes() int
 	Neighbors(v int) []int32
 }
 
-// Group colors the induced subgraph of nodes — which must be ascending and
+// group colors the induced subgraph of nodes — which must be ascending and
 // duplicate-free — and returns the set grouped class by class:
 // members[off[c]:off[c+1]] is color class c, internally ascending (the
 // counting sort iterates the ascending input in order). The grouping is a
 // pure function of (g, nodes), so every caller sweeping "class by class,
 // ascending inside" walks one deterministic permutation of the set.
 //
-// Each member's adjacency is scanned exactly once (Scanned reports the
-// total), so a call costs O(Σ deg + n log n) however skewed the degrees.
-func (cs *Classes) Group(g *graph.Graph, nodes []int) (members []int32, off []int32) {
-	return cs.group(g, nodes)
-}
-
-// Scanned returns the number of adjacency entries the last Group call
-// scanned: Σ deg(v) over its node set, a deterministic work counter.
-func (cs *Classes) Scanned() int { return cs.scanned }
-
-func (cs *Classes) group(g adjacency, nodes []int) (members []int32, off []int32) {
+// Each member's adjacency is scanned exactly once (cs.scanned counts the
+// entries: Σ deg(v) over the set), so a call costs O(Σ deg + n log n)
+// however skewed the degrees.
+func (cs *classes) group(g adjacency, nodes []int) (members []int32, off []int32) {
 	if len(cs.bIndex) < g.NumNodes() {
 		cs.bIndex = make([]int32, g.NumNodes())
 	}
@@ -98,7 +88,7 @@ func (cs *Classes) group(g adjacency, nodes []int) (members []int32, off []int32
 		cs.members[cs.off[cl]+cs.fill[cl]] = int32(v)
 		cs.fill[cl]++
 	}
-	// Restore bIndex's zero invariant, so the next Group — of any node set —
+	// Restore bIndex's zero invariant, so the next group — of any node set —
 	// starts clean without an O(NumNodes) sweep.
 	for _, v := range nodes {
 		cs.bIndex[v] = 0
@@ -113,7 +103,7 @@ func (cs *Classes) group(g adjacency, nodes []int) (members []int32, off []int32
 // with 64+ distinctly-colored neighbors) fall back to a slice scan.
 // Neighbors outside the set are invisible, and a self-loop is harmless: an
 // index is still uncolored while its own adjacency is scanned.
-func (cs *Classes) firstFit(g adjacency, nodes []int) int {
+func (cs *classes) firstFit(g adjacency, nodes []int) int {
 	n := len(nodes)
 	cs.sortByPrio(n)
 	color := ensureInt32(cs.color, n)
@@ -160,7 +150,7 @@ func (cs *Classes) firstFit(g adjacency, nodes []int) int {
 // 0..n-1 is the order of any larger range with the indices >= n dropped: only
 // a size larger than any before sorts (into cs.sorted), and every other size
 // filters that order in one linear pass.
-func (cs *Classes) sortByPrio(n int) {
+func (cs *classes) sortByPrio(n int) {
 	if len(cs.order) == n {
 		return
 	}

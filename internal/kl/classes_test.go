@@ -11,13 +11,13 @@ import (
 )
 
 // adjList is a raw symmetric adjacency: unlike graph.Graph it may carry
-// self-loops and duplicate entries, which Group must tolerate.
+// self-loops and duplicate entries, which group must tolerate.
 type adjList [][]int32
 
 func (a adjList) NumNodes() int           { return len(a) }
 func (a adjList) Neighbors(v int) []int32 { return a[v] }
 
-// jonesPlassmann is the reference coloring Group replaced: over the n-node
+// jonesPlassmann is the reference coloring group replaced: over the n-node
 // graph whose adjacency adj enumerates (self-visits ignored), every uncolored
 // node whose priority beats all of its uncolored neighbors takes, in rounds,
 // the smallest color absent from its already-colored neighborhood. Each
@@ -69,8 +69,8 @@ func jonesPlassmann(n int, adj func(i int, visit func(j int))) []int32 {
 	return color
 }
 
-// oracleGroup is Group built on jonesPlassmann over the induced subgraph of
-// nodes: the members/off layout Group must reproduce exactly.
+// oracleGroup is group built on jonesPlassmann over the induced subgraph of
+// nodes: the members/off layout group must reproduce exactly.
 func oracleGroup(g adjacency, nodes []int) (members, off []int32) {
 	index := map[int]int{}
 	for i, v := range nodes {
@@ -167,7 +167,7 @@ func withClique(a adjList, clique []int) adjList {
 
 // requireSameGrouping checks cs.group against oracleGroup and returns the
 // number of colors used.
-func requireSameGrouping(t *testing.T, label string, cs *Classes, g adjacency, nodes []int) int {
+func requireSameGrouping(t *testing.T, label string, cs *classes, g adjacency, nodes []int) int {
 	t.Helper()
 	members, off := cs.group(g, nodes)
 	wantMembers, wantOff := oracleGroup(g, nodes)
@@ -181,13 +181,13 @@ func requireSameGrouping(t *testing.T, label string, cs *Classes, g adjacency, n
 }
 
 // First-fit in descending priority order is the Jones–Plassmann coloring:
-// Group's classes match the round-based reference exactly on random graphs
+// group's classes match the round-based reference exactly on random graphs
 // with hubs, self-loops and duplicate edges, over full node sets and strict
 // subsets (whose outside neighbors must stay invisible), at the set sizes
 // the sweeps hit (0, 1, a full 512-node tile), and on cliques that need more
-// than 64 colors. One Classes serves every call, as a pooled sweeper's does.
+// than 64 colors. One classes serves every call, as a pooled sweeper's does.
 func TestGroupMatchesJonesPlassmann(t *testing.T) {
-	var cs Classes
+	var cs classes
 	rng := rand.New(rand.NewSource(16))
 	for trial := 0; trial < 240; trial++ {
 		n := 1 + rng.Intn(700)
@@ -209,11 +209,11 @@ func TestGroupMatchesJonesPlassmann(t *testing.T) {
 	}
 }
 
-// Group's grouping is a proper coloring of the induced subgraph: every node
+// group's grouping is a proper coloring of the induced subgraph: every node
 // lands in exactly one class, classes are ascending, and no edge joins two
 // members of one class.
 func TestGroupIsProperColoring(t *testing.T) {
-	var cs Classes
+	var cs classes
 	for _, n := range []int{1, 2, 17, 300, 2000} {
 		rng := rand.New(rand.NewSource(int64(n)))
 		a := randomAdj(rng, n, 6)
@@ -242,8 +242,8 @@ func TestGroupIsProperColoring(t *testing.T) {
 }
 
 func TestGroupEmpty(t *testing.T) {
-	var cs Classes
-	members, off := cs.Group(gen.Grid(4, 4), nil)
+	var cs classes
+	members, off := cs.group(gen.Grid(4, 4), nil)
 	if len(members) != 0 || !slices.Equal(off, []int32{0}) {
 		t.Errorf("empty set grouped as members %v, off %v", members, off)
 	}
@@ -257,13 +257,13 @@ func TestGroupUsesFewColorsOnPath(t *testing.T) {
 	for v := 0; v+1 < n; v++ {
 		b.AddEdge(v, v+1, 1)
 	}
-	var cs Classes
-	if _, off := cs.Group(b.Build(), allNodes(n)); len(off)-1 > 4 {
+	var cs classes
+	if _, off := cs.group(b.Build(), allNodes(n)); len(off)-1 > 4 {
 		t.Errorf("path graph used %d colors", len(off)-1)
 	}
 }
 
-// The coloring's work counter: a Group call scans each member's adjacency
+// The coloring's work counter: a group call scans each member's adjacency
 // exactly once, Σ deg(v) entries, however skewed the degrees. Jones–Plassmann
 // rounds rescanned every losing hub once per round; this is the check that
 // fails if such a rescan comes back.
@@ -283,15 +283,15 @@ func TestGroupScansEachAdjacencyOnce(t *testing.T) {
 		{"star", star.Build(), allNodes(tileSize)},
 		{"powerlaw-10k boundary tile", pl, boundary[:tileSize]},
 	}
-	var cs Classes
+	var cs classes
 	for _, tile := range tiles {
 		deg := 0
 		for _, v := range tile.nodes {
 			deg += tile.g.Degree(v)
 		}
-		cs.Group(tile.g, tile.nodes)
-		if got := cs.Scanned(); got != deg {
-			t.Errorf("%s: Group scanned %d adjacency entries, want Σ deg = %d", tile.name, got, deg)
+		cs.group(tile.g, tile.nodes)
+		if got := cs.scanned; got != deg {
+			t.Errorf("%s: group scanned %d adjacency entries, want Σ deg = %d", tile.name, got, deg)
 		}
 	}
 }

@@ -7,7 +7,7 @@
 // every decision depends on all earlier ones — an inherently sequential
 // chain. The colored sweep breaks the chain where it is provably slack: each
 // pass walks the boundary in index-contiguous tiles, and a deterministic
-// coloring of each tile's induced subgraph (Classes: first-fit in descending
+// coloring of each tile's induced subgraph (classes: first-fit in descending
 // hashed-priority order, the coloring Jones–Plassmann would give) splits
 // the tile into color classes with no internal edges, so within a class no
 // committed move can change another member's neighborhood. That makes the
@@ -101,7 +101,7 @@ const (
 // O(n) coloring index plus the tile/class buffers otherwise reallocate at
 // every one. Pooled state never changes results: every buffer is either
 // fully rewritten before it is read (cands, off, ...), restored to its zero
-// invariant by the previous sweep (Classes' bIndex), or reset when a sweep
+// invariant by the previous sweep (classes' bIndex), or reset when a sweep
 // starts (the dedup stamps).
 var sweepPool = sync.Pool{New: func() any { return new(sweeper) }}
 
@@ -175,7 +175,7 @@ type sweeper struct {
 	ev      *partition.Eval
 	workers int
 
-	classes Classes // per-tile coloring + class grouping (shared with package fm)
+	classes classes // per-tile coloring + class grouping
 	bsnap   []int   // per-pass boundary snapshot buffer
 	scratch []classScratch
 
@@ -270,7 +270,7 @@ func (s *sweeper) pass(r rule) int {
 	b := s.bsnap // ascending snapshot
 	moves := 0
 	for lo := 0; lo < len(b); lo += tileSize {
-		members, off := s.classes.Group(s.g, b[lo:min(lo+tileSize, len(b))])
+		members, off := s.classes.group(s.g, b[lo:min(lo+tileSize, len(b))])
 		for cl := 0; cl < len(off)-1; cl++ {
 			moves += s.sweepClass(r, members[off[cl]:off[cl+1]])
 		}

@@ -41,9 +41,6 @@ func entryPoints() []entryPoint {
 		{"fm.Refine", cuts, func(g *graph.Graph, p *partition.Partition, ev *partition.Eval, o partition.Objective) {
 			fm.Refine(g, p, ev, fmc(o))
 		}},
-		{"fm.RefineColored", cuts, func(g *graph.Graph, p *partition.Partition, ev *partition.Eval, o partition.Objective) {
-			fm.RefineColored(g, p, ev, fmc(o))
-		}},
 		{"kl.HillClimbEval", all, func(g *graph.Graph, p *partition.Partition, ev *partition.Eval, o partition.Objective) {
 			kl.HillClimbEval(g, p, o, 0, ev)
 		}},

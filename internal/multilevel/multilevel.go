@@ -24,9 +24,9 @@
 // projection and rebuilds each level's boundary over par-owned index ranges,
 // and refines with kl's colored boundary sweep — hill climbing (kl.Climb),
 // or label propagation (kl.Propagate) on levels of at least lpMinNodes — FM
-// (the heap pass with parallel seeding below coloredFMMinNodes, the colored
-// schedule fm.RefineColored at and above it), and the parallel rebalance
-// argmax, all of which are bit-identical at every width by construction.
+// (fm.Refine, the heap pass with parallel seeding), and the parallel
+// rebalance argmax, all of which are bit-identical at every width by
+// construction.
 package multilevel
 
 import (
@@ -262,7 +262,7 @@ type Stats struct {
 	// sum to slightly less than Refine (loop overhead is unattributed).
 	RefineLP    time.Duration // kl.Propagate on levels of at least lpMinNodes
 	RefineClimb time.Duration // kl climbs + rebalance
-	RefineFM    time.Duration // fm.Refine / fm.RefineColored
+	RefineFM    time.Duration // fm.Refine
 
 	// FM's deterministic work counters over the run (fm.Counts): moves
 	// committed to a pass's log, moves kept in the best prefixes, and passes.
@@ -277,26 +277,20 @@ type Stats struct {
 	RefineBytes      uint64 // ... during per-level refinement
 }
 
-// The V-cycle's size switches. They are constants rather than knobs because
-// every caller runs with these values, and each is what measurement chose:
+// The V-cycle's size limits. They are constants rather than knobs because
+// every caller runs with these values:
 //
 //   - lpMinNodes: levels this large refine with label propagation
 //     (kl.Propagate) instead of climb and FM, whose Theta(n·parts) gain
 //     structures dominate wall time and allocation at the million-node tier.
 //     It sits above every committed sub-million benchmark case, so only the
-//     1M-and-up tiers take it.
-//   - coloredFMMinNodes: levels this large run FM on the colored schedule
-//     (fm.RefineColored), whose coloring and merge overhead is amortized by
-//     the fanned-out gain evaluation only on big levels. Below it the serial
-//     heap pass stays: running the colored schedule on every level made
-//     multilevel-kl on a 10k-node power-law graph 1.09x slower (median op
-//     time over seeds 1-6, the benchmark's powerlaw-10k workload; per seed
-//     0.86-1.25x) for a 1.8% better cut.
+//     1M-and-up tiers take it. It is the V-cycle's only size switch: every
+//     smaller level runs the same refiners, FM's one pass (fm.Refine)
+//     included.
 //   - maxLevels bounds the coarsening hierarchy's depth.
 const (
-	lpMinNodes        = 250_000
-	coloredFMMinNodes = 50_000
-	maxLevels         = 30
+	lpMinNodes = 250_000
+	maxLevels  = 30
 )
 
 func (c *Config) withDefaults() Config {
@@ -518,21 +512,14 @@ func Partition(g *graph.Graph, cfg Config, inner Partitioner) (*partition.Partit
 		start = time.Now()
 		alloc = allocSnap(meter)
 		kcfg := kl.Config{Objective: c.Objective, MaxPasses: c.RefinePasses, Workers: c.Workers, Stop: c.Stop}
-		// fmPass runs this level's FM refinement: the colored schedule on
-		// levels of at least coloredFMMinNodes, the serial heap pass below
-		// (both share hs.fm's arena). Under CommVolume, which fm does not
-		// support, it is skipped.
+		// fmPass runs this level's FM refinement on hs.fm's arena. Under
+		// CommVolume, which fm does not support, it is skipped.
 		fmPass := func(passes int) {
 			if c.Objective == partition.CommVolume {
 				return
 			}
 			t := time.Now()
-			cfg := fm.Config{MaxPasses: passes, Workers: c.Workers, Objective: c.Objective, Stop: c.Stop, Scratch: &hs.fm}
-			if n >= coloredFMMinNodes {
-				fm.RefineColored(lvl.Graph, fine, ev, cfg)
-			} else {
-				fm.Refine(lvl.Graph, fine, ev, cfg)
-			}
+			fm.Refine(lvl.Graph, fine, ev, fm.Config{MaxPasses: passes, Workers: c.Workers, Objective: c.Objective, Stop: c.Stop, Scratch: &hs.fm})
 			stats.RefineFM += time.Since(t)
 		}
 		climb := func(f func()) {

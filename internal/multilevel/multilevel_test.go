@@ -266,13 +266,12 @@ func TestQuickPartitionWorkersBitIdentical(t *testing.T) {
 	}
 }
 
-// The colored FM schedule in its production seat: on a contracted
-// hierarchy level, starting from a coarser level's partition projected onto
-// it with the Eval carried across the projection, followed by the rebalance
-// the pipeline runs after it. Every width must reproduce the Workers=1
-// partition and gain bit for bit, with the FM arena shared across runs as
-// the pipeline shares it.
-func TestPartitionFMParWorkersBitIdentical(t *testing.T) {
+// FM in its production seat: on a contracted hierarchy level, starting
+// from a coarser level's partition projected onto it with the Eval carried
+// across the projection, followed by the rebalance the pipeline runs after
+// it. Every width must reproduce the Workers=1 partition and gain bit for
+// bit, with the FM arena shared across runs as the pipeline shares it.
+func TestPartitionFMWorkersBitIdentical(t *testing.T) {
 	var scratch fm.Scratch
 	for seed := int64(1); seed <= 2; seed++ {
 		graphs := map[string]*graph.Graph{
@@ -296,7 +295,7 @@ func TestPartitionFMParWorkersBitIdentical(t *testing.T) {
 						p.Assign[v] = cp.Assign[coarseOf[v]]
 					}
 					ev.Track(level, p, obj, workers)
-					gain := fm.RefineColored(level, p, ev, fm.Config{MaxPasses: 4, Workers: workers, Objective: obj, Scratch: &scratch})
+					gain := fm.Refine(level, p, ev, fm.Config{MaxPasses: 4, Workers: workers, Objective: obj, Scratch: &scratch})
 					kl.Rebalance(level, p, ev, kl.Config{Objective: obj, Workers: workers})
 					return p, gain
 				}

@@ -1,13 +1,13 @@
-// Package par provides the small data-parallel primitive the multilevel
-// pipeline and the GA are built on: a chunked parallel for-loop whose output
-// is independent of the worker count and of the scheduling order.
+// Package par provides the two data-parallel primitives the multilevel
+// pipeline and the GA are built on: a chunked parallel for-loop (For) and a
+// fold over a fixed chunk grid (Reduce), whose outputs are independent of
+// the worker count and of the scheduling order.
 //
 // Determinism is the caller's contract, not the scheduler's: every function
 // handed to For must write only to locations owned by its index range, so
 // which worker claims which chunk — and in what order — cannot influence the
-// result. All users in this repository (matching proposals, contraction
-// merges) follow that rule, which is what lets the Workers knobs promise
-// bit-identical results for any value.
+// result. Every user in this repository follows that rule, which is what
+// lets the Workers knobs promise bit-identical results for any value.
 package par
 
 import (
